@@ -77,9 +77,8 @@ def run_subtask_granularity(
     # on equal terms.
     base = get_workload("srt", scale)
     base_bounds = calibrate_dcache_bounds(base)
-    analyzer = VISASpec().analyzer(base.program)
-    analyzer.dcache_bounds = base_bounds
-    deadline = 1.2 * analyzer.analyze(1e9).total_seconds + OVHD
+    wcet = VISASpec().wcet(base.program, 1e9, base_bounds).total_seconds
+    deadline = 1.2 * wcet + OVHD
     cells = [(scale, instances, count, deadline) for count in counts]
     return parallel_map(
         _granularity_cell, cells, jobs, no_cache, no_jit, ooo_sched
@@ -111,9 +110,8 @@ def run_pet_policies(
     """last-N vs histogram PET selection (§4.3)."""
     workload = get_workload(benchmark, scale)
     bounds = calibrate_dcache_bounds(workload)
-    analyzer = VISASpec().analyzer(workload.program)
-    analyzer.dcache_bounds = bounds
-    deadline = 1.2 * analyzer.analyze(1e9).total_seconds + OVHD
+    wcet = VISASpec().wcet(workload.program, 1e9, bounds).total_seconds
+    deadline = 1.2 * wcet + OVHD
     policies = [
         ("last-10", {"pet_policy": "lastn", "pet_window": 10}),
         ("histogram 0%", {"pet_policy": "histogram", "histogram_rate": 0.0}),
@@ -151,9 +149,7 @@ def run_switch_overhead(
     """Sensitivity to the mode/frequency switch overhead (EQ 1's ovhd)."""
     workload = get_workload(benchmark, scale)
     bounds = calibrate_dcache_bounds(workload)
-    analyzer = VISASpec().analyzer(workload.program)
-    analyzer.dcache_bounds = bounds
-    wcet = analyzer.analyze(1e9).total_seconds
+    wcet = VISASpec().wcet(workload.program, 1e9, bounds).total_seconds
     cells = [
         (scale, instances, benchmark, wcet, ovhd) for ovhd in overheads
     ]
@@ -182,9 +178,7 @@ def _dcache_cell(args: tuple[str, str]) -> DCacheModelRow:
         ("trace", calibrate_dcache_bounds(workload)),
         ("static", static_dcache_bounds(workload)),
     ):
-        analyzer = VISASpec().analyzer(workload.program)
-        analyzer.dcache_bounds = bounds
-        wcet = analyzer.analyze(1e9).total_seconds
+        wcet = VISASpec().wcet(workload.program, 1e9, bounds).total_seconds
         deadline = 1.4 * wcet  # a common deadline basis per benchmark
         results[label] = (wcet, deadline)
     deadline = max(d for _, d in results.values())
@@ -193,10 +187,9 @@ def _dcache_cell(args: tuple[str, str]) -> DCacheModelRow:
         ("trace", calibrate_dcache_bounds(workload)),
         ("static", static_dcache_bounds(workload)),
     ):
-        analyzer = VISASpec().analyzer(workload.program)
-        analyzer.dcache_bounds = bounds
         safe[label] = lowest_safe_frequency(
-            analyzer.analyze, deadline, table
+            lambda f: VISASpec().wcet(workload.program, f, bounds),
+            deadline, table,
         ).freq_hz
     return DCacheModelRow(
         bench=name,

@@ -1788,9 +1788,6 @@ def _disk_key(
         "codegen": CODEGEN_VERSION,
         "engine": engine,
         "program": program_digest(program),
-        # program_digest intentionally omits the entry point (results in
-        # the run cache key it separately); block boundaries depend on it.
-        "entry": program.entry,
         "geom": list(geom),
         "params": list(params_tuple) if params_tuple is not None else None,
     }

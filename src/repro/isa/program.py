@@ -60,6 +60,8 @@ class Program:
         # Compiled block tables (repro.isa.blockjit), keyed by
         # (engine, cache geometry, pipeline params).
         self._blockjit_tables: dict = {}
+        # (format version, digest) memo of repro.snapshot.state.program_digest.
+        self._digest: tuple[int, str] | None = None
 
     # -- code access ---------------------------------------------------------
 

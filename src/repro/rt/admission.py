@@ -254,16 +254,17 @@ def _task_wcet(
     the DVS search below probes O(log table) frequencies per task, and
     long-lived service workers amortize repeats across jobs.
     """
-    from repro.wcet.analyzer import WCETAnalyzer
+    from repro.visa.spec import VISASpec
 
     program, bounds = _prepared(workload, scale)
-    analyzer = WCETAnalyzer(program)
-    analyzer.dcache_bounds = list(bounds)
     if engine == "mc":
+        from repro.wcet.analyzer import WCETAnalyzer
         from repro.wcet.mc import ModelCheckEngine
 
+        analyzer = WCETAnalyzer(program)
+        analyzer.dcache_bounds = list(bounds)
         return ModelCheckEngine(analyzer).analyze(freq_hz)
-    return analyzer.analyze(freq_hz)
+    return VISASpec().wcet(program, freq_hz, list(bounds))
 
 
 # -- the decision ----------------------------------------------------------------

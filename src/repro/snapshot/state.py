@@ -13,7 +13,8 @@ contract* those payloads share:
   identical bytes;
 * :func:`snapshot_digest` — a stable content digest of any payload;
 * :func:`program_digest` — identity of a compiled program (words, data
-  image, loop bounds, sub-task marks), the root of run-cache keys.
+  image, loop bounds, sub-task marks, entry point), the root of
+  run-cache keys.
 
 Floats round-trip exactly through :mod:`json` (``repr``-based encoding),
 so dumping and reloading never perturbs simulated timing.
@@ -41,7 +42,15 @@ def snapshot_digest(payload) -> str:
 
 
 def program_digest(program) -> str:
-    """Digest of everything simulation results depend on in a program."""
+    """Digest of everything simulation results depend on in a program.
+
+    Memoized on the program object (programs are never mutated once
+    assembled); the memo is salted with :data:`FORMAT_VERSION` so a
+    version bump still changes the digest.
+    """
+    memo = program._digest  # noqa: SLF001 - cooperative memo
+    if memo is not None and memo[0] == FORMAT_VERSION:
+        return memo[1]
     payload = repr((
         FORMAT_VERSION,
         program.words,
@@ -49,5 +58,8 @@ def program_digest(program) -> str:
         sorted(program.loop_bounds.items()),
         sorted(program.subtask_marks.items()),
         program.text_base,
+        program.entry,
     ))
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
+    program._digest = (FORMAT_VERSION, digest)  # noqa: SLF001
+    return digest

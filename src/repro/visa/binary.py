@@ -33,7 +33,7 @@ from repro.errors import ReproError
 from repro.isa.program import Program
 from repro.memory.machine import mem_stall_cycles
 from repro.visa.spec import VISASpec
-from repro.wcet.analyzer import SubtaskWCET, TaskWCET, WCETAnalyzer
+from repro.wcet.analyzer import SubtaskWCET, TaskWCET
 
 
 def visa_fingerprint(spec: VISASpec) -> str:
@@ -118,8 +118,6 @@ def attach_wcet(
     DVS-grid stall value (25 MHz steps).
     """
     spec = spec or VISASpec()
-    analyzer = spec.analyzer(program)
-    analyzer.dcache_bounds = dcache_bounds
     stall_lo = spec.stall_cycles(freq_range[0])
     stall_hi = spec.stall_cycles(freq_range[1])
 
@@ -128,8 +126,8 @@ def attach_wcet(
         for f in (freq_range[0] + 25e6 * i for i in range(10_000))
         if f <= freq_range[1] + 1
     ]
-    tasks = {f: analyzer.analyze(f) for f in grid_hz}
-    count = analyzer.num_subtasks
+    tasks = {f: spec.wcet(program, f, dcache_bounds) for f in grid_hz}
+    count = len(tasks[grid_hz[0]].subtasks)
 
     params: list[WCETParam] = []
     for k in range(count):

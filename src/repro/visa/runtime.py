@@ -48,6 +48,7 @@ from repro.visa.speculation import (
     solve_eq4,
 )
 from repro.snapshot.state import FORMAT_VERSION
+from repro.wcet.analyzer import TaskWCET
 from repro.wcet.dcache_pad import calibrate_dcache_bounds
 from repro.workloads.base import Workload
 
@@ -157,8 +158,7 @@ class _RuntimeBase:
         self.spec = spec or VISASpec()
         self.table = table or DVSTable.xscale()
         self.program = workload.program
-        self.analyzer = self.spec.analyzer(self.program)
-        self.analyzer.dcache_bounds = (
+        self.dcache_bounds = (
             dcache_bounds
             if dcache_bounds is not None
             else calibrate_dcache_bounds(workload)
@@ -185,8 +185,9 @@ class _RuntimeBase:
 
     # -- helpers ---------------------------------------------------------------
 
-    def wcet_fn(self, freq_hz: float):
-        return self.analyzer.analyze(freq_hz)
+    def wcet_fn(self, freq_hz: float) -> TaskWCET:
+        """Padded VISA WCETs at ``freq_hz`` (the process-wide shared analysis)."""
+        return self.spec.wcet(self.program, freq_hz, self.dcache_bounds)
 
     def safe_setting(self) -> Setting:
         """Lowest non-speculative safe setting, leaving room for ovhd."""

@@ -51,9 +51,33 @@ def lowest_safe_frequency(
     )
 
 
+def _recovery_terms(
+    wcet_fn: WCETFn, table: DVSTable, count: int
+) -> tuple[list[Setting], Callable[[int], tuple[TaskWCET, list[float]]]]:
+    """The table's settings plus a lazy per-setting ``(WCETs, tails)`` fetch.
+
+    Within one solve ``wcet_fn`` runs at most once per setting, and
+    ``tails[i]`` is ``task.tail_seconds(i)`` itself for ``i`` in
+    ``0..count``, so every comparison stays bit-identical (a running
+    suffix sum would round differently).
+    """
+    settings = list(table)
+    slots: list[tuple[TaskWCET, list[float]] | None] = [None] * len(settings)
+
+    def fetch(index: int) -> tuple[TaskWCET, list[float]]:
+        slot = slots[index]
+        if slot is None:
+            task = wcet_fn(settings[index].freq_hz)
+            tails = [task.tail_seconds(i) for i in range(count + 1)]
+            slot = slots[index] = (task, tails)
+        return slot
+
+    return settings, fetch
+
+
 def _eq4_feasible(
     pets_cycles: list[int],
-    wcet_rec: TaskWCET,
+    rec_tails: list[float],
     f_spec: float,
     deadline: float,
     ovhd: float,
@@ -61,7 +85,7 @@ def _eq4_feasible(
     prefix = 0.0
     for i in range(len(pets_cycles)):
         prefix += pets_cycles[i] / f_spec
-        if prefix + ovhd + wcet_rec.tail_seconds(i) > deadline:
+        if prefix + ovhd + rec_tails[i] > deadline:
             return False
     return True
 
@@ -85,10 +109,11 @@ def solve_eq4(
     Raises:
         InfeasibleError: when no pair in the table is safe.
     """
-    for spec in table:
-        for rec in table:
-            wcet_rec = wcet_fn(rec.freq_hz)
-            if _eq4_feasible(pets_cycles, wcet_rec, spec.freq_hz, deadline, ovhd):
+    settings, fetch = _recovery_terms(wcet_fn, table, len(pets_cycles))
+    for spec in settings:
+        for k, rec in enumerate(settings):
+            _, rec_tails = fetch(k)
+            if _eq4_feasible(pets_cycles, rec_tails, spec.freq_hz, deadline, ovhd):
                 return FrequencyPair(spec=spec, rec=rec)
     raise InfeasibleError(
         f"EQ 4 infeasible for deadline {deadline * 1e6:.2f} us"
@@ -98,7 +123,7 @@ def solve_eq4(
 def _eq2_feasible(
     pets_cycles: list[int],
     wcet_spec: TaskWCET,
-    wcet_rec: TaskWCET,
+    rec_tails: list[float],
     f_spec: float,
     deadline: float,
     ovhd: float,
@@ -110,7 +135,7 @@ def _eq2_feasible(
             prefix
             + wcet_spec.subtask_seconds(i)
             + ovhd
-            + wcet_rec.tail_seconds(i + 1)
+            + rec_tails[i + 1]
         )
         if total > deadline:
             return False
@@ -131,12 +156,13 @@ def solve_eq2(
     sub-task is bounded by its WCET *at the speculative frequency*; no
     mode switch exists, only a frequency switch.
     """
-    for spec in table:
-        wcet_spec = wcet_fn(spec.freq_hz)
-        for rec in table:
-            wcet_rec = wcet_fn(rec.freq_hz)
+    settings, fetch = _recovery_terms(wcet_fn, table, len(pets_cycles))
+    for j, spec in enumerate(settings):
+        wcet_spec, _ = fetch(j)
+        for k, rec in enumerate(settings):
+            _, rec_tails = fetch(k)
             if _eq2_feasible(
-                pets_cycles, wcet_spec, wcet_rec, spec.freq_hz, deadline, ovhd
+                pets_cycles, wcet_spec, rec_tails, spec.freq_hz, deadline, ovhd
             ):
                 return FrequencyPair(spec=spec, rec=rec)
     raise InfeasibleError(

@@ -26,6 +26,7 @@ Safety argument (tested, not assumed):
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.errors import AnalysisError
@@ -36,6 +37,12 @@ from repro.wcet.cfg import BasicBlock, FunctionCFG, build_cfg
 from repro.wcet.icache_static import ScopeCacheInfo, scope_info
 from repro.wcet.loops import Loop, find_loops
 from repro.wcet.pipeline_model import PathState, edge_penalty, merge, step
+
+#: Analysis passes (``run_cls(...).region_cycles()``, one per analyzer and
+#: memory-stall count) since process start or the caller's last
+#: ``STATS.clear()``.  Tests use it to verify that the shared analysis
+#: behind :meth:`repro.visa.spec.VISASpec.wcet` really skips re-solves.
+STATS = Counter()
 
 
 @dataclass
@@ -127,6 +134,7 @@ class WCETAnalyzer:
         """
         stall = math.ceil(freq_hz * self.mem_stall_ns * 1e-9)
         if stall not in self._result_cache:
+            STATS["passes"] += 1
             self._result_cache[stall] = self.run_cls(self, stall).region_cycles()
         cycles = self._result_cache[stall]
         task = TaskWCET(freq_hz=freq_hz, stall=stall)
