@@ -56,11 +56,11 @@ BASELINE_BLOCK_TIER = {
     "ooo": {"inst_per_s": 1_243_234},
 }
 
-#: Complex-core block-tier throughput under the original ``scan``
-#: scheduler (``cnt`` @ tiny, recorded on the measurement host at the
-#: event-engine PR's commit).  The event scheduler must never regress
-#: below this recorded scan baseline; its target is >= 2x.
-BASELINE_OOO_SCAN = {"block": {"inst_per_s": 853_793}}
+#: Complex-core block-tier throughput floor (``cnt`` @ tiny): the
+#: block tier of the retired per-cycle-scan OOO scheduler, recorded on
+#: the measurement host when the event-driven engine landed.  The
+#: event engine, now the only one, must never regress below it.
+BASELINE_OOO_BLOCK = {"block": {"inst_per_s": 853_793}}
 
 
 def _host_section(jit: bool | None = None) -> dict:
@@ -83,7 +83,6 @@ def _measure_core(
     core_kind: str,
     method: str,
     min_seconds: float,
-    jit: bool | None = None,
     tier: str | None = None,
     warmup_runs: int = 0,
 ) -> dict:
@@ -127,12 +126,7 @@ def _measure_core(
 
     instructions = cycles = 0
     seed = 0
-    override = (
-        blockjit.tier_override(tier)
-        if tier is not None
-        else blockjit.jit_override(jit)
-    )
-    with override:
+    with blockjit.tier_override(tier):
         for _ in range(warmup_runs):
             one_instance(seed)
             seed += 1
@@ -210,7 +204,7 @@ def _measure_blockjit(min_seconds: float) -> dict:
             jit_on = _measure_core(
                 core_kind, "run", min_seconds, tier="block", warmup_runs=5
             )
-            jit_off = _measure_core(core_kind, "run", min_seconds, jit=False)
+            jit_off = _measure_core(core_kind, "run", min_seconds, tier="off")
             base = BASELINE_PRE_JIT[core_kind]["inst_per_s"]
             section[core_kind] = {
                 "jit": jit_on,
@@ -316,22 +310,19 @@ def _measure_tracejit(min_seconds: float) -> dict:
 
 
 def _measure_ooo_event(min_seconds: float) -> dict:
-    """Scan-vs-event complex-core throughput and event metadata-cache
-    cold/warm build times, in a throwaway ``REPRO_CACHE_DIR``.
+    """Event-engine complex-core throughput and codegen-cache cold/warm
+    build times, in a throwaway ``REPRO_CACHE_DIR``.
 
-    The event scheduler is measured on both execution paths: the block
-    tier (event codegen — rings, commit frontier, inlined predictors)
-    and the pure interpreter (``event.py``).  The scan numbers are
-    re-measured on the same host in the same run, so the event-vs-scan
-    ratio is host-drift-free; the recorded ``BASELINE_OOO_SCAN`` pins
-    the absolute floor the event engine must clear.
+    The event engine is measured on both execution paths: the block
+    tier (generated code — rings, commit frontier, inlined predictors)
+    and the pure interpreter (``event.py``).  The recorded
+    ``BASELINE_OOO_BLOCK`` pins the absolute block-tier floor.
     """
     import shutil
     import tempfile
 
     from repro.isa import blockjit
     from repro.pipelines.ooo.core import OOOParams
-    from repro.pipelines.ooo.sched import sched_override
     from repro.visa.spec import VISASpec
     from repro.workloads import get_workload
 
@@ -344,48 +335,33 @@ def _measure_ooo_event(min_seconds: float) -> dict:
         machine = VISASpec().machine(program)
         section: dict = {"host": _host_section(True)}
 
-        # Event metadata + codegen cache: the event scheduler's
-        # per-instruction dependency/resource metadata is baked into the
-        # generated code and persisted alongside it (same program
-        # digest, ``sched: event`` key), so cold = analyze + compile +
-        # store and warm = one disk load.
-        codegen = {}
-        for sched in ("scan", "event"):
-            with sched_override(sched):
-                program._blockjit_tables.clear()
-                start = time.perf_counter()
-                blockjit.block_table(machine, "ooo", OOOParams())
-                cold_s = time.perf_counter() - start
-                program._blockjit_tables.clear()
-                start = time.perf_counter()
-                blockjit.block_table(machine, "ooo", OOOParams())
-                warm_s = time.perf_counter() - start
-            codegen[sched] = {
-                "cold_seconds": round(cold_s, 4),
-                "warm_seconds": round(warm_s, 4),
-                "warm_speedup": round(cold_s / warm_s, 1),
-            }
-        section["codegen_cache"] = codegen
+        # The per-instruction dependency/resource metadata is baked into
+        # the generated code and persisted with it (keyed by program
+        # digest), so cold = analyze + compile + store and warm = one
+        # disk load.
+        program._blockjit_tables.clear()
+        start = time.perf_counter()
+        blockjit.block_table(machine, "ooo", OOOParams())
+        cold_s = time.perf_counter() - start
+        program._blockjit_tables.clear()
+        start = time.perf_counter()
+        blockjit.block_table(machine, "ooo", OOOParams())
+        warm_s = time.perf_counter() - start
+        section["codegen_cache"] = {
+            "cold_seconds": round(cold_s, 4),
+            "warm_seconds": round(warm_s, 4),
+            "warm_speedup": round(cold_s / warm_s, 1),
+        }
 
         for path, kwargs in (
             ("block", {"tier": "block", "warmup_runs": 5}),
-            ("interp", {"jit": False}),
+            ("interp", {"tier": "off"}),
         ):
-            measured = {}
-            for sched in ("scan", "event"):
-                program._blockjit_tables.clear()
-                with sched_override(sched):
-                    measured[sched] = _measure_core(
-                        "ooo", "run", min_seconds, **kwargs
-                    )
-            measured["event_vs_scan"] = round(
-                measured["event"]["inst_per_s"]
-                / measured["scan"]["inst_per_s"], 2
-            )
-            section[path] = measured
-        base = BASELINE_OOO_SCAN["block"]["inst_per_s"]
-        section["block"]["event_vs_recorded_scan"] = round(
-            section["block"]["event"]["inst_per_s"] / base, 2
+            program._blockjit_tables.clear()
+            section[path] = _measure_core("ooo", "run", min_seconds, **kwargs)
+        base = BASELINE_OOO_BLOCK["block"]["inst_per_s"]
+        section["block"]["vs_recorded_floor"] = round(
+            section["block"]["inst_per_s"] / base, 2
         )
     finally:
         shutil.rmtree(tmpdir, ignore_errors=True)
@@ -527,7 +503,7 @@ def main(argv: list[str] | None = None) -> int:
         "baseline_pre_pr": BASELINE,
         "baseline_pre_jit": BASELINE_PRE_JIT,
         "baseline_block_tier": BASELINE_BLOCK_TIER,
-        "baseline_ooo_scan": BASELINE_OOO_SCAN,
+        "baseline_ooo_block": BASELINE_OOO_BLOCK,
         "measured": {},
         "note": (
             "Process-parallel fan-out (REPRO_JOBS) is bit-identical to the "
@@ -603,17 +579,15 @@ def main(argv: list[str] | None = None) -> int:
     phase_seconds["ooo_event"] = round(time.perf_counter() - phase_start, 3)
     report["measured"]["ooo_event"] = event_section
     for path in ("block", "interp"):
-        sec = event_section[path]
         print(
-            f"ooo_event {path:6s}  event {sec['event']['inst_per_s']:>9,} "
-            f"inst/s  scan {sec['scan']['inst_per_s']:>9,} inst/s  "
-            f"({sec['event_vs_scan']}x)"
+            f"ooo_event {path:6s}  "
+            f"{event_section[path]['inst_per_s']:>9,} inst/s"
         )
-    for sched, times in event_section["codegen_cache"].items():
-        print(
-            f"ooo_event codegen {sched:5s}  cold {times['cold_seconds']:.3f}s  "
-            f"warm {times['warm_seconds']:.3f}s ({times['warm_speedup']}x)"
-        )
+    times = event_section["codegen_cache"]
+    print(
+        f"ooo_event codegen  cold {times['cold_seconds']:.3f}s  "
+        f"warm {times['warm_seconds']:.3f}s ({times['warm_speedup']}x)"
+    )
 
     phase_start = time.perf_counter()
     cell = _measure_figure2_cell(cell_instances)
@@ -672,15 +646,13 @@ def main(argv: list[str] | None = None) -> int:
         failures.append("trace tier slows the OOO core down")
     if not args.smoke and trace_section["inorder"]["trace_stats"]["traces"] < 1:
         failures.append("trace tier formed no traces on the in-order core")
-    event_inst = event_section["block"]["event"]["inst_per_s"]
-    scan_floor = BASELINE_OOO_SCAN["block"]["inst_per_s"]
-    if not args.smoke and event_inst < scan_floor:
+    event_inst = event_section["block"]["inst_per_s"]
+    ooo_floor = BASELINE_OOO_BLOCK["block"]["inst_per_s"]
+    if not args.smoke and event_inst < ooo_floor:
         failures.append(
-            f"event-mode OOO {event_inst:,} inst/s regresses below the "
-            f"recorded scan baseline {scan_floor:,} inst/s"
+            f"OOO block tier {event_inst:,} inst/s regresses below the "
+            f"recorded floor {ooo_floor:,} inst/s"
         )
-    if not args.smoke and event_section["block"]["event_vs_scan"] < 1.0:
-        failures.append("event scheduler slower than scan on the block tier")
     if not args.smoke and run_cache["cached_speedup"] < 10.0:
         failures.append(
             f"cached cell only {run_cache['cached_speedup']}x faster "

@@ -1,27 +1,23 @@
-"""CI smoke: every JIT tier must produce bit-identical run digests.
+"""CI smoke: every JIT tier must match the reference simulators bit for bit.
 
 Runs every workload (all 8, tiny scale) on both pipelines under each
 execution tier — per-instruction interpreter (``off``), basic-block
 compiler (``block``), and superblock/trace compiler (``trace``) — and
 digests the complete observable outcome: run result, final registers,
 memory image, console output (with cycle stamps), event counters, and
-cache statistics.  Each workload runs three seeded instances per tier
-so the trace tier's hot-count profiling actually crosses its threshold
-and installs superblocks mid-matrix.  Any digest mismatch is a
-miscompilation and exits nonzero.
+cache statistics.  The baseline is each core's ``run_reference`` (the
+original ``semantics.execute``-based loop, an independent formulation
+of the same timing model), so the complex core's event-driven engine is
+checked end to end against it on every tier.  Each workload runs three
+seeded instances per tier so the trace tier's hot-count profiling
+actually crosses its threshold and installs superblocks mid-matrix.
+Any digest mismatch is a miscompilation and exits nonzero.
 
-``REPRO_JIT_TIER`` narrows the matrix to one candidate tier (compared
-against the interpreter baseline computed in-process) so CI can shard
-the tiers across jobs, and ``REPRO_OOO_SCHED`` selects the complex
-core's timing scheduler for the candidate tiers.  The interpreter
-baseline always runs under the original ``scan`` scheduler, so an
-``event`` candidate is checked end to end against the independent
-scan formulation, not against itself::
+``REPRO_JIT_TIER`` narrows the matrix to the ``off`` tier plus one
+candidate tier so CI can shard the tiers across jobs::
 
     PYTHONPATH=src python benchmarks/jit_parity_smoke.py          # all tiers
     REPRO_JIT_TIER=trace PYTHONPATH=src python benchmarks/jit_parity_smoke.py
-    REPRO_OOO_SCHED=event REPRO_JIT_TIER=block \\
-        PYTHONPATH=src python benchmarks/jit_parity_smoke.py
 """
 
 from __future__ import annotations
@@ -65,7 +61,6 @@ def main() -> int:
     from repro.memory.machine import Machine
     from repro.pipelines.inorder import InOrderCore
     from repro.pipelines.ooo.core import ComplexCore
-    from repro.pipelines.ooo.sched import sched_override
     from repro.workloads.suite import (
         EXTRA_WORKLOAD_NAMES,
         WORKLOAD_NAMES,
@@ -77,9 +72,9 @@ def main() -> int:
         if env_tier not in blockjit.TIERS:
             print(f"unknown REPRO_JIT_TIER {env_tier!r}", file=sys.stderr)
             return 2
-        candidates = [env_tier]
+        candidates = list(dict.fromkeys(["off", env_tier]))
     else:
-        candidates = [t for t in blockjit.TIERS if t != "off"]
+        candidates = list(blockjit.TIERS)
 
     failures = 0
     for name in WORKLOAD_NAMES + EXTRA_WORKLOAD_NAMES:
@@ -87,35 +82,33 @@ def main() -> int:
         seeds = list(range(RUNS)) if workload.inputs else [None]
         for label, core_cls in (("inorder", InOrderCore), ("ooo", ComplexCore)):
             digests: dict[str, tuple[str, ...]] = {}
-            for tier in ["off", *candidates]:
+            for tier in ["reference", *candidates]:
                 per_run = []
-                # The baseline is the scan-scheduler interpreter; the
-                # candidate tiers run under the environment-selected
-                # scheduler (REPRO_OOO_SCHED), so event-mode digests are
-                # checked against the independent scan formulation.
-                sched = "scan" if tier == "off" else None
-                with blockjit.tier_override(tier), sched_override(sched):
-                    for seed in seeds:
-                        machine = Machine(workload.program)
-                        if seed is not None:
-                            inputs = workload.generate_inputs(seed=seed)
-                            workload.apply_inputs(machine, inputs)
-                        core = core_cls(machine)
-                        result = core.run()
-                        per_run.append(_digest(core, machine, result))
+                for seed in seeds:
+                    machine = Machine(workload.program)
+                    if seed is not None:
+                        inputs = workload.generate_inputs(seed=seed)
+                        workload.apply_inputs(machine, inputs)
+                    core = core_cls(machine)
+                    if tier == "reference":
+                        result = core.run_reference()
+                    else:
+                        with blockjit.tier_override(tier):
+                            result = core.run()
+                    per_run.append(_digest(core, machine, result))
                 digests[tier] = tuple(per_run)
-            ok = all(digests[t] == digests["off"] for t in candidates)
+            ok = all(digests[t] == digests["reference"] for t in candidates)
             status = "ok" if ok else "MISMATCH"
             shown = " ".join(
-                f"{t} {digests[t][-1]}" for t in ["off", *candidates]
+                f"{t} {digests[t][-1]}" for t in ["reference", *candidates]
             )
             print(f"{name:6s} {label:7s}  {shown}  {status}")
             failures += 0 if ok else 1
     if failures:
         print(f"FAIL: {failures} tier digest mismatch(es)", file=sys.stderr)
         return 1
-    tiers = "/".join(["off", *candidates])
-    print(f"all workloads bit-identical across tiers: {tiers}")
+    tiers = "/".join(candidates)
+    print(f"all workloads bit-identical to run_reference on tiers: {tiers}")
     return 0
 
 

@@ -72,32 +72,6 @@ def _load_program(path: str):
     return compile_source(text)
 
 
-def _cli_tier(args) -> str | None:
-    """Resolve ``--jit-tier``/``--no-jit`` into a tier-override argument.
-
-    ``None`` defers to ``REPRO_JIT_TIER``/``REPRO_JIT``; ``--no-jit``
-    stays the back-compatible spelling of ``--jit-tier off``.
-    """
-    from repro.errors import ProtocolError
-
-    tier = getattr(args, "jit_tier", None)
-    if args.no_jit:
-        if tier not in (None, "off"):
-            raise ProtocolError(
-                f"--no-jit conflicts with --jit-tier {tier}"
-            )
-        return "off"
-    return tier
-
-
-def _cli_sched(args) -> str | None:
-    """Resolve ``--ooo-sched`` into a scheduler-override argument.
-
-    ``None`` defers to ``REPRO_OOO_SCHED`` (mirrors :func:`_cli_tier`).
-    """
-    return getattr(args, "ooo_sched", None)
-
-
 def cmd_compile(args) -> int:
     """``compile``: MiniC -> assembly on stdout."""
     print(compile_to_asm(pathlib.Path(args.file).read_text()), end="")
@@ -127,14 +101,12 @@ def cmd_disasm(args) -> int:
 def cmd_run(args) -> int:
     """``run``: execute on a simulated core; print console + stats."""
     from repro.isa import blockjit
-    from repro.pipelines.ooo.sched import sched_override
 
     program = _load_program(args.file)
     machine = Machine(program)
     core_cls = ComplexCore if args.core == "complex" else InOrderCore
     core = core_cls(machine, freq_hz=args.freq * 1e6)
-    with blockjit.tier_override(_cli_tier(args)), \
-            sched_override(_cli_sched(args)):
+    with blockjit.tier_override(args.jit_tier):
         result = core.run()
     for cycle, value in machine.mmio.console:
         print(f"[cycle {cycle}] {value}")
@@ -386,10 +358,10 @@ def cmd_trace(args) -> int:
 def cmd_experiment(args) -> int:
     """``experiment``: run one of the paper's experiments.
 
-    ``--jobs`` and ``--no-cache`` are threaded through as explicit
-    parameters (environment variables remain the defaults only), so
-    concurrent in-process callers — the service daemon in particular —
-    never race on mutated global state.
+    ``--jobs``, ``--no-cache`` and ``--jit-tier`` are threaded through as
+    explicit parameters (environment variables remain the defaults
+    only), so concurrent in-process callers — the service daemon in
+    particular — never race on mutated global state.
     """
     from repro.experiments import ablations, figure2, figure3, figure4, table3
 
@@ -401,10 +373,8 @@ def cmd_experiment(args) -> int:
         "ablations": ablations,
     }
     no_cache = True if args.no_cache else None  # None = REPRO_NO_CACHE default
-    no_jit = True if args.no_jit else None  # None = REPRO_JIT default
     modules[args.name].main(
-        jobs=args.jobs, no_cache=no_cache, no_jit=no_jit,
-        ooo_sched=_cli_sched(args),
+        jobs=args.jobs, no_cache=no_cache, jit_tier=args.jit_tier,
     )
     return 0
 
@@ -686,12 +656,8 @@ def _submit_payload(args) -> dict:
         }
         if args.flush_rate:
             payload["flush_rate"] = args.flush_rate
-        if args.no_jit:
-            payload["no_jit"] = True
         if args.jit_tier:
             payload["jit_tier"] = args.jit_tier
-        if args.ooo_sched:
-            payload["ooo_sched"] = args.ooo_sched
         return payload
     if args.kind == "wcet":
         payload = {
@@ -722,12 +688,8 @@ def _submit_payload(args) -> dict:
         "scale": args.scale,
         "instances": args.instances,
     }
-    if args.no_jit:
-        payload["no_jit"] = True
     if args.jit_tier:
         payload["jit_tier"] = args.jit_tier
-    if args.ooo_sched:
-        payload["ooo_sched"] = args.ooo_sched
     return payload
 
 
@@ -861,24 +823,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--core", choices=["simple", "complex"], default="simple")
     p.add_argument("--freq", type=float, default=1000.0, help="MHz")
     p.add_argument(
-        "--no-jit",
-        action="store_true",
-        help="disable block compilation (same as REPRO_JIT=0)",
-    )
-    p.add_argument(
         "--jit-tier",
         choices=["off", "block", "trace"],
         default=None,
         help="execution tier (same as REPRO_JIT_TIER; default: environment)",
-    )
-    p.add_argument(
-        "--ooo-sched",
-        choices=["scan", "event"],
-        default=None,
-        help=(
-            "complex-core timing scheduler "
-            "(same as REPRO_OOO_SCHED; default: environment)"
-        ),
     )
     p.set_defaults(func=cmd_run)
 
@@ -989,18 +937,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="bypass the on-disk setup/run caches (same as REPRO_NO_CACHE=1)",
     )
     p.add_argument(
-        "--no-jit",
-        action="store_true",
-        help="disable block compilation (same as REPRO_JIT=0)",
-    )
-    p.add_argument(
-        "--ooo-sched",
-        choices=["scan", "event"],
+        "--jit-tier",
+        choices=["off", "block", "trace"],
         default=None,
-        help=(
-            "complex-core timing scheduler "
-            "(same as REPRO_OOO_SCHED; default: environment)"
-        ),
+        help="execution tier (same as REPRO_JIT_TIER; default: environment)",
     )
     p.set_defaults(func=cmd_experiment)
 
@@ -1175,21 +1115,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="noop jobs: milliseconds the worker sleeps (default 0)",
     )
     p.add_argument(
-        "--no-jit",
-        action="store_true",
-        help="run/experiment jobs: disable block compilation in the worker",
-    )
-    p.add_argument(
         "--jit-tier",
         choices=["off", "block", "trace"],
         default=None,
         help="run/experiment jobs: pin the worker's JIT tier",
-    )
-    p.add_argument(
-        "--ooo-sched",
-        choices=["scan", "event"],
-        default=None,
-        help="run/experiment jobs: pin the worker's OOO timing scheduler",
     )
     p.add_argument(
         "--task",

@@ -69,8 +69,7 @@ def run_subtask_granularity(
     counts: tuple[int, ...] = (2, 5, 10),
     jobs: int | None = None,
     no_cache: bool | None = None,
-    no_jit: bool | None = None,
-    ooo_sched: str | None = None,
+    jit_tier: str | None = None,
 ) -> list[AblationRow]:
     """srt with varying checkpoint granularity; one shared deadline."""
     # Deadline from the canonical 10-sub-task version so variants compete
@@ -81,7 +80,7 @@ def run_subtask_granularity(
     deadline = 1.2 * wcet + OVHD
     cells = [(scale, instances, count, deadline) for count in counts]
     return parallel_map(
-        _granularity_cell, cells, jobs, no_cache, no_jit, ooo_sched
+        _granularity_cell, cells, jobs, no_cache, jit_tier
     )
 
 
@@ -104,8 +103,7 @@ def run_pet_policies(
     benchmark: str = "lms",
     jobs: int | None = None,
     no_cache: bool | None = None,
-    no_jit: bool | None = None,
-    ooo_sched: str | None = None,
+    jit_tier: str | None = None,
 ) -> list[AblationRow]:
     """last-N vs histogram PET selection (§4.3)."""
     workload = get_workload(benchmark, scale)
@@ -121,7 +119,7 @@ def run_pet_policies(
         (scale, instances, benchmark, deadline, label, overrides)
         for label, overrides in policies
     ]
-    return parallel_map(_pet_cell, cells, jobs, no_cache, no_jit, ooo_sched)
+    return parallel_map(_pet_cell, cells, jobs, no_cache, jit_tier)
 
 
 def _overhead_cell(args: tuple[str, int, str, float, float]) -> AblationRow:
@@ -143,8 +141,7 @@ def run_switch_overhead(
     overheads: tuple[float, ...] = (0.5e-6, 2e-6, 8e-6),
     jobs: int | None = None,
     no_cache: bool | None = None,
-    no_jit: bool | None = None,
-    ooo_sched: str | None = None,
+    jit_tier: str | None = None,
 ) -> list[AblationRow]:
     """Sensitivity to the mode/frequency switch overhead (EQ 1's ovhd)."""
     workload = get_workload(benchmark, scale)
@@ -153,7 +150,7 @@ def run_switch_overhead(
     cells = [
         (scale, instances, benchmark, wcet, ovhd) for ovhd in overheads
     ]
-    return parallel_map(_overhead_cell, cells, jobs, no_cache, no_jit, ooo_sched)
+    return parallel_map(_overhead_cell, cells, jobs, no_cache, jit_tier)
 
 
 @dataclass
@@ -204,8 +201,7 @@ def run_dcache_models(
     scale: str = "tiny",
     jobs: int | None = None,
     no_cache: bool | None = None,
-    no_jit: bool | None = None,
-    ooo_sched: str | None = None,
+    jit_tier: str | None = None,
 ) -> list[DCacheModelRow]:
     """Trace-derived padding vs fully-static D-cache bounds (§3.3).
 
@@ -216,7 +212,7 @@ def run_dcache_models(
     from repro.workloads import WORKLOAD_NAMES
 
     cells = [(name, scale) for name in WORKLOAD_NAMES]
-    return parallel_map(_dcache_cell, cells, jobs, no_cache, no_jit, ooo_sched)
+    return parallel_map(_dcache_cell, cells, jobs, no_cache, jit_tier)
 
 
 def render_dcache(rows: list[DCacheModelRow]) -> str:
@@ -249,8 +245,7 @@ def run_power_sensitivity(
     instances: int = 40,
     benchmark: str = "lms",
     no_cache: bool | None = None,
-    no_jit: bool | None = None,
-    ooo_sched: str | None = None,
+    jit_tier: str | None = None,
 ) -> list[SensitivityRow]:
     """Is Figure 2 an artifact of the power constants?  Re-score one
     tight-deadline run under perturbed :class:`PowerParams` (the phases
@@ -268,11 +263,8 @@ def run_power_sensitivity(
 
     from repro.snapshot import runcache
 
-    from repro.pipelines.ooo.sched import sched_override
-
-    jit = None if no_jit is None else not no_jit
-    with runcache.no_cache_override(no_cache), blockjit.jit_override(jit), \
-            sched_override(ooo_sched):
+    with runcache.no_cache_override(no_cache), \
+            blockjit.tier_override(jit_tier):
         prep = setup(benchmark, scale)
         pair = run_pair(prep, prep.deadline_tight, instances)
     skip = min(20, instances // 2)
@@ -332,33 +324,32 @@ def render(rows: list[AblationRow]) -> str:
 def main(
     jobs: int | None = None,
     no_cache: bool | None = None,
-    no_jit: bool | None = None,
-    ooo_sched: str | None = None,
+    jit_tier: str | None = None,
 ) -> None:
     """Command-line entry point: run and print every ablation study."""
     print("== Sub-task granularity (srt) ==")
     print(render(run_subtask_granularity(
-        jobs=jobs, no_cache=no_cache, no_jit=no_jit, ooo_sched=ooo_sched,
+        jobs=jobs, no_cache=no_cache, jit_tier=jit_tier,
     )))
     print()
     print("== PET policy (lms) ==")
     print(render(run_pet_policies(
-        jobs=jobs, no_cache=no_cache, no_jit=no_jit, ooo_sched=ooo_sched,
+        jobs=jobs, no_cache=no_cache, jit_tier=jit_tier,
     )))
     print()
     print("== Switch overhead (cnt) ==")
     print(render(run_switch_overhead(
-        jobs=jobs, no_cache=no_cache, no_jit=no_jit, ooo_sched=ooo_sched,
+        jobs=jobs, no_cache=no_cache, jit_tier=jit_tier,
     )))
     print()
     print("== D-cache bound models ==")
     print(render_dcache(run_dcache_models(
-        jobs=jobs, no_cache=no_cache, no_jit=no_jit, ooo_sched=ooo_sched,
+        jobs=jobs, no_cache=no_cache, jit_tier=jit_tier,
     )))
     print()
     print("== Power-model sensitivity (lms) ==")
     print(render_sensitivity(run_power_sensitivity(
-        no_cache=no_cache, no_jit=no_jit, ooo_sched=ooo_sched,
+        no_cache=no_cache, jit_tier=jit_tier,
     )))
 
 

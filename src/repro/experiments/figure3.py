@@ -57,14 +57,13 @@ def run(
     instances: int | None = None,
     jobs: int | None = None,
     no_cache: bool | None = None,
-    no_jit: bool | None = None,
-    ooo_sched: str | None = None,
+    jit_tier: str | None = None,
 ) -> list[Figure3Row]:
     """Run the experiment; returns one row per measured configuration."""
     scale = scale or default_scale()
     instances = instances or default_instances()
     cells = [(name, scale, instances) for name in WORKLOAD_NAMES]
-    return parallel_map(_cell, cells, jobs, no_cache, no_jit, ooo_sched)
+    return parallel_map(_cell, cells, jobs, no_cache, jit_tier)
 
 
 def render(rows: list[Figure3Row]) -> str:
@@ -96,8 +95,7 @@ def chart(rows: list[Figure3Row]) -> str:
 def main(
     jobs: int | None = None,
     no_cache: bool | None = None,
-    no_jit: bool | None = None,
-    ooo_sched: str | None = None,
+    jit_tier: str | None = None,
 ) -> None:
     """Command-line entry point: run and print the experiment."""
     print(
@@ -105,7 +103,7 @@ def main(
         "(scale=%s, instances=%d)"
         % (FREQ_ADVANTAGE, default_scale(), default_instances())
     )
-    rows = run(jobs=jobs, no_cache=no_cache, no_jit=no_jit, ooo_sched=ooo_sched)
+    rows = run(jobs=jobs, no_cache=no_cache, jit_tier=jit_tier)
     print(render(rows))
     print()
     print(chart(rows))

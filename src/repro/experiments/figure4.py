@@ -66,8 +66,7 @@ def run(
     rates: tuple[float, ...] = RATES,
     jobs: int | None = None,
     no_cache: bool | None = None,
-    no_jit: bool | None = None,
-    ooo_sched: str | None = None,
+    jit_tier: str | None = None,
 ) -> list[Figure4Row]:
     """Run the experiment; returns one row per measured configuration."""
     scale = scale or default_scale()
@@ -77,7 +76,7 @@ def run(
         for name in WORKLOAD_NAMES
         for rate in rates
     ]
-    return parallel_map(_cell, cells, jobs, no_cache, no_jit, ooo_sched)
+    return parallel_map(_cell, cells, jobs, no_cache, jit_tier)
 
 
 def render(rows: list[Figure4Row]) -> str:
@@ -117,15 +116,14 @@ def chart(rows: list[Figure4Row]) -> str:
 def main(
     jobs: int | None = None,
     no_cache: bool | None = None,
-    no_jit: bool | None = None,
-    ooo_sched: str | None = None,
+    jit_tier: str | None = None,
 ) -> None:
     """Command-line entry point: run and print the experiment."""
     print(
         "Figure 4 reproduction: induced mispredictions "
         "(scale=%s, instances=%d)" % (default_scale(), default_instances())
     )
-    rows = run(jobs=jobs, no_cache=no_cache, no_jit=no_jit, ooo_sched=ooo_sched)
+    rows = run(jobs=jobs, no_cache=no_cache, jit_tier=jit_tier)
     print(render(rows))
     print()
     print(chart(rows))

@@ -55,23 +55,19 @@ def default_jobs() -> int:
 def _cell_with_overrides(
     fn: Callable[[C], R],
     no_cache: bool | None,
-    no_jit: bool | None,
-    ooo_sched: str | None,
+    jit_tier: str | None,
     cell: C,
 ) -> R:
-    """Run one cell under explicit cache-bypass / JIT / scheduler overrides.
+    """Run one cell under explicit cache-bypass / JIT-tier overrides.
 
     Module-level (and composed via :func:`functools.partial`) so the
     resulting callable pickles into worker processes; the overrides are
     re-entered *inside* each process rather than published through
     ``os.environ``, which concurrent in-process callers would race on.
     """
-    from repro.pipelines.ooo.sched import sched_override
-
-    jit = None if no_jit is None else not no_jit
-    with runcache.no_cache_override(no_cache):
-        with blockjit.jit_override(jit), sched_override(ooo_sched):
-            return fn(cell)
+    with runcache.no_cache_override(no_cache), \
+            blockjit.tier_override(jit_tier):
+        return fn(cell)
 
 
 def parallel_map(
@@ -79,8 +75,7 @@ def parallel_map(
     cells: Iterable[C],
     jobs: int | None = None,
     no_cache: bool | None = None,
-    no_jit: bool | None = None,
-    ooo_sched: str | None = None,
+    jit_tier: str | None = None,
 ) -> list[R]:
     """Map ``fn`` over ``cells``, optionally across worker processes.
 
@@ -92,10 +87,9 @@ def parallel_map(
     ``no_cache`` threads the CLI's ``--no-cache`` down to every cell as an
     explicit parameter (``None`` defers to the ``REPRO_NO_CACHE``
     environment default) — global state is never mutated, so concurrent
-    in-process callers cannot observe each other's setting.  ``no_jit``
-    threads ``--no-jit`` the same way (``None`` defers to ``REPRO_JIT``),
-    and ``ooo_sched`` the complex-core timing scheduler (``None`` defers
-    to ``REPRO_OOO_SCHED``).
+    in-process callers cannot observe each other's setting.  ``jit_tier``
+    threads ``--jit-tier`` the same way (``None`` defers to
+    ``REPRO_JIT_TIER``).
 
     Worker exceptions propagate to the caller (the pool is shut down
     eagerly; remaining cells may or may not have run, exactly like an
@@ -106,8 +100,8 @@ def parallel_map(
         jobs = default_jobs()
     call: Callable[[C], R] = (
         fn
-        if no_cache is None and no_jit is None and ooo_sched is None
-        else partial(_cell_with_overrides, fn, no_cache, no_jit, ooo_sched)
+        if no_cache is None and jit_tier is None
+        else partial(_cell_with_overrides, fn, no_cache, jit_tier)
     )
     if jobs <= 1 or len(items) <= 1:
         return [call(c) for c in items]

@@ -98,14 +98,13 @@ def run(
     scale: str | None = None,
     jobs: int | None = None,
     no_cache: bool | None = None,
-    no_jit: bool | None = None,
-    ooo_sched: str | None = None,
+    jit_tier: str | None = None,
 ) -> list[Table3Row]:
     """Run the experiment; returns one row per benchmark."""
     scale = scale or default_scale()
     return parallel_map(
         _cell, [(name, scale) for name in WORKLOAD_NAMES], jobs, no_cache,
-        no_jit, ooo_sched,
+        jit_tier,
     )
 
 
@@ -136,12 +135,11 @@ def render(rows: list[Table3Row]) -> str:
 def main(
     jobs: int | None = None,
     no_cache: bool | None = None,
-    no_jit: bool | None = None,
-    ooo_sched: str | None = None,
+    jit_tier: str | None = None,
 ) -> None:
     """Command-line entry point: run and print the experiment."""
     print("Table 3 reproduction (scale=%s)" % default_scale())
-    print(render(run(jobs=jobs, no_cache=no_cache, no_jit=no_jit, ooo_sched=ooo_sched)))
+    print(render(run(jobs=jobs, no_cache=no_cache, jit_tier=jit_tier)))
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ Within a generated block:
 * the in-order timing recurrence and the OOO constraint system are
   emitted inline with SSA-style names, mirroring the hand-specialized
   hot loops in :mod:`repro.pipelines.inorder` and
-  :mod:`repro.pipelines.ooo.core` statement for statement, and
+  :mod:`repro.pipelines.ooo.event` statement for statement, and
 * event counters whose increments are statically known (fetch, regread,
   regwrite, retired) become literal offsets baked into the exit writes.
 
@@ -31,10 +31,9 @@ reference paths) may leave partially-updated batched state.
 The compiled block table is memoized on the :class:`~repro.isa.program.
 Program` and persisted under ``.repro_cache/blockjit/`` keyed by the
 program digest, cache geometry, and pipeline parameters (same
-``FORMAT_VERSION``/sha256 mechanism as the run cache).  Opt-out follows
-the PR 4 pattern: ``REPRO_JIT=0`` or ``--no-jit`` threaded as an
-explicit parameter into :func:`jit_override` — never ``os.environ``
-mutation.
+``FORMAT_VERSION``/sha256 mechanism as the run cache).  The tier is
+chosen by ``REPRO_JIT_TIER`` or ``--jit-tier``, threaded as an explicit
+parameter into :func:`tier_override` — never ``os.environ`` mutation.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ import os
 import re
 import sys
 import weakref
-from collections import deque
 from collections.abc import Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -76,7 +74,9 @@ if TYPE_CHECKING:
     from repro.isa.program import Program
 
 #: Bump when the emitted code changes shape; stale disk entries miss.
-CODEGEN_VERSION = 2
+#: 3: the OOO disk key lost its ``sched`` field when the event layouts
+#: became the only ones, so older (scan-layout) entries must not load.
+CODEGEN_VERSION = 3
 
 _M = 0xFFFFFFFF
 _S = 0x80000000
@@ -84,7 +84,7 @@ _MMIO = layout.MMIO_BASE
 _REDIRECT_OFFSET = BRANCH_PENALTY - _FRONT_DEPTH + 1
 _RUNAWAY = 200_000_000
 
-# Event-scheduler width-map hygiene: every _PRUNE_STRIDE committed
+# OOO width-map hygiene: every _PRUNE_STRIDE committed
 # instructions, cycle-keyed dispatch/issue/port maps larger than
 # _PRUNE_MIN entries are rebuilt with dead (pre-frontier) keys dropped.
 _PRUNE_STRIDE = 8192
@@ -100,7 +100,7 @@ _LIVE_TABLES: "weakref.WeakSet[Any]" = weakref.WeakSet()
 BlockFn = Callable[..., Any]
 BlockEntry = tuple[BlockFn, int]
 
-# --- tier selection (REPRO_JIT_TIER / REPRO_JIT / --no-jit) ------------------
+# --- tier selection (REPRO_JIT_TIER / --jit-tier) ---------------------------
 
 #: Recognized execution tiers, slowest to fastest.
 TIERS = ("off", "block", "trace")
@@ -111,43 +111,26 @@ TIERS = ("off", "block", "trace")
 #: trace tier is opt-in (``REPRO_JIT_TIER=trace`` / ``--jit-tier``).
 DEFAULT_TIER = "block"
 
-# Holds either a tier name, a legacy boolean (from jit_override), or None.
-_JIT_OVERRIDE: ContextVar[str | bool | None] = ContextVar(
-    "repro_jit", default=None
-)
+_JIT_OVERRIDE: ContextVar[str | None] = ContextVar("repro_jit", default=None)
 
 
 def _env_tier() -> str:
-    """Tier selected by the environment alone.
-
-    ``REPRO_JIT_TIER`` (off/block/trace) supersedes the boolean
-    ``REPRO_JIT``; an unrecognized value falls through to the legacy
-    flag, and ``REPRO_JIT=0`` still disables compilation entirely.
-    """
+    """Tier selected by ``REPRO_JIT_TIER`` alone (default when unset)."""
     tier = os.environ.get("REPRO_JIT_TIER", "").strip().lower()
     if tier in TIERS:
         return tier
-    if os.environ.get("REPRO_JIT", "") == "0":
-        return "off"
     return DEFAULT_TIER
 
 
 def jit_tier() -> str:
     """The active JIT tier: ``"off"``, ``"block"``, or ``"trace"``.
 
-    An active :func:`tier_override`/:func:`jit_override` wins; otherwise
-    the environment decides (see :func:`_env_tier`).  A legacy boolean
-    override maps ``False`` to ``"off"`` and ``True`` to the environment
-    tier, promoted to the default when the environment says off.
+    An active :func:`tier_override` wins; otherwise the environment
+    decides (see :func:`_env_tier`).
     """
     override = _JIT_OVERRIDE.get()
     if override is None:
         return _env_tier()
-    if override is False:
-        return "off"
-    if override is True:
-        tier = _env_tier()
-        return tier if tier != "off" else DEFAULT_TIER
     return override
 
 
@@ -165,22 +148,6 @@ def tier_override(value: str | None) -> Iterator[None]:
     """
     if value is not None and value not in TIERS:
         raise ValueError(f"unknown JIT tier {value!r}")
-    token = _JIT_OVERRIDE.set(value)
-    try:
-        yield
-    finally:
-        _JIT_OVERRIDE.reset(token)
-
-
-@contextmanager
-def jit_override(value: bool | None) -> Iterator[None]:
-    """Scoped JIT on/off override (``None`` defers to the environment).
-
-    The boolean PR 5 interface, kept for ``--no-jit`` and existing
-    callers: ``False`` forces the interpreter, ``True`` forces the
-    environment-selected tier (default tier when the environment says
-    off), ``None`` defers entirely.
-    """
     token = _JIT_OVERRIDE.set(value)
     try:
         yield
@@ -920,58 +887,43 @@ class _InOrderEmitter:
 #
 # Generated signature: def _o{pc:x}(ir, fr, ready, st, env)
 #
-# st (list, 23 slots): 0 bus_free, 1 fetch_cycle, 2 group_done,
+# st (list, 29 slots): 0 bus_free, 1 fetch_cycle, 2 group_done,
 #   3 group_count, 4 group_block, 5 redirect, 6 last_commit (the
 #   *committed* value: at a mid-instruction fault it lags the commit-stage
 #   clamp exactly like ``committed_now`` in the reference), 7 itick,
 #   8 dtick, 9 ihits, 10 imiss, 11 dhits, 12 dmiss, 13 c_group,
 #   14 c_bpred, 15 c_regread, 16 c_regwrite, 17 c_dcache, 18 n_mem,
-#   19 pc, 20 executed, 21 wd, 22 wd_expiry.
-# env (tuple, 32): words, words.get, icache sets, dcache sets, mmio,
+#   19 pc, 20 executed, 21 wd, 22 wd_expiry, 23 ri (ROB ring cursor),
+#   24 qi (IQ ring cursor), 25 li (LSQ ring cursor), 26 ccn (commits at
+#   the lc frontier cycle), 27 gh (gshare global history), 28 ih
+#   (indirect-predictor history).  The dispatcher's finally-flush and
+#   the trace tier's watchdog entry guard index into it.
+# env (tuple, 26): words, words.get, icache sets, dcache sets, mmio,
 #   mmio.read, mmio.write, machine.data_read, machine.data_write,
-#   stall penalty, timing base, honor_watchdog, gshare.predict,
-#   gshare.update, indirect.predict, indirect.update, then the per-segment
-#   scheduling structures: dis_used/dis_get, iss_used/iss_get,
-#   com_used/com_get, port_used/port_get, rob_commits/rob_append,
-#   iq_issues/iq_append, lsq_commits/lsq_append,
+#   stall penalty, timing base, honor_watchdog, the raw gshare table,
+#   the indirect table and its .get (the generated code inlines
+#   predictor reads/updates), then the per-segment scheduling
+#   structures: dis_used/dis_get, iss_used/iss_get, port_used/port_get,
+#   the preallocated ROB/IQ/LSQ occupancy rings, and
 #   inflight_stores/inflight_stores.get.
 
 _OOO_ENV = (
-    "words, words_get, isets, dsets, mmio, mmio_read, mmio_write, "
-    "data_read, data_write, pen, base, honor, gpredict, gupdate, "
-    "ipredict, iupdate, dis_used, dis_get, iss_used, iss_get, com_used, "
-    "com_get, port_used, port_get, rob_commits, rob_append, iq_issues, "
-    "iq_append, lsq_commits, lsq_append, inflight_stores, get_inflight"
-)
-_OOO_ST = (
-    "bf, fc, gd, gc, gb, rd, lc, itick, dtick, ihits, imiss, dhits, "
-    "dmiss, cg, cbp, crr, crw, cdc, nmem, _pc, nex, wd, wdx"
-)
-
-# Event-mode layouts (REPRO_OOO_SCHED=event).  The st prefix [0..22] is
-# identical to the scan layout — the dispatcher's finally-flush and the
-# trace tier's watchdog entry guard index into it — with six appended
-# slots: 23 ri (ROB ring cursor), 24 qi (IQ ring cursor), 25 li (LSQ
-# ring cursor), 26 ccn (commits at the lc frontier cycle), 27 gh
-# (gshare global history), 28 ih (indirect-predictor history).  env
-# swaps the bound predictor methods and the commit width map + three
-# occupancy deques for the raw predictor tables and preallocated rings
-# (the generated code inlines predictor reads/updates and ring
-# occupancy clamps; see ``_OOOEmitter``).
-
-_OOO_ENV_EVENT = (
     "words, words_get, isets, dsets, mmio, mmio_read, mmio_write, "
     "data_read, data_write, pen, base, honor, gt, it, it_get, "
     "dis_used, dis_get, iss_used, iss_get, port_used, port_get, "
     "robq, iqq, lsqq, inflight_stores, get_inflight"
 )
-_OOO_ST_EVENT = _OOO_ST + ", ri, qi, li, ccn, gh, ih"
+_OOO_ST = (
+    "bf, fc, gd, gc, gb, rd, lc, itick, dtick, ihits, imiss, dhits, "
+    "dmiss, cg, cbp, crr, crw, cdc, nmem, _pc, nex, wd, wdx, "
+    "ri, qi, li, ccn, gh, ih"
+)
 
 
 def _fwd_consumers(insts: list[tuple[int, Any]]) -> set[int]:
     """Indices of instructions whose result has an in-block consumer.
 
-    The event emitter binds a producer's wakeup value to a local only
+    The emitter binds a producer's wakeup value to a local only
     when a later instruction in the same emission unit reads that
     register before it is rewritten (dependency metadata precomputed at
     decode time); producers without consumers write ``ready`` directly.
@@ -992,26 +944,17 @@ def _fwd_consumers(insts: list[tuple[int, Any]]) -> set[int]:
 class _OOOEmitter:
     """Emit one complex-mode basic-block function (layout comment above)."""
 
-    def __init__(
-        self, geom: "_Geometry", params: Any, event: bool = False,
-    ) -> None:
+    def __init__(self, geom: "_Geometry", params: Any) -> None:
         self.g = geom
         self.p = params
-        #: Event-driven scheduler codegen (REPRO_OOO_SCHED=event): ring
-        #: occupancy clamps, commit-frontier retirement, inlined
-        #: predictors, in-block producer forwarding.  Bit-identical to
-        #: the scan form by construction (see docs/performance.md).
-        self.event = event
         self.lines: list[str] = []
         self.regs = _Regs(self.lines)
-        # Commit-clamp name (the reference's ``last_commit``, updated at
-        # the commit stage) vs sync name (``committed_now``'s cycle part,
-        # which only advances *after* an instruction's side effects).
-        # Event mode keeps ``lc`` as one mutable frontier local instead
-        # of rotating SSA names.
-        self.lc = "lc"
+        # ``lc`` is the commit frontier (the reference's ``last_commit``,
+        # updated at the commit stage); the sync name tracks
+        # ``committed_now``'s cycle part, which only advances *after* an
+        # instruction's side effects.
         self.lc_sync = "lc"
-        # Event mode: flat register key -> local holding the ready value
+        # Flat register key -> local holding the ready value
         # its in-block producer just computed (consumers read the local
         # instead of ``ready[key]``; the values are equal by construction).
         self._fwd: dict[int, str] = {}
@@ -1053,9 +996,8 @@ class _OOOEmitter:
             _ctr("cbp", self.cbp), _ctr("crr", self.crr),
             _ctr("crw", self.crw), "cdc", _ctr("nmem", self.nmem),
             pc_expr, _ctr("nex", self.nex), "wd", "wdx",
+            "ri", "qi", "li", "ccn", "gh", "ih",
         )
-        if self.event:
-            slots += ("ri", "qi", "li", "ccn", "gh", "ih")
         self.emit(ind, "st[:] = (" + ", ".join(slots) + ")")
 
     def _exit(self, ind: str, pc_expr: str, ret: str) -> None:
@@ -1104,11 +1046,10 @@ class _OOOEmitter:
         fname = f"_o{pc:x}"
         head = [
             f"def {fname}(ir, fr, ready, st, env):",
-            f"    ({_OOO_ENV_EVENT if self.event else _OOO_ENV}) = env",
-            f"    ({_OOO_ST_EVENT if self.event else _OOO_ST}) = st",
+            f"    ({_OOO_ENV}) = env",
+            f"    ({_OOO_ST}) = st",
         ]
-        if self.event:
-            self._fwd_useful = _fwd_consumers(insts)
+        self._fwd_useful = _fwd_consumers(insts)
         for idx, (ipc, fi) in enumerate(insts):
             self._inst(idx, ipc, fi, is_last=idx == len(insts) - 1)
         return "\n".join(head + _tighten_max(self.lines)) + "\n"
@@ -1218,38 +1159,30 @@ class _OOOEmitter:
                 self.emit(ind, f"{a} = ({s_txt} + {inst.imm}) & _M")
         elif kind == K_BRANCH:
             self.emit(ind, f"k{i} = {_branch_expr(inst, regs, ind)}")
-            if self.event:
-                # Inlined gshare (predictor.py semantics, 2^16 geometry
-                # folded at codegen): predict on the pre-update history,
-                # saturate the 2-bit counter, shift the outcome in.
-                self.emit(ind, f"gi = ({pc >> 2} ^ gh) & 65535")
-                self.emit(ind, "gv = gt[gi]")
-                self.emit(ind, f"p{i} = gv >= 2")
-                self.emit(ind, f"if k{i}:")
-                self.emit(ind + "    ", "if gv < 3:")
-                self.emit(ind + "        ", "gt[gi] = gv + 1")
-                self.emit(ind + "    ", "gh = ((gh << 1) | 1) & 65535")
-                self.emit(ind, "else:")
-                self.emit(ind + "    ", "if gv:")
-                self.emit(ind + "        ", "gt[gi] = gv - 1")
-                self.emit(ind + "    ", "gh = (gh << 1) & 65535")
-            else:
-                self.emit(ind, f"p{i} = gpredict({pc})")
-                self.emit(ind, f"gupdate({pc}, k{i})")
+            # Inlined gshare (predictor.py semantics, 2^16 geometry
+            # folded at codegen): predict on the pre-update history,
+            # saturate the 2-bit counter, shift the outcome in.
+            self.emit(ind, f"gi = ({pc >> 2} ^ gh) & 65535")
+            self.emit(ind, "gv = gt[gi]")
+            self.emit(ind, f"p{i} = gv >= 2")
+            self.emit(ind, f"if k{i}:")
+            self.emit(ind + "    ", "if gv < 3:")
+            self.emit(ind + "        ", "gt[gi] = gv + 1")
+            self.emit(ind + "    ", "gh = ((gh << 1) | 1) & 65535")
+            self.emit(ind, "else:")
+            self.emit(ind + "    ", "if gv:")
+            self.emit(ind + "        ", "gt[gi] = gv - 1")
+            self.emit(ind + "    ", "gh = (gh << 1) & 65535")
             self.cbp += 1
         elif kind == K_INDIRECT:
             s_txt = regs.read(inst.rs, ind)
             self.emit(ind, f"g{i} = {s_txt} & _M")
-            if self.event:
-                # Inlined indirect-target table (update shifts a taken
-                # bit into the history, per predictor.py).
-                self.emit(ind, f"ii = ({pc >> 2} ^ ih) & 65535")
-                self.emit(ind, f"p{i} = it_get(ii)")
-                self.emit(ind, f"it[ii] = g{i}")
-                self.emit(ind, "ih = ((ih << 1) | 1) & 65535")
-            else:
-                self.emit(ind, f"p{i} = ipredict({pc})")
-                self.emit(ind, f"iupdate({pc}, g{i})")
+            # Inlined indirect-target table (update shifts a taken
+            # bit into the history, per predictor.py).
+            self.emit(ind, f"ii = ({pc >> 2} ^ ih) & 65535")
+            self.emit(ind, f"p{i} = it_get(ii)")
+            self.emit(ind, f"it[ii] = g{i}")
+            self.emit(ind, "ih = ((ih << 1) | 1) & 65535")
             self.cbp += 1
         # K_JUMP / K_HALT: nothing to execute.
 
@@ -1257,34 +1190,18 @@ class _OOOEmitter:
         is_mem = kind == K_LOAD or kind == K_STORE
         d = f"d{i}"
         self.emit(ind, f"{d} = gd + 1")
-        if self.event:
-            # Ring occupancy clamps: the cursor slot holds the oldest
-            # live entry exactly when the structure is full, else the -1
-            # sentinel (never >= d, which is >= 1), reproducing the
-            # deque len==N guard without a length check.
-            rings = [("robq", "ri"), ("iqq", "qi")]
-            if is_mem:
-                self.nmem += 1
-                rings.append(("lsqq", "li"))
-            for ring, cur in rings:
-                self.emit(ind, f"t = {ring}[{cur}]")
-                self.emit(ind, f"if t >= {d}:")
-                self.emit(ind + "    ", f"{d} = t + 1")
-        else:
-            for q, n_entries in (
-                ("rob_commits", p.rob_entries),
-                ("iq_issues", p.iq_entries),
-            ):
-                self.emit(ind, f"if len({q}) == {n_entries}:")
-                self.emit(ind + "    ", f"t = {q}[0] + 1")
-                self.emit(ind + "    ", f"if t > {d}:")
-                self.emit(ind + "        ", f"{d} = t")
-            if is_mem:
-                self.nmem += 1
-                self.emit(ind, f"if len(lsq_commits) == {p.lsq_entries}:")
-                self.emit(ind + "    ", "t = lsq_commits[0] + 1")
-                self.emit(ind + "    ", f"if t > {d}:")
-                self.emit(ind + "        ", f"{d} = t")
+        # Ring occupancy clamps: the cursor slot holds the oldest
+        # live entry exactly when the structure is full, else the -1
+        # sentinel (never >= d, which is >= 1), reproducing the
+        # deque len==N guard without a length check.
+        rings = [("robq", "ri"), ("iqq", "qi")]
+        if is_mem:
+            self.nmem += 1
+            rings.append(("lsqq", "li"))
+        for ring, cur in rings:
+            self.emit(ind, f"t = {ring}[{cur}]")
+            self.emit(ind, f"if t >= {d}:")
+            self.emit(ind + "    ", f"{d} = t + 1")
         self.emit(ind, f"while (vd := dis_get({d}, 0)) >= {p.dispatch_width}:")
         self.emit(ind + "    ", f"{d} += 1")
         self.emit(ind, f"dis_used[{d}] = vd + 1")
@@ -1293,7 +1210,7 @@ class _OOOEmitter:
         s = f"s{i}"
         self.emit(ind, f"{s} = {d} + 1")
         for sk in dict.fromkeys(src_keys):
-            fwd = self._fwd.get(sk) if self.event else None
+            fwd = self._fwd.get(sk)
             self.emit(ind, f"t = {fwd if fwd is not None else f'ready[{sk}]'}")
             self.emit(ind, f"if t > {s}:")
             self.emit(ind + "    ", f"{s} = t")
@@ -1317,7 +1234,7 @@ class _OOOEmitter:
         self.crr += nsrc
 
         x = f"x{i}"
-        if kind == K_LOAD or not self.event:
+        if kind == K_LOAD:
             self.emit(ind, f"{x} = {s} + {p.issue_to_ex}")
 
         # -- execute / memory --
@@ -1334,15 +1251,10 @@ class _OOOEmitter:
                 self.emit(ind, "else:")
                 self._load_mem_timing(ind + "    ", i, a, x, c)
         elif kind == K_STORE:
-            # Event mode folds the unused ex_start local into the sum.
-            if self.event:
-                self.emit(ind, f"{c} = {s} + {p.issue_to_ex + 1}")
-            else:
-                self.emit(ind, f"{c} = {x} + 1")
-        elif self.event:
-            self.emit(ind, f"{c} = {s} + {p.issue_to_ex + lat}")
+            # Non-loads fold the unused ex_start local into the sum.
+            self.emit(ind, f"{c} = {s} + {p.issue_to_ex + 1}")
         else:
-            self.emit(ind, f"{c} = {x} + {lat}")
+            self.emit(ind, f"{c} = {s} + {p.issue_to_ex + lat}")
 
         # -- redirect / group break --
         fw = p.fetch_width
@@ -1363,57 +1275,40 @@ class _OOOEmitter:
 
         # -- commit (in order, 4-wide) --
         y = f"y{i}"
-        if self.event:
-            # Batched retirement via the commit frontier (lc, ccn): every
-            # candidate max(c+1, lc) is >= lc and the width map has no
-            # entries past lc, so one pair replaces the dict scan.  The
-            # frontier equals this commit afterwards (lc == y), but the
-            # sync slot must keep lagging through the side effects
-            # (committed_now semantics), hence the lcp snapshot.
-            if is_mem:
-                self.emit(ind, f"lcp{i} = lc")
-            self.emit(ind, f"{y} = {c} + 1")
-            self.emit(ind, f"if {y} <= lc:")
-            self.emit(ind + "    ", f"if ccn < {p.commit_width}:")
-            self.emit(ind + "        ", "ccn += 1")
-            self.emit(ind + "        ", f"{y} = lc")
-            self.emit(ind + "    ", "else:")
-            self.emit(ind + "        ", "lc += 1")
-            self.emit(ind + "        ", "ccn = 1")
-            self.emit(ind + "        ", f"{y} = lc")
-            self.emit(ind, "else:")
-            self.emit(ind + "    ", f"lc = {y}")
-            self.emit(ind + "    ", "ccn = 1")
-            self.emit(ind, f"robq[ri] = {y}")
-            self.emit(ind, "ri += 1")
-            self.emit(ind, f"if ri == {p.rob_entries}:")
-            self.emit(ind + "    ", "ri = 0")
-            if is_mem:
-                self.emit(ind, f"lsqq[li] = {y}")
-                self.emit(ind, "li += 1")
-                self.emit(ind, f"if li == {p.lsq_entries}:")
-                self.emit(ind + "    ", "li = 0")
-            self.emit(ind, f"iqq[qi] = {s}")
-            self.emit(ind, "qi += 1")
-            self.emit(ind, f"if qi == {p.iq_entries}:")
-            self.emit(ind + "    ", "qi = 0")
-            self.lc_sync = f"lcp{i}" if is_mem else "lc"
-        else:
-            self.emit(ind, f"{y} = {c} + 1")
-            self.emit(ind, f"if {self.lc} > {y}:")
-            self.emit(ind + "    ", f"{y} = {self.lc}")
-            self.emit(
-                ind, f"while (vc := com_get({y}, 0)) >= {p.commit_width}:"
-            )
-            self.emit(ind + "    ", f"{y} += 1")
-            self.emit(ind, f"com_used[{y}] = vc + 1")
-            self.emit(ind, f"rob_append({y})")
-            if is_mem:
-                self.emit(ind, f"lsq_append({y})")
-            self.emit(ind, f"iq_append({s})")
-            # y >= old last_commit by construction, so last_commit
-            # becomes y.
-            self.lc = y
+        # Batched retirement via the commit frontier (lc, ccn): every
+        # candidate max(c+1, lc) is >= lc and the width map has no
+        # entries past lc, so one pair replaces the dict scan.  The
+        # frontier equals this commit afterwards (lc == y), but the
+        # sync slot must keep lagging through the side effects
+        # (committed_now semantics), hence the lcp snapshot.
+        if is_mem:
+            self.emit(ind, f"lcp{i} = lc")
+        self.emit(ind, f"{y} = {c} + 1")
+        self.emit(ind, f"if {y} <= lc:")
+        self.emit(ind + "    ", f"if ccn < {p.commit_width}:")
+        self.emit(ind + "        ", "ccn += 1")
+        self.emit(ind + "        ", f"{y} = lc")
+        self.emit(ind + "    ", "else:")
+        self.emit(ind + "        ", "lc += 1")
+        self.emit(ind + "        ", "ccn = 1")
+        self.emit(ind + "        ", f"{y} = lc")
+        self.emit(ind, "else:")
+        self.emit(ind + "    ", f"lc = {y}")
+        self.emit(ind + "    ", "ccn = 1")
+        self.emit(ind, f"robq[ri] = {y}")
+        self.emit(ind, "ri += 1")
+        self.emit(ind, f"if ri == {p.rob_entries}:")
+        self.emit(ind + "    ", "ri = 0")
+        if is_mem:
+            self.emit(ind, f"lsqq[li] = {y}")
+            self.emit(ind, "li += 1")
+            self.emit(ind, f"if li == {p.lsq_entries}:")
+            self.emit(ind + "    ", "li = 0")
+        self.emit(ind, f"iqq[qi] = {s}")
+        self.emit(ind, "qi += 1")
+        self.emit(ind, f"if qi == {p.iq_entries}:")
+        self.emit(ind + "    ", "qi = 0")
+        self.lc_sync = f"lcp{i}" if is_mem else "lc"
 
         # -- architectural side effects --
         pc_next = str(npc)
@@ -1491,16 +1386,13 @@ class _OOOEmitter:
 
         if dkey >= 0:
             self.crw += 1
-            if self.event and (
-                self._fwd_useful is None or i in self._fwd_useful
-            ):
+            if self._fwd_useful is None or i in self._fwd_useful:
                 self.emit(ind, f"rv{i} = {c} - {p.issue_to_ex}")
                 self.emit(ind, f"ready[{dkey}] = rv{i}")
                 self._fwd[dkey] = f"rv{i}"
             else:
                 self.emit(ind, f"ready[{dkey}] = {c} - {p.issue_to_ex}")
-                if self.event:
-                    self._fwd.pop(dkey, None)
+                self._fwd.pop(dkey, None)
         self.nex += 1
 
         if kind == K_HALT:
@@ -1642,13 +1534,11 @@ def _collect_block(
 
 def _emit_block(
     engine: str, geom: _Geometry, params: Any, start: int,
-    insts: list[tuple[int, Any]], sched: str = "scan",
+    insts: list[tuple[int, Any]],
 ) -> str:
     if engine == "inorder":
         return _InOrderEmitter(geom).emit_block(start, insts)
-    return _OOOEmitter(
-        geom, params, event=sched == "event"
-    ).emit_block(start, insts)
+    return _OOOEmitter(geom, params).emit_block(start, insts)
 
 
 class BlockTable:
@@ -1677,7 +1567,6 @@ class BlockTable:
         blocks: dict[int, BlockEntry],
         tier: str = "block",
         disk_key: str | None = None,
-        sched: str = "scan",
     ) -> None:
         self.program = program
         self.engine = engine
@@ -1686,9 +1575,6 @@ class BlockTable:
         self.blocks = blocks
         self.tier = tier
         self.disk_key = disk_key
-        #: OOO timing-scheduler codegen this table was built for
-        #: ("scan"/"event"; always "scan" for the in-order engine).
-        self.sched = sched
         self._ns = namespace
         self.safe_breaks: frozenset[int] = (
             frozenset(program.subtask_marks) | {program.entry}
@@ -1764,7 +1650,7 @@ class BlockTable:
             raise ReproError(f"no instruction at {pc:#x}")
         insts = _collect_block(self.program, pc, self.safe_breaks)
         source = _emit_block(
-            self.engine, self.geom, self.params, pc, insts, self.sched
+            self.engine, self.geom, self.params, pc, insts
         )
         code = compile(source, f"<blockjit:{self.engine}:{pc:#x}>", "exec")
         exec(code, self._ns)  # noqa: S102 - executing our own codegen
@@ -1775,7 +1661,7 @@ class BlockTable:
 
 def _disk_key(
     program: "Program", engine: str, geom: _Geometry,
-    params_tuple: tuple | None, sched: str = "scan",
+    params_tuple: tuple | None,
 ) -> str:
     from repro.snapshot.state import (
         FORMAT_VERSION,
@@ -1791,10 +1677,6 @@ def _disk_key(
         "geom": list(geom),
         "params": list(params_tuple) if params_tuple is not None else None,
     }
-    if engine == "ooo" and sched == "event":
-        # Event-mode codegen keys separately; scan keys are unchanged so
-        # existing cache entries stay valid.
-        payload["sched"] = sched
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()[:24]
 
 
@@ -1838,11 +1720,11 @@ def _store_disk(engine: str, key: str, payload: dict) -> None:
 
 def _build_table(
     program: "Program", engine: str, geom: _Geometry, params: Any,
-    params_tuple: tuple | None, tier: str = "block", sched: str = "scan",
+    params_tuple: tuple | None, tier: str = "block",
 ) -> BlockTable:
     from repro.snapshot.state import FORMAT_VERSION
 
-    key = _disk_key(program, engine, geom, params_tuple, sched)
+    key = _disk_key(program, engine, geom, params_tuple)
     ns = dict(_EXEC_GLOBALS)
     blocks: dict[int, BlockEntry] = {}
     payload = _load_disk(engine, key)
@@ -1866,7 +1748,7 @@ def _build_table(
             blocks[int(spc)] = (ns[fname], int(blen))
         return _finish_table(
             BlockTable(program, engine, geom, params, ns, blocks,
-                       tier=tier, disk_key=key, sched=sched)
+                       tier=tier, disk_key=key)
         )
 
     leaders = _leaders(program)
@@ -1878,7 +1760,7 @@ def _build_table(
     while pending:
         start = pending.pop(0)
         insts = _collect_block(program, start, stops)
-        sources.append(_emit_block(engine, geom, params, start, insts, sched))
+        sources.append(_emit_block(engine, geom, params, start, insts))
         meta[str(start)] = [_fname(engine, start), len(insts)]
         # A run split at the fuse cap continues in a follow-on block.
         last_pc, last_fi = insts[-1]
@@ -1906,7 +1788,7 @@ def _build_table(
     })
     return _finish_table(
         BlockTable(program, engine, geom, params, ns, blocks,
-                   tier=tier, disk_key=key, sched=sched)
+                   tier=tier, disk_key=key)
     )
 
 
@@ -1937,14 +1819,6 @@ def block_table(
         tier = jit_tier()
     if tier == "off":
         tier = "block"
-    if engine == "ooo":
-        # Lazy import: repro.pipelines.ooo.__init__ imports core, which
-        # imports this module.
-        from repro.pipelines.ooo.sched import ooo_sched
-
-        sched = ooo_sched()
-    else:
-        sched = "scan"
     program = machine.program
     ic = machine.icache.config
     dc = machine.dcache.config
@@ -1954,12 +1828,12 @@ def block_table(
         program.text_base, program.text_end,
     )
     params_tuple = tuple(astuple(params)) if params is not None else None
-    memo_key = (engine, geom, params_tuple, tier, sched)
+    memo_key = (engine, geom, params_tuple, tier)
     tables = program._blockjit_tables  # noqa: SLF001 - cooperative memo
     table = tables.get(memo_key)
     if table is None:
         table = _build_table(
-            program, engine, geom, params, params_tuple, tier, sched
+            program, engine, geom, params, params_tuple, tier
         )
         tables[memo_key] = table
     return table
@@ -2108,7 +1982,6 @@ def run_ooo(core: Any, table: BlockTable, honor_watchdog: bool = True) -> Any:
     ic = machine.icache
     dc = machine.dcache
     base = state.now
-    event = table.sched == "event"
     gshare = core.gshare
     indirect = core.indirect
     dis_used: dict[int, int] = {}
@@ -2128,50 +2001,30 @@ def run_ooo(core: Any, table: BlockTable, honor_watchdog: bool = True) -> Any:
         0, 0, 0, 0, 0, 0,  # cg, cbp, crr, crw, cdc, nmem
         state.pc, 0,  # pc, executed
         wd, mmio._wd_expiry,  # noqa: SLF001
+        0, 0, 0, 0,  # ri, qi, li, ccn
+        gshare.history, indirect.history,  # gh, ih
     ]
     words = machine.memory._words  # noqa: SLF001
-    if event:
-        # Preallocated rings (-1 sentinel = not yet full at that cursor)
-        # replace the occupancy deques; the commit width map is replaced
-        # entirely by the in-code frontier pair st[6]/st[26]; predictor
-        # tables are passed raw (reads/updates are inlined in the
-        # generated code, histories live in st[27]/st[28]).
-        robq = [-1] * params.rob_entries
-        iqq = [-1] * params.iq_entries
-        lsqq = [-1] * params.lsq_entries
-        st += [0, 0, 0, 0, gshare.history, indirect.history]
-        env: tuple[Any, ...] = (
-            words, words.get,
-            ic._sets, dc._sets,  # noqa: SLF001
-            mmio, mmio.read, mmio.write,
-            machine.data_read, machine.data_write,
-            core.stall_cycles, base, honor_watchdog,
-            gshare.table, indirect.table, indirect.table.get,
-            dis_used, dis_used.get, iss_used, iss_used.get,
-            port_used, port_used.get,
-            robq, iqq, lsqq,
-            inflight_stores, inflight_stores.get,
-        )
-    else:
-        robq = []
-        com_used: dict[int, int] = {}
-        rob_commits: deque[int] = deque(maxlen=params.rob_entries)
-        iq_issues: deque[int] = deque(maxlen=params.iq_entries)
-        lsq_commits: deque[int] = deque(maxlen=params.lsq_entries)
-        env = (
-            words, words.get,
-            ic._sets, dc._sets,  # noqa: SLF001
-            mmio, mmio.read, mmio.write,
-            machine.data_read, machine.data_write,
-            core.stall_cycles, base, honor_watchdog,
-            gshare.predict, gshare.update,
-            indirect.predict, indirect.update,
-            dis_used, dis_used.get, iss_used, iss_used.get,
-            com_used, com_used.get, port_used, port_used.get,
-            rob_commits, rob_commits.append, iq_issues, iq_issues.append,
-            lsq_commits, lsq_commits.append,
-            inflight_stores, inflight_stores.get,
-        )
+    # Preallocated rings (-1 sentinel = not yet full at that cursor)
+    # stand in for the reference's occupancy deques; its commit width
+    # map is the in-code frontier pair st[6]/st[26]; predictor tables
+    # are passed raw (reads/updates are inlined in the generated code,
+    # histories live in st[27]/st[28]).
+    robq = [-1] * params.rob_entries
+    iqq = [-1] * params.iq_entries
+    lsqq = [-1] * params.lsq_entries
+    env: tuple[Any, ...] = (
+        words, words.get,
+        ic._sets, dc._sets,  # noqa: SLF001
+        mmio, mmio.read, mmio.write,
+        machine.data_read, machine.data_write,
+        core.stall_cycles, base, honor_watchdog,
+        gshare.table, indirect.table, indirect.table.get,
+        dis_used, dis_used.get, iss_used, iss_used.get,
+        port_used, port_used.get,
+        robq, iqq, lsqq,
+        inflight_stores, inflight_stores.get,
+    )
     ir = state.int_regs
     fr = state.fp_regs
     blocks = table.blocks
@@ -2194,7 +2047,7 @@ def run_ooo(core: Any, table: BlockTable, honor_watchdog: bool = True) -> Any:
             if r.__class__ is int:
                 pc = r
                 st[19] = pc
-                if event and st[20] - pruned_at >= _PRUNE_STRIDE:
+                if st[20] - pruned_at >= _PRUNE_STRIDE:
                     # Keep the width maps cache-resident: every future
                     # dispatch probe starts at >= max(group_done, oldest
                     # live ROB commit) + 1 (both monotone; the ROB clamp
@@ -2233,9 +2086,8 @@ def run_ooo(core: Any, table: BlockTable, honor_watchdog: bool = True) -> Any:
                 exception_cycle=min(now, st[22]),
             )
     finally:
-        if event:
-            gshare.history = st[27]
-            indirect.history = st[28]
+        gshare.history = st[27]
+        indirect.history = st[28]
         state.pc = st[19]
         state.now = base + st[6]
         state.instret += st[20]
@@ -2367,7 +2219,6 @@ __all__ = [
     "clear_disk_cache",
     "disk_cache_stats",
     "jit_enabled",
-    "jit_override",
     "jit_tier",
     "run_inorder",
     "run_ooo",

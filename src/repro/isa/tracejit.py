@@ -223,28 +223,21 @@ class _InOrderTraceEmitter(blockjit._InOrderEmitter):
 class _OOOTraceEmitter(blockjit._OOOEmitter):
     """Stitched complex-mode superblock emitter (signature ``_u{pc:x}``).
 
-    Emits for whichever timing scheduler the owning table was built for
-    (the ``event`` constructor flag): the env/st unpack strings and the
-    per-instruction bodies (inherited from :class:`blockjit._OOOEmitter`)
-    switch together, so a trace always matches its block functions.
+    The per-instruction bodies are inherited from
+    :class:`blockjit._OOOEmitter` and the env/st unpack strings are its
+    layouts, so a trace always matches its block functions.
     """
 
     def emit_trace(self, head: int, segments: list[Segment]) -> str:
         self._wd_elide = True
-        env_names = (
-            blockjit._OOO_ENV_EVENT if self.event else blockjit._OOO_ENV
-        )
-        st_names = (
-            blockjit._OOO_ST_EVENT if self.event else blockjit._OOO_ST
-        )
         lines = [
             f"def {_trace_fname('ooo', head)}(ir, fr, ready, st, env):",
             "    _tr[0] += 1",
             "    if st[21]:",
             f"        return {blockjit._fname('ooo', head)}"
             "(ir, fr, ready, st, env)",
-            f"    ({env_names}) = env",
-            f"    ({st_names}) = st",
+            f"    ({blockjit._OOO_ENV}) = env",
+            f"    ({blockjit._OOO_ST}) = st",
         ]
         _emit_segments(self, segments)
         return "\n".join(lines + _peephole(self.lines)) + "\n"
@@ -252,12 +245,10 @@ class _OOOTraceEmitter(blockjit._OOOEmitter):
 
 def _emit_trace(
     engine: str, geom: Any, params: Any, head: int, segments: list[Segment],
-    sched: str = "scan",
 ) -> str:
     if engine == "inorder":
         return _InOrderTraceEmitter(geom).emit_trace(head, segments)
-    em = _OOOTraceEmitter(geom, params, event=sched == "event")
-    return em.emit_trace(head, segments)
+    return _OOOTraceEmitter(geom, params).emit_trace(head, segments)
 
 
 # --- peephole pass over the emitted source ------------------------------------
@@ -405,7 +396,7 @@ def compile_trace(table: Any, head: int) -> Any | None:
     if segments is None:
         return None
     source = _emit_trace(
-        table.engine, table.geom, table.params, head, segments, table.sched
+        table.engine, table.geom, table.params, head, segments
     )
     code = compile(source, f"<tracejit:{table.engine}:{head:#x}>", "exec")
     exec(code, table._ns)  # noqa: S102 - executing our own codegen

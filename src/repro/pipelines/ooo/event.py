@@ -1,9 +1,10 @@
-"""Event-driven complex-core interpreter (``REPRO_OOO_SCHED=event``).
+"""Event-driven complex-core interpreter.
 
-The specialized per-instruction loop of :meth:`ComplexCore._run_interp`
-with the per-cycle scan structures replaced by their event-driven
-equivalents (the same transformation :mod:`repro.isa.blockjit` applies
-in generated code when a table is built with ``sched="event"``):
+The specialized per-instruction loop behind :meth:`ComplexCore.run`.
+It replaces the per-cycle scan structures of
+:meth:`ComplexCore.run_reference` with event-driven equivalents (the
+same transformation :mod:`repro.isa.blockjit` applies in generated
+code):
 
 * **ROB/IQ/LSQ rings** — the occupancy deques become preallocated
   rings indexed by monotone cursors.  A ring slot holds the commit (or
@@ -52,7 +53,7 @@ def run_interp_event(
     max_instructions: int | None = None,
     honor_watchdog: bool = True,
 ) -> RunResult:
-    """Event-driven twin of :meth:`ComplexCore._run_interp`."""
+    """The complex-core interpreter loop behind :meth:`ComplexCore.run`."""
     state = core.state
     machine = core.machine
     program = machine.program
@@ -60,8 +61,8 @@ def run_interp_event(
     params = core.params
     gshare = core.gshare
     indirect = core.indirect
-    # Inlined predictors (standard 2^16 geometry is guaranteed by
-    # ComplexCore._effective_sched before this loop is selected).
+    # Inlined predictors (standard 2^16 geometry is checked by
+    # ComplexCore.run before this loop is entered).
     gt = gshare.table
     it = indirect.table
     it_get = it.get

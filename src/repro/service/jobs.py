@@ -109,48 +109,21 @@ def _bool_field(payload: JSONDict, name: str, default: bool) -> bool:
 def _tier_field(payload: JSONDict) -> str:
     """Resolve the effective JIT tier for a run/experiment payload.
 
-    ``jit_tier`` (off/block/trace) supersedes the legacy boolean
-    ``no_jit``; when absent, ``no_jit=true`` means ``"off"`` and
-    otherwise the server's environment-selected tier is pinned into the
-    normalized payload, so the coalesce key distinguishes submissions
-    that would execute under different tiers.
+    When the submission names no ``jit_tier`` (off/block/trace), the
+    server's environment-selected tier is pinned into the normalized
+    payload, so the coalesce key distinguishes submissions that would
+    execute under different tiers.
     """
     from repro.isa import blockjit
 
-    no_jit = _bool_field(payload, "no_jit", False)
     tier = payload.get("jit_tier")
     if tier is None:
-        return "off" if no_jit else blockjit.jit_tier()
+        return blockjit.jit_tier()
     _require(
         isinstance(tier, str) and tier in blockjit.TIERS,
         f"jit_tier must be one of {list(blockjit.TIERS)}",
     )
-    _require(
-        not (no_jit and tier != "off"),
-        f"no_jit=true conflicts with jit_tier={tier!r}",
-    )
     return str(tier)
-
-
-def _sched_field(payload: JSONDict) -> str:
-    """Resolve the effective OOO timing scheduler for a payload.
-
-    Same pattern as :func:`_tier_field`: when the submission names no
-    scheduler, the server's environment-selected one
-    (``REPRO_OOO_SCHED``) is pinned into the normalized payload, so the
-    coalesce key distinguishes submissions that would execute under
-    different schedulers.
-    """
-    from repro.pipelines.ooo.sched import SCHEDS, ooo_sched
-
-    sched = payload.get("ooo_sched")
-    if sched is None:
-        return ooo_sched()
-    _require(
-        isinstance(sched, str) and sched in SCHEDS,
-        f"ooo_sched must be one of {list(SCHEDS)}",
-    )
-    return str(sched)
 
 
 # -- normalization (server side) -------------------------------------------------
@@ -161,7 +134,7 @@ def _normalize_run(payload: JSONDict) -> JSONDict:
         payload,
         frozenset(
             {"workload", "scale", "deadline", "instances", "flush_rate",
-             "no_cache", "no_jit", "jit_tier", "ooo_sched"}
+             "no_cache", "jit_tier"}
         ),
     )
     deadline = payload.get("deadline", "tight")
@@ -181,7 +154,6 @@ def _normalize_run(payload: JSONDict) -> JSONDict:
         isinstance(flush_rate, (int, float)) and 0.0 <= float(flush_rate) <= 1.0,
         "flush_rate must be in [0, 1]",
     )
-    tier = _tier_field(payload)
     return {
         "workload": _workload_field(payload),
         "scale": _scale_field(payload),
@@ -189,9 +161,7 @@ def _normalize_run(payload: JSONDict) -> JSONDict:
         "instances": _int_field(payload, "instances", 12, 1, 1000),
         "flush_rate": float(flush_rate),
         "no_cache": _bool_field(payload, "no_cache", False),
-        "no_jit": tier == "off",
-        "jit_tier": tier,
-        "ooo_sched": _sched_field(payload),
+        "jit_tier": _tier_field(payload),
     }
 
 
@@ -272,8 +242,7 @@ def _normalize_experiment(payload: JSONDict) -> JSONDict:
     _check_no_extras(
         payload,
         frozenset(
-            {"name", "scale", "instances", "jobs", "no_cache", "no_jit",
-             "jit_tier", "ooo_sched"}
+            {"name", "scale", "instances", "jobs", "no_cache", "jit_tier"}
         ),
     )
     name = payload.get("name")
@@ -281,16 +250,13 @@ def _normalize_experiment(payload: JSONDict) -> JSONDict:
         name in EXPERIMENT_NAMES,
         f"experiment name must be one of {list(EXPERIMENT_NAMES)}",
     )
-    tier = _tier_field(payload)
     return {
         "name": str(name),
         "scale": _scale_field(payload),
         "instances": _int_field(payload, "instances", 12, 2, 1000),
         "jobs": _int_field(payload, "jobs", 1, 1, 64),
         "no_cache": _bool_field(payload, "no_cache", False),
-        "no_jit": tier == "off",
-        "jit_tier": tier,
-        "ooo_sched": _sched_field(payload),
+        "jit_tier": _tier_field(payload),
     }
 
 
@@ -371,13 +337,10 @@ def coalesce_key(kind: str, payload: JSONDict) -> str:
 def _execute_run(payload: JSONDict) -> JSONDict:
     from repro.experiments.common import flush_set, run_pair, setup
     from repro.isa import blockjit
-    from repro.pipelines.ooo.sched import sched_override
     from repro.snapshot import runcache
 
-    tier = payload.get("jit_tier") or ("off" if payload["no_jit"] else None)
     with runcache.no_cache_override(payload["no_cache"] or None), \
-            blockjit.tier_override(tier), \
-            sched_override(payload.get("ooo_sched")):
+            blockjit.tier_override(payload.get("jit_tier")):
         prep = setup(payload["workload"], payload["scale"])
         deadline = payload["deadline"]
         if deadline == "tight":
@@ -462,17 +425,14 @@ def _execute_lint(payload: JSONDict) -> JSONDict:
 def _execute_experiment(payload: JSONDict) -> JSONDict:
     from repro.experiments import ablations, figure2, figure3, figure4, table3
     from repro.isa import blockjit
-    from repro.pipelines.ooo.sched import sched_override
     from repro.snapshot import runcache
 
     name = payload["name"]
     scale = payload["scale"]
     instances = int(payload["instances"])
     jobs = int(payload["jobs"])
-    tier = payload.get("jit_tier") or ("off" if payload["no_jit"] else None)
     with runcache.no_cache_override(payload["no_cache"] or None), \
-            blockjit.tier_override(tier), \
-            sched_override(payload.get("ooo_sched")):
+            blockjit.tier_override(payload.get("jit_tier")):
         rows: list[Any]
         if name == "table3":
             rows = table3.run(scale=scale, jobs=jobs)

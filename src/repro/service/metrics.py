@@ -267,11 +267,6 @@ class ServiceMetrics:
             "run/experiment submissions accepted, by effective JIT tier "
             "(off/block/trace).",
         )
-        self.jobs_by_ooo_sched = reg.counter(
-            "repro_jobs_by_ooo_sched_total",
-            "run/experiment submissions accepted, by effective OOO timing "
-            "scheduler (scan/event).",
-        )
         self.jobs_rejected = reg.counter(
             "repro_jobs_rejected_total",
             "Submissions rejected, by reason (queue_full/draining/bad_request).",
@@ -407,8 +402,6 @@ class ServiceMetrics:
             "jit_tier_off": self.jobs_by_jit_tier.value(tier="off"),
             "jit_tier_block": self.jobs_by_jit_tier.value(tier="block"),
             "jit_tier_trace": self.jobs_by_jit_tier.value(tier="trace"),
-            "ooo_sched_scan": self.jobs_by_ooo_sched.value(sched="scan"),
-            "ooo_sched_event": self.jobs_by_ooo_sched.value(sched="event"),
         }
 
 

@@ -301,9 +301,6 @@ class ReproService:
         tier = payload.get("jit_tier")
         if isinstance(tier, str):
             self.metrics.jobs_by_jit_tier.inc(tier=tier)
-        sched = payload.get("ooo_sched")
-        if isinstance(sched, str):
-            self.metrics.jobs_by_ooo_sched.inc(sched=sched)
         self.metrics.queue_depth.set(len(self.queue))
         self._queue_event.set()
         return record, False

@@ -11,8 +11,9 @@ reference interpreter:
 * edge-level: block exits at MMIO accesses, faults, flush-window
   breakpoints, checkpoint (sub-task) boundaries, and watchdog expiry must
   leave identical architectural state at identical cycles;
-* flag-level: ``REPRO_JIT=0`` / :func:`blockjit.jit_override` select the
-  per-instruction interpreter, which must agree with the JIT exactly;
+* flag-level: ``REPRO_JIT_TIER=off`` / :func:`blockjit.tier_override`
+  select the per-instruction interpreter, which must agree with the JIT
+  exactly;
 * cache-level: the on-disk codegen cache round-trips (hit/miss/store
   counters observable through :data:`runcache.STATS`).
 """
@@ -44,7 +45,6 @@ BOTH_CORES = pytest.mark.parametrize(
 def _isolated_cache(tmp_path, monkeypatch):
     """Keep codegen-cache writes out of the developer's real cache."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.delenv("REPRO_JIT", raising=False)
     monkeypatch.delenv("REPRO_JIT_TIER", raising=False)
 
 
@@ -77,7 +77,7 @@ def test_blockjit_matches_reference_on_random_programs(chunk):
     """End states *and* cycle counts agree on randomized programs."""
     for seed in range(chunk * CHUNK, (chunk + 1) * CHUNK):
         program = compile_source(_program(seed))
-        with blockjit.jit_override(True):
+        with blockjit.tier_override("block"):
             for core_cls in (InOrderCore, ComplexCore):
                 jit, ref = _run_jit_vs_reference(program, core_cls)
                 assert jit == ref, (seed, core_cls.__name__)
@@ -150,10 +150,10 @@ def test_flush_window_breakpoint_parity():
         segments = []
         for _ in range(200):
             if runner == "jit":
-                with blockjit.jit_override(True):
+                with blockjit.tier_override("block"):
                     result = core.run(break_addrs=breaks)
             elif runner == "nojit":
-                with blockjit.jit_override(False):
+                with blockjit.tier_override("off"):
                     result = core.run(break_addrs=breaks)
             else:
                 result = core.run_reference(break_addrs=breaks)
@@ -411,51 +411,39 @@ def test_trace_tier_matches_reference_on_random_programs(chunk):
             assert outs[0] == outs[1] == outs[2], (seed, core_cls.__name__)
 
 
-# -- opt-out flag -------------------------------------------------------------
+# -- off tier -----------------------------------------------------------------
 
 
 @BOTH_CORES
-def test_no_jit_parity(core_cls):
-    """``jit_override(False)`` runs the interpreter with identical results."""
+def test_off_tier_parity(core_cls):
+    """``tier_override("off")`` runs the interpreter with identical results."""
     program = get_workload("cnt", "tiny").program
     outcomes = []
-    for jit in (True, False):
+    for tier in ("block", "off"):
         machine = Machine(program)
         core = core_cls(machine)
-        with blockjit.jit_override(jit):
+        with blockjit.tier_override(tier):
             result = core.run()
         outcomes.append(_outcome(core, machine, result))
     assert outcomes[0] == outcomes[1]
 
 
-def test_repro_jit_env_flag(monkeypatch):
-    monkeypatch.setenv("REPRO_JIT", "0")
-    assert not blockjit.jit_enabled()
-    with blockjit.jit_override(True):
-        assert blockjit.jit_enabled()  # explicit override beats the env
-    monkeypatch.setenv("REPRO_JIT", "1")
-    assert blockjit.jit_enabled()
-    with blockjit.jit_override(False):
-        assert not blockjit.jit_enabled()
-
-
 def test_repro_jit_tier_env_flag(monkeypatch):
-    """``REPRO_JIT_TIER`` supersedes ``REPRO_JIT``; overrides beat both."""
+    """``REPRO_JIT_TIER`` selects the tier; an override beats it."""
     monkeypatch.setenv("REPRO_JIT_TIER", "off")
     assert blockjit.jit_tier() == "off"
     assert not blockjit.jit_enabled()
     monkeypatch.setenv("REPRO_JIT_TIER", "block")
     assert blockjit.jit_tier() == "block"
     monkeypatch.setenv("REPRO_JIT_TIER", "trace")
-    monkeypatch.setenv("REPRO_JIT", "0")
-    assert blockjit.jit_tier() == "trace"  # tier wins over the boolean
+    assert blockjit.jit_tier() == "trace"
+    monkeypatch.setenv("REPRO_JIT_TIER", "bogus")
+    assert blockjit.jit_tier() == blockjit.DEFAULT_TIER
     monkeypatch.delenv("REPRO_JIT_TIER")
-    assert blockjit.jit_tier() == "off"  # legacy flag still honored
-    monkeypatch.delenv("REPRO_JIT")
     assert blockjit.jit_tier() == blockjit.DEFAULT_TIER
     with blockjit.tier_override("block"):
         assert blockjit.jit_tier() == "block"
-    with blockjit.jit_override(False):
+    with blockjit.tier_override("off"):
         assert blockjit.jit_tier() == "off"
     with blockjit.tier_override(None):
         assert blockjit.jit_tier() == blockjit.DEFAULT_TIER
@@ -464,11 +452,11 @@ def test_repro_jit_tier_env_flag(monkeypatch):
             pass
 
 
-def test_no_jit_run_uses_interpreter():
+def test_off_tier_run_uses_interpreter():
     """With the JIT off, no block table is ever compiled."""
     program = compile_source(_program(11))
     machine = Machine(program)
-    with blockjit.jit_override(False):
+    with blockjit.tier_override("off"):
         InOrderCore(machine).run()
     assert not program._blockjit_tables
 
@@ -484,7 +472,7 @@ def test_disk_cache_roundtrip():
 
     machine = Machine(program)
     program._blockjit_tables.clear()
-    with blockjit.jit_override(True):
+    with blockjit.tier_override("block"):
         core = InOrderCore(machine)
         cold = core.run()
     assert runcache.STATS["blockjit_misses"] >= 1
@@ -495,7 +483,7 @@ def test_disk_cache_roundtrip():
     # Drop the in-process memo: the rebuild must come from disk.
     program._blockjit_tables.clear()
     machine2 = Machine(program)
-    with blockjit.jit_override(True):
+    with blockjit.tier_override("block"):
         warm = InOrderCore(machine2).run()
     assert runcache.STATS["blockjit_hits"] >= 1
     assert (warm.reason, warm.end_cycle) == (cold.reason, cold.end_cycle)
@@ -509,7 +497,7 @@ def test_disk_cache_roundtrip():
 def test_cache_stats_and_clear_include_blockjit():
     program = get_workload("cnt", "tiny").program
     program._blockjit_tables.clear()
-    with blockjit.jit_override(True):
+    with blockjit.tier_override("block"):
         InOrderCore(Machine(program)).run()
     stats = runcache.cache_stats()
     assert stats["blockjit"]["entries"] >= 1

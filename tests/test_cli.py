@@ -130,17 +130,17 @@ class TestExperimentCommand:
         monkeypatch.setattr(
             table3,
             "main",
-            lambda jobs=None, no_cache=None, no_jit=None, ooo_sched=None: (
-                calls.append(("table3", jobs, no_cache, no_jit, ooo_sched))
+            lambda jobs=None, no_cache=None, jit_tier=None: (
+                calls.append(("table3", jobs, no_cache, jit_tier))
             ),
         )
         assert main(["experiment", "table3"]) == 0
-        assert calls == [("table3", None, None, None, None)]
+        assert calls == [("table3", None, None, None)]
 
     def test_experiment_flags_become_parameters_not_env(
         self, monkeypatch, capsys
     ):
-        """--jobs/--no-cache/--no-jit/--ooo-sched are explicit args; os.environ untouched."""
+        """--jobs/--no-cache/--jit-tier are explicit args; os.environ untouched."""
         import os
 
         import repro.experiments.figure2 as figure2
@@ -149,23 +149,21 @@ class TestExperimentCommand:
         monkeypatch.setattr(
             figure2,
             "main",
-            lambda jobs=None, no_cache=None, no_jit=None, ooo_sched=None: (
-                calls.append((jobs, no_cache, no_jit, ooo_sched))
+            lambda jobs=None, no_cache=None, jit_tier=None: (
+                calls.append((jobs, no_cache, jit_tier))
             ),
         )
         monkeypatch.delenv("REPRO_JOBS", raising=False)
         monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-        monkeypatch.delenv("REPRO_JIT", raising=False)
-        monkeypatch.delenv("REPRO_OOO_SCHED", raising=False)
+        monkeypatch.delenv("REPRO_JIT_TIER", raising=False)
         assert main(
-            ["experiment", "figure2", "--jobs", "3", "--no-cache", "--no-jit",
-             "--ooo-sched", "scan"]
+            ["experiment", "figure2", "--jobs", "3", "--no-cache",
+             "--jit-tier", "off"]
         ) == 0
-        assert calls == [(3, True, True, "scan")]
+        assert calls == [(3, True, "off")]
         assert "REPRO_JOBS" not in os.environ
         assert "REPRO_NO_CACHE" not in os.environ
-        assert "REPRO_JIT" not in os.environ
-        assert "REPRO_OOO_SCHED" not in os.environ
+        assert "REPRO_JIT_TIER" not in os.environ
 
 
 class TestCacheCommand:

@@ -1,23 +1,23 @@
 """Differential tests for the event-driven complex-core timing engine.
 
-``REPRO_OOO_SCHED=event`` (or :func:`sched_override`) replaces the
-complex core's per-cycle scans of the issue queue, ROB, and LSQ with an
-event-driven formulation: occupancy rings, a commit frontier pair, and
-inlined branch predictors, on both the pure interpreter
-(:mod:`repro.pipelines.ooo.event`) and the block/trace JIT tiers (event
-codegen in :mod:`repro.isa.blockjit`).  The event engine is a pure
+:meth:`ComplexCore.run` times the complex core with an event-driven
+formulation of :meth:`ComplexCore.run_reference`'s per-cycle scans of
+the issue queue, ROB, and LSQ: occupancy rings, a commit frontier pair,
+and inlined branch predictors, on both the pure interpreter
+(:mod:`repro.pipelines.ooo.event`) and the block/trace JIT tiers
+(codegen in :mod:`repro.isa.blockjit`).  The event engine is a pure
 reformulation — no timing model change — so everything observable must
 stay bit-identical to ``run_reference``:
 
-* fuzz-level: on 200 randomized MiniC programs, event-mode ``run()``
-  under every JIT tier (``off``/``block``/``trace``) must match
-  ``run_reference`` exactly — end state, cycle counts, *and* final
-  branch-predictor state (tables + global histories);
+* fuzz-level: on 200 randomized MiniC programs, ``run()`` under every
+  JIT tier (``off``/``block``/``trace``) must match ``run_reference``
+  exactly — end state, cycle counts, *and* final branch-predictor state
+  (tables + global histories);
 * edge-level: MMIO accesses, faults, watchdog arming/expiry, and
   mid-trace side exits must land at identical cycles with identical
-  state in event mode;
-* guard-level: non-standard predictor geometries fall back to the scan
-  scheduler (the event engine inlines the 2^16 geometry).
+  state;
+* guard-level: non-standard predictor geometries raise a typed
+  :class:`SimulationError` (the event engine inlines the 2^16 geometry).
 """
 
 import pytest
@@ -28,7 +28,6 @@ from repro.isa.assembler import assemble
 from repro.memory.machine import Machine
 from repro.minicc import compile_source
 from repro.pipelines.ooo.core import ComplexCore
-from repro.pipelines.ooo.sched import ooo_sched, sched_override
 
 from tests.test_cross_core_random import _program
 from tests.test_fastexec import _snapshot
@@ -45,9 +44,7 @@ HOT = tracejit.HOT_THRESHOLD
 def _isolated_cache(tmp_path, monkeypatch):
     """Keep codegen-cache writes out of the developer's real cache."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.delenv("REPRO_JIT", raising=False)
     monkeypatch.delenv("REPRO_JIT_TIER", raising=False)
-    monkeypatch.delenv("REPRO_OOO_SCHED", raising=False)
 
 
 def _outcome(core, machine, result):
@@ -73,7 +70,7 @@ def _reference(program):
 def _event_run(program, tier, **kwargs):
     machine = Machine(program)
     core = ComplexCore(machine)
-    with blockjit.tier_override(tier), sched_override("event"):
+    with blockjit.tier_override(tier):
         result = core.run(**kwargs)
     return _outcome(core, machine, result), machine
 
@@ -92,7 +89,7 @@ def test_event_matches_reference_on_random_programs(chunk):
             assert event == ref, (seed, tier)
 
 
-# -- seeded edge cases, event mode --------------------------------------------
+# -- seeded edge cases --------------------------------------------------------
 
 
 def test_event_mmio_mid_trace_side_exit():
@@ -148,7 +145,7 @@ def test_event_fault_mid_trace():
             if tier == "reference":
                 core.run_reference()
             else:
-                with blockjit.tier_override(tier), sched_override("event"):
+                with blockjit.tier_override(tier):
                     core.run()
         outcomes.append(
             (
@@ -162,7 +159,7 @@ def test_event_fault_mid_trace():
 
 
 def test_event_watchdog_arming_and_expiry():
-    """Watchdog armed via MMIO fires at the same cycle in event mode."""
+    """Watchdog armed via MMIO fires at the same cycle on every tier."""
     source = """
     main:
         li t0, 0xFFFF0000
@@ -184,7 +181,7 @@ def test_event_watchdog_arming_and_expiry():
         machine = Machine(program)
         machine.mmio.exceptions_masked = False
         core = ComplexCore(machine)
-        with blockjit.tier_override(tier), sched_override("event"):
+        with blockjit.tier_override(tier):
             result = core.run()
         assert _outcome(core, machine, result) == ref, tier
 
@@ -225,31 +222,25 @@ def test_event_mid_trace_side_exit_counted():
     assert all(s["side_exit_rate"] < 1.0 for s in summaries)
 
 
-# -- scheduler selection guards -----------------------------------------------
+# -- predictor geometry guard -------------------------------------------------
 
 
-def test_sched_override_and_env(monkeypatch):
-    assert ooo_sched() in ("scan", "event")
-    with sched_override("scan"):
-        assert ooo_sched() == "scan"
-        with sched_override("event"):
-            assert ooo_sched() == "event"
-    monkeypatch.setenv("REPRO_OOO_SCHED", "event")
-    assert ooo_sched() == "event"
-    with pytest.raises(ValueError):
-        with sched_override("bogus"):
-            pass
-
-
-def test_nonstandard_predictor_geometry_falls_back_to_scan():
-    """The event engine inlines the 2^16 geometry; other masks scan."""
+def test_nonstandard_predictor_geometry_raises():
+    """The event engine inlines the 2^16 geometry; other masks are refused
+    with a typed error before any state changes, on every tier."""
     program = compile_source(_program(0))
-    machine = Machine(program)
-    core = ComplexCore(machine)
-    core.gshare.mask = 0xFF  # shrink the predictor: non-standard geometry
-    with sched_override("event"):
-        assert core._effective_sched() == "scan"
-    machine2 = Machine(program)
-    core2 = ComplexCore(machine2)
-    with sched_override("event"):
-        assert core2._effective_sched() == "event"
+    for predictor in ("gshare", "indirect"):
+        machine = Machine(program)
+        core = ComplexCore(machine)
+        getattr(core, predictor).mask = 0xFF  # non-standard geometry
+        before = _snapshot(core, machine)
+        for tier in TIERS:
+            with blockjit.tier_override(tier):
+                with pytest.raises(SimulationError, match="2\\^16"):
+                    core.run()
+                with pytest.raises(SimulationError, match="2\\^16"):
+                    core.run(max_instructions=10)
+        assert _snapshot(core, machine) == before, predictor
+        assert not program._blockjit_tables
+        # The reference still models any geometry.
+        assert core.run_reference().reason == "halt"

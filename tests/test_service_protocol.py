@@ -198,6 +198,14 @@ def test_normalize_rejects_bad_payloads():
         job_registry.normalize("run", {"workload": "nope"})
     with pytest.raises(ProtocolError, match="unknown payload fields"):
         job_registry.normalize("run", {"workload": "lms", "bogus": 1})
+    # Retired knobs are unknown fields, not silently ignored.
+    for field, value in (("ooo_sched", "event"), ("no_jit", True)):
+        with pytest.raises(ProtocolError, match="unknown payload fields"):
+            job_registry.normalize("run", {"workload": "lms", field: value})
+        with pytest.raises(ProtocolError, match="unknown payload fields"):
+            job_registry.normalize(
+                "experiment", {"name": "table3", field: value}
+            )
     with pytest.raises(ProtocolError, match="flush_rate"):
         job_registry.normalize(
             "run", {"workload": "lms", "flush_rate": 1.5}
