@@ -46,16 +46,6 @@ BASELINE_PRE_JIT = {
     "ooo": {"inst_per_s": 616_141},
 }
 
-#: ``measured.blockjit.<core>.jit`` throughput before the trace tier
-#: landed (same host class, ``cnt`` @ tiny, recorded at the PR 5
-#: commit).  The trace tier's gain is reported relative to this *and*
-#: to the block tier re-measured on the current host, since host speed
-#: drifts between recordings.
-BASELINE_BLOCK_TIER = {
-    "inorder": {"inst_per_s": 2_716_703},
-    "ooo": {"inst_per_s": 1_243_234},
-}
-
 #: Complex-core block-tier throughput floor (``cnt`` @ tiny): the
 #: block tier of the retired per-cycle-scan OOO scheduler, recorded on
 #: the measurement host when the event-driven engine landed.  The
@@ -63,19 +53,17 @@ BASELINE_BLOCK_TIER = {
 BASELINE_OOO_BLOCK = {"block": {"inst_per_s": 853_793}}
 
 
-def _host_section(jit: bool | None = None) -> dict:
-    """Per-section host facts: CPUs, effective workers, and the JIT flag.
+def _host_section() -> dict:
+    """Per-section host facts: CPUs and effective workers.
 
     Recorded in *every* measured section (not just once at top level) so
     a section copied out of the JSON stays self-describing.
     """
     from repro.experiments.parallel import default_jobs
-    from repro.isa import blockjit
 
     return {
         "cpus": os.cpu_count(),
         "effective_workers": default_jobs(),
-        "jit": blockjit.jit_enabled() if jit is None else jit,
     }
 
 
@@ -83,20 +71,21 @@ def _measure_core(
     core_kind: str,
     method: str,
     min_seconds: float,
-    tier: str | None = None,
     warmup_runs: int = 0,
 ) -> dict:
     """Simulated inst/s and cyc/s for repeated warm task instances.
 
-    ``warmup_runs`` instances run before the clock starts; the trace
-    tier compiles its superblocks during the first few dozen instances
-    (hot-count profiling plus stitch/peephole/``compile()``), and the
-    steady state — what a long experiment actually sees — is only
-    reached once that one-time codegen has quiesced.
+    ``method`` is ``"run"`` (a full run: block code), ``"interp"`` (the
+    per-instruction interpreter loop, called directly) or
+    ``"run_reference"``.  ``warmup_runs`` instances run before the clock
+    starts, so one-time codegen is not charged to steady-state
+    throughput.
     """
-    from repro.isa import blockjit
+    from functools import partial
+
     from repro.pipelines.inorder import InOrderCore
     from repro.pipelines.ooo.core import ComplexCore
+    from repro.pipelines.ooo.event import run_interp_event
     from repro.visa.spec import VISASpec
     from repro.workloads import get_workload
 
@@ -105,7 +94,12 @@ def _measure_core(
     machine = VISASpec().machine(program)
     core_cls = InOrderCore if core_kind == "inorder" else ComplexCore
     core = core_cls(machine, freq_hz=1e9)
-    run = getattr(core, method)
+    if method != "interp":
+        run = getattr(core, method)
+    elif core_kind == "inorder":
+        run = core._run_interp
+    else:
+        run = partial(run_interp_event, core)
 
     def one_instance(seed: int) -> tuple[int, int]:
         inputs = workload.generate_inputs(seed)
@@ -119,39 +113,22 @@ def _measure_core(
         assert result.reason == "halt"
         return core.state.instret - i0, result.end_cycle - c0
 
-    def trace_count() -> int:
-        return sum(
-            len(t.traces_meta) for t in program._blockjit_tables.values()
-        )
-
     instructions = cycles = 0
     seed = 0
-    with blockjit.tier_override(tier):
-        for _ in range(warmup_runs):
-            one_instance(seed)
-            seed += 1
-        if warmup_runs:
-            # Run on until trace formation quiesces: a compile landing
-            # inside the timed window would charge one-time codegen to
-            # steady-state throughput.
-            stable, prev = 0, trace_count()
-            while stable < 20 and seed < warmup_runs + 400:
-                one_instance(seed)
-                seed += 1
-                current = trace_count()
-                stable = stable + 1 if current == prev else 0
-                prev = current
-        measured = 0
-        start = time.perf_counter()
-        while True:
-            di, dc = one_instance(seed)
-            instructions += di
-            cycles += dc
-            seed += 1
-            measured += 1
-            elapsed = time.perf_counter() - start
-            if elapsed >= min_seconds:
-                break
+    for _ in range(warmup_runs):
+        one_instance(seed)
+        seed += 1
+    measured = 0
+    start = time.perf_counter()
+    while True:
+        di, dc = one_instance(seed)
+        instructions += di
+        cycles += dc
+        seed += 1
+        measured += 1
+        elapsed = time.perf_counter() - start
+        if elapsed >= min_seconds:
+            break
     return {
         "inst_per_s": round(instructions / elapsed),
         "cyc_per_s": round(cycles / elapsed),
@@ -162,8 +139,9 @@ def _measure_core(
 
 
 def _measure_blockjit(min_seconds: float) -> dict:
-    """Block-JIT throughput (on vs off, both cores) and codegen-cache
-    cold-vs-warm build times, in a throwaway ``REPRO_CACHE_DIR``."""
+    """Block-JIT throughput (block code vs the interpreter loop, both
+    cores) and codegen-cache cold-vs-warm build times, in a throwaway
+    ``REPRO_CACHE_DIR``."""
     import shutil
     import tempfile
 
@@ -178,7 +156,7 @@ def _measure_blockjit(min_seconds: float) -> dict:
     try:
         workload = get_workload("cnt", "tiny")
         machine = VISASpec().machine(workload.program)
-        section: dict = {"host": _host_section(True)}
+        section: dict = {"host": _host_section()}
 
         # Codegen cache: cold (compile + store) vs warm (load from disk).
         # The per-program memo is cleared between timings so the warm pass
@@ -202,9 +180,9 @@ def _measure_blockjit(min_seconds: float) -> dict:
 
         for core_kind in ("inorder", "ooo"):
             jit_on = _measure_core(
-                core_kind, "run", min_seconds, tier="block", warmup_runs=5
+                core_kind, "run", min_seconds, warmup_runs=5
             )
-            jit_off = _measure_core(core_kind, "run", min_seconds, tier="off")
+            jit_off = _measure_core(core_kind, "interp", min_seconds)
             base = BASELINE_PRE_JIT[core_kind]["inst_per_s"]
             section[core_kind] = {
                 "jit": jit_on,
@@ -225,98 +203,14 @@ def _measure_blockjit(min_seconds: float) -> dict:
     return section
 
 
-def _measure_tracejit(min_seconds: float) -> dict:
-    """Trace-tier throughput vs the block tier, trace-formation stats,
-    and cold/warm trace-codegen wall time, in a throwaway cache dir.
-
-    "Cold" times one full run against an empty cache (profile, stitch,
-    peephole, compile, persist); "warm" re-runs after dropping only the
-    in-process memo, so the traces reload from disk the way a fresh
-    worker process would see them.
-    """
-    import shutil
-    import tempfile
-
-    from repro.isa import blockjit
-    from repro.pipelines.inorder import InOrderCore
-    from repro.pipelines.ooo.core import ComplexCore
-    from repro.visa.spec import VISASpec
-    from repro.workloads import get_workload
-
-    saved = os.environ.get("REPRO_CACHE_DIR")
-    tmpdir = tempfile.mkdtemp(prefix="repro-bench-tracejit-")
-    os.environ["REPRO_CACHE_DIR"] = tmpdir
-    try:
-        workload = get_workload("cnt", "tiny")
-        program = workload.program
-        section: dict = {"host": _host_section(True)}
-
-        codegen = {}
-        for core_kind, core_cls in (
-            ("inorder", InOrderCore), ("ooo", ComplexCore),
-        ):
-            times = []
-            for _pass in ("cold", "warm"):
-                program._blockjit_tables.clear()
-                machine = VISASpec().machine(program)
-                core = core_cls(machine, freq_hz=1e9)
-                with blockjit.tier_override("trace"):
-                    start = time.perf_counter()
-                    core.run()
-                    times.append(time.perf_counter() - start)
-            codegen[core_kind] = {
-                "cold_seconds": round(times[0], 4),
-                "warm_seconds": round(times[1], 4),
-                "warm_speedup": round(times[0] / times[1], 1),
-            }
-        section["codegen_cache"] = codegen
-
-        for core_kind in ("inorder", "ooo"):
-            program._blockjit_tables.clear()
-            block = _measure_core(
-                core_kind, "run", min_seconds, tier="block", warmup_runs=5
-            )
-            program._blockjit_tables.clear()
-            trace = _measure_core(
-                core_kind, "run", min_seconds, tier="trace", warmup_runs=60
-            )
-            summary = {
-                "traces": 0, "mean_blocks": 0.0, "mean_insts": 0.0,
-                "calls": 0, "side_exits": 0, "side_exit_rate": 0.0,
-                "trace_completions": 0, "side_exit_pc": {},
-            }
-            for table in program._blockjit_tables.values():
-                if table.tier == "trace" and table.engine == core_kind:
-                    summary = table.trace_summary()
-            base = BASELINE_BLOCK_TIER[core_kind]["inst_per_s"]
-            section[core_kind] = {
-                "trace": trace,
-                "block": block,
-                "trace_stats": summary,
-                "speedup_vs_block_tier": round(
-                    trace["inst_per_s"] / block["inst_per_s"], 2
-                ),
-                "speedup_vs_recorded_block_tier": round(
-                    trace["inst_per_s"] / base, 2
-                ),
-            }
-    finally:
-        shutil.rmtree(tmpdir, ignore_errors=True)
-        if saved is None:
-            os.environ.pop("REPRO_CACHE_DIR", None)
-        else:
-            os.environ["REPRO_CACHE_DIR"] = saved
-    return section
-
-
 def _measure_ooo_event(min_seconds: float) -> dict:
     """Event-engine complex-core throughput and codegen-cache cold/warm
     build times, in a throwaway ``REPRO_CACHE_DIR``.
 
-    The event engine is measured on both execution paths: the block
-    tier (generated code — rings, commit frontier, inlined predictors)
-    and the pure interpreter (``event.py``).  The recorded
-    ``BASELINE_OOO_BLOCK`` pins the absolute block-tier floor.
+    The event engine is measured on both execution paths: block code
+    (generated code — rings, commit frontier, inlined predictors) and
+    the pure interpreter (``event.py``).  The recorded
+    ``BASELINE_OOO_BLOCK`` pins the absolute block-code floor.
     """
     import shutil
     import tempfile
@@ -333,7 +227,7 @@ def _measure_ooo_event(min_seconds: float) -> dict:
         workload = get_workload("cnt", "tiny")
         program = workload.program
         machine = VISASpec().machine(program)
-        section: dict = {"host": _host_section(True)}
+        section: dict = {"host": _host_section()}
 
         # The per-instruction dependency/resource metadata is baked into
         # the generated code and persisted with it (keyed by program
@@ -353,12 +247,14 @@ def _measure_ooo_event(min_seconds: float) -> dict:
             "warm_speedup": round(cold_s / warm_s, 1),
         }
 
-        for path, kwargs in (
-            ("block", {"tier": "block", "warmup_runs": 5}),
-            ("interp", {"tier": "off"}),
+        for path, method, warmup_runs in (
+            ("block", "run", 5),
+            ("interp", "interp", 0),
         ):
             program._blockjit_tables.clear()
-            section[path] = _measure_core("ooo", "run", min_seconds, **kwargs)
+            section[path] = _measure_core(
+                "ooo", method, min_seconds, warmup_runs=warmup_runs
+            )
         base = BASELINE_OOO_BLOCK["block"]["inst_per_s"]
         section["block"]["vs_recorded_floor"] = round(
             section["block"]["inst_per_s"] / base, 2
@@ -502,7 +398,6 @@ def main(argv: list[str] | None = None) -> int:
         "smoke": args.smoke,
         "baseline_pre_pr": BASELINE,
         "baseline_pre_jit": BASELINE_PRE_JIT,
-        "baseline_block_tier": BASELINE_BLOCK_TIER,
         "baseline_ooo_block": BASELINE_OOO_BLOCK,
         "measured": {},
         "note": (
@@ -551,26 +446,6 @@ def main(argv: list[str] | None = None) -> int:
     for engine, times in jit_section["codegen_cache"].items():
         print(
             f"blockjit codegen {engine:7s}  cold {times['cold_seconds']:.3f}s  "
-            f"warm {times['warm_seconds']:.3f}s ({times['warm_speedup']}x)"
-        )
-
-    phase_start = time.perf_counter()
-    trace_section = _measure_tracejit(min_seconds)
-    phase_seconds["tracejit"] = round(time.perf_counter() - phase_start, 3)
-    report["measured"]["tracejit"] = trace_section
-    for core_kind in ("inorder", "ooo"):
-        sec = trace_section[core_kind]
-        stats = sec["trace_stats"]
-        print(
-            f"tracejit {core_kind:7s}  trace {sec['trace']['inst_per_s']:>9,} "
-            f"inst/s  block {sec['block']['inst_per_s']:>9,} inst/s  "
-            f"({sec['speedup_vs_block_tier']}x; {stats['traces']} traces, "
-            f"mean {stats['mean_blocks']:.1f} blocks, "
-            f"side-exit rate {stats['side_exit_rate']:.3f})"
-        )
-    for engine, times in trace_section["codegen_cache"].items():
-        print(
-            f"tracejit codegen {engine:7s}  cold {times['cold_seconds']:.3f}s  "
             f"warm {times['warm_seconds']:.3f}s ({times['warm_speedup']}x)"
         )
 
@@ -637,15 +512,6 @@ def main(argv: list[str] | None = None) -> int:
         )
     if jit_section["ooo"]["speedup_vs_nojit"] < 1.0:
         failures.append("blockjit slows the OOO core down")
-    trace_speedup = trace_section["inorder"]["speedup_vs_block_tier"]
-    if not args.smoke and trace_speedup < 1.1:
-        failures.append(
-            f"trace tier in-order {trace_speedup}x < 1.1x block-tier bar"
-        )
-    if not args.smoke and trace_section["ooo"]["speedup_vs_block_tier"] < 0.95:
-        failures.append("trace tier slows the OOO core down")
-    if not args.smoke and trace_section["inorder"]["trace_stats"]["traces"] < 1:
-        failures.append("trace tier formed no traces on the in-order core")
     event_inst = event_section["block"]["inst_per_s"]
     ooo_floor = BASELINE_OOO_BLOCK["block"]["inst_per_s"]
     if not args.smoke and event_inst < ooo_floor:

@@ -100,14 +100,11 @@ def cmd_disasm(args) -> int:
 
 def cmd_run(args) -> int:
     """``run``: execute on a simulated core; print console + stats."""
-    from repro.isa import blockjit
-
     program = _load_program(args.file)
     machine = Machine(program)
     core_cls = ComplexCore if args.core == "complex" else InOrderCore
     core = core_cls(machine, freq_hz=args.freq * 1e6)
-    with blockjit.tier_override(args.jit_tier):
-        result = core.run()
+    result = core.run()
     for cycle, value in machine.mmio.console:
         print(f"[cycle {cycle}] {value}")
     print(
@@ -358,10 +355,10 @@ def cmd_trace(args) -> int:
 def cmd_experiment(args) -> int:
     """``experiment``: run one of the paper's experiments.
 
-    ``--jobs``, ``--no-cache`` and ``--jit-tier`` are threaded through as
-    explicit parameters (environment variables remain the defaults
-    only), so concurrent in-process callers — the service daemon in
-    particular — never race on mutated global state.
+    ``--jobs`` and ``--no-cache`` are threaded through as explicit
+    parameters (environment variables remain the defaults only), so
+    concurrent in-process callers — the service daemon in particular —
+    never race on mutated global state.
     """
     from repro.experiments import ablations, figure2, figure3, figure4, table3
 
@@ -373,9 +370,7 @@ def cmd_experiment(args) -> int:
         "ablations": ablations,
     }
     no_cache = True if args.no_cache else None  # None = REPRO_NO_CACHE default
-    modules[args.name].main(
-        jobs=args.jobs, no_cache=no_cache, jit_tier=args.jit_tier,
-    )
+    modules[args.name].main(jobs=args.jobs, no_cache=no_cache)
     return 0
 
 
@@ -404,21 +399,17 @@ def cmd_cache(args) -> int:
         print(f"# directory: {stats['directory']}")
         return 0
     if args.action == "clear":
-        tiers = runcache.cache_stats()["blockjit"]["tiers"]
+        jit = runcache.cache_stats()["blockjit"]
         removed, freed = runcache.clear_cache()
         print(f"removed {removed} entries ({freed} bytes) from {directory}")
         print(
-            f"# codegen reclaimed: "
-            f"{tiers['block']['entries']} block entries "
-            f"({tiers['block']['bytes']} bytes), "
-            f"{tiers['trace']['entries']} trace entries "
-            f"({tiers['trace']['bytes']} bytes)"
+            f"# codegen reclaimed: {jit['entries']} block entries "
+            f"({jit['bytes']} bytes)"
         )
         return 0
     if args.action == "stats":
         stats = runcache.cache_stats()
         jit = stats["blockjit"]
-        tiers = jit["tiers"]
         rows = [
             ["entries", str(stats["entries"])],
             ["bytes", str(stats["bytes"])],
@@ -427,24 +418,10 @@ def cmd_cache(args) -> int:
             ["stores (this process)", str(stats["stores"])],
             ["codegen entries", str(jit["entries"])],
             ["codegen bytes", str(jit["bytes"])],
-            ["codegen block entries", str(tiers["block"]["entries"])],
-            ["codegen block bytes", str(tiers["block"]["bytes"])],
-            ["codegen trace entries", str(tiers["trace"]["entries"])],
-            ["codegen trace bytes", str(tiers["trace"]["bytes"])],
             ["block hits (this process)", str(jit["hits"])],
             ["block misses (this process)", str(jit["misses"])],
             ["block stores (this process)", str(jit["stores"])],
-            ["trace hits (this process)", str(jit["trace_hits"])],
-            ["trace misses (this process)", str(jit["trace_misses"])],
-            ["trace stores (this process)", str(jit["trace_stores"])],
-            ["trace calls (this process)", str(jit["trace_calls"])],
-            ["trace completions (this process)",
-             str(jit["trace_completions"])],
-            ["trace side exits (this process)",
-             str(jit["trace_side_exits"])],
         ]
-        for pc, count in list(jit["side_exit_pc"].items())[:8]:
-            rows.append([f"trace side exits at {pc}", str(count)])
         print(format_table(["cache statistic", "value"], rows))
         print(f"# directory: {stats['directory']}")
         print(f"# codegen directory: {jit['directory']}")
@@ -656,8 +633,6 @@ def _submit_payload(args) -> dict:
         }
         if args.flush_rate:
             payload["flush_rate"] = args.flush_rate
-        if args.jit_tier:
-            payload["jit_tier"] = args.jit_tier
         return payload
     if args.kind == "wcet":
         payload = {
@@ -688,8 +663,6 @@ def _submit_payload(args) -> dict:
         "scale": args.scale,
         "instances": args.instances,
     }
-    if args.jit_tier:
-        payload["jit_tier"] = args.jit_tier
     return payload
 
 
@@ -822,12 +795,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--core", choices=["simple", "complex"], default="simple")
     p.add_argument("--freq", type=float, default=1000.0, help="MHz")
-    p.add_argument(
-        "--jit-tier",
-        choices=["off", "block", "trace"],
-        default=None,
-        help="execution tier (same as REPRO_JIT_TIER; default: environment)",
-    )
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("wcet", help="WCET analysis (static or model-checking)")
@@ -935,12 +902,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache",
         action="store_true",
         help="bypass the on-disk setup/run caches (same as REPRO_NO_CACHE=1)",
-    )
-    p.add_argument(
-        "--jit-tier",
-        choices=["off", "block", "trace"],
-        default=None,
-        help="execution tier (same as REPRO_JIT_TIER; default: environment)",
     )
     p.set_defaults(func=cmd_experiment)
 
@@ -1113,12 +1074,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="noop jobs: milliseconds the worker sleeps (default 0)",
-    )
-    p.add_argument(
-        "--jit-tier",
-        choices=["off", "block", "trace"],
-        default=None,
-        help="run/experiment jobs: pin the worker's JIT tier",
     )
     p.add_argument(
         "--task",

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from repro.experiments.common import OVHD, format_table
 from repro.experiments.parallel import parallel_map
-from repro.isa import blockjit
 from repro.power.model import PowerModel
 from repro.power.report import energy_of_runs
 from repro.visa.runtime import RuntimeConfig, VISARuntime
@@ -69,7 +68,6 @@ def run_subtask_granularity(
     counts: tuple[int, ...] = (2, 5, 10),
     jobs: int | None = None,
     no_cache: bool | None = None,
-    jit_tier: str | None = None,
 ) -> list[AblationRow]:
     """srt with varying checkpoint granularity; one shared deadline."""
     # Deadline from the canonical 10-sub-task version so variants compete
@@ -79,9 +77,7 @@ def run_subtask_granularity(
     wcet = VISASpec().wcet(base.program, 1e9, base_bounds).total_seconds
     deadline = 1.2 * wcet + OVHD
     cells = [(scale, instances, count, deadline) for count in counts]
-    return parallel_map(
-        _granularity_cell, cells, jobs, no_cache, jit_tier
-    )
+    return parallel_map(_granularity_cell, cells, jobs, no_cache)
 
 
 def _pet_cell(args: tuple[str, int, str, float, str, dict]) -> AblationRow:
@@ -103,7 +99,6 @@ def run_pet_policies(
     benchmark: str = "lms",
     jobs: int | None = None,
     no_cache: bool | None = None,
-    jit_tier: str | None = None,
 ) -> list[AblationRow]:
     """last-N vs histogram PET selection (§4.3)."""
     workload = get_workload(benchmark, scale)
@@ -119,7 +114,7 @@ def run_pet_policies(
         (scale, instances, benchmark, deadline, label, overrides)
         for label, overrides in policies
     ]
-    return parallel_map(_pet_cell, cells, jobs, no_cache, jit_tier)
+    return parallel_map(_pet_cell, cells, jobs, no_cache)
 
 
 def _overhead_cell(args: tuple[str, int, str, float, float]) -> AblationRow:
@@ -141,7 +136,6 @@ def run_switch_overhead(
     overheads: tuple[float, ...] = (0.5e-6, 2e-6, 8e-6),
     jobs: int | None = None,
     no_cache: bool | None = None,
-    jit_tier: str | None = None,
 ) -> list[AblationRow]:
     """Sensitivity to the mode/frequency switch overhead (EQ 1's ovhd)."""
     workload = get_workload(benchmark, scale)
@@ -150,7 +144,7 @@ def run_switch_overhead(
     cells = [
         (scale, instances, benchmark, wcet, ovhd) for ovhd in overheads
     ]
-    return parallel_map(_overhead_cell, cells, jobs, no_cache, jit_tier)
+    return parallel_map(_overhead_cell, cells, jobs, no_cache)
 
 
 @dataclass
@@ -201,7 +195,6 @@ def run_dcache_models(
     scale: str = "tiny",
     jobs: int | None = None,
     no_cache: bool | None = None,
-    jit_tier: str | None = None,
 ) -> list[DCacheModelRow]:
     """Trace-derived padding vs fully-static D-cache bounds (§3.3).
 
@@ -212,7 +205,7 @@ def run_dcache_models(
     from repro.workloads import WORKLOAD_NAMES
 
     cells = [(name, scale) for name in WORKLOAD_NAMES]
-    return parallel_map(_dcache_cell, cells, jobs, no_cache, jit_tier)
+    return parallel_map(_dcache_cell, cells, jobs, no_cache)
 
 
 def render_dcache(rows: list[DCacheModelRow]) -> str:
@@ -245,7 +238,6 @@ def run_power_sensitivity(
     instances: int = 40,
     benchmark: str = "lms",
     no_cache: bool | None = None,
-    jit_tier: str | None = None,
 ) -> list[SensitivityRow]:
     """Is Figure 2 an artifact of the power constants?  Re-score one
     tight-deadline run under perturbed :class:`PowerParams` (the phases
@@ -263,8 +255,7 @@ def run_power_sensitivity(
 
     from repro.snapshot import runcache
 
-    with runcache.no_cache_override(no_cache), \
-            blockjit.tier_override(jit_tier):
+    with runcache.no_cache_override(no_cache):
         prep = setup(benchmark, scale)
         pair = run_pair(prep, prep.deadline_tight, instances)
     skip = min(20, instances // 2)
@@ -321,36 +312,22 @@ def render(rows: list[AblationRow]) -> str:
     return format_table(headers, body)
 
 
-def main(
-    jobs: int | None = None,
-    no_cache: bool | None = None,
-    jit_tier: str | None = None,
-) -> None:
+def main(jobs: int | None = None, no_cache: bool | None = None) -> None:
     """Command-line entry point: run and print every ablation study."""
     print("== Sub-task granularity (srt) ==")
-    print(render(run_subtask_granularity(
-        jobs=jobs, no_cache=no_cache, jit_tier=jit_tier,
-    )))
+    print(render(run_subtask_granularity(jobs=jobs, no_cache=no_cache)))
     print()
     print("== PET policy (lms) ==")
-    print(render(run_pet_policies(
-        jobs=jobs, no_cache=no_cache, jit_tier=jit_tier,
-    )))
+    print(render(run_pet_policies(jobs=jobs, no_cache=no_cache)))
     print()
     print("== Switch overhead (cnt) ==")
-    print(render(run_switch_overhead(
-        jobs=jobs, no_cache=no_cache, jit_tier=jit_tier,
-    )))
+    print(render(run_switch_overhead(jobs=jobs, no_cache=no_cache)))
     print()
     print("== D-cache bound models ==")
-    print(render_dcache(run_dcache_models(
-        jobs=jobs, no_cache=no_cache, jit_tier=jit_tier,
-    )))
+    print(render_dcache(run_dcache_models(jobs=jobs, no_cache=no_cache)))
     print()
     print("== Power-model sensitivity (lms) ==")
-    print(render_sensitivity(run_power_sensitivity(
-        no_cache=no_cache, jit_tier=jit_tier,
-    )))
+    print(render_sensitivity(run_power_sensitivity(no_cache=no_cache)))
 
 
 if __name__ == "__main__":

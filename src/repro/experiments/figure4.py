@@ -66,7 +66,6 @@ def run(
     rates: tuple[float, ...] = RATES,
     jobs: int | None = None,
     no_cache: bool | None = None,
-    jit_tier: str | None = None,
 ) -> list[Figure4Row]:
     """Run the experiment; returns one row per measured configuration."""
     scale = scale or default_scale()
@@ -76,7 +75,7 @@ def run(
         for name in WORKLOAD_NAMES
         for rate in rates
     ]
-    return parallel_map(_cell, cells, jobs, no_cache, jit_tier)
+    return parallel_map(_cell, cells, jobs, no_cache)
 
 
 def render(rows: list[Figure4Row]) -> str:
@@ -113,17 +112,13 @@ def chart(rows: list[Figure4Row]) -> str:
         groups, title="Savings under induced mispredictions"
     )
 
-def main(
-    jobs: int | None = None,
-    no_cache: bool | None = None,
-    jit_tier: str | None = None,
-) -> None:
+def main(jobs: int | None = None, no_cache: bool | None = None) -> None:
     """Command-line entry point: run and print the experiment."""
     print(
         "Figure 4 reproduction: induced mispredictions "
         "(scale=%s, instances=%d)" % (default_scale(), default_instances())
     )
-    rows = run(jobs=jobs, no_cache=no_cache, jit_tier=jit_tier)
+    rows = run(jobs=jobs, no_cache=no_cache)
     print(render(rows))
     print()
     print(chart(rows))

@@ -32,7 +32,6 @@ from functools import partial
 from typing import TypeVar
 
 from repro.errors import ReproError
-from repro.isa import blockjit
 from repro.snapshot import runcache
 
 C = TypeVar("C")
@@ -55,18 +54,16 @@ def default_jobs() -> int:
 def _cell_with_overrides(
     fn: Callable[[C], R],
     no_cache: bool | None,
-    jit_tier: str | None,
     cell: C,
 ) -> R:
-    """Run one cell under explicit cache-bypass / JIT-tier overrides.
+    """Run one cell under an explicit cache-bypass override.
 
     Module-level (and composed via :func:`functools.partial`) so the
-    resulting callable pickles into worker processes; the overrides are
+    resulting callable pickles into worker processes; the override is
     re-entered *inside* each process rather than published through
     ``os.environ``, which concurrent in-process callers would race on.
     """
-    with runcache.no_cache_override(no_cache), \
-            blockjit.tier_override(jit_tier):
+    with runcache.no_cache_override(no_cache):
         return fn(cell)
 
 
@@ -75,7 +72,6 @@ def parallel_map(
     cells: Iterable[C],
     jobs: int | None = None,
     no_cache: bool | None = None,
-    jit_tier: str | None = None,
 ) -> list[R]:
     """Map ``fn`` over ``cells``, optionally across worker processes.
 
@@ -87,9 +83,7 @@ def parallel_map(
     ``no_cache`` threads the CLI's ``--no-cache`` down to every cell as an
     explicit parameter (``None`` defers to the ``REPRO_NO_CACHE``
     environment default) — global state is never mutated, so concurrent
-    in-process callers cannot observe each other's setting.  ``jit_tier``
-    threads ``--jit-tier`` the same way (``None`` defers to
-    ``REPRO_JIT_TIER``).
+    in-process callers cannot observe each other's setting.
 
     Worker exceptions propagate to the caller (the pool is shut down
     eagerly; remaining cells may or may not have run, exactly like an
@@ -100,8 +94,8 @@ def parallel_map(
         jobs = default_jobs()
     call: Callable[[C], R] = (
         fn
-        if no_cache is None and jit_tier is None
-        else partial(_cell_with_overrides, fn, no_cache, jit_tier)
+        if no_cache is None
+        else partial(_cell_with_overrides, fn, no_cache)
     )
     if jobs <= 1 or len(items) <= 1:
         return [call(c) for c in items]

@@ -98,13 +98,11 @@ def run(
     scale: str | None = None,
     jobs: int | None = None,
     no_cache: bool | None = None,
-    jit_tier: str | None = None,
 ) -> list[Table3Row]:
     """Run the experiment; returns one row per benchmark."""
     scale = scale or default_scale()
     return parallel_map(
-        _cell, [(name, scale) for name in WORKLOAD_NAMES], jobs, no_cache,
-        jit_tier,
+        _cell, [(name, scale) for name in WORKLOAD_NAMES], jobs, no_cache
     )
 
 
@@ -132,14 +130,10 @@ def render(rows: list[Table3Row]) -> str:
     return format_table(headers, body)
 
 
-def main(
-    jobs: int | None = None,
-    no_cache: bool | None = None,
-    jit_tier: str | None = None,
-) -> None:
+def main(jobs: int | None = None, no_cache: bool | None = None) -> None:
     """Command-line entry point: run and print the experiment."""
     print("Table 3 reproduction (scale=%s)" % default_scale())
-    print(render(run(jobs=jobs, no_cache=no_cache, jit_tier=jit_tier)))
+    print(render(run(jobs=jobs, no_cache=no_cache)))
 
 
 if __name__ == "__main__":

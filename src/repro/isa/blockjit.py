@@ -31,9 +31,10 @@ reference paths) may leave partially-updated batched state.
 The compiled block table is memoized on the :class:`~repro.isa.program.
 Program` and persisted under ``.repro_cache/blockjit/`` keyed by the
 program digest, cache geometry, and pipeline parameters (same
-``FORMAT_VERSION``/sha256 mechanism as the run cache).  The tier is
-chosen by ``REPRO_JIT_TIER`` or ``--jit-tier``, threaded as an explicit
-parameter into :func:`tier_override` — never ``os.environ`` mutation.
+``FORMAT_VERSION``/sha256 mechanism as the run cache).  Full-run
+segments dispatch through this block code and bounded segments through
+the interpreter loops; the pipelines' ``run`` methods decide from the
+call alone, with no tier switch.
 """
 
 from __future__ import annotations
@@ -42,13 +43,8 @@ import base64
 import hashlib
 import json
 import marshal
-import os
 import re
 import sys
-import weakref
-from collections.abc import Iterator
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import astuple
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
@@ -92,68 +88,8 @@ _PRUNE_MIN = 512
 
 _CONTROL_KINDS = (K_BRANCH, K_JUMP, K_INDIRECT, K_HALT)
 
-#: Live BlockTables (weak): ``disk_cache_stats`` aggregates their trace
-#: runtime counters so ``repro cache stats`` can show completions and
-#: the side-exit-pc breakdown for the current process.
-_LIVE_TABLES: "weakref.WeakSet[Any]" = weakref.WeakSet()
-
 BlockFn = Callable[..., Any]
 BlockEntry = tuple[BlockFn, int]
-
-# --- tier selection (REPRO_JIT_TIER / --jit-tier) ---------------------------
-
-#: Recognized execution tiers, slowest to fastest.
-TIERS = ("off", "block", "trace")
-
-#: Tier used when nothing (env, override) says otherwise.  The block
-#: tier: trace formation pays seconds of cold codegen per program and
-#: engine, which only amortizes on long or cache-warm runs, so the
-#: trace tier is opt-in (``REPRO_JIT_TIER=trace`` / ``--jit-tier``).
-DEFAULT_TIER = "block"
-
-_JIT_OVERRIDE: ContextVar[str | None] = ContextVar("repro_jit", default=None)
-
-
-def _env_tier() -> str:
-    """Tier selected by ``REPRO_JIT_TIER`` alone (default when unset)."""
-    tier = os.environ.get("REPRO_JIT_TIER", "").strip().lower()
-    if tier in TIERS:
-        return tier
-    return DEFAULT_TIER
-
-
-def jit_tier() -> str:
-    """The active JIT tier: ``"off"``, ``"block"``, or ``"trace"``.
-
-    An active :func:`tier_override` wins; otherwise the environment
-    decides (see :func:`_env_tier`).
-    """
-    override = _JIT_OVERRIDE.get()
-    if override is None:
-        return _env_tier()
-    return override
-
-
-def jit_enabled() -> bool:
-    """True when block/trace compilation should be used for full runs."""
-    return jit_tier() != "off"
-
-
-@contextmanager
-def tier_override(value: str | None) -> Iterator[None]:
-    """Scoped tier override (``None`` defers to the environment).
-
-    ContextVar-based like ``runcache.no_cache_override`` so concurrent
-    in-process callers never observe each other's setting.
-    """
-    if value is not None and value not in TIERS:
-        raise ValueError(f"unknown JIT tier {value!r}")
-    token = _JIT_OVERRIDE.set(value)
-    try:
-        yield
-    finally:
-        _JIT_OVERRIDE.reset(token)
-
 
 # --- expression text builders (must mirror fastexec closures exactly) --------
 
@@ -498,11 +434,6 @@ class _InOrderEmitter:
         self.ip_count = 0
         self.ip_ways: dict[tuple[int, int], int] = {}
         self._last_line: dict[int, int] = {}
-        # Trace tier: elide per-inst watchdog checks behind an entry guard
-        # (wd must be falsy on entry); ``_wd_reload`` marks the insts that
-        # may flip wd (MMIO stores) and need a guarded side exit instead.
-        self._wd_elide = False
-        self._wd_reload = False
 
     # -- helpers --
 
@@ -637,7 +568,6 @@ class _InOrderEmitter:
         regs = self.regs
         g = self.g
         ind = "    "
-        self._wd_reload = False
 
         # -- fetch timing + I-cache (reference lines: fetch clamps then
         # `fetch += icache_extra`, emitted as `f += stall` on the miss arm).
@@ -807,7 +737,6 @@ class _InOrderEmitter:
             mem_guard = f"if {a} & 3 or {g.tbase} <= {a} < {g.text_end}:"
             mem_write = f"data_write({a}, {vt}, base + {u} + 1)"
             if mmio_static is True:
-                self._wd_reload = True
                 self._sync(ind, str(pc))
                 for line in mm:
                     self.emit(ind, line)
@@ -818,7 +747,6 @@ class _InOrderEmitter:
                 for line in wr:
                     self.emit(ind, line)
             else:
-                self._wd_reload = True
                 self.emit(ind, f"if {a} >= {_MMIO}:")
                 self._sync(ind + "    ", str(pc))
                 for line in mm:
@@ -853,18 +781,8 @@ class _InOrderEmitter:
             self._exit(ind, pc_next, '"h"')
             return
 
-        if not self._wd_elide:
-            self.emit(ind, f"if wd and base + {u} + 1 >= wdx:")
-            self._exit(ind + "    ", pc_next, '"w"')
-        elif self._wd_reload:
-            # Trace tier: wd was falsy at trace entry, and only an MMIO
-            # store can flip it.  Reproduce the block tier's expiry check
-            # here, then side-exit — the block functions resume with
-            # their per-instruction checks.
-            self.emit(ind, "if wd:")
-            self.emit(ind + "    ", f"if base + {u} + 1 >= wdx:")
-            self._exit(ind + "        ", pc_next, '"w"')
-            self._exit(ind + "    ", pc_next, pc_next)
+        self.emit(ind, f"if wd and base + {u} + 1 >= wdx:")
+        self._exit(ind + "    ", pc_next, '"w"')
 
         if is_last:
             self._exit(ind, pc_next, pc_next)
@@ -896,8 +814,8 @@ class _InOrderEmitter:
 #   19 pc, 20 executed, 21 wd, 22 wd_expiry, 23 ri (ROB ring cursor),
 #   24 qi (IQ ring cursor), 25 li (LSQ ring cursor), 26 ccn (commits at
 #   the lc frontier cycle), 27 gh (gshare global history), 28 ih
-#   (indirect-predictor history).  The dispatcher's finally-flush and
-#   the trace tier's watchdog entry guard index into it.
+#   (indirect-predictor history).  The dispatcher's finally-flush
+#   indexes into it.
 # env (tuple, 26): words, words.get, icache sets, dcache sets, mmio,
 #   mmio.read, mmio.write, machine.data_read, machine.data_write,
 #   stall penalty, timing base, honor_watchdog, the raw gshare table,
@@ -959,23 +877,14 @@ class _OOOEmitter:
         # instead of ``ready[key]``; the values are equal by construction).
         self._fwd: dict[int, str] = {}
         # Inst indices whose forwarding local has an in-block consumer
-        # (None = unknown, always bind; plain blocks precompute it).
-        self._fwd_useful: set[int] | None = None
+        # (precomputed per block by :func:`_fwd_consumers`).
+        self._fwd_useful: set[int] = set()
         self.cbp = 0
         self.crr = 0
         self.crw = 0
         self.nex = 0
         self.nmem = 0
         self._prev_blk: int | None = None
-        # Set by the trace emitter after a stitched-in branch: the
-        # mid-block specializations below assume no preceding control
-        # instruction (redirect can't have moved), which stops holding
-        # across a stitch point, so the next group formation must use
-        # the fully dynamic block-entry form.
-        self._dyn_group = False
-        # Trace tier: see the in-order emitter.
-        self._wd_elide = False
-        self._wd_reload = False
 
     def emit(self, ind: str, text: str) -> None:
         self.lines.append(ind + text)
@@ -1061,10 +970,8 @@ class _OOOEmitter:
         blk = pc >> g.ishift
         setk = blk % g.insets
         ind = "    "
-        if i == 0 or self._dyn_group:
-            # Block entry (or first fetch after a stitched branch):
-            # fully dynamic condition.
-            self._dyn_group = False
+        if i == 0:
+            # Block entry: fully dynamic condition.
             self.emit(ind, f"if gc >= {fw} or gb != {blk} or fc < rd:")
             self._group_body(ind + "    ", blk, setk, clamp=True)
         elif self._prev_blk != blk:
@@ -1123,7 +1030,6 @@ class _OOOEmitter:
         g = self.g
         p = self.p
         ind = "    "
-        self._wd_reload = False
 
         self._fetch_group(i, pc)
 
@@ -1349,7 +1255,6 @@ class _OOOEmitter:
             mem_guard = f"if {a} & 3 or {g.tbase} <= {a} < {g.text_end}:"
             mem_write = f"data_write({a}, {vt}, base + {y})"
             if mmio_static is True:
-                self._wd_reload = True
                 self._sync(ind, str(pc))
                 for line in mm:
                     self.emit(ind, line)
@@ -1359,7 +1264,6 @@ class _OOOEmitter:
                 self.emit(ind + "    ", mem_write)
                 self._store_commit(ind, i, a, vt, c, y)
             else:
-                self._wd_reload = True
                 self.emit(ind, f"if {a} >= {_MMIO}:")
                 self._sync(ind + "    ", str(pc))
                 for line in mm:
@@ -1386,7 +1290,7 @@ class _OOOEmitter:
 
         if dkey >= 0:
             self.crw += 1
-            if self._fwd_useful is None or i in self._fwd_useful:
+            if i in self._fwd_useful:
                 self.emit(ind, f"rv{i} = {c} - {p.issue_to_ex}")
                 self.emit(ind, f"ready[{dkey}] = rv{i}")
                 self._fwd[dkey] = f"rv{i}"
@@ -1399,15 +1303,8 @@ class _OOOEmitter:
             self._exit(ind, pc_next, '"h"')
             return
 
-        if not self._wd_elide:
-            self.emit(ind, f"if wd and base + {y} >= wdx:")
-            self._exit(ind + "    ", pc_next, '"w"')
-        elif self._wd_reload:
-            # Trace tier: see the in-order emitter's tail.
-            self.emit(ind, "if wd:")
-            self.emit(ind + "    ", f"if base + {y} >= wdx:")
-            self._exit(ind + "        ", pc_next, '"w"')
-            self._exit(ind + "    ", pc_next, pc_next)
+        self.emit(ind, f"if wd and base + {y} >= wdx:")
+        self._exit(ind + "    ", pc_next, '"w"')
 
         if is_last:
             self._exit(ind, pc_next, pc_next)
@@ -1542,19 +1439,12 @@ def _emit_block(
 
 
 class BlockTable:
-    """Compiled blocks of one (program, engine, geometry, params, tier).
+    """Compiled blocks of one (program, engine, geometry, params).
 
     ``blocks`` maps block-start pc to ``(function, length)``.
     ``safe_breaks`` is the set of addresses guaranteed never to be
     block-interior (sub-task marks + entry), i.e. the breakpoint sets the
-    block dispatcher can honor exactly.  Superblock traces never contain
-    a safe-break address at an interior position, so that guarantee
-    survives trace promotion unchanged.
-
-    On the trace tier, ``hot_counts`` profiles block dispatch counts;
-    once a block crosses the hotness threshold, :meth:`promote` stitches
-    the chain starting there into one trace function and installs it
-    over the block entry, so the dispatchers need no second lookup.
+    block dispatcher can honor exactly.
     """
 
     def __init__(
@@ -1565,77 +1455,16 @@ class BlockTable:
         params: Any,
         namespace: dict[str, Any],
         blocks: dict[int, BlockEntry],
-        tier: str = "block",
-        disk_key: str | None = None,
     ) -> None:
         self.program = program
         self.engine = engine
         self.geom = geom
         self.params = params
         self.blocks = blocks
-        self.tier = tier
-        self.disk_key = disk_key
         self._ns = namespace
         self.safe_breaks: frozenset[int] = (
             frozenset(program.subtask_marks) | {program.entry}
         )
-        # Trace-tier state (inert on the block tier).
-        self.hot_counts: dict[int, int] | None = None
-        self.hot_threshold = 0
-        #: head pc -> (fname, n_blocks, n_insts) for installed traces.
-        self.traces_meta: dict[int, tuple[str, int, int]] = {}
-        #: head pc -> generated source, for disk persistence.
-        self.trace_sources: dict[int, str] = {}
-        #: head pc -> compiled code object (marshalled on store).
-        self.trace_codes: dict[int, Any] = {}
-        self._no_trace: set[int] = set()
-        # [calls, side exits]: bumped by the generated trace code itself.
-        namespace.setdefault("_tr", [0, 0])
-        # Side-exit pc -> count: bumped by the generated side-exit arms
-        # (``repro cache stats`` surfaces the breakdown).
-        sx: dict[int, int] = namespace.setdefault("_sx", {})
-        namespace.setdefault("_sx_get", sx.get)
-        _LIVE_TABLES.add(self)
-
-    def promote(self, pc: int, entry: BlockEntry) -> BlockEntry:
-        """Try to replace the hot block at ``pc`` with a stitched trace.
-
-        Returns the installed trace entry, or ``entry`` unchanged when
-        no profitable chain exists (single block, safe-break barrier).
-        """
-        if pc in self.traces_meta or pc in self._no_trace:
-            return self.blocks.get(pc, entry)
-        from repro.isa import tracejit
-
-        traced = tracejit.compile_trace(self, pc)
-        if traced is None:
-            self._no_trace.add(pc)
-            return entry
-        return traced
-
-    def trace_summary(self) -> dict[str, Any]:
-        """Formation and runtime stats for the installed traces."""
-        tr = self._ns.get("_tr", [0, 0])
-        sx: dict[int, int] = self._ns.get("_sx", {})
-        metas = list(self.traces_meta.values())
-        n = len(metas)
-        calls = int(tr[0])
-        exits = int(tr[1])
-        return {
-            "traces": n,
-            "mean_blocks": (sum(m[1] for m in metas) / n) if n else 0.0,
-            "mean_insts": (sum(m[2] for m in metas) / n) if n else 0.0,
-            "calls": calls,
-            "side_exits": exits,
-            "side_exit_rate": (exits / calls) if calls else 0.0,
-            "trace_completions": calls - exits,
-            "side_exit_pc": {
-                f"{pc:#x}": count
-                for pc, count in sorted(
-                    sx.items(), key=lambda kv: (-kv[1], kv[0])
-                )
-            },
-        }
 
     def block_at(self, pc: int) -> BlockEntry:
         """The block starting at ``pc``, compiling on demand.
@@ -1720,7 +1549,7 @@ def _store_disk(engine: str, key: str, payload: dict) -> None:
 
 def _build_table(
     program: "Program", engine: str, geom: _Geometry, params: Any,
-    params_tuple: tuple | None, tier: str = "block",
+    params_tuple: tuple | None,
 ) -> BlockTable:
     from repro.snapshot.state import FORMAT_VERSION
 
@@ -1746,10 +1575,7 @@ def _build_table(
         exec(code, ns)  # noqa: S102 - executing our own (cached) codegen
         for spc, (fname, blen) in payload["blocks"].items():
             blocks[int(spc)] = (ns[fname], int(blen))
-        return _finish_table(
-            BlockTable(program, engine, geom, params, ns, blocks,
-                       tier=tier, disk_key=key)
-        )
+        return BlockTable(program, engine, geom, params, ns, blocks)
 
     leaders = _leaders(program)
     stops = frozenset(leaders)
@@ -1786,39 +1612,17 @@ def _build_table(
         "code": base64.b64encode(marshal.dumps(code)).decode("ascii"),
         "blocks": meta,
     })
-    return _finish_table(
-        BlockTable(program, engine, geom, params, ns, blocks,
-                   tier=tier, disk_key=key)
-    )
+    return BlockTable(program, engine, geom, params, ns, blocks)
 
 
-def _finish_table(table: BlockTable) -> BlockTable:
-    """Activate trace-tier state (profiling + warm traces) when selected."""
-    if table.tier == "trace":
-        from repro.isa import tracejit
-
-        table.hot_counts = {}
-        table.hot_threshold = tracejit.HOT_THRESHOLD
-        tracejit.load_traces(table)
-    return table
-
-
-def block_table(
-    machine: Any, engine: str, params: Any = None, tier: str | None = None,
-) -> BlockTable:
+def block_table(machine: Any, engine: str, params: Any = None) -> BlockTable:
     """The (memoized) compiled block table for ``machine``'s program.
 
-    Memoized on the Program keyed by engine, cache geometry, pipeline
-    parameters, and tier, so cores sharing a program (and VISA instances
-    sharing a workload) compile once per process; the generated source
-    additionally persists under ``.repro_cache/blockjit/``.  ``tier``
-    defaults to the active :func:`jit_tier` (an explicit ``"off"`` is
-    clamped to ``"block"`` — callers gate on :func:`jit_enabled`).
+    Memoized on the Program keyed by engine, cache geometry and pipeline
+    parameters, so cores sharing a program (and VISA instances sharing a
+    workload) compile once per process; the generated source
+    additionally persists under ``.repro_cache/blockjit/``.
     """
-    if tier is None:
-        tier = jit_tier()
-    if tier == "off":
-        tier = "block"
     program = machine.program
     ic = machine.icache.config
     dc = machine.dcache.config
@@ -1828,13 +1632,11 @@ def block_table(
         program.text_base, program.text_end,
     )
     params_tuple = tuple(astuple(params)) if params is not None else None
-    memo_key = (engine, geom, params_tuple, tier)
+    memo_key = (engine, geom, params_tuple)
     tables = program._blockjit_tables  # noqa: SLF001 - cooperative memo
     table = tables.get(memo_key)
     if table is None:
-        table = _build_table(
-            program, engine, geom, params, params_tuple, tier
-        )
+        table = _build_table(program, engine, geom, params, params_tuple)
         tables[memo_key] = table
     return table
 
@@ -1897,19 +1699,12 @@ def run_inorder(
     ready = core._fast_ready  # noqa: SLF001
     blocks = table.blocks
     block_at = table.block_at
-    counts = table.hot_counts
-    hot = table.hot_threshold
     pc = state.pc
     try:
         while True:
             entry = blocks.get(pc)
             if entry is None:
                 entry = block_at(pc)
-            if counts is not None:
-                c = counts.get(pc, 0) + 1
-                counts[pc] = c
-                if c == hot:
-                    entry = table.promote(pc, entry)
             r = entry[0](ir, fr, ready, st, env)
             if r.__class__ is int:
                 pc = r
@@ -2029,8 +1824,6 @@ def run_ooo(core: Any, table: BlockTable, honor_watchdog: bool = True) -> Any:
     fr = state.fp_regs
     blocks = table.blocks
     block_at = table.block_at
-    counts = table.hot_counts
-    hot = table.hot_threshold
     pc = state.pc
     pruned_at = 0
     try:
@@ -2038,11 +1831,6 @@ def run_ooo(core: Any, table: BlockTable, honor_watchdog: bool = True) -> Any:
             entry = blocks.get(pc)
             if entry is None:
                 entry = block_at(pc)
-            if counts is not None:
-                c = counts.get(pc, 0) + 1
-                counts[pc] = c
-                if c == hot:
-                    entry = table.promote(pc, entry)
             r = entry[0](ir, fr, ready, st, env)
             if r.__class__ is int:
                 pc = r
@@ -2125,64 +1913,27 @@ def run_ooo(core: Any, table: BlockTable, honor_watchdog: bool = True) -> Any:
 
 
 def disk_cache_stats() -> dict:
-    """On-disk blockjit cache stats plus in-process hit/miss/store counters.
-
-    ``tiers`` breaks the totals down by codegen tier: block-table
-    entries (``{engine}-{key}.json``) vs stitched-trace entries
-    (``{engine}-{key}.traces.json``).
-    """
+    """On-disk blockjit cache stats plus in-process hit/miss/store counters."""
     from repro.snapshot import runcache
 
     directory = runcache.cache_dir() / "blockjit"
     entries = 0
     total = 0
-    tiers = {
-        "block": {"entries": 0, "bytes": 0},
-        "trace": {"entries": 0, "bytes": 0},
-    }
     if directory.is_dir():
         for path in directory.iterdir():
             if path.is_file() and path.suffix == ".json":
                 try:
-                    size = path.stat().st_size
+                    total += path.stat().st_size
                 except OSError:
                     continue
-                total += size
                 entries += 1
-                tier = ("trace" if path.name.endswith(".traces.json")
-                        else "block")
-                tiers[tier]["entries"] += 1
-                tiers[tier]["bytes"] += size
-    # Runtime trace behaviour of live in-process tables (the CLI shows
-    # zeros here in a fresh process; experiments/benchmarks embedding
-    # the simulator see the live counters).
-    calls = exits = 0
-    side_exit_pc: dict[str, int] = {}
-    for table in list(_LIVE_TABLES):
-        if table.tier != "trace" or not table.traces_meta:
-            continue
-        summary = table.trace_summary()
-        calls += summary["calls"]
-        exits += summary["side_exits"]
-        for pc, count in summary["side_exit_pc"].items():
-            side_exit_pc[pc] = side_exit_pc.get(pc, 0) + count
     return {
         "directory": str(directory),
         "entries": entries,
         "bytes": total,
-        "tiers": tiers,
         "hits": int(runcache.STATS["blockjit_hits"]),
         "misses": int(runcache.STATS["blockjit_misses"]),
         "stores": int(runcache.STATS["blockjit_stores"]),
-        "trace_hits": int(runcache.STATS["tracejit_hits"]),
-        "trace_misses": int(runcache.STATS["tracejit_misses"]),
-        "trace_stores": int(runcache.STATS["tracejit_stores"]),
-        "trace_calls": calls,
-        "trace_side_exits": exits,
-        "trace_completions": calls - exits,
-        "side_exit_pc": dict(sorted(
-            side_exit_pc.items(), key=lambda kv: (-kv[1], kv[0])
-        )),
     }
 
 
@@ -2213,14 +1964,9 @@ def clear_disk_cache() -> tuple[int, int]:
 __all__ = [
     "BlockTable",
     "CODEGEN_VERSION",
-    "DEFAULT_TIER",
-    "TIERS",
     "block_table",
     "clear_disk_cache",
     "disk_cache_stats",
-    "jit_enabled",
-    "jit_tier",
     "run_inorder",
     "run_ooo",
-    "tier_override",
 ]

@@ -151,13 +151,13 @@ class InOrderCore:
 
         Full-run segments (no instruction budget, breakpoints only at
         block-leader addresses) dispatch through the basic-block JIT
-        (:mod:`repro.isa.blockjit`) unless it is disabled; bounded
-        segments use the specialized interpreter loop.  The two share
+        (:mod:`repro.isa.blockjit`); every other segment uses the
+        specialized interpreter loop (:meth:`_run_interp`).  The two share
         pipeline-timing state and are bit-identical, so segments may
         interleave freely.  :meth:`run_reference` is the
         behaviourally-identical oracle both are tested against.
         """
-        if max_instructions is None and blockjit.jit_enabled():
+        if max_instructions is None:
             table = blockjit.block_table(self.machine, "inorder")
             if break_addrs is None or break_addrs <= table.safe_breaks:
                 return blockjit.run_inorder(

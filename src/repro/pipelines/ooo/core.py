@@ -40,9 +40,8 @@ and ``simple-fixed``.
 
 Two paths implement complex mode.  :meth:`ComplexCore.run` is the
 event-driven engine (:mod:`repro.pipelines.ooo.event` for the
-per-instruction interpreter, :mod:`repro.isa.blockjit` and
-:mod:`repro.isa.tracejit` for generated block and trace code);
-:meth:`ComplexCore.run_reference` is the original
+per-instruction interpreter, :mod:`repro.isa.blockjit` for generated
+block code); :meth:`ComplexCore.run_reference` is the original
 :func:`repro.isa.semantics.execute`-based loop, kept verbatim as the
 differential oracle every engine path is tested against.
 """
@@ -166,14 +165,14 @@ class ComplexCore:
         """Execute in complex mode until halt/watchdog-exception/budget.
 
         Full-run segments dispatch through the basic-block JIT
-        (:mod:`repro.isa.blockjit`) unless disabled; bounded segments use
-        the event-driven interpreter loop.  Every segment starts from a
+        (:mod:`repro.isa.blockjit`); bounded segments use the
+        event-driven interpreter loop.  Every segment starts from a
         drained pipeline either way, so the paths are freely
         interchangeable and bit-identical.  :meth:`run_reference` is the
         behaviourally-identical oracle both are tested against.
         """
         self._check_predictor_geometry()
-        if max_instructions is None and blockjit.jit_enabled():
+        if max_instructions is None:
             table = blockjit.block_table(self.machine, "ooo", self.params)
             return blockjit.run_ooo(self, table, honor_watchdog)
         return run_interp_event(self, max_instructions, honor_watchdog)

@@ -1018,7 +1018,7 @@ def spawn_local_backends(
 ) -> list[LocalBackend]:
     """Start ``count`` backend daemons on free ports; parse their ports.
 
-    Backends inherit this process's environment (so ``REPRO_JIT_TIER``
+    Backends inherit this process's environment (so ``REPRO_WCET_ENGINE``
     and friends propagate) and all share one cache directory and one
     result store — that sharing is the cluster's whole point.
     """

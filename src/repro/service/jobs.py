@@ -106,26 +106,6 @@ def _bool_field(payload: JSONDict, name: str, default: bool) -> bool:
     return bool(value)
 
 
-def _tier_field(payload: JSONDict) -> str:
-    """Resolve the effective JIT tier for a run/experiment payload.
-
-    When the submission names no ``jit_tier`` (off/block/trace), the
-    server's environment-selected tier is pinned into the normalized
-    payload, so the coalesce key distinguishes submissions that would
-    execute under different tiers.
-    """
-    from repro.isa import blockjit
-
-    tier = payload.get("jit_tier")
-    if tier is None:
-        return blockjit.jit_tier()
-    _require(
-        isinstance(tier, str) and tier in blockjit.TIERS,
-        f"jit_tier must be one of {list(blockjit.TIERS)}",
-    )
-    return str(tier)
-
-
 # -- normalization (server side) -------------------------------------------------
 
 
@@ -134,7 +114,7 @@ def _normalize_run(payload: JSONDict) -> JSONDict:
         payload,
         frozenset(
             {"workload", "scale", "deadline", "instances", "flush_rate",
-             "no_cache", "jit_tier"}
+             "no_cache"}
         ),
     )
     deadline = payload.get("deadline", "tight")
@@ -161,18 +141,16 @@ def _normalize_run(payload: JSONDict) -> JSONDict:
         "instances": _int_field(payload, "instances", 12, 1, 1000),
         "flush_rate": float(flush_rate),
         "no_cache": _bool_field(payload, "no_cache", False),
-        "jit_tier": _tier_field(payload),
     }
 
 
 def _engine_field(payload: JSONDict) -> str:
     """Resolve the effective WCET engine for a ``wcet`` payload.
 
-    Same pattern as :func:`_tier_field`: when the submission names no
-    engine, the server's environment default (``REPRO_WCET_ENGINE``) is
-    pinned into the normalized payload, so the coalesce digest — and the
-    shared result store keyed from it — never aliases a static bound
-    with a model-checked one.
+    When the submission names no engine, the server's environment
+    default (``REPRO_WCET_ENGINE``) is pinned into the normalized
+    payload, so the coalesce digest — and the shared result store keyed
+    from it — never aliases a static bound with a model-checked one.
     """
     from repro.wcet.mc import ENGINES, default_engine
 
@@ -241,9 +219,7 @@ def _normalize_lint(payload: JSONDict) -> JSONDict:
 def _normalize_experiment(payload: JSONDict) -> JSONDict:
     _check_no_extras(
         payload,
-        frozenset(
-            {"name", "scale", "instances", "jobs", "no_cache", "jit_tier"}
-        ),
+        frozenset({"name", "scale", "instances", "jobs", "no_cache"}),
     )
     name = payload.get("name")
     _require(
@@ -256,7 +232,6 @@ def _normalize_experiment(payload: JSONDict) -> JSONDict:
         "instances": _int_field(payload, "instances", 12, 2, 1000),
         "jobs": _int_field(payload, "jobs", 1, 1, 64),
         "no_cache": _bool_field(payload, "no_cache", False),
-        "jit_tier": _tier_field(payload),
     }
 
 
@@ -336,11 +311,9 @@ def coalesce_key(kind: str, payload: JSONDict) -> str:
 
 def _execute_run(payload: JSONDict) -> JSONDict:
     from repro.experiments.common import flush_set, run_pair, setup
-    from repro.isa import blockjit
     from repro.snapshot import runcache
 
-    with runcache.no_cache_override(payload["no_cache"] or None), \
-            blockjit.tier_override(payload.get("jit_tier")):
+    with runcache.no_cache_override(payload["no_cache"] or None):
         prep = setup(payload["workload"], payload["scale"])
         deadline = payload["deadline"]
         if deadline == "tight":
@@ -424,15 +397,13 @@ def _execute_lint(payload: JSONDict) -> JSONDict:
 
 def _execute_experiment(payload: JSONDict) -> JSONDict:
     from repro.experiments import ablations, figure2, figure3, figure4, table3
-    from repro.isa import blockjit
     from repro.snapshot import runcache
 
     name = payload["name"]
     scale = payload["scale"]
     instances = int(payload["instances"])
     jobs = int(payload["jobs"])
-    with runcache.no_cache_override(payload["no_cache"] or None), \
-            blockjit.tier_override(payload.get("jit_tier")):
+    with runcache.no_cache_override(payload["no_cache"] or None):
         rows: list[Any]
         if name == "table3":
             rows = table3.run(scale=scale, jobs=jobs)

@@ -262,11 +262,6 @@ class ServiceMetrics:
             "repro_jobs_coalesced_total",
             "Submissions served by attaching to an identical in-flight job.",
         )
-        self.jobs_by_jit_tier = reg.counter(
-            "repro_jobs_by_jit_tier_total",
-            "run/experiment submissions accepted, by effective JIT tier "
-            "(off/block/trace).",
-        )
         self.jobs_rejected = reg.counter(
             "repro_jobs_rejected_total",
             "Submissions rejected, by reason (queue_full/draining/bad_request).",
@@ -329,21 +324,13 @@ class ServiceMetrics:
             "repro_blockjit_cache_ops_total",
             "Blockjit codegen-cache hits/misses/stores across workers.",
         )
-        self.blockjit_cache_entries = reg.gauge(
-            "repro_blockjit_cache_entries",
-            "Entries in the on-disk blockjit codegen cache.",
-        )
-        self.blockjit_cache_bytes = reg.gauge(
-            "repro_blockjit_cache_bytes",
-            "Total bytes in the on-disk blockjit codegen cache.",
-        )
         self.codegen_entries = reg.gauge(
             "repro_codegen_entries",
-            "On-disk codegen cache entries, by JIT tier (block/trace).",
+            "Entries in the on-disk blockjit codegen cache.",
         )
         self.codegen_bytes = reg.gauge(
             "repro_codegen_bytes",
-            "On-disk codegen cache bytes, by JIT tier (block/trace).",
+            "Total bytes in the on-disk blockjit codegen cache.",
         )
 
     def fold_cache_delta(self, delta: dict[str, int]) -> None:
@@ -373,11 +360,8 @@ class ServiceMetrics:
         stats = runcache.cache_stats()
         self.cache_entries.set(stats["entries"])
         self.cache_bytes.set(stats["bytes"])
-        self.blockjit_cache_entries.set(stats["blockjit"]["entries"])
-        self.blockjit_cache_bytes.set(stats["blockjit"]["bytes"])
-        for tier, sizes in stats["blockjit"]["tiers"].items():
-            self.codegen_entries.set(sizes["entries"], tier=tier)
-            self.codegen_bytes.set(sizes["bytes"], tier=tier)
+        self.codegen_entries.set(stats["blockjit"]["entries"])
+        self.codegen_bytes.set(stats["blockjit"]["bytes"])
 
     def render_text(self) -> str:
         self.refresh_disk_gauges()
@@ -399,9 +383,6 @@ class ServiceMetrics:
             "run_cache_hits": self.run_cache_ops.value(op="hits"),
             "run_cache_misses": self.run_cache_ops.value(op="misses"),
             "run_cache_stores": self.run_cache_ops.value(op="stores"),
-            "jit_tier_off": self.jobs_by_jit_tier.value(tier="off"),
-            "jit_tier_block": self.jobs_by_jit_tier.value(tier="block"),
-            "jit_tier_trace": self.jobs_by_jit_tier.value(tier="trace"),
         }
 
 

@@ -298,9 +298,6 @@ class ReproService:
         self._inflight_keys[key] = record
         self._trim_history()
         self.metrics.jobs_submitted.inc(kind=spec.kind)
-        tier = payload.get("jit_tier")
-        if isinstance(tier, str):
-            self.metrics.jobs_by_jit_tier.inc(tier=tier)
         self.metrics.queue_depth.set(len(self.queue))
         self._queue_event.set()
         return record, False

@@ -130,17 +130,17 @@ class TestExperimentCommand:
         monkeypatch.setattr(
             table3,
             "main",
-            lambda jobs=None, no_cache=None, jit_tier=None: (
-                calls.append(("table3", jobs, no_cache, jit_tier))
+            lambda jobs=None, no_cache=None: (
+                calls.append(("table3", jobs, no_cache))
             ),
         )
         assert main(["experiment", "table3"]) == 0
-        assert calls == [("table3", None, None, None)]
+        assert calls == [("table3", None, None)]
 
     def test_experiment_flags_become_parameters_not_env(
         self, monkeypatch, capsys
     ):
-        """--jobs/--no-cache/--jit-tier are explicit args; os.environ untouched."""
+        """--jobs/--no-cache are explicit args; os.environ untouched."""
         import os
 
         import repro.experiments.figure2 as figure2
@@ -149,21 +149,18 @@ class TestExperimentCommand:
         monkeypatch.setattr(
             figure2,
             "main",
-            lambda jobs=None, no_cache=None, jit_tier=None: (
-                calls.append((jobs, no_cache, jit_tier))
+            lambda jobs=None, no_cache=None: (
+                calls.append((jobs, no_cache))
             ),
         )
         monkeypatch.delenv("REPRO_JOBS", raising=False)
         monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-        monkeypatch.delenv("REPRO_JIT_TIER", raising=False)
         assert main(
-            ["experiment", "figure2", "--jobs", "3", "--no-cache",
-             "--jit-tier", "off"]
+            ["experiment", "figure2", "--jobs", "3", "--no-cache"]
         ) == 0
-        assert calls == [(3, True, "off")]
+        assert calls == [(3, True)]
         assert "REPRO_JOBS" not in os.environ
         assert "REPRO_NO_CACHE" not in os.environ
-        assert "REPRO_JIT_TIER" not in os.environ
 
 
 class TestCacheCommand:

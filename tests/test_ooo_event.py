@@ -4,18 +4,17 @@
 formulation of :meth:`ComplexCore.run_reference`'s per-cycle scans of
 the issue queue, ROB, and LSQ: occupancy rings, a commit frontier pair,
 and inlined branch predictors, on both the pure interpreter
-(:mod:`repro.pipelines.ooo.event`) and the block/trace JIT tiers
-(codegen in :mod:`repro.isa.blockjit`).  The event engine is a pure
-reformulation — no timing model change — so everything observable must
-stay bit-identical to ``run_reference``:
+(:mod:`repro.pipelines.ooo.event`) and generated block code
+(:mod:`repro.isa.blockjit`).  The event engine is a pure reformulation
+— no timing model change — so everything observable must stay
+bit-identical to ``run_reference``:
 
-* fuzz-level: on 200 randomized MiniC programs, ``run()`` under every
-  JIT tier (``off``/``block``/``trace``) must match ``run_reference``
+* fuzz-level: on 200 randomized MiniC programs, block code (a full
+  ``run()``) and the interpreter loop must match ``run_reference``
   exactly — end state, cycle counts, *and* final branch-predictor state
   (tables + global histories);
-* edge-level: MMIO accesses, faults, watchdog arming/expiry, and
-  mid-trace side exits must land at identical cycles with identical
-  state;
+* edge-level: MMIO accesses off a hot loop, faults and watchdog
+  arming/expiry must land at identical cycles with identical state;
 * guard-level: non-standard predictor geometries raise a typed
   :class:`SimulationError` (the event engine inlines the 2^16 geometry).
 """
@@ -23,11 +22,11 @@ stay bit-identical to ``run_reference``:
 import pytest
 
 from repro.errors import SimulationError
-from repro.isa import blockjit, tracejit
 from repro.isa.assembler import assemble
 from repro.memory.machine import Machine
 from repro.minicc import compile_source
 from repro.pipelines.ooo.core import ComplexCore
+from repro.pipelines.ooo.event import run_interp_event
 
 from tests.test_cross_core_random import _program
 from tests.test_fastexec import _snapshot
@@ -35,16 +34,18 @@ from tests.test_fastexec import _snapshot
 N_PROGRAMS = 200
 CHUNK = 25
 
-TIERS = ("off", "block", "trace")
+#: Fast paths checked against ``run_reference``: generated block code
+#: (what a full ``run()`` takes) and the event interpreter loop.
+PATHS = ("block", "interp")
 
-HOT = tracejit.HOT_THRESHOLD
+#: Loop iterations before an edge case's once-taken event fires.
+WARM = 16
 
 
 @pytest.fixture(autouse=True)
 def _isolated_cache(tmp_path, monkeypatch):
     """Keep codegen-cache writes out of the developer's real cache."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.delenv("REPRO_JIT_TIER", raising=False)
 
 
 def _outcome(core, machine, result):
@@ -67,15 +68,21 @@ def _reference(program):
     return _outcome(core, machine, result)
 
 
-def _event_run(program, tier, **kwargs):
+def _run_path(core, path):
+    if path == "block":
+        return core.run()
+    return run_interp_event(core)
+
+
+def _event_run(program, path, masked=True):
     machine = Machine(program)
+    machine.mmio.exceptions_masked = masked
     core = ComplexCore(machine)
-    with blockjit.tier_override(tier):
-        result = core.run(**kwargs)
+    result = _run_path(core, path)
     return _outcome(core, machine, result), machine
 
 
-# -- 200-program differential fuzz, whole tier matrix -------------------------
+# -- 200-program differential fuzz, both paths --------------------------------
 
 
 @pytest.mark.parametrize("chunk", range(N_PROGRAMS // CHUNK))
@@ -84,25 +91,25 @@ def test_event_matches_reference_on_random_programs(chunk):
     for seed in range(chunk * CHUNK, (chunk + 1) * CHUNK):
         program = compile_source(_program(seed))
         ref = _reference(program)
-        for tier in TIERS:
-            event, _ = _event_run(program, tier)
-            assert event == ref, (seed, tier)
+        for path in PATHS:
+            event, _ = _event_run(program, path)
+            assert event == ref, (seed, path)
 
 
 # -- seeded edge cases --------------------------------------------------------
 
 
 def test_event_mmio_mid_trace_side_exit():
-    """Once-taken branch to MMIO mid-trace: console and cycles exact."""
+    """Once-taken branch to MMIO off a hot loop: console and cycles exact."""
     source = f"""
     main:
         li t0, 0xFFFF0000
-        li t1, {HOT * 3}
-        li t4, {HOT + 9}
+        li t1, {WARM * 3}
+        li t4, {WARM + 9}
     loop:
         addi t2, t2, 1
         add t3, t3, t2
-        beq t2, t4, emit   # taken once, after the loop trace is hot
+        beq t2, t4, emit   # taken once, after the loop is warm
     back:
         bne t2, t1, loop
         halt
@@ -116,37 +123,35 @@ def test_event_mmio_mid_trace_side_exit():
     ref_machine = Machine(program)
     ref_core = ComplexCore(ref_machine)
     ref = _outcome(ref_core, ref_machine, ref_core.run_reference())
-    for tier in TIERS:
-        event, machine = _event_run(program, tier)
-        assert event == ref, tier
+    for path in PATHS:
+        event, machine = _event_run(program, path)
+        assert event == ref, path
         assert list(machine.mmio.console) == list(ref_machine.mmio.console)
-    assert any(t.traces_meta for t in program._blockjit_tables.values())
 
 
 def test_event_fault_mid_trace():
-    """A DIV whose divisor hits zero mid-trace faults identically."""
+    """A DIV whose divisor hits zero inside a hot loop faults identically."""
     source = f"""
     main:
-        li t1, {HOT * 3}
-        li t4, {HOT + 9}
+        li t1, {WARM * 3}
+        li t4, {WARM + 9}
     loop:
         addi t2, t2, 1
         sub t5, t4, t2
-        div t3, t1, t5     # divisor reaches zero inside the trace
+        div t3, t1, t5     # divisor reaches zero inside the loop body
         bne t2, t1, loop
         halt
     """
     program = assemble(source)
     outcomes = []
-    for tier in ("reference", *TIERS):
+    for path in ("reference", *PATHS):
         machine = Machine(program)
         core = ComplexCore(machine)
         with pytest.raises(SimulationError) as exc_info:
-            if tier == "reference":
+            if path == "reference":
                 core.run_reference()
             else:
-                with blockjit.tier_override(tier):
-                    core.run()
+                _run_path(core, path)
         outcomes.append(
             (
                 str(exc_info.value),
@@ -159,7 +164,7 @@ def test_event_fault_mid_trace():
 
 
 def test_event_watchdog_arming_and_expiry():
-    """Watchdog armed via MMIO fires at the same cycle on every tier."""
+    """Watchdog armed via MMIO fires at the same cycle on every path."""
     source = """
     main:
         li t0, 0xFFFF0000
@@ -177,49 +182,9 @@ def test_event_watchdog_arming_and_expiry():
     ref_core = ComplexCore(ref_machine)
     ref = _outcome(ref_core, ref_machine, ref_core.run_reference())
     assert ref[0] == "watchdog"
-    for tier in TIERS:
-        machine = Machine(program)
-        machine.mmio.exceptions_masked = False
-        core = ComplexCore(machine)
-        with blockjit.tier_override(tier):
-            result = core.run()
-        assert _outcome(core, machine, result) == ref, tier
-
-
-def test_event_mid_trace_side_exit_counted():
-    """A hot loop with a once-diverging branch side-exits the trace and
-    the side-exit accounting (completions, per-pc counts) is populated."""
-    source = f"""
-    main:
-        li t1, {HOT * 3}
-        li t4, {HOT + 9}
-    loop:
-        addi t2, t2, 1
-        beq t2, t4, skip   # diverges once, mid-trace
-        add t3, t3, t2
-    skip:
-        bne t2, t1, loop
-        halt
-    """
-    program = assemble(source)
-    ref = _reference(program)
-    event, _ = _event_run(program, "trace")
-    assert event == ref
-    summaries = [
-        t.trace_summary()
-        for t in program._blockjit_tables.values()
-        if t.tier == "trace" and t.traces_meta
-    ]
-    assert summaries
-    total = {
-        "calls": sum(s["calls"] for s in summaries),
-        "completions": sum(s["trace_completions"] for s in summaries),
-        "side_exits": sum(s["side_exits"] for s in summaries),
-    }
-    assert total["calls"] > 0
-    assert total["completions"] > 0  # the trace usually runs to its end
-    assert total["side_exits"] >= 1  # ... and side-exited at least once
-    assert all(s["side_exit_rate"] < 1.0 for s in summaries)
+    for path in PATHS:
+        event, _ = _event_run(program, path, masked=False)
+        assert event == ref, path
 
 
 # -- predictor geometry guard -------------------------------------------------
@@ -227,19 +192,18 @@ def test_event_mid_trace_side_exit_counted():
 
 def test_nonstandard_predictor_geometry_raises():
     """The event engine inlines the 2^16 geometry; other masks are refused
-    with a typed error before any state changes, on every tier."""
+    with a typed error before any state changes, on full and bounded
+    runs alike."""
     program = compile_source(_program(0))
     for predictor in ("gshare", "indirect"):
         machine = Machine(program)
         core = ComplexCore(machine)
         getattr(core, predictor).mask = 0xFF  # non-standard geometry
         before = _snapshot(core, machine)
-        for tier in TIERS:
-            with blockjit.tier_override(tier):
-                with pytest.raises(SimulationError, match="2\\^16"):
-                    core.run()
-                with pytest.raises(SimulationError, match="2\\^16"):
-                    core.run(max_instructions=10)
+        with pytest.raises(SimulationError, match="2\\^16"):
+            core.run()
+        with pytest.raises(SimulationError, match="2\\^16"):
+            core.run(max_instructions=10)
         assert _snapshot(core, machine) == before, predictor
         assert not program._blockjit_tables
         # The reference still models any geometry.

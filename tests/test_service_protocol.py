@@ -199,7 +199,9 @@ def test_normalize_rejects_bad_payloads():
     with pytest.raises(ProtocolError, match="unknown payload fields"):
         job_registry.normalize("run", {"workload": "lms", "bogus": 1})
     # Retired knobs are unknown fields, not silently ignored.
-    for field, value in (("ooo_sched", "event"), ("no_jit", True)):
+    for field, value in (
+        ("ooo_sched", "event"), ("no_jit", True), ("jit_tier", "block"),
+    ):
         with pytest.raises(ProtocolError, match="unknown payload fields"):
             job_registry.normalize("run", {"workload": "lms", field: value})
         with pytest.raises(ProtocolError, match="unknown payload fields"):

@@ -235,7 +235,7 @@ def test_service_pins_engine_into_wcet_payload(monkeypatch):
     assert explicit["engine"] == "mc"
     # Engines never alias in the result store / coalescer.
     assert coalesce_key("wcet", base) != coalesce_key("wcet", explicit)
-    # The server's environment default is pinned, like REPRO_JIT_TIER.
+    # The server's environment default is pinned into the payload.
     monkeypatch.setenv("REPRO_WCET_ENGINE", "mc")
     pinned = normalize("wcet", {"workload": "cnt"})
     assert pinned["engine"] == "mc"
