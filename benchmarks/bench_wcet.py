@@ -7,6 +7,11 @@ bounded model-checking oracle: how much pessimism the shipped static
 analyzer carries, certified against an exact exploration of the same
 pipeline model.
 
+Per workload it also times the static engine's cold DVS sweep: a fresh
+analyzer over all 37 XScale settings (one analysis pass per distinct
+memory-stall count, the work EQ 4 needs before a first VISA run), as the
+median and IQR over ``SWEEP_TRIALS`` runs.
+
 Merges a ``wcet`` section into ``BENCH_speed.json``.
 
 Usage:
@@ -18,10 +23,40 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
+import statistics
 import sys
 import time
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+#: Timed cold static DVS sweeps per workload.
+SWEEP_TRIALS = 5
+
+
+def _static_sweep(program) -> tuple[dict, int]:
+    """Time a cold static analysis of ``program`` at every XScale setting.
+
+    Returns ({median, iqr, trials} in seconds, analysis passes per sweep).
+    """
+    from repro.visa.dvs import DVSTable
+    from repro.wcet.analyzer import STATS, WCETAnalyzer
+
+    settings = DVSTable.xscale().settings
+    times = []
+    for _ in range(SWEEP_TRIALS):
+        before = STATS["passes"]
+        start = time.perf_counter()
+        analyzer = WCETAnalyzer(program)
+        for setting in settings:
+            analyzer.analyze(setting.freq_hz)
+        times.append(time.perf_counter() - start)
+        passes = STATS["passes"] - before
+    q1, _, q3 = statistics.quantiles(times, n=4)
+    return {
+        "median": round(statistics.median(times), 4),
+        "iqr": round(q3 - q1, 4),
+        "trials": SWEEP_TRIALS,
+    }, passes
 
 
 def _bench_workload(name: str, scale: str, freq_mhz: float) -> dict:
@@ -45,6 +80,7 @@ def _bench_workload(name: str, scale: str, freq_mhz: float) -> dict:
         analyzer=analyzer, engine=engine,
     )
     wall = time.perf_counter() - start
+    sweep, passes = _static_sweep(w.program)
     return {
         "ok": report.ok,
         "subtasks": len(report.subtasks),
@@ -57,6 +93,8 @@ def _bench_workload(name: str, scale: str, freq_mhz: float) -> dict:
         "mc_states_explored": engine.stats.steps,
         "mc_widenings": engine.stats.widenings,
         "wall_seconds": round(wall, 4),
+        "static_sweep_s": sweep,
+        "static_passes": passes,
     }
 
 
@@ -91,7 +129,9 @@ def main(argv: list[str] | None = None) -> int:
             f"gap {result['gap_pct']:.2f}% "
             f"({result['total_static_cycles']} static vs "
             f"{result['total_mc_cycles']} mc cycles, "
-            f"{result['wall_seconds']:.2f}s)"
+            f"{result['wall_seconds']:.2f}s; "
+            f"static sweep {result['static_sweep_s']['median']:.3f}s "
+            f"over {result['static_passes']} passes)"
         )
 
     gaps = [w["gap_pct"] for w in workloads.values()]
@@ -105,7 +145,9 @@ def main(argv: list[str] | None = None) -> int:
         "note": (
             "gap_pct = (static - mc) / mc over whole-task padded cycles; "
             "static over-approximation certified against the bounded "
-            "model-checking oracle (repro wcet diff)"
+            "model-checking oracle (repro wcet diff); static_sweep_s = "
+            "median/IQR seconds of a fresh analyzer over all 37 XScale "
+            "settings (static_passes analysis passes)"
         ),
     }
 

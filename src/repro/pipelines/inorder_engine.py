@@ -1,12 +1,17 @@
 """Cycle-accurate timing engine for the 6-stage in-order VISA pipeline.
 
-This module is the **single timing model** behind three consumers:
+This module is the **single timing model** behind every consumer of the
+simple pipeline's timing:
 
-1. the dynamic ``simple-fixed`` core (:mod:`repro.pipelines.inorder`),
-2. the complex core's simple mode (same engine, complex core's caches), and
-3. the static WCET analyzer's pipeline model
-   (:mod:`repro.wcet.pipeline_model`), which runs the *same recurrence*
-   with worst-case inputs.
+1. the dynamic ``simple-fixed`` core (:mod:`repro.pipelines.inorder`) and
+   the complex core's simple mode (same engine, complex core's caches),
+   which call :func:`advance` once per executed instruction;
+2. the model-checking WCET oracle (:mod:`repro.wcet.mc.engine`), which
+   calls :func:`advance` with its exact I-cache outcomes; and
+3. the static WCET analyzer (:mod:`repro.wcet.analyzer`), which runs
+   :func:`advance_block` -- the same recurrence unrolled over one basic
+   block -- with worst-case inputs.  ``tests/test_inorder_engine.py``
+   pins the block form to :func:`advance` instruction by instruction.
 
 Sharing the recurrence removes any possibility of drift between the
 simulator and the analyzer; the safety invariant WCET >= actual then rests
@@ -155,3 +160,100 @@ def advance(
         state.redirect = ex_end + BRANCH_PENALTY - _FRONT_DEPTH + 1
 
     return InstrTiming(fetch, ex_start, ex_end, mem_start, mem_end, writeback)
+
+
+#: One instruction as :func:`advance_block` consumes it: (cache block,
+#: source registers, destination register or None, latency, is_load).
+BlockInst = tuple[int, tuple[int, ...], "int | None", int, bool]
+
+
+def block_insts(insts: list[Instruction], block_shift: int) -> tuple[BlockInst, ...]:
+    """Precompute the :func:`advance_block` operands of ``insts``."""
+    return tuple(
+        (inst.addr >> block_shift, inst.sources, inst.dest, inst.latency,
+         inst.is_load)
+        for inst in insts
+    )
+
+
+def advance_block(
+    timing: TimingState,
+    insts: tuple[BlockInst, ...],
+    cache_block: int | None,
+    covered: set[int] | frozenset[int],
+    stall: int,
+    penalty: bool,
+) -> int | None:
+    """Advance ``timing`` over a straight-line run of instructions.
+
+    The block form of :func:`advance` for the static analyzer's
+    worst-case inputs: every data access hits (misses are padded on top),
+    and fetch pays ``stall`` cycles at each cache-block transition into a
+    block not in ``covered``.  ``penalty`` is the control penalty of the
+    *last* instruction (the block's exit edge); earlier ones have none.
+    The state lives in locals and is written back once.
+
+    Args:
+        timing: Mutated in place.
+        insts: Operands as built by :func:`block_insts`.
+        cache_block: Cache block of the previously fetched instruction
+            (None = unknown).
+        covered: Cache blocks whose miss is already charged (persistent
+            in an enclosing scope).
+        stall: Memory stall time in cycles.
+        penalty: Control penalty flag of the last instruction (``insts``
+            must then be non-empty).
+
+    Returns:
+        The cache block of the last instruction (``cache_block`` when
+        ``insts`` is empty).
+    """
+    last_fetch = timing.last_fetch
+    ex_free = timing.ex_free
+    mem_free = timing.mem_free
+    prev_mem_start = timing.prev_mem_start
+    redirect = timing.redirect
+    front0, front1, front2 = timing.front_occupancy  # _FRONT_SLOTS == 3
+    reg_ready = timing.reg_ready
+    for block, sources, dest, latency, is_load in insts:
+        fetch = last_fetch + 1
+        if redirect > fetch:
+            fetch = redirect
+        if front0 > fetch:
+            fetch = front0
+        if block != cache_block:
+            cache_block = block
+            if block not in covered:
+                fetch += stall
+
+        ex_start = fetch + _FRONT_DEPTH
+        if ex_free >= ex_start:
+            ex_start = ex_free + 1
+        if prev_mem_start > ex_start:
+            ex_start = prev_mem_start
+        for src in sources:
+            ready = reg_ready.get(src)
+            if ready is not None and ready > ex_start:
+                ex_start = ready
+        ex_end = ex_start + latency - 1
+
+        # D-cache hit: the memory stage takes one cycle.
+        mem_start = ex_end + 1 if ex_end > mem_free else mem_free + 1
+        if dest is not None:
+            reg_ready[dest] = mem_start + 1 if is_load else ex_end + 1
+
+        last_fetch = fetch
+        ex_free = ex_end
+        mem_free = mem_start
+        prev_mem_start = mem_start
+        front0, front1, front2 = front1, front2, ex_start
+    if penalty:
+        redirect = ex_free + BRANCH_PENALTY - _FRONT_DEPTH + 1
+
+    timing.last_fetch = last_fetch
+    timing.ex_free = ex_free
+    timing.mem_free = mem_free
+    timing.prev_mem_start = prev_mem_start
+    timing.redirect = redirect
+    timing.front_occupancy = (front0, front1, front2)
+    return cache_block

@@ -12,7 +12,9 @@ module is substituted by trace-derived padding).
 
 Safety argument (tested, not assumed):
 
-* the pipeline recurrence is shared with the dynamic simulator,
+* the pipeline recurrence is shared with the dynamic simulator: a pass
+  runs its block form (``inorder_engine.advance_block``), which a parity
+  test pins to the per-instruction ``advance`` the simulator runs,
 * joins merge states by component-wise max (monotone recurrence),
 * loop iterations are replicated only after the per-iteration cost reaches
   a fix-point,
@@ -25,18 +27,19 @@ Safety argument (tested, not assumed):
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.errors import AnalysisError
 from repro.isa.program import Program
 from repro.memory.cache import CacheConfig
-from repro.memory.machine import WORST_CASE_MEM_STALL_NS
+from repro.memory.machine import WORST_CASE_MEM_STALL_NS, mem_stall_cycles
+from repro.pipelines.inorder_engine import BlockInst, advance_block, block_insts
 from repro.wcet.cfg import BasicBlock, FunctionCFG, build_cfg
 from repro.wcet.icache_static import ScopeCacheInfo, scope_info
 from repro.wcet.loops import Loop, find_loops
-from repro.wcet.pipeline_model import PathState, edge_penalty, merge, step
+from repro.wcet.pipeline_model import PathState, edge_penalty, merge
 
 #: Analysis passes (``run_cls(...).region_cycles()``, one per analyzer and
 #: memory-stall count) since process start or the caller's last
@@ -91,6 +94,44 @@ class TaskWCET:
         return sum(self.subtask_seconds(k) for k in range(first, len(self.subtasks)))
 
 
+#: One scope-DAG node: ("block", address) or ("loop", header address).
+Node = tuple[str, int]
+
+
+class ScopePlan(NamedTuple):
+    """Stall-independent shape of one scope's DAG.
+
+    Attributes:
+        node_of: Member block address -> its node (a block of a nested
+            loop maps to that loop's node).
+        loops_by_header: The scope's top-level loops.  Their ``bound`` is
+            read at walk time, never copied, so a caller's mutation of a
+            ``Loop`` still takes effect.
+        order: Nodes reachable from the scope entry, in topological order
+            (back and exit edges ignored).
+    """
+
+    node_of: dict[int, Node]
+    loops_by_header: dict[int, Loop]
+    order: list[Node]
+
+
+class BlockPlan(NamedTuple):
+    """Stall-independent operands of one basic block for ``advance_block``.
+
+    Attributes:
+        insts: All instructions.
+        body: All but the last instruction.
+        last: The last instruction alone (run once per out-edge).
+        edges: (target, control penalty) per out-edge, in CFG order.
+    """
+
+    insts: tuple[BlockInst, ...]
+    body: tuple[BlockInst, ...]
+    last: tuple[BlockInst, ...]
+    edges: tuple[tuple[int | None, bool], ...]
+
+
 class WCETAnalyzer:
     """Static worst-case timing analyzer for one program."""
 
@@ -122,6 +163,8 @@ class WCETAnalyzer:
         self._regions = self._build_regions()
         self._func_addrs_cache: dict[int, frozenset[int]] = {}
         self._scope_info_cache: dict[object, ScopeCacheInfo] = {}
+        self._scope_plans: dict[tuple[int, int, int | None], ScopePlan] = {}
+        self._block_plans: dict[tuple[int, int], BlockPlan] = {}
         self._result_cache: dict[int, list[int]] = {}
 
     # -- public API -------------------------------------------------------------
@@ -132,7 +175,7 @@ class WCETAnalyzer:
         Results are cached per distinct memory-stall cycle count, so
         sweeping the 37-point DVS table costs at most 37 analysis runs.
         """
-        stall = math.ceil(freq_hz * self.mem_stall_ns * 1e-9)
+        stall = mem_stall_cycles(freq_hz, self.mem_stall_ns)
         if stall not in self._result_cache:
             STATS["passes"] += 1
             self._result_cache[stall] = self.run_cls(self, stall).region_cycles()
@@ -244,6 +287,62 @@ class WCETAnalyzer:
             self._scope_info_cache[key] = scope_info(addrs, self.cache_config)
         return self._scope_info_cache[key]
 
+    # -- stall-independent walk plans -----------------------------------------------
+
+    def scope_plan(
+        self,
+        fcfg: FunctionCFG,
+        members: set[int],
+        level_loops: list[Loop],
+        entry: int,
+        backedge_header: int | None,
+    ) -> ScopePlan:
+        """The DAG of one scope, built on first use and then cached.
+
+        A scope is a sub-task region of ``main()``, a whole function, or
+        one loop body (``backedge_header`` is then the loop header); it is
+        identified by (function entry, scope entry, back-edge header).
+        (Region 0 and ``main()`` as a function cannot collide: the call
+        graph is acyclic, so nothing calls ``main()``.)  Shared by the
+        static passes and the model-checking engine, so both walk exactly
+        the same DAG.
+        """
+        key = (fcfg.entry, entry, backedge_header)
+        plan = self._scope_plans.get(key)
+        if plan is None:
+            node_of: dict[int, Node] = {}
+            for loop in level_loops:
+                for addr in loop.blocks:
+                    node_of[addr] = ("loop", loop.header)
+            for addr in members:
+                node_of.setdefault(addr, ("block", addr))
+            plan = self._scope_plans[key] = ScopePlan(
+                node_of,
+                {loop.header: loop for loop in level_loops},
+                scope_topo_order(fcfg, node_of, entry, backedge_header),
+            )
+        return plan
+
+    def block_plan(self, fentry: int, block: BasicBlock) -> BlockPlan:
+        """The ``advance_block`` operands of ``block`` (cached)."""
+        key = (fentry, block.start)
+        plan = self._block_plans.get(key)
+        if plan is None:
+            insts = block_insts(
+                block.instructions, self.cache_config.block_shift
+            )
+            last = block.instructions[-1]
+            plan = self._block_plans[key] = BlockPlan(
+                insts,
+                insts[:-1],
+                insts[-1:],
+                tuple(
+                    (target, edge_penalty(last, kind))
+                    for kind, target in block.successors
+                ),
+            )
+        return plan
+
 
 def scope_topo_order(
     fcfg: FunctionCFG,
@@ -254,17 +353,18 @@ def scope_topo_order(
     """Topological order of scope nodes (back/exit edges ignored).
 
     Nodes are ``("block", addr)`` or ``("loop", header)`` as mapped by
-    ``node_of``.  Shared by the static analyzer's scope walk and the
-    model-checking engine, so both process exactly the same DAG.
+    ``node_of``.  Run once per scope by :meth:`WCETAnalyzer.scope_plan`.
     """
+
+    blocks_of: dict[object, set[int]] = {}
+    for a, n in node_of.items():
+        blocks_of.setdefault(n, set()).add(a)
 
     def successors(node) -> set[object]:
         kind, addr = node
         if kind == "loop":
             # exits of the loop: edges from its blocks leaving the loop
-            loop_blocks = {
-                a for a, n in node_of.items() if n == node
-            }
+            loop_blocks = blocks_of[node]
             out: set[object] = set()
             for a in loop_blocks:
                 for _k, succ in fcfg.blocks[a].successors:
@@ -325,7 +425,6 @@ class _Run:
     def __init__(self, analyzer: WCETAnalyzer, stall: int):
         self.a = analyzer
         self.stall = stall
-        self.shift = analyzer.cache_config.block_shift
 
     def _fm_charge(self, count: int) -> int:
         """Cycles charged for ``count`` first-miss blocks at scope entry."""
@@ -384,37 +483,35 @@ class _Run:
         Returns (merged back-edge state or None, external exits keyed by
         target address — None for function returns / halt).
         """
-        node_of: dict[int, object] = {}
-        for loop in level_loops:
-            for addr in loop.blocks:
-                node_of[addr] = ("loop", loop.header)
-        for addr in members:
-            node_of.setdefault(addr, ("block", addr))
-        loops_by_header = {loop.header: loop for loop in level_loops}
-
-        order = scope_topo_order(fcfg, node_of, entry, backedge_header)
-        in_states: dict[object, PathState] = {node_of[entry]: state}
+        plan = self.a.scope_plan(
+            fcfg, members, level_loops, entry, backedge_header
+        )
+        node_of = plan.node_of
+        in_states: dict[Node, PathState] = {node_of[entry]: state}
         back_state: PathState | None = None
         externals: dict[int | None, PathState] = {}
 
+        # Every state delivered here is owned by this walk (entry state,
+        # per-edge outputs of _block and _loop), so the first arrival at a
+        # node, the back edge or an exit is handed over without a copy.
         def deliver(target: int | None, st: PathState) -> None:
             nonlocal back_state
             if target is not None and target == backedge_header:
-                back_state = merge(back_state, st)
+                back_state = _join(back_state, st)
             elif target is None or target not in node_of:
-                externals[target] = merge(externals.get(target), st)
+                externals[target] = _join(externals.get(target), st)
             else:
                 node = node_of[target]
-                in_states[node] = merge(in_states.get(node), st)
+                in_states[node] = _join(in_states.get(node), st)
 
-        for node in order:
+        for node in plan.order:
             st = in_states.pop(node, None)
             if st is None:
                 continue
             kind, addr = node
             if kind == "loop":
                 for target, out in self._loop(
-                    fcfg, loops_by_header[addr], st, covered
+                    fcfg, plan.loops_by_header[addr], st, covered
                 ).items():
                     deliver(target, out)
             else:
@@ -430,30 +527,35 @@ class _Run:
         covered: set[int],
     ) -> list[tuple[int | None, PathState]]:
         """Walk one basic block; returns per-edge (target, state) pairs."""
-        insts = block.instructions
-        for inst in insts[:-1]:
-            step(state, inst, covered, self.shift, self.stall)
-        last = insts[-1]
+        plan = self.a.block_plan(fcfg.entry, block)
+        stall = self.stall
         if block.call_target is not None:
-            step(state, last, covered, self.shift, self.stall)
+            state.cache_block = advance_block(
+                state.timing, plan.insts, state.cache_block, covered, stall,
+                False,
+            )
             state = self._function(block.call_target, state, covered)
-            return [(block.successors[0][1], state)]
-        if len(block.successors) > 1:
-            results = []
-            for kind, target in block.successors:
-                branch_state = state.clone()
-                step(
-                    branch_state, last, covered, self.shift, self.stall,
-                    control_penalty=edge_penalty(last, kind),
-                )
-                results.append((target, branch_state))
-            return results
-        kind, target = block.successors[0]
-        step(
-            state, last, covered, self.shift, self.stall,
-            control_penalty=edge_penalty(last, kind),
+            return [(plan.edges[0][0], state)]
+        if len(plan.edges) == 1:
+            target, penalty = plan.edges[0]
+            state.cache_block = advance_block(
+                state.timing, plan.insts, state.cache_block, covered, stall,
+                penalty,
+            )
+            return [(target, state)]
+        state.cache_block = advance_block(
+            state.timing, plan.body, state.cache_block, covered, stall, False
         )
-        return [(target, state)]
+        results = []
+        for i, (target, penalty) in enumerate(plan.edges):
+            # The last edge takes the walked state itself, the others a copy.
+            out = state if i == len(plan.edges) - 1 else state.clone()
+            out.cache_block = advance_block(
+                out.timing, plan.last, out.cache_block, covered, stall,
+                penalty,
+            )
+            results.append((target, out))
+        return results
 
     def _function(
         self, entry: int, state: PathState, covered: set[int]
@@ -539,6 +641,11 @@ class _Run:
         if not externals:
             raise AnalysisError(f"loop at {loop.header:#x} has no exit")
         return externals
+
+
+def _join(held: PathState | None, st: PathState) -> PathState:
+    """Join ``st`` into ``held``, adopting ``st`` itself if it is first."""
+    return st if held is None else merge(held, st)
 
 
 WCETAnalyzer.run_cls = _Run

@@ -42,26 +42,18 @@ shipped analyzer.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.errors import AnalysisError
+from repro.memory.machine import mem_stall_cycles
 from repro.pipelines.inorder_engine import TimingState, advance
-from repro.wcet.analyzer import (
-    SubtaskWCET,
-    TaskWCET,
-    WCETAnalyzer,
-    scope_topo_order,
-)
+from repro.wcet.analyzer import Node, SubtaskWCET, TaskWCET, WCETAnalyzer
 from repro.wcet.cfg import BasicBlock, FunctionCFG
 from repro.wcet.loops import Loop
 from repro.wcet.mc.icache import ExactICache, ICacheDigest, orderfree_sets
 from repro.wcet.mc.slicing import RelevanceMap, program_relevance
 from repro.wcet.mc.values import ValueDigest, ValueStore
 from repro.wcet.pipeline_model import edge_penalty, merge_timing
-
-#: One scope-DAG node: ("block", address) or ("loop", header-address).
-Node = tuple[str, int]
 
 #: Subsumption key: branch-relevant values + canonical cache contents.
 DigestKey = tuple[ValueDigest, ICacheDigest]
@@ -139,7 +131,7 @@ class ModelCheckEngine:
 
     def analyze(self, freq_hz: float = 1e9) -> TaskWCET:
         """Exact per-sub-task WCETs at ``freq_hz`` (cached per stall)."""
-        stall = math.ceil(freq_hz * self.a.mem_stall_ns * 1e-9)
+        stall = mem_stall_cycles(freq_hz, self.a.mem_stall_ns)
         if stall not in self._result_cache:
             self._result_cache[stall] = self._region_cycles(stall)
         cycles = self._result_cache[stall]
@@ -214,16 +206,11 @@ class ModelCheckEngine:
         Returns (back-edge states, external exits keyed by target — None
         for function return / halt).
         """
-        node_of: dict[int, object] = {}
-        for loop in level_loops:
-            for addr in loop.blocks:
-                node_of[addr] = ("loop", loop.header)
-        for addr in members:
-            node_of.setdefault(addr, ("block", addr))
-        loops_by_header = {loop.header: loop for loop in level_loops}
-
-        order = scope_topo_order(fcfg, node_of, entry, backedge_header)
-        pending: dict[object, Bucket] = {}
+        plan = self.a.scope_plan(
+            fcfg, members, level_loops, entry, backedge_header
+        )
+        node_of = plan.node_of
+        pending: dict[Node, Bucket] = {}
         back_bucket: Bucket = {}
         externals: dict[int | None, Bucket] = {}
 
@@ -237,25 +224,20 @@ class ModelCheckEngine:
             else:
                 node = node_of[target]
                 bucket = pending.setdefault(node, {})
-                kind_addr = node  # ("block", addr) / ("loop", header)
-                self._add(
-                    bucket,
-                    self._digest(fentry, kind_addr[1], st),  # type: ignore[index]
-                    st,
-                )
+                self._add(bucket, self._digest(fentry, node[1], st), st)
 
         seed_bucket = pending.setdefault(node_of[entry], {})
         for st in states:
             self._add(seed_bucket, self._digest(fentry, entry, st), st)
 
-        for node in order:
+        for node in plan.order:
             bucket_or_none = pending.pop(node, None)
             if not bucket_or_none:
                 continue
-            kind, addr = node  # type: ignore[misc]
+            kind, addr = node
             if kind == "loop":
                 outs = self._loop(
-                    fentry, fcfg, loops_by_header[addr],
+                    fentry, fcfg, plan.loops_by_header[addr],
                     list(bucket_or_none.values()), stall,
                 )
                 for target, out in outs:

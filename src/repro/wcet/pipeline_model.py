@@ -1,8 +1,9 @@
 """Static VISA pipeline model.
 
-Walks basic blocks through the *same* timing recurrence the dynamic
-in-order core uses (:mod:`repro.pipelines.inorder_engine`), with worst-case
-inputs:
+The path state and join rules the static analyzer threads through the
+*same* timing recurrence the dynamic in-order core uses
+(:mod:`repro.pipelines.inorder_engine`; the analyzer runs its block form,
+``advance_block``), with worst-case inputs:
 
 * I-cache: a reference misses at every cache-block transition unless the
   block is covered by a persistence (first-miss) charge of an active scope,
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.isa.instruction import Instruction
-from repro.pipelines.inorder_engine import TimingState, advance
+from repro.pipelines.inorder_engine import TimingState
 
 
 @dataclass
@@ -92,24 +93,6 @@ def merge(a: PathState | None, b: PathState) -> PathState:
     merged = merge_timing(a.timing, b.timing)
     cache_block = a.cache_block if a.cache_block == b.cache_block else None
     return PathState(timing=merged, cache_block=cache_block)
-
-
-def step(
-    state: PathState,
-    inst: Instruction,
-    covered_blocks: set[int],
-    block_shift: int,
-    stall: int,
-    control_penalty: bool = False,
-) -> None:
-    """Advance ``state`` by one instruction with worst-case cache inputs."""
-    block = inst.addr >> block_shift
-    icache_extra = 0
-    if block != state.cache_block:
-        if block not in covered_blocks:
-            icache_extra = stall
-        state.cache_block = block
-    advance(state.timing, inst, icache_extra, 0, control_penalty)
 
 
 def edge_penalty(inst: Instruction, kind: str) -> bool:

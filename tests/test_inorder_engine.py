@@ -6,6 +6,7 @@ over-approximates), and monotonicity in the worst-case inputs (so assuming
 a miss/penalty never underestimates).  Both are property-tested here.
 """
 
+import dataclasses
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,8 @@ from repro.pipelines.inorder_engine import (
     BRANCH_PENALTY,
     TimingState,
     advance,
+    advance_block,
+    block_insts,
 )
 from repro.wcet.pipeline_model import PathState, merge
 
@@ -164,3 +167,91 @@ def test_shift_preserves_relative_timing():
     for t0, t1 in zip(base_times, shifted_times):
         assert t1.writeback - t0.writeback == 500
         assert t1.ex_start - t0.ex_start == 500
+
+
+def _random_run(rng, length, base):
+    """Straight-line run mixing ALU, loads, multi-cycle ops and a control
+    instruction (conditional branch or indirect jump) anywhere."""
+    run = []
+    for i in range(length):
+        addr = base + 4 * i
+        kind = rng.random()
+        if kind < 0.35:
+            run.append(alu(addr, rd=rng.randrange(1, 32),
+                           rs=rng.randrange(32), rt=rng.randrange(32)))
+        elif kind < 0.6:
+            run.append(load(addr, rt=rng.randrange(1, 32),
+                            rs=rng.randrange(32)))
+        elif kind < 0.75:
+            op = rng.choice([Op.MUL, Op.DIV])
+            run.append(Instruction(op, rd=rng.randrange(1, 32),
+                                   rs=rng.randrange(32),
+                                   rt=rng.randrange(32), addr=addr))
+        elif kind < 0.9:
+            run.append(Instruction(Op.BEQ, rs=rng.randrange(32),
+                                   rt=rng.randrange(32),
+                                   imm=rng.randrange(-8, 8), addr=addr))
+        else:
+            run.append(Instruction(Op.JR, rs=rng.randrange(32), addr=addr))
+    return run
+
+
+def _random_state(rng):
+    """A carried pipeline state: arbitrary times, live register results."""
+    origin = rng.randrange(0, 500)
+    return TimingState(
+        last_fetch=origin + rng.randrange(-1, 20),
+        redirect=origin + rng.randrange(0, 30),
+        ex_free=origin + rng.randrange(-1, 40),
+        mem_free=origin + rng.randrange(-1, 40),
+        prev_mem_start=origin + rng.randrange(0, 40),
+        front_occupancy=tuple(
+            sorted(origin + rng.randrange(0, 30) for _ in range(3))
+        ),
+        reg_ready={
+            rng.randrange(1, 32): origin + rng.randrange(0, 60)
+            for _ in range(rng.randrange(0, 10))
+        },
+    )
+
+
+def _step_rule(state, run, cache_block, covered, shift, stall, penalty):
+    """The per-instruction rule: charge ``stall`` on a transition into an
+    uncovered cache block, then advance by one instruction."""
+    for i, inst in enumerate(run):
+        block = inst.addr >> shift
+        extra = 0
+        if block != cache_block:
+            if block not in covered:
+                extra = stall
+            cache_block = block
+        advance(state, inst, extra, 0, penalty and i == len(run) - 1)
+    return cache_block
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 1_000_000))
+def test_advance_block_matches_per_instruction_rule(seed):
+    """The block form the static analyzer runs is the same recurrence."""
+    rng = random.Random(seed)
+    shift = rng.choice([4, 5, 6])
+    penalty = rng.random() < 0.5
+    length = rng.randrange(1 if penalty else 0, 24)
+    base = 0x400000 + 4 * rng.randrange(0, 64)
+    run = _random_run(rng, length, base)
+    blocks = sorted({inst.addr >> shift for inst in run} | {base >> shift})
+    covered = {b for b in blocks if rng.random() < 0.4}
+    entry_block = rng.choice([None, base >> shift, (base >> shift) - 1])
+    stall = rng.choice([0, 1, 10, 100])
+
+    expected = _random_state(rng)
+    actual = expected.clone()
+    expected_block = _step_rule(
+        expected, run, entry_block, covered, shift, stall, penalty
+    )
+    actual_block = advance_block(
+        actual, block_insts(run, shift), entry_block, covered, stall,
+        penalty,
+    )
+    assert actual_block == expected_block
+    assert dataclasses.asdict(actual) == dataclasses.asdict(expected)

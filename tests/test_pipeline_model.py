@@ -1,9 +1,18 @@
-"""Static pipeline-model unit tests: merge semantics, edge penalties."""
+"""Static pipeline-model unit tests: merge semantics, I-cache charging in
+the block form of the recurrence, edge penalties."""
 
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
-from repro.pipelines.inorder_engine import TimingState
-from repro.wcet.pipeline_model import PathState, edge_penalty, merge, step
+from repro.pipelines.inorder_engine import TimingState, advance_block, block_insts
+from repro.wcet.pipeline_model import PathState, edge_penalty, merge
+
+
+def walk(state, insts, covered, stall):
+    """Run ``insts`` through ``advance_block`` with 64-byte cache blocks."""
+    state.cache_block = advance_block(
+        state.timing, block_insts(insts, 6), state.cache_block, covered,
+        stall, False,
+    )
 
 
 class TestPathState:
@@ -24,8 +33,8 @@ class TestPathState:
     def test_clone_is_independent(self):
         state = PathState.fresh()
         clone = state.clone()
-        step(clone, Instruction(Op.ADD, rd=1, rs=2, rt=3, addr=0x400000),
-             set(), 6, 100)
+        walk(clone, [Instruction(Op.ADD, rd=1, rs=2, rt=3, addr=0x400000)],
+             set(), 100)
         assert state.frontier == 0
         assert clone.frontier > 0
 
@@ -50,31 +59,45 @@ class TestMergeCacheBlock:
 
 
 class TestStepCacheCharging:
+    """I-cache charging of each recurrence step in ``advance_block``."""
+
     def test_covered_block_is_free(self):
-        inst = Instruction(Op.ADD, rd=1, rs=2, rt=3, addr=0x400000)
+        insts = [Instruction(Op.ADD, rd=1, rs=2, rt=3, addr=0x400000)]
         covered = {0x400000 >> 6}
         charged = PathState.fresh()
-        step(charged, inst, set(), 6, 100)
+        walk(charged, insts, set(), 100)
         free = PathState.fresh()
-        step(free, inst, covered, 6, 100)
+        walk(free, insts, covered, 100)
         assert charged.frontier - free.frontier == 100
 
     def test_same_block_charged_once(self):
         state = PathState.fresh()
-        for i in range(4):  # all in one 64-byte block
-            inst = Instruction(Op.ADD, rd=1, rs=2, rt=3, addr=0x400000 + 4 * i)
-            step(state, inst, set(), 6, 100)
+        insts = [  # all in one 64-byte block
+            Instruction(Op.ADD, rd=1, rs=2, rt=3, addr=0x400000 + 4 * i)
+            for i in range(4)
+        ]
+        walk(state, insts, set(), 100)
         # One miss (100) + 4 instructions of pipeline time, not 4 misses.
         assert state.frontier < 100 + 40
+        assert state.cache_block == 0x400000 >> 6
 
     def test_block_transition_recharges(self):
         state = PathState.fresh()
-        step(state, Instruction(Op.ADD, rd=1, rs=2, rt=3, addr=0x400000),
-             set(), 6, 100)
+        walk(state, [Instruction(Op.ADD, rd=1, rs=2, rt=3, addr=0x400000)],
+             set(), 100)
         mid = state.frontier
-        step(state, Instruction(Op.ADD, rd=1, rs=2, rt=3, addr=0x400040),
-             set(), 6, 100)
+        walk(state, [Instruction(Op.ADD, rd=1, rs=2, rt=3, addr=0x400040)],
+             set(), 100)
         assert state.frontier - mid >= 100
+
+    def test_carried_cache_block_is_not_recharged(self):
+        state = PathState.fresh()
+        walk(state, [Instruction(Op.ADD, rd=1, rs=2, rt=3, addr=0x400000)],
+             set(), 100)
+        mid = state.frontier
+        walk(state, [Instruction(Op.ADD, rd=1, rs=2, rt=3, addr=0x400004)],
+             set(), 100)
+        assert state.frontier - mid < 100
 
 
 class TestEdgePenalty:

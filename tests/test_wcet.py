@@ -1,5 +1,8 @@
 """WCET analyzer tests: safety, tightness, caching, frequency behaviour."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.errors import AnalysisError
@@ -8,6 +11,8 @@ from repro.memory.cache import CacheConfig
 from repro.memory.machine import Machine
 from repro.minicc import compile_source
 from repro.pipelines.inorder import InOrderCore
+from repro.visa.dvs import DVSTable
+from repro.wcet import analyzer as analyzer_mod
 from repro.wcet.analyzer import WCETAnalyzer
 from repro.wcet.dcache_pad import measure_dcache_misses
 from repro.wcet.icache_static import (
@@ -16,6 +21,18 @@ from repro.wcet.icache_static import (
     FIRST_MISS,
     persistent_blocks,
     scope_info,
+)
+from repro.workloads.suite import (
+    EXTRA_WORKLOAD_NAMES,
+    WORKLOAD_NAMES,
+    get_workload,
+)
+
+#: sha256 over the region cycles of all 16 (workload, scale) programs at
+#: every XScale stall, recorded with the per-instruction form of the
+#: static pass.  Any change here is a change in a shipped bound.
+XSCALE_SWEEP_SHA256 = (
+    "b102f4eea41df8b3a816d092e220f1f5ecdd724bfcca7538a619b0541dc455c2"
 )
 
 
@@ -125,6 +142,27 @@ class TestFrequencyBehaviour:
         second = analyzer.analyze(1e9)
         assert first.total_cycles == second.total_cycles
         assert len(analyzer._result_cache) == 1
+
+
+class TestGoldenSweep:
+    def test_xscale_region_cycles_unchanged(self):
+        """Every bound of the 37-point sweep, on every workload program,
+        is bit-identical to the recorded one, and a cold analyzer takes
+        exactly one analysis pass per distinct memory-stall count."""
+        settings = DVSTable.xscale().settings
+        digest = hashlib.sha256()
+        for scale in ("tiny", "default"):
+            for name in WORKLOAD_NAMES + EXTRA_WORKLOAD_NAMES:
+                analyzer = WCETAnalyzer(get_workload(name, scale).program)
+                before = analyzer_mod.STATS["passes"]
+                rows = []
+                for setting in settings:
+                    task = analyzer.analyze(setting.freq_hz)
+                    rows.append([task.stall, [s.cycles for s in task.subtasks]])
+                assert analyzer_mod.STATS["passes"] - before == 37
+                assert len({stall for stall, _ in rows}) == 37
+                digest.update(json.dumps([name, scale, rows]).encode())
+        assert digest.hexdigest() == XSCALE_SWEEP_SHA256
 
 
 class TestSubtasks:
