@@ -140,10 +140,12 @@ def _measure_core(
 
 def _measure_blockjit(min_seconds: float) -> dict:
     """Block-JIT throughput (block code vs the interpreter loop, both
-    cores) and codegen-cache cold-vs-warm build times, in a throwaway
+    cores) and codegen-cache cold-vs-warm build times, entry size and
+    the ``tracemalloc`` peak of a cold build, in a throwaway
     ``REPRO_CACHE_DIR``."""
     import shutil
     import tempfile
+    import tracemalloc
 
     from repro.isa import blockjit
     from repro.pipelines.ooo.core import OOOParams
@@ -160,21 +162,32 @@ def _measure_blockjit(min_seconds: float) -> dict:
 
         # Codegen cache: cold (compile + store) vs warm (load from disk).
         # The per-program memo is cleared between timings so the warm pass
-        # actually exercises the disk path.
+        # actually exercises the disk path.  The traced peak comes from a
+        # second cold build: tracing slows the build it measures.
         codegen = {}
         for engine, params in (("inorder", None), ("ooo", OOOParams())):
+            blockjit.clear_disk_cache()
             workload.program._blockjit_tables.clear()
             start = time.perf_counter()
             blockjit.block_table(machine, engine, params)
             cold_s = time.perf_counter() - start
+            entry_bytes = blockjit.disk_cache_stats()["bytes"]
             workload.program._blockjit_tables.clear()
             start = time.perf_counter()
             blockjit.block_table(machine, engine, params)
             warm_s = time.perf_counter() - start
+            blockjit.clear_disk_cache()
+            workload.program._blockjit_tables.clear()
+            tracemalloc.start()
+            blockjit.block_table(machine, engine, params)
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
             codegen[engine] = {
                 "cold_seconds": round(cold_s, 4),
                 "warm_seconds": round(warm_s, 4),
                 "warm_speedup": round(cold_s / warm_s, 1),
+                "entry_bytes": entry_bytes,
+                "cold_peak_traced_mb": round(peak / 1e6, 1),
             }
         section["codegen_cache"] = codegen
 
@@ -446,7 +459,9 @@ def main(argv: list[str] | None = None) -> int:
     for engine, times in jit_section["codegen_cache"].items():
         print(
             f"blockjit codegen {engine:7s}  cold {times['cold_seconds']:.3f}s  "
-            f"warm {times['warm_seconds']:.3f}s ({times['warm_speedup']}x)"
+            f"warm {times['warm_seconds']:.3f}s ({times['warm_speedup']}x)  "
+            f"entry {times['entry_bytes']:,} B  "
+            f"cold peak {times['cold_peak_traced_mb']} MB traced"
         )
 
     phase_start = time.perf_counter()

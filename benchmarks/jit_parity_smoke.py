@@ -12,10 +12,16 @@ to end against it on both paths.  Any digest mismatch is a
 miscompilation and exits nonzero::
 
     PYTHONPATH=src python benchmarks/jit_parity_smoke.py
+    PYTHONPATH=src python benchmarks/jit_parity_smoke.py --warm
+
+The second invocation reuses the first one's codegen cache: ``--warm``
+also fails unless every block table loaded from its disk entry, so the
+warm loader is checked against ``run_reference`` the same way.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import pathlib
 import sys
@@ -62,7 +68,15 @@ def _run(core, path):
     return core._run_interp()
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--warm", action="store_true",
+        help="also require every block table to load from the disk cache",
+    )
+    args = parser.parse_args(argv)
+
+    from repro.isa import blockjit
     from repro.memory.machine import Machine
     from repro.pipelines.inorder import InOrderCore
     from repro.pipelines.ooo.core import ComplexCore
@@ -97,8 +111,16 @@ def main() -> int:
             )
             print(f"{name:6s} {label:7s}  {shown}  {status}")
             failures += 0 if ok else 1
+    codegen = blockjit.disk_cache_stats()
+    print(
+        f"codegen cache: {codegen['hits']} disk hits, "
+        f"{codegen['misses']} misses, {codegen['stores']} stores"
+    )
+    if args.warm and (codegen["misses"] or not codegen["hits"]):
+        print("FAIL: --warm run rebuilt block tables", file=sys.stderr)
+        failures += 1
     if failures:
-        print(f"FAIL: {failures} digest mismatch(es)", file=sys.stderr)
+        print(f"FAIL: {failures} failure(s)", file=sys.stderr)
         return 1
     paths = "/".join(candidates)
     print(f"all workloads bit-identical to run_reference on: {paths}")

@@ -28,10 +28,15 @@ single documented exclusion: a ``TypeError`` raised by arithmetic on a
 float-contaminated integer register (already undefined behaviour in the
 reference paths) may leave partially-updated batched state.
 
-The compiled block table is memoized on the :class:`~repro.isa.program.
-Program` and persisted under ``.repro_cache/blockjit/`` keyed by the
-program digest, cache geometry, and pipeline parameters (same
-``FORMAT_VERSION``/sha256 mechanism as the run cache).  Full-run
+Each block is compiled on its own, so a build never holds a whole
+table's source or syntax tree at once.  The compiled block table is
+memoized on the :class:`~repro.isa.program.Program` and persisted as
+``.repro_cache/blockjit/<engine>-<key>.marshal``: one ``marshal`` blob of
+per-block ``(start, name, length, code)`` records.  The key hashes the
+program digest, cache geometry, pipeline parameters, ``CODEGEN_VERSION``,
+``FORMAT_VERSION`` and the interpreter's cache tag (marshal is
+interpreter-specific, so another Python never reads the entry and simply
+rebuilds it); an unreadable entry counts as a miss and is rebuilt.  Full-run
 segments dispatch through this block code and bounded segments through
 the interpreter loops; the pipelines' ``run`` methods decide from the
 call alone, with no tier switch.
@@ -39,14 +44,13 @@ call alone, with no tier switch.
 
 from __future__ import annotations
 
-import base64
 import hashlib
-import json
 import marshal
 import re
 import sys
 from dataclasses import astuple
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple
+from types import CodeType
+from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple
 
 from repro.errors import AnalysisError, ReproError, SimulationError
 from repro.isa import layout
@@ -1429,6 +1433,30 @@ def _collect_block(
     return insts
 
 
+def _walk_blocks(
+    program: "Program",
+) -> Iterator[tuple[int, list[tuple[int, Any]]]]:
+    """Every static block as ``(start, insts)``: the leaders in address
+    order, then the follow-on blocks of runs split at the fuse cap."""
+    leaders = _leaders(program)
+    stops = frozenset(leaders)
+    pending = sorted(leaders)
+    seen = set(pending)
+    while pending:
+        start = pending.pop(0)
+        insts = _collect_block(program, start, stops)
+        yield start, insts
+        last_pc, last_fi = insts[-1]
+        cont = last_pc + 4
+        if (
+            last_fi[0] not in _CONTROL_KINDS
+            and cont not in seen
+            and program.contains(cont)
+        ):
+            seen.add(cont)
+            pending.append(cont)
+
+
 def _emit_block(
     engine: str, geom: _Geometry, params: Any, start: int,
     insts: list[tuple[int, Any]],
@@ -1436,6 +1464,36 @@ def _emit_block(
     if engine == "inorder":
         return _InOrderEmitter(geom).emit_block(start, insts)
     return _OOOEmitter(geom, params).emit_block(start, insts)
+
+
+#: One compiled block: ``(start, function name, length, module code)``.
+_Record = tuple[int, str, int, CodeType]
+
+
+def _compile_block(
+    engine: str, geom: _Geometry, params: Any, start: int,
+    insts: list[tuple[int, Any]],
+) -> _Record:
+    """Emit and compile one block on its own (a whole-table ``compile()``
+    would hold the full table's source and syntax tree at once)."""
+    source = _emit_block(engine, geom, params, start, insts)
+    code = compile(source, f"<blockjit:{engine}:{start:#x}>", "exec")
+    return start, _fname(engine, start), len(insts), code
+
+
+def _install(
+    records: Any, namespace: dict[str, Any]
+) -> dict[int, BlockEntry]:
+    """Exec ``records`` into ``namespace``; block-start pc -> entry.
+    A record of any other shape (read back from disk) raises."""
+    blocks: dict[int, BlockEntry] = {}
+    for record in records:
+        if tuple(map(type, record)) != (int, str, int, CodeType):
+            raise TypeError("malformed blockjit record")
+        start, name, length, code = record
+        exec(code, namespace)  # noqa: S102 - executing our own codegen
+        blocks[start] = (namespace[name], length)
+    return blocks
 
 
 class BlockTable:
@@ -1478,14 +1536,11 @@ class BlockTable:
         if not self.program.contains(pc):
             raise ReproError(f"no instruction at {pc:#x}")
         insts = _collect_block(self.program, pc, self.safe_breaks)
-        source = _emit_block(
+        record = _compile_block(
             self.engine, self.geom, self.params, pc, insts
         )
-        code = compile(source, f"<blockjit:{self.engine}:{pc:#x}>", "exec")
-        exec(code, self._ns)  # noqa: S102 - executing our own codegen
-        entry = (self._ns[_fname(self.engine, pc)], len(insts))
-        self.blocks[pc] = entry
-        return entry
+        self.blocks.update(_install([record], self._ns))
+        return self.blocks[pc]
 
 
 def _disk_key(
@@ -1501,6 +1556,7 @@ def _disk_key(
     payload = {
         "format": FORMAT_VERSION,
         "codegen": CODEGEN_VERSION,
+        "python": sys.implementation.cache_tag,
         "engine": engine,
         "program": program_digest(program),
         "geom": list(geom),
@@ -1512,38 +1568,41 @@ def _disk_key(
 def _disk_path(engine: str, key: str) -> "Path":
     from repro.snapshot import runcache
 
-    return runcache.cache_dir() / "blockjit" / f"{engine}-{key}.json"
+    return runcache.cache_dir() / "blockjit" / f"{engine}-{key}.marshal"
 
 
-def _load_disk(engine: str, key: str) -> dict | None:
+def _load_disk(
+    engine: str, key: str
+) -> tuple[dict[str, Any], dict[int, BlockEntry]] | None:
+    """``(namespace, blocks)`` from the ``(key, records)`` blob, or
+    ``None``: an unreadable or foreign-key entry is a miss, not an error."""
     from repro.snapshot import runcache
-    from repro.snapshot.state import FORMAT_VERSION
 
     if runcache.cache_disabled():
         return None
+    ns = dict(_EXEC_GLOBALS)
     try:
-        payload = json.loads(_disk_path(engine, key).read_text())
-    except (OSError, ValueError):
-        runcache.STATS["blockjit_misses"] += 1
-        return None
-    if (
-        not isinstance(payload, dict)
-        or payload.get("format") != FORMAT_VERSION
-        or payload.get("codegen") != CODEGEN_VERSION
-        or payload.get("engine") != engine
-    ):
+        stored_key, records = marshal.loads(
+            _disk_path(engine, key).read_bytes()
+        )
+        if stored_key != key:
+            raise ValueError("blockjit entry written under another key")
+        blocks = _install(records, ns)
+    except (OSError, EOFError, KeyError, TypeError, ValueError):
         runcache.STATS["blockjit_misses"] += 1
         return None
     runcache.STATS["blockjit_hits"] += 1
-    return payload
+    return ns, blocks
 
 
-def _store_disk(engine: str, key: str, payload: dict) -> None:
+def _store_disk(engine: str, key: str, records: list[_Record]) -> None:
     from repro.snapshot import runcache
 
     if runcache.cache_disabled():
         return
-    runcache.atomic_write_json(_disk_path(engine, key), payload)
+    runcache.atomic_write(
+        _disk_path(engine, key), marshal.dumps((key, records))
+    )
     runcache.STATS["blockjit_stores"] += 1
 
 
@@ -1551,68 +1610,29 @@ def _build_table(
     program: "Program", engine: str, geom: _Geometry, params: Any,
     params_tuple: tuple | None,
 ) -> BlockTable:
-    from repro.snapshot.state import FORMAT_VERSION
-
     key = _disk_key(program, engine, geom, params_tuple)
+    loaded = _load_disk(engine, key)
+    if loaded is not None:
+        return BlockTable(program, engine, geom, params, *loaded)
+    records = [
+        _compile_block(engine, geom, params, start, insts)
+        for start, insts in _walk_blocks(program)
+    ]
     ns = dict(_EXEC_GLOBALS)
-    blocks: dict[int, BlockEntry] = {}
-    payload = _load_disk(engine, key)
-    if payload is not None:
-        code = None
-        # Warm fast path: the marshaled code object skips compile(), which
-        # dominates load time.  Marshal is interpreter-specific, so it is
-        # only trusted under the same cache tag; anything else (older
-        # entries, another Python) falls back to recompiling the source.
-        if payload.get("python") == sys.implementation.cache_tag:
-            try:
-                code = marshal.loads(base64.b64decode(payload["code"]))
-            except (KeyError, ValueError, EOFError, TypeError):
-                code = None
-        if code is None:
-            code = compile(
-                payload["source"], f"<blockjit:{engine}:{key}>", "exec"
-            )
-        exec(code, ns)  # noqa: S102 - executing our own (cached) codegen
-        for spc, (fname, blen) in payload["blocks"].items():
-            blocks[int(spc)] = (ns[fname], int(blen))
-        return BlockTable(program, engine, geom, params, ns, blocks)
-
-    leaders = _leaders(program)
-    stops = frozenset(leaders)
-    pending = sorted(leaders)
-    seen = set(pending)
-    sources: list[str] = []
-    meta: dict[str, list] = {}
-    while pending:
-        start = pending.pop(0)
-        insts = _collect_block(program, start, stops)
-        sources.append(_emit_block(engine, geom, params, start, insts))
-        meta[str(start)] = [_fname(engine, start), len(insts)]
-        # A run split at the fuse cap continues in a follow-on block.
-        last_pc, last_fi = insts[-1]
-        cont = last_pc + 4
-        if (
-            last_fi[0] not in _CONTROL_KINDS
-            and cont not in seen
-            and program.contains(cont)
-        ):
-            seen.add(cont)
-            pending.append(cont)
-    source = "\n".join(sources)
-    code = compile(source, f"<blockjit:{engine}:{key}>", "exec")
-    exec(code, ns)  # noqa: S102 - executing our own codegen
-    for spc, (fname, blen) in meta.items():
-        blocks[int(spc)] = (ns[fname], int(blen))
-    _store_disk(engine, key, {
-        "format": FORMAT_VERSION,
-        "codegen": CODEGEN_VERSION,
-        "engine": engine,
-        "source": source,
-        "python": sys.implementation.cache_tag,
-        "code": base64.b64encode(marshal.dumps(code)).decode("ascii"),
-        "blocks": meta,
-    })
+    blocks = _install(records, ns)
+    _store_disk(engine, key, records)
     return BlockTable(program, engine, geom, params, ns, blocks)
+
+
+def _geometry(machine: Any) -> _Geometry:
+    program = machine.program
+    ic = machine.icache.config
+    dc = machine.dcache.config
+    return _Geometry(
+        ic.block_shift, ic.num_sets, ic.assoc,
+        dc.block_shift, dc.num_sets, dc.assoc,
+        program.text_base, program.text_end,
+    )
 
 
 def block_table(machine: Any, engine: str, params: Any = None) -> BlockTable:
@@ -1620,17 +1640,11 @@ def block_table(machine: Any, engine: str, params: Any = None) -> BlockTable:
 
     Memoized on the Program keyed by engine, cache geometry and pipeline
     parameters, so cores sharing a program (and VISA instances sharing a
-    workload) compile once per process; the generated source
-    additionally persists under ``.repro_cache/blockjit/``.
+    workload) compile once per process; the compiled code additionally
+    persists under ``.repro_cache/blockjit/``.
     """
     program = machine.program
-    ic = machine.icache.config
-    dc = machine.dcache.config
-    geom = _Geometry(
-        ic.block_shift, ic.num_sets, ic.assoc,
-        dc.block_shift, dc.num_sets, dc.assoc,
-        program.text_base, program.text_end,
-    )
+    geom = _geometry(machine)
     params_tuple = tuple(astuple(params)) if params is not None else None
     memo_key = (engine, geom, params_tuple)
     tables = program._blockjit_tables  # noqa: SLF001 - cooperative memo
@@ -1912,6 +1926,11 @@ def run_ooo(core: Any, table: BlockTable, honor_watchdog: bool = True) -> Any:
 # --- cache-observability helpers (``repro cache stats`` / ``clear``) ----------
 
 
+#: Entry suffixes on disk: current entries, plus legacy JSON entries (the
+#: format before marshal blobs) that only ``clear_disk_cache`` removes.
+_ENTRY_SUFFIXES = (".marshal", ".json")
+
+
 def disk_cache_stats() -> dict:
     """On-disk blockjit cache stats plus in-process hit/miss/store counters."""
     from repro.snapshot import runcache
@@ -1921,7 +1940,7 @@ def disk_cache_stats() -> dict:
     total = 0
     if directory.is_dir():
         for path in directory.iterdir():
-            if path.is_file() and path.suffix == ".json":
+            if path.is_file() and path.suffix in _ENTRY_SUFFIXES:
                 try:
                     total += path.stat().st_size
                 except OSError:
@@ -1946,7 +1965,7 @@ def clear_disk_cache() -> tuple[int, int]:
     if not directory.is_dir():
         return 0, 0
     for path in directory.iterdir():
-        if path.is_file() and path.suffix in (".json", ".tmp"):
+        if path.is_file() and path.suffix in (*_ENTRY_SUFFIXES, ".tmp"):
             try:
                 size = path.stat().st_size
                 path.unlink()

@@ -91,16 +91,21 @@ def no_cache_override(value: bool | None) -> Iterator[None]:
         _NO_CACHE_OVERRIDE.reset(token)
 
 
-def atomic_write_json(path: Path, payload) -> None:
+def atomic_write(path: Path, data: bytes) -> None:
     """Best-effort atomic publish (concurrent workers may race on a key)."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
-            fh.write(canonical_json(payload))
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except OSError:
         pass  # caching is best-effort; the computed result is still returned
+
+
+def atomic_write_json(path: Path, payload) -> None:
+    """:func:`atomic_write` of ``payload`` as canonical JSON."""
+    atomic_write(path, canonical_json(payload).encode())
 
 
 # -- key derivation -------------------------------------------------------------

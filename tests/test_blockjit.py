@@ -15,8 +15,15 @@ reference interpreter:
 * path-level: only full runs take block code; bounded segments run on
   the interpreter, and the two interleave freely;
 * cache-level: the on-disk codegen cache round-trips (hit/miss/store
-  counters observable through :data:`runcache.STATS`).
+  counters observable through :data:`runcache.STATS`), and a damaged
+  entry is a counted miss that rebuilds, never an error;
+* codegen-level: the emitted source of every workload program is pinned
+  by a golden digest, and a cold table build stays memory-bounded.
 """
+
+import hashlib
+import marshal
+import tracemalloc
 
 import pytest
 
@@ -29,13 +36,23 @@ from repro.pipelines.inorder import InOrderCore
 from repro.pipelines.ooo.core import ComplexCore
 from repro.pipelines.ooo.event import run_interp_event
 from repro.snapshot import runcache
+from repro.visa.spec import VISASpec
 from repro.workloads import get_workload
+from repro.workloads.suite import EXTRA_WORKLOAD_NAMES, WORKLOAD_NAMES
 
 from tests.test_cross_core_random import _program
 from tests.test_fastexec import _snapshot
 
 N_PROGRAMS = 200
 CHUNK = 25
+
+#: sha256 over the emitted per-block source (with start pc and length) of
+#: all 16 (workload, scale) programs on both engines, recorded while the
+#: whole table was still compiled in one piece.  Any codegen change must
+#: bump ``CODEGEN_VERSION`` and re-record this digest.
+CODEGEN_SHA256 = (
+    "4ec96f66410ce786f1e2f41ca0fe481e3a19690616adab0fe0247a6960cf33b1"
+)
 
 BOTH_CORES = pytest.mark.parametrize(
     "core_cls", [InOrderCore, ComplexCore], ids=["inorder", "ooo"]
@@ -458,3 +475,118 @@ def test_cache_stats_and_clear_include_blockjit():
     removed, _ = runcache.clear_cache()
     assert removed >= 1
     assert runcache.cache_stats()["blockjit"]["entries"] == 0
+
+
+def test_clear_removes_legacy_json_entries(tmp_path):
+    """Entries of the pre-marshal JSON format are counted and cleared."""
+    directory = tmp_path / "blockjit"
+    directory.mkdir()
+    legacy = directory / "inorder-0123456789abcdef01234567.json"
+    legacy.write_text('{"codegen": 3}')
+    stats = blockjit.disk_cache_stats()
+    assert (stats["entries"], stats["bytes"]) == (1, legacy.stat().st_size)
+    removed, _ = runcache.clear_cache()
+    assert removed == 1 and not legacy.exists()
+
+
+def _corrupt(fault, path, foreign_entry):
+    """Damage the disk entry at ``path`` in the way ``fault`` names."""
+    data = path.read_bytes()
+    if fault == "truncated":
+        path.write_bytes(data[: len(data) // 2])
+    elif fault == "garbage":
+        path.write_bytes(b"\x00 not a marshal blob \xff" * 64)
+    elif fault == "wrong-version":
+        path.write_bytes(foreign_entry())
+    else:
+        key, records = marshal.loads(data)
+        path.write_bytes(marshal.dumps((key, [r[:3] for r in records])))
+
+
+@pytest.mark.parametrize(
+    "fault", ["truncated", "garbage", "wrong-version", "wrong-shape"]
+)
+def test_damaged_disk_entry_is_a_miss_and_rebuilds(
+    fault, tmp_path, monkeypatch
+):
+    program = get_workload("cnt", "tiny").program
+
+    def run():
+        program._blockjit_tables.clear()
+        machine = Machine(program)
+        core = InOrderCore(machine)
+        return _outcome(core, machine, core.run())
+
+    def entries():
+        return set((tmp_path / "blockjit").glob("inorder-*.marshal"))
+
+    def foreign_entry():
+        """The entry the next CODEGEN_VERSION writes (then removed)."""
+        before = entries()
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                blockjit, "CODEGEN_VERSION", blockjit.CODEGEN_VERSION + 1
+            )
+            run()
+        (other,) = entries() - before
+        data = other.read_bytes()
+        other.unlink()
+        return data
+
+    expected = run()
+    (path,) = entries()
+    _corrupt(fault, path, foreign_entry)
+
+    runcache.reset_stats()
+    assert run() == expected
+    assert runcache.STATS["blockjit_misses"] == 1
+    assert runcache.STATS["blockjit_hits"] == 0
+    assert runcache.STATS["blockjit_stores"] == 1
+    # The rebuild republished a good entry in place.
+    assert entries() == {path}
+    assert run() == expected
+    assert runcache.STATS["blockjit_hits"] == 1
+    runcache.reset_stats()
+
+
+def test_golden_codegen():
+    """The emitted source of every workload program is unchanged."""
+    assert blockjit.CODEGEN_VERSION == 3
+    digest = hashlib.sha256()
+    for scale in ("tiny", "default"):
+        for name in WORKLOAD_NAMES + EXTRA_WORKLOAD_NAMES:
+            program = get_workload(name, scale).program
+            machine = VISASpec().machine(program)
+            geom = blockjit._geometry(machine)
+            for engine, params in (
+                ("inorder", None), ("ooo", ComplexCore(machine).params),
+            ):
+                for start, insts in blockjit._walk_blocks(program):
+                    source = blockjit._emit_block(
+                        engine, geom, params, start, insts
+                    )
+                    digest.update(
+                        f"{name} {scale} {engine} {start} {len(insts)}\n"
+                        .encode()
+                    )
+                    digest.update(source.encode())
+    assert digest.hexdigest() == CODEGEN_SHA256
+
+
+def test_cold_table_build_memory_is_bounded():
+    """A cold OOO table build compiles block by block: its traced peak
+    stays far below what one whole-table ``compile()`` needs (~78 MB)."""
+    program = get_workload("cnt", "tiny").program
+    machine = VISASpec().machine(program)
+    params = ComplexCore(machine).params
+    program._blockjit_tables.clear()
+    runcache.reset_stats()
+    tracemalloc.start()
+    try:
+        blockjit.block_table(machine, "ooo", params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert runcache.STATS["blockjit_stores"] == 1  # built cold, not loaded
+    runcache.reset_stats()
+    assert peak < 20e6, f"cold build peaked at {peak / 1e6:.1f} MB traced"
