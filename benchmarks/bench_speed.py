@@ -1,7 +1,7 @@
-"""Interpreter throughput benchmark: simulated instructions/second.
+"""Simulator throughput benchmark: simulated instructions/second.
 
-Measures the specialized fast loops (``run``) and the reference loops
-(``run_reference``) on both cores, one tiny figure2 experiment cell, and
+Measures the fast path (``run``: generated block code) and the reference
+loops (``run_reference``) on both cores, one tiny figure2 experiment cell, and
 the run-level result cache + warm-up prefix forking (cold vs. cached cell
 wall-clock; cold vs. forked simulated-instance counts), and writes
 ``BENCH_speed.json`` at the repository root.  The JSON records the
@@ -75,17 +75,13 @@ def _measure_core(
 ) -> dict:
     """Simulated inst/s and cyc/s for repeated warm task instances.
 
-    ``method`` is ``"run"`` (a full run: block code), ``"interp"`` (the
-    per-instruction interpreter loop, called directly) or
+    ``method`` is ``"run"`` (a full run: block code) or
     ``"run_reference"``.  ``warmup_runs`` instances run before the clock
     starts, so one-time codegen is not charged to steady-state
     throughput.
     """
-    from functools import partial
-
     from repro.pipelines.inorder import InOrderCore
     from repro.pipelines.ooo.core import ComplexCore
-    from repro.pipelines.ooo.event import run_interp_event
     from repro.visa.spec import VISASpec
     from repro.workloads import get_workload
 
@@ -94,12 +90,7 @@ def _measure_core(
     machine = VISASpec().machine(program)
     core_cls = InOrderCore if core_kind == "inorder" else ComplexCore
     core = core_cls(machine, freq_hz=1e9)
-    if method != "interp":
-        run = getattr(core, method)
-    elif core_kind == "inorder":
-        run = core._run_interp
-    else:
-        run = partial(run_interp_event, core)
+    run = getattr(core, method)
 
     def one_instance(seed: int) -> tuple[int, int]:
         inputs = workload.generate_inputs(seed)
@@ -139,9 +130,9 @@ def _measure_core(
 
 
 def _measure_blockjit(min_seconds: float) -> dict:
-    """Block-JIT throughput (block code vs the interpreter loop, both
-    cores) and codegen-cache cold-vs-warm build times, entry size and
-    the ``tracemalloc`` peak of a cold build, in a throwaway
+    """Block-JIT throughput (both cores, against the pre-JIT baseline)
+    and codegen-cache cold-vs-warm build times, entry size and the
+    ``tracemalloc`` peak of a cold build, in a throwaway
     ``REPRO_CACHE_DIR``."""
     import shutil
     import tempfile
@@ -195,14 +186,9 @@ def _measure_blockjit(min_seconds: float) -> dict:
             jit_on = _measure_core(
                 core_kind, "run", min_seconds, warmup_runs=5
             )
-            jit_off = _measure_core(core_kind, "interp", min_seconds)
             base = BASELINE_PRE_JIT[core_kind]["inst_per_s"]
             section[core_kind] = {
                 "jit": jit_on,
-                "nojit": jit_off,
-                "speedup_vs_nojit": round(
-                    jit_on["inst_per_s"] / jit_off["inst_per_s"], 2
-                ),
                 "speedup_vs_pre_jit_baseline": round(
                     jit_on["inst_per_s"] / base, 2
                 ),
@@ -217,12 +203,9 @@ def _measure_blockjit(min_seconds: float) -> dict:
 
 
 def _measure_ooo_event(min_seconds: float) -> dict:
-    """Event-engine complex-core throughput and codegen-cache cold/warm
-    build times, in a throwaway ``REPRO_CACHE_DIR``.
-
-    The event engine is measured on both execution paths: block code
-    (generated code — rings, commit frontier, inlined predictors) and
-    the pure interpreter (``event.py``).  The recorded
+    """Event-engine complex-core throughput in block code (rings,
+    commit frontier, inlined predictors) and codegen-cache cold/warm
+    build times, in a throwaway ``REPRO_CACHE_DIR``.  The recorded
     ``BASELINE_OOO_BLOCK`` pins the absolute block-code floor.
     """
     import shutil
@@ -260,14 +243,10 @@ def _measure_ooo_event(min_seconds: float) -> dict:
             "warm_speedup": round(cold_s / warm_s, 1),
         }
 
-        for path, method, warmup_runs in (
-            ("block", "run", 5),
-            ("interp", "interp", 0),
-        ):
-            program._blockjit_tables.clear()
-            section[path] = _measure_core(
-                "ooo", method, min_seconds, warmup_runs=warmup_runs
-            )
+        program._blockjit_tables.clear()
+        section["block"] = _measure_core(
+            "ooo", "run", min_seconds, warmup_runs=5
+        )
         base = BASELINE_OOO_BLOCK["block"]["inst_per_s"]
         section["block"]["vs_recorded_floor"] = round(
             section["block"]["inst_per_s"] / base, 2
@@ -452,9 +431,8 @@ def main(argv: list[str] | None = None) -> int:
         sec = jit_section[core_kind]
         print(
             f"blockjit {core_kind:7s}  jit {sec['jit']['inst_per_s']:>9,} "
-            f"inst/s  nojit {sec['nojit']['inst_per_s']:>9,} inst/s  "
-            f"({sec['speedup_vs_nojit']}x; "
-            f"{sec['speedup_vs_pre_jit_baseline']}x vs pre-JIT fast)"
+            f"inst/s  ({sec['speedup_vs_pre_jit_baseline']}x vs pre-JIT "
+            "fast)"
         )
     for engine, times in jit_section["codegen_cache"].items():
         print(
@@ -468,11 +446,8 @@ def main(argv: list[str] | None = None) -> int:
     event_section = _measure_ooo_event(min_seconds)
     phase_seconds["ooo_event"] = round(time.perf_counter() - phase_start, 3)
     report["measured"]["ooo_event"] = event_section
-    for path in ("block", "interp"):
-        print(
-            f"ooo_event {path:6s}  "
-            f"{event_section[path]['inst_per_s']:>9,} inst/s"
-        )
+    block_inst = event_section["block"]["inst_per_s"]
+    print(f"ooo_event block  {block_inst:>9,} inst/s")
     times = event_section["codegen_cache"]
     print(
         f"ooo_event codegen  cold {times['cold_seconds']:.3f}s  "
@@ -525,8 +500,11 @@ def main(argv: list[str] | None = None) -> int:
         failures.append(
             f"blockjit in-order {jit_speedup}x < 2x pre-JIT acceptance bar"
         )
-    if jit_section["ooo"]["speedup_vs_nojit"] < 1.0:
-        failures.append("blockjit slows the OOO core down")
+    for core_kind in ("inorder", "ooo"):
+        if report["measured"][core_kind]["speedup_vs_reference"] < 1.0:
+            failures.append(
+                f"block code is slower than run_reference on {core_kind}"
+            )
     event_inst = event_section["block"]["inst_per_s"]
     ooo_floor = BASELINE_OOO_BLOCK["block"]["inst_per_s"]
     if not args.smoke and event_inst < ooo_floor:

@@ -1,15 +1,16 @@
-"""CI smoke: both fast execution paths must match the reference bit for bit.
+"""CI smoke: block code must match the reference bit for bit.
 
-Runs every workload (all 8, tiny scale) on both pipelines through the
-per-instruction interpreter loop (``interp``) and generated block code
-(``block``, what a full ``run()`` takes) and digests the complete
-observable outcome: run result, final registers, memory image, console
-output (with cycle stamps), event counters, and cache statistics.  The
-baseline is each core's ``run_reference`` (the original
+Runs every workload (all 8, tiny scale) on both pipelines through
+generated block code, whole (``block``, one unbudgeted ``run()``) and
+in fixed 97-instruction segments (``bounded``, where most segments end
+inside a block and run a truncated copy of it), and digests the complete
+observable outcome: every segment's run result, final registers, memory
+image, console output (with cycle stamps), event counters, and cache
+statistics.  The baseline is each core's ``run_reference`` (the original
 ``semantics.execute``-based loop, an independent formulation of the same
-timing model), so the complex core's event-driven engine is checked end
-to end against it on both paths.  Any digest mismatch is a
-miscompilation and exits nonzero::
+timing model) driven with the same budgets, so the complex core's
+event-driven engine is checked end to end against it on both paths.
+Any digest mismatch is a miscompilation and exits nonzero::
 
     PYTHONPATH=src python benchmarks/jit_parity_smoke.py
     PYTHONPATH=src python benchmarks/jit_parity_smoke.py --warm
@@ -33,14 +34,16 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 #: block code (including blocks compiled on demand at dynamic targets).
 RUNS = 3
 
+#: Segment budget of the ``bounded`` path.
+SEGMENT = 97
 
-def _digest(core, machine, result) -> str:
+#: Checked paths: name -> segment budget (``None``: one whole run).
+PATHS = {"block": None, "bounded": SEGMENT}
+
+
+def _digest(core, machine, segments) -> str:
     blob = repr((
-        result.reason,
-        result.start_cycle,
-        result.end_cycle,
-        result.instructions,
-        result.exception_cycle,
+        segments,
         list(core.state.int_regs),
         list(core.state.fp_regs),
         core.state.pc,
@@ -55,17 +58,22 @@ def _digest(core, machine, result) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _run(core, path):
-    from repro.pipelines.ooo.core import ComplexCore
-    from repro.pipelines.ooo.event import run_interp_event
-
-    if path == "reference":
-        return core.run_reference()
-    if path == "block":
-        return core.run()
-    if isinstance(core, ComplexCore):
-        return run_interp_event(core)
-    return core._run_interp()
+def _run(core, method: str, budget: int | None) -> list[tuple]:
+    """Drive ``core`` with ``method`` to the end, ``budget`` instructions
+    per segment; every segment's result, in order."""
+    run = getattr(core, method)
+    segments = []
+    while True:
+        result = run(max_instructions=budget)
+        segments.append((
+            result.reason,
+            result.start_cycle,
+            result.end_cycle,
+            result.instructions,
+            result.exception_cycle,
+        ))
+        if result.reason != "limit":
+            return segments
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -86,30 +94,33 @@ def main(argv: list[str] | None = None) -> int:
         get_workload,
     )
 
-    candidates = ["interp", "block"]
     failures = 0
     for name in WORKLOAD_NAMES + EXTRA_WORKLOAD_NAMES:
         workload = get_workload(name, "tiny")
         seeds = list(range(RUNS)) if workload.inputs else [None]
         for label, core_cls in (("inorder", InOrderCore), ("ooo", ComplexCore)):
-            digests: dict[str, tuple[str, ...]] = {}
-            for path in ["reference", *candidates]:
-                per_run = []
-                for seed in seeds:
-                    machine = Machine(workload.program)
-                    if seed is not None:
-                        inputs = workload.generate_inputs(seed=seed)
-                        workload.apply_inputs(machine, inputs)
-                    core = core_cls(machine)
-                    result = _run(core, path)
-                    per_run.append(_digest(core, machine, result))
-                digests[path] = tuple(per_run)
-            ok = all(digests[p] == digests["reference"] for p in candidates)
+            shown = []
+            ok = True
+            for path, budget in PATHS.items():
+                digests: dict[str, tuple[str, ...]] = {}
+                for method in ("run_reference", "run"):
+                    per_run = []
+                    for seed in seeds:
+                        machine = Machine(workload.program)
+                        if seed is not None:
+                            inputs = workload.generate_inputs(seed=seed)
+                            workload.apply_inputs(machine, inputs)
+                        core = core_cls(machine)
+                        segments = _run(core, method, budget)
+                        per_run.append(_digest(core, machine, segments))
+                    digests[method] = tuple(per_run)
+                ok = ok and digests["run"] == digests["run_reference"]
+                shown.append(
+                    f"{path} {digests['run'][-1]}/"
+                    f"{digests['run_reference'][-1]}"
+                )
             status = "ok" if ok else "MISMATCH"
-            shown = " ".join(
-                f"{p} {digests[p][-1]}" for p in ["reference", *candidates]
-            )
-            print(f"{name:6s} {label:7s}  {shown}  {status}")
+            print(f"{name:6s} {label:7s}  {'  '.join(shown)}  {status}")
             failures += 0 if ok else 1
     codegen = blockjit.disk_cache_stats()
     print(
@@ -122,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
     if failures:
         print(f"FAIL: {failures} failure(s)", file=sys.stderr)
         return 1
-    paths = "/".join(candidates)
+    paths = "/".join(PATHS)
     print(f"all workloads bit-identical to run_reference on: {paths}")
     return 0
 

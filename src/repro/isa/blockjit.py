@@ -1,11 +1,10 @@
 """Basic-block JIT: compile straight-line runs of the fast plan to Python.
 
-The PR 1 threaded-code plan (:mod:`repro.isa.fastexec`) still pays one
-Python call per instruction plus the interpreter's per-instruction
-bookkeeping.  This module goes one step further: it groups the plan into
-basic blocks (boundaries from :func:`repro.wcet.cfg.build_cfg`, with a
-linear fallback when the CFG analysis rejects a program) and emits one
-specialized Python function *per block* via ``compile()``/``exec``.
+Both cores' only fast path.  This module groups the per-instruction
+plan (:mod:`repro.isa.fastexec`) into basic blocks (boundaries from
+:func:`repro.wcet.cfg.build_cfg`, with a linear fallback when the CFG
+analysis rejects a program) and emits one specialized Python function
+*per block* via ``compile()``/``exec``.
 
 Within a generated block:
 
@@ -13,20 +12,22 @@ Within a generated block:
   write) and are spilled back to the architectural arrays only at block
   exit or immediately before any operation that can raise (MMIO access,
   misaligned/text-range data access, DIV/REM/FDIV/FSQRT/FTOI),
-* the in-order timing recurrence and the OOO constraint system are
-  emitted inline with SSA-style names, mirroring the hand-specialized
-  hot loops in :mod:`repro.pipelines.inorder` and
-  :mod:`repro.pipelines.ooo.event` statement for statement, and
+* the in-order timing recurrence and the OOO event-driven constraint
+  system are emitted inline with SSA-style names, mirroring
+  :func:`repro.pipelines.inorder_engine.advance` and the reference
+  loops' bookkeeping, and
 * event counters whose increments are statically known (fetch, regread,
   regwrite, retired) become literal offsets baked into the exit writes.
 
-The contract is *bit-identical observable state*: architectural
-registers and memory, cycle counts, cache statistics, event counters,
-watchdog/exception cycles, and fault side effects all match the
-interpreter fast path (and therefore ``run_reference``) exactly.  The
-single documented exclusion: a ``TypeError`` raised by arithmetic on a
-float-contaminated integer register (already undefined behaviour in the
-reference paths) may leave partially-updated batched state.
+The contract is *bit-identical observable state* with the cores'
+``run_reference``: architectural registers and memory, cycle counts,
+cache statistics, event counters, watchdog/exception cycles, and fault
+side effects.  Two documented exclusions: a ``TypeError`` raised by
+arithmetic on a float-contaminated integer register (already undefined
+behaviour in the reference) may leave partially-updated batched state,
+and at a text-range data-store fault the pipeline view differs
+(in-order ``now`` includes the faulting store's timing; OOO event
+counters exclude it).
 
 Each block is compiled on its own, so a build never holds a whole
 table's source or syntax tree at once.  The compiled block table is
@@ -36,9 +37,12 @@ per-block ``(start, name, length, code)`` records.  The key hashes the
 program digest, cache geometry, pipeline parameters, ``CODEGEN_VERSION``,
 ``FORMAT_VERSION`` and the interpreter's cache tag (marshal is
 interpreter-specific, so another Python never reads the entry and simply
-rebuilds it); an unreadable entry counts as a miss and is rebuilt.  Full-run
-segments dispatch through this block code and bounded segments through
-the interpreter loops; the pipelines' ``run`` methods decide from the
+rebuilds it); an unreadable entry counts as a miss and is rebuilt.
+
+Every segment runs here.  A *bounded* segment (an instruction budget, or
+breakpoints that may fall inside a block) runs a truncated copy of the
+block it stops in (:meth:`BlockTable.cut`), compiled on first use and
+kept in memory only; the dispatchers decide this per block from the
 call alone, with no tier switch.
 """
 
@@ -95,7 +99,7 @@ _CONTROL_KINDS = (K_BRANCH, K_JUMP, K_INDIRECT, K_HALT)
 BlockFn = Callable[..., Any]
 BlockEntry = tuple[BlockFn, int]
 
-# --- expression text builders (must mirror fastexec closures exactly) --------
+# --- expression text builders (must match repro.isa.semantics exactly) -------
 
 
 class _Regs:
@@ -216,9 +220,9 @@ _FOLD_GLOBALS = {"_M": _M, "_S": _S, "__builtins__": {}}
 def _alu_expr(inst: Any, regs: _Regs, ind: str) -> tuple[str, bool]:
     """(expression text, may_raise) for a K_ALU instruction.
 
-    The text mirrors the matching :mod:`repro.isa.fastexec` closure body
-    token for token, with register references replaced by the tracker's
-    current text.
+    The text computes what :mod:`repro.isa.semantics` computes for the
+    opcode, with register references replaced by the tracker's current
+    text; ``((x + _S) & _M) - _S`` is ``to_s32(x)`` inlined.
     """
     op = inst.op
 
@@ -324,7 +328,7 @@ def _alu_fold(inst: Any, regs: _Regs) -> int | None:
 
 
 def _branch_expr(inst: Any, regs: _Regs, ind: str) -> str:
-    """Condition text for a K_BRANCH instruction (mirrors ``_branch``)."""
+    """Condition text for a K_BRANCH instruction."""
     op = inst.op
     a = regs.read(inst.rs, ind)
     if op is Op.BLEZ:
@@ -566,8 +570,8 @@ class _InOrderEmitter:
         return "\n".join(head + _tighten_max(self.lines)) + "\n"
 
     def _inst(self, i: int, pc: int, fi: Any, is_last: bool) -> None:
-        (kind, _ex, src_keys, dkey, wbank, dnum, nsrc, lat,
-         npc, starget, ptaken, inst) = fi
+        (kind, src_keys, dkey, wbank, dnum, nsrc, lat, npc, starget,
+         ptaken, inst) = fi
         n = self.nm
         regs = self.regs
         g = self.g
@@ -853,7 +857,7 @@ def _fwd_consumers(insts: list[tuple[int, Any]]) -> set[int]:
     last_writer: dict[int, int] = {}
     useful: set[int] = set()
     for idx, (_ipc, fi) in enumerate(insts):
-        src_keys, dkey = fi[2], fi[3]
+        src_keys, dkey = fi[1], fi[2]
         for sk in src_keys:
             j = last_writer.get(sk)
             if j is not None:
@@ -1028,8 +1032,8 @@ class _OOOEmitter:
         self.emit(b + "    ", "fc = gd")
 
     def _inst(self, i: int, pc: int, fi: Any, is_last: bool) -> None:
-        (kind, _ex, src_keys, dkey, wbank, dnum, nsrc, lat,
-         npc, starget, ptaken, inst) = fi
+        (kind, src_keys, dkey, wbank, dnum, nsrc, lat, npc, starget,
+         ptaken, inst) = fi
         regs = self.regs
         g = self.g
         p = self.p
@@ -1401,7 +1405,7 @@ def _leaders(program: "Program") -> set[int]:
     except (AnalysisError, ReproError):
         fast = program.fast_plan()
         for fi in fast:
-            kind, starget, npc = fi[0], fi[9], fi[8]
+            kind, npc, starget = fi[0], fi[7], fi[8]
             if kind in _CONTROL_KINDS:
                 leaders.add(npc)
                 if starget is not None:
@@ -1501,8 +1505,9 @@ class BlockTable:
 
     ``blocks`` maps block-start pc to ``(function, length)``.
     ``safe_breaks`` is the set of addresses guaranteed never to be
-    block-interior (sub-task marks + entry), i.e. the breakpoint sets the
-    block dispatcher can honor exactly.
+    block-interior (sub-task marks + entry): a breakpoint set inside it
+    never needs a truncated block (:meth:`cut`), so the dispatchers test
+    it once per segment instead of once per block.
     """
 
     def __init__(
@@ -1523,12 +1528,15 @@ class BlockTable:
         self.safe_breaks: frozenset[int] = (
             frozenset(program.subtask_marks) | {program.entry}
         )
+        #: Truncated blocks, ``(pc, n)`` -> entry; in memory only.
+        self.cuts: dict[tuple[int, int], BlockEntry] = {}
 
     def block_at(self, pc: int) -> BlockEntry:
         """The block starting at ``pc``, compiling on demand.
 
         Dynamic targets (indirect jumps into addresses that were not
-        static leaders) are compiled in-process and not persisted.
+        static leaders, or a segment resuming where a bounded one
+        stopped) are compiled in-process and not persisted.
         """
         entry = self.blocks.get(pc)
         if entry is not None:
@@ -1541,6 +1549,26 @@ class BlockTable:
         )
         self.blocks.update(_install([record], self._ns))
         return self.blocks[pc]
+
+    def cut(self, pc: int, n: int) -> BlockEntry:
+        """The first ``n`` instructions of the block at ``pc`` as a block
+        of their own, for a segment that must stop inside it (instruction
+        budget or interior breakpoint).
+
+        Emitted by the same emitters as a full block, so it exits with
+        the same synced state a block ending at that address would.
+        Compiled on first use into its own namespace (it shares the full
+        block's function name) and never persisted.
+        """
+        entry = self.cuts.get((pc, n))
+        if entry is None:
+            insts = _collect_block(self.program, pc, self.safe_breaks)[:n]
+            record = _compile_block(
+                self.engine, self.geom, self.params, pc, insts
+            )
+            entry = _install([record], dict(_EXEC_GLOBALS))[pc]
+            self.cuts[pc, n] = entry
+        return entry
 
 
 def _disk_key(
@@ -1658,17 +1686,38 @@ def block_table(machine: Any, engine: str, params: Any = None) -> BlockTable:
 # --- dispatchers --------------------------------------------------------------
 
 
+def _limit(max_instructions: int | None) -> int:
+    """Instruction count a segment stops at: its budget, capped by the
+    runaway guard (a segment retiring more than ``_RUNAWAY`` raises)."""
+    if max_instructions is None:
+        return _RUNAWAY + 1
+    return min(max_instructions, _RUNAWAY + 1)
+
+
+def _first_interior(pc: int, length: int, breaks: frozenset[int]) -> int:
+    """Instructions before the first breakpoint strictly inside the
+    ``length``-instruction block at ``pc`` (``length`` if none)."""
+    for k in range(1, length):
+        if pc + 4 * k in breaks:
+            return k
+    return length
+
+
 def run_inorder(
     core: Any,
     table: BlockTable,
+    max_instructions: int | None = None,
     honor_watchdog: bool = True,
     break_addrs: frozenset[int] | None = None,
 ) -> Any:
     """Block-dispatch drive of an :class:`InOrderCore` segment.
 
-    Only called for full-run segments (``max_instructions is None``) with
-    ``break_addrs`` (if any) a subset of ``table.safe_breaks``; the
-    wrapper in :mod:`repro.pipelines.inorder` guarantees both.
+    A segment with an instruction budget, or with breakpoints outside
+    ``table.safe_breaks`` (which may fall inside a block), is *bounded*:
+    before each dispatch it swaps in a truncated block
+    (:meth:`BlockTable.cut`) when the budget or the block's first
+    interior breakpoint ends the segment inside it.  A full run pays one
+    flag test per block for this.
     """
     from repro.pipelines.inorder import RunResult
 
@@ -1678,10 +1727,17 @@ def run_inorder(
     start_cycle = state.now
     if state.halted:
         return RunResult("halt", start_cycle, start_cycle, 0)
+    if max_instructions is not None and max_instructions <= 0:
+        return RunResult("limit", start_cycle, start_cycle, 0)
+    limit = _limit(max_instructions)
+    interior = (
+        break_addrs is not None and not break_addrs <= table.safe_breaks
+    )
+    bounded = max_instructions is not None or interior
 
     ic = machine.icache
     dc = machine.dcache
-    ft = core._fast_timing  # noqa: SLF001 - shared with the interp path
+    ft = core._fast_timing  # noqa: SLF001 - carried across segments
     base = core._timing_base  # noqa: SLF001
     tg = core.train_gshare
     ti = core.train_indirect
@@ -1719,17 +1775,27 @@ def run_inorder(
             entry = blocks.get(pc)
             if entry is None:
                 entry = block_at(pc)
+            if bounded:
+                n = limit - st[19]
+                if interior:
+                    n = min(n, _first_interior(pc, entry[1], break_addrs))
+                if n < entry[1]:
+                    entry = table.cut(pc, n)
             r = entry[0](ir, fr, ready, st, env)
             if r.__class__ is int:
                 pc = r
                 st[18] = pc
+                if st[19] >= limit:
+                    if st[19] > _RUNAWAY:  # pragma: no cover - runaway guard
+                        raise SimulationError(
+                            "instruction budget exceeded (runaway?)"
+                        )
+                    return RunResult(
+                        "limit", start_cycle, base + st[3] + 1, st[19]
+                    )
                 if break_addrs is not None and pc in break_addrs:
                     return RunResult(
                         "breakpoint", start_cycle, base + st[3] + 1, st[19]
-                    )
-                if st[19] > _RUNAWAY:  # pragma: no cover - runaway guard
-                    raise SimulationError(
-                        "instruction budget exceeded (runaway?)"
                     )
                 continue
             now = base + st[3] + 1
@@ -1741,8 +1807,9 @@ def run_inorder(
                 exception_cycle=min(now, st[21]),
             )
     finally:
-        # Mirror the interpreter's finally-flush exactly (shared
-        # _fast_timing/_fast_ready keep the two paths interleavable).
+        # Flush batched state back (return *or* raise), leaving the core
+        # observationally identical to run_reference; the next segment
+        # resumes from the shared _fast_timing/_fast_ready.
         ft[0] = st[0]
         ft[1] = st[1]
         ft[2] = st[2]
@@ -1776,8 +1843,18 @@ def run_inorder(
                 counters[k_dc] += st[17]
 
 
-def run_ooo(core: Any, table: BlockTable, honor_watchdog: bool = True) -> Any:
-    """Block-dispatch drive of a :class:`ComplexCore` complex-mode segment."""
+def run_ooo(
+    core: Any,
+    table: BlockTable,
+    max_instructions: int | None = None,
+    honor_watchdog: bool = True,
+) -> Any:
+    """Block-dispatch drive of a :class:`ComplexCore` complex-mode segment.
+
+    A segment with an instruction budget swaps in a truncated block
+    (:meth:`BlockTable.cut`) for the block the budget ends inside, as
+    :func:`run_inorder` does.
+    """
     from repro.pipelines.inorder import RunResult
 
     state = core.state
@@ -1787,6 +1864,10 @@ def run_ooo(core: Any, table: BlockTable, honor_watchdog: bool = True) -> Any:
     start_cycle = state.now
     if state.halted:
         return RunResult("halt", start_cycle, start_cycle, 0)
+    if max_instructions is not None and max_instructions <= 0:
+        return RunResult("limit", start_cycle, start_cycle, 0)
+    limit = _limit(max_instructions)
+    bounded = max_instructions is not None
 
     ic = machine.icache
     dc = machine.dcache
@@ -1845,10 +1926,20 @@ def run_ooo(core: Any, table: BlockTable, honor_watchdog: bool = True) -> Any:
             entry = blocks.get(pc)
             if entry is None:
                 entry = block_at(pc)
+            if bounded and limit - st[20] < entry[1]:
+                entry = table.cut(pc, limit - st[20])
             r = entry[0](ir, fr, ready, st, env)
             if r.__class__ is int:
                 pc = r
                 st[19] = pc
+                if st[20] >= limit:
+                    if st[20] > _RUNAWAY:  # pragma: no cover - runaway guard
+                        raise SimulationError(
+                            "instruction budget exceeded (runaway?)"
+                        )
+                    return RunResult(
+                        "limit", start_cycle, base + st[6], st[20]
+                    )
                 if st[20] - pruned_at >= _PRUNE_STRIDE:
                     # Keep the width maps cache-resident: every future
                     # dispatch probe starts at >= max(group_done, oldest
@@ -1874,10 +1965,6 @@ def run_ooo(core: Any, table: BlockTable, honor_watchdog: bool = True) -> Any:
                             }
                             used.clear()
                             used.update(keep)
-                if st[20] > _RUNAWAY:  # pragma: no cover - runaway guard
-                    raise SimulationError(
-                        "instruction budget exceeded (runaway?)"
-                    )
                 continue
             now = base + st[6]
             if r == "h":

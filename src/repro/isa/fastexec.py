@@ -1,37 +1,20 @@
-"""Specialized (threaded-code) instruction executors for the hot path.
+"""Per-instruction plan metadata for the block compiler.
 
-:func:`repro.isa.semantics.execute` dispatches through a dict of handlers
-and allocates an :class:`~repro.isa.semantics.ExecResult` per instruction.
-That is the right *reference* semantics — one obvious implementation both
-pipelines share — but it dominates the interpreter's per-instruction cost.
-
-This module compiles each decoded instruction, once at program load, into a
-bound closure specialized to its opcode and operands (classic threaded-code
-technique).  The closure captures the register indices and immediates, so
-executing an instruction is a single call with no dispatch, no field
-decoding, and no result-object allocation.  Instructions are grouped into a
-handful of *kinds* so the pipeline loops can branch once on an int instead
-of testing ``is_branch`` / ``is_mem`` / ``result.target is None`` per
-instruction.
-
-The reference ``execute()`` stays authoritative: a differential property
-test (``tests/test_fastexec.py``) checks every specialized executor against
-it on randomized register files, and the pipelines keep a reference run
-path for end-to-end comparison.
+Each decoded instruction is summarized, once at program load, into a
+flat tuple the block emitters in :mod:`repro.isa.blockjit` read: its
+*kind* (so an emitter branches once on an int instead of testing
+``is_branch`` / ``is_mem`` / ``result.target is None``), its timing
+register keys, its architectural write target, and its statically-known
+control targets.  The plan holds no executable code: the emitters turn
+each entry into Python source, and :func:`repro.isa.semantics.execute`
+stays the reference semantics both cores' ``run_reference`` loops use.
 
 Plan entry layout (one tuple per instruction, in address order)::
 
-    (kind, ex, src_keys, dkey, wbank, dnum, nsrc, lat, npc, starget,
-     ptaken, inst)
+    (kind, src_keys, dkey, wbank, dnum, nsrc, lat, npc, starget, ptaken,
+     inst)
 
     kind     one of the K_* constants below
-    ex       specialized closure (signature depends on kind; None for
-             K_JUMP / K_HALT):
-               K_ALU      ex(ir, fr) -> destination value
-               K_LOAD     ex(ir)     -> effective address (u32)
-               K_STORE    ex(ir, fr) -> (effective address, store value)
-               K_BRANCH   ex(ir)     -> taken (bool)
-               K_INDIRECT ex(ir)     -> target address (u32)
     src_keys timing source-register keys (int reg n -> n, fp reg n -> 32+n)
     dkey     timing destination key (includes r0, like the reference
              timing model) or -1 when the instruction has no destination
@@ -43,16 +26,15 @@ Plan entry layout (one tuple per instruction, in address order)::
     starget  statically-known control target: branch taken-target or
              direct-jump target; -1 when not statically known
     ptaken   BTFN static prediction for conditional branches
-    inst     the decoded Instruction (for MMIO paths and diagnostics)
+    inst     the decoded Instruction (operands, opcode and diagnostics)
 """
 
 from __future__ import annotations
 
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
-from repro.isa.semantics import _fdiv, _fsqrt, _trunc_div, _trunc_rem
 
-# Instruction kinds, dispatched on by the pipeline hot loops.
+# Instruction kinds, dispatched on by the block emitters.
 K_ALU = 0
 K_LOAD = 1
 K_STORE = 2
@@ -60,9 +42,6 @@ K_BRANCH = 3
 K_JUMP = 4
 K_INDIRECT = 5
 K_HALT = 6
-
-_M = 0xFFFFFFFF
-_S = 0x80000000
 
 FastInst = tuple  # see module docstring for the field layout
 
@@ -73,275 +52,8 @@ def _key(ref: tuple[str, int]) -> int:
     return num if bank == "i" else 32 + num
 
 
-# --- closure factories -------------------------------------------------------
-#
-# Each factory returns the specialized executor for one instruction.  The
-# arithmetic mirrors repro.isa.semantics exactly; ``((x + _S) & _M) - _S``
-# is ``to_s32(x)`` inlined (wrap to signed 32-bit two's complement).
-
-def _alu3(py_op):
-    def make(inst):
-        s, t = inst.rs, inst.rt
-        if py_op == "+":
-            return lambda ir, fr: ((ir[s] + ir[t] + _S) & _M) - _S
-        if py_op == "-":
-            return lambda ir, fr: ((ir[s] - ir[t] + _S) & _M) - _S
-        if py_op == "*":
-            return lambda ir, fr: ((ir[s] * ir[t] + _S) & _M) - _S
-        if py_op == "&":
-            return lambda ir, fr: (((ir[s] & ir[t]) + _S) & _M) - _S
-        if py_op == "|":
-            return lambda ir, fr: (((ir[s] | ir[t]) + _S) & _M) - _S
-        if py_op == "^":
-            return lambda ir, fr: (((ir[s] ^ ir[t]) + _S) & _M) - _S
-        raise AssertionError(py_op)
-
-    return make
-
-
-def _make_div(inst):
-    s, t = inst.rs, inst.rt
-    return lambda ir, fr: ((_trunc_div(ir[s], ir[t]) + _S) & _M) - _S
-
-
-def _make_rem(inst):
-    s, t = inst.rs, inst.rt
-    return lambda ir, fr: ((_trunc_rem(ir[s], ir[t]) + _S) & _M) - _S
-
-
-def _make_nor(inst):
-    s, t = inst.rs, inst.rt
-    return lambda ir, fr: ((~(ir[s] | ir[t]) + _S) & _M) - _S
-
-
-def _make_slt(inst):
-    s, t = inst.rs, inst.rt
-    return lambda ir, fr: 1 if ir[s] < ir[t] else 0
-
-
-def _make_sltu(inst):
-    s, t = inst.rs, inst.rt
-    return lambda ir, fr: 1 if (ir[s] & _M) < (ir[t] & _M) else 0
-
-
-def _shift_imm(direction):
-    def make(inst):
-        t, sh = inst.rt, inst.shamt
-        if direction == "sll":
-            return lambda ir, fr: ((((ir[t] & _M) << sh) + _S) & _M) - _S
-        if direction == "srl":
-            return lambda ir, fr: ((((ir[t] & _M) >> sh) + _S) & _M) - _S
-        # sra: arithmetic shift of the sign-interpreted value; the result
-        # stays inside s32 so no outer wrap is needed.
-        return lambda ir, fr: (((ir[t] + _S) & _M) - _S) >> sh
-
-    return make
-
-
-def _shift_var(direction):
-    def make(inst):
-        s, t = inst.rs, inst.rt
-        if direction == "sll":
-            return lambda ir, fr: (
-                (((ir[t] & _M) << (ir[s] & 0x1F)) + _S) & _M
-            ) - _S
-        if direction == "srl":
-            return lambda ir, fr: (
-                (((ir[t] & _M) >> (ir[s] & 0x1F)) + _S) & _M
-            ) - _S
-        return lambda ir, fr: (((ir[t] + _S) & _M) - _S) >> (ir[s] & 0x1F)
-
-    return make
-
-
-def _make_addi(inst):
-    s, i = inst.rs, inst.imm
-    return lambda ir, fr: ((ir[s] + i + _S) & _M) - _S
-
-
-def _make_slti(inst):
-    s, i = inst.rs, inst.imm
-    return lambda ir, fr: 1 if ir[s] < i else 0
-
-
-def _make_sltiu(inst):
-    s, u = inst.rs, inst.imm & _M
-    return lambda ir, fr: 1 if (ir[s] & _M) < u else 0
-
-
-def _make_andi(inst):
-    # to_u32(a) & imm16 < 2^16, so the signed wrap is the identity.
-    s, u = inst.rs, inst.imm & 0xFFFF
-    return lambda ir, fr: ir[s] & u
-
-
-def _make_ori(inst):
-    s, u = inst.rs, inst.imm & 0xFFFF
-    return lambda ir, fr: (((ir[s] & _M) | u) + _S & _M) - _S
-
-
-def _make_xori(inst):
-    s, u = inst.rs, inst.imm & 0xFFFF
-    return lambda ir, fr: (((ir[s] & _M) ^ u) + _S & _M) - _S
-
-
-def _make_lui(inst):
-    value = (((inst.imm & 0xFFFF) << 16) + _S & _M) - _S
-    return lambda ir, fr: value
-
-
-def _fp3(py_op):
-    def make(inst):
-        s, t = inst.rs, inst.rt
-        if py_op == "+":
-            return lambda ir, fr: fr[s] + fr[t]
-        if py_op == "-":
-            return lambda ir, fr: fr[s] - fr[t]
-        if py_op == "*":
-            return lambda ir, fr: fr[s] * fr[t]
-        raise AssertionError(py_op)
-
-    return make
-
-
-def _make_fdiv(inst):
-    s, t = inst.rs, inst.rt
-    return lambda ir, fr: _fdiv(fr[s], fr[t])
-
-
-def _make_fsqrt(inst):
-    s = inst.rs
-    return lambda ir, fr: _fsqrt(fr[s])
-
-
-def _make_fabs(inst):
-    s = inst.rs
-    return lambda ir, fr: abs(fr[s])
-
-
-def _make_fneg(inst):
-    s = inst.rs
-    return lambda ir, fr: -fr[s]
-
-
-def _make_fmov(inst):
-    s = inst.rs
-    return lambda ir, fr: fr[s]
-
-
-def _fcmp(py_op):
-    def make(inst):
-        s, t = inst.rs, inst.rt
-        if py_op == "==":
-            return lambda ir, fr: 1 if fr[s] == fr[t] else 0
-        if py_op == "<":
-            return lambda ir, fr: 1 if fr[s] < fr[t] else 0
-        return lambda ir, fr: 1 if fr[s] <= fr[t] else 0
-
-    return make
-
-
-def _make_itof(inst):
-    s = inst.rs
-    return lambda ir, fr: float(ir[s])
-
-
-def _make_ftoi(inst):
-    s = inst.rs
-    return lambda ir, fr: ((int(fr[s]) + _S) & _M) - _S
-
-
-def _make_load(inst):
-    s, i = inst.rs, inst.imm
-    return lambda ir: (ir[s] + i) & _M
-
-
-def _make_store_int(inst):
-    s, t, i = inst.rs, inst.rt, inst.imm
-    return lambda ir, fr: ((ir[s] + i) & _M, ir[t])
-
-
-def _make_store_fp(inst):
-    s, t, i = inst.rs, inst.rt, inst.imm
-    return lambda ir, fr: ((ir[s] + i) & _M, fr[t])
-
-
-def _branch(cond):
-    def make(inst):
-        s, t = inst.rs, inst.rt
-        if cond == "==":
-            return lambda ir: ir[s] == ir[t]
-        if cond == "!=":
-            return lambda ir: ir[s] != ir[t]
-        if cond == "<=0":
-            return lambda ir: ir[s] <= 0
-        if cond == ">0":
-            return lambda ir: ir[s] > 0
-        if cond == "<":
-            return lambda ir: ir[s] < ir[t]
-        return lambda ir: ir[s] >= ir[t]
-
-    return make
-
-
-def _make_jr(inst):
-    s = inst.rs
-    return lambda ir: ir[s] & _M
-
-
-_ALU_MAKERS = {
-    Op.ADD: _alu3("+"),
-    Op.SUB: _alu3("-"),
-    Op.MUL: _alu3("*"),
-    Op.DIV: _make_div,
-    Op.REM: _make_rem,
-    Op.AND: _alu3("&"),
-    Op.OR: _alu3("|"),
-    Op.XOR: _alu3("^"),
-    Op.NOR: _make_nor,
-    Op.SLT: _make_slt,
-    Op.SLTU: _make_sltu,
-    Op.SLL: _shift_imm("sll"),
-    Op.SRL: _shift_imm("srl"),
-    Op.SRA: _shift_imm("sra"),
-    Op.SLLV: _shift_var("sll"),
-    Op.SRLV: _shift_var("srl"),
-    Op.SRAV: _shift_var("sra"),
-    Op.ADDI: _make_addi,
-    Op.SLTI: _make_slti,
-    Op.SLTIU: _make_sltiu,
-    Op.ANDI: _make_andi,
-    Op.ORI: _make_ori,
-    Op.XORI: _make_xori,
-    Op.LUI: _make_lui,
-    Op.FADD: _fp3("+"),
-    Op.FSUB: _fp3("-"),
-    Op.FMUL: _fp3("*"),
-    Op.FDIV: _make_fdiv,
-    Op.FSQRT: _make_fsqrt,
-    Op.FABS: _make_fabs,
-    Op.FNEG: _make_fneg,
-    Op.FMOV: _make_fmov,
-    Op.FEQ: _fcmp("=="),
-    Op.FLT_: _fcmp("<"),
-    Op.FLE: _fcmp("<="),
-    Op.ITOF: _make_itof,
-    Op.FTOI: _make_ftoi,
-}
-
-_BRANCH_MAKERS = {
-    Op.BEQ: _branch("=="),
-    Op.BNE: _branch("!="),
-    Op.BLEZ: _branch("<=0"),
-    Op.BGTZ: _branch(">0"),
-    Op.BLT: _branch("<"),
-    Op.BGE: _branch(">="),
-}
-
-
 def compile_inst(inst: Instruction) -> FastInst:
     """Compile one placed instruction into its fast-plan entry."""
-    op = inst.op
     src_keys = tuple(_key(ref) for ref in inst.sources)
     dest = inst.dest
     dkey = _key(dest) if dest is not None else -1
@@ -358,28 +70,24 @@ def compile_inst(inst: Instruction) -> FastInst:
     lat = inst.latency
     npc = inst.addr + 4
 
-    if op is Op.HALT:
-        return (K_HALT, None, src_keys, dkey, wbank, dnum, nsrc, lat,
-                npc, -1, False, inst)
-    if inst.is_branch:
-        return (K_BRANCH, _BRANCH_MAKERS[op](inst), src_keys, dkey, wbank,
-                dnum, nsrc, lat, npc, inst.branch_target(),
-                inst.is_backward_branch(), inst)
-    if inst.is_direct_jump:  # J / JAL (JAL links npc via wbank/dnum)
-        return (K_JUMP, None, src_keys, dkey, wbank, dnum, nsrc, lat,
-                npc, inst.jump_target(), False, inst)
-    if inst.is_indirect_jump:  # JR / JALR
-        return (K_INDIRECT, _make_jr(inst), src_keys, dkey, wbank, dnum,
-                nsrc, lat, npc, -1, False, inst)
-    if inst.is_load:
-        return (K_LOAD, _make_load(inst), src_keys, dkey, wbank, dnum,
-                nsrc, lat, npc, -1, False, inst)
-    if inst.is_store:
-        maker = _make_store_fp if op is Op.FSW else _make_store_int
-        return (K_STORE, maker(inst), src_keys, dkey, wbank, dnum,
-                nsrc, lat, npc, -1, False, inst)
-    return (K_ALU, _ALU_MAKERS[op](inst), src_keys, dkey, wbank, dnum,
-            nsrc, lat, npc, -1, False, inst)
+    starget, ptaken = -1, False
+    if inst.op is Op.HALT:
+        kind = K_HALT
+    elif inst.is_branch:
+        kind = K_BRANCH
+        starget, ptaken = inst.branch_target(), inst.is_backward_branch()
+    elif inst.is_direct_jump:  # J / JAL (JAL links npc via wbank/dnum)
+        kind, starget = K_JUMP, inst.jump_target()
+    elif inst.is_indirect_jump:  # JR / JALR
+        kind = K_INDIRECT
+    elif inst.is_load:
+        kind = K_LOAD
+    elif inst.is_store:
+        kind = K_STORE
+    else:
+        kind = K_ALU
+    return (kind, src_keys, dkey, wbank, dnum, nsrc, lat, npc, starget,
+            ptaken, inst)
 
 
 def build_plan(instructions: list[Instruction]) -> list[FastInst]:

@@ -90,11 +90,10 @@ class Program:
         return self._insts[(addr - self.text_base) >> 2]
 
     def fast_plan(self) -> list:
-        """Specialized executors for every instruction (compiled once).
+        """Per-instruction plan metadata (computed once).
 
-        See :mod:`repro.isa.fastexec` for the entry layout.  Both pipeline
-        hot loops consume this instead of re-dispatching through the
-        reference :func:`repro.isa.semantics.execute` per instruction.
+        See :mod:`repro.isa.fastexec` for the entry layout.  The block
+        emitters of :mod:`repro.isa.blockjit` generate code from it.
         """
         if self._fast_plan is None:
             from repro.isa.fastexec import build_plan

@@ -12,16 +12,18 @@ described in paper §2.2.
 
 Two execution paths share this class:
 
-* :meth:`InOrderCore.run` — the hot path.  It consumes the program's
-  precompiled fast plan (:mod:`repro.isa.fastexec`), inlines the
-  :func:`repro.pipelines.inorder_engine.advance` recurrence into loop
-  locals, inlines the dict-LRU cache access, and batches event counters
-  and cache statistics into locals flushed when the segment ends.
+* :meth:`InOrderCore.run` — the fast path.  It runs generated block code
+  (:mod:`repro.isa.blockjit`), which inlines the
+  :func:`repro.pipelines.inorder_engine.advance` recurrence and the
+  dict-LRU cache access into each block, batches event counters and
+  cache statistics, and flushes them when the segment ends.  Bounded
+  segments (an instruction budget, or breakpoints inside a block) run
+  the same code with the last block truncated.
 * :meth:`InOrderCore.run_reference` — the original loop over
   :func:`repro.isa.semantics.execute` + :func:`advance`, kept as the
-  differential oracle (``tests/test_fastexec.py`` runs both on the same
-  programs and requires identical architectural state, cycles, counters,
-  and cache statistics).
+  differential oracle (``tests/test_blockjit.py`` runs both on the same
+  programs and segment budgets and requires identical architectural
+  state, cycles, counters, and cache statistics).
 
 The two paths keep separate pipeline-timing state, so a single core must
 use one path consistently between :meth:`drain` calls.
@@ -31,23 +33,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ReproError, SimulationError
+from repro.errors import SimulationError
 from repro.isa import blockjit, layout
 from repro.isa.semantics import execute
 from repro.memory.machine import Machine, mem_stall_cycles
-from repro.pipelines.inorder_engine import (
-    BRANCH_PENALTY,
-    _FRONT_DEPTH,
-    TimingState,
-    advance,
-)
+from repro.pipelines.inorder_engine import TimingState, advance
 from repro.pipelines.state import CoreState
-
-#: Cycles from a control-penalty instruction's ex_end to the redirected
-#: fetch (the inlined form of ``ex_end + BRANCH_PENALTY - _FRONT_DEPTH + 1``).
-_REDIRECT_OFFSET = BRANCH_PENALTY - _FRONT_DEPTH + 1
-
-_MMIO_BASE = layout.MMIO_BASE
 
 
 @dataclass
@@ -149,307 +140,17 @@ class InOrderCore:
         before an instruction at one of those addresses executes; used by
         calibration tooling to attribute events to sub-tasks.
 
-        Full-run segments (no instruction budget, breakpoints only at
-        block-leader addresses) dispatch through the basic-block JIT
-        (:mod:`repro.isa.blockjit`); every other segment uses the
-        specialized interpreter loop (:meth:`_run_interp`).  The two share
-        pipeline-timing state and are bit-identical, so segments may
-        interleave freely.  :meth:`run_reference` is the
-        behaviourally-identical oracle both are tested against.
+        Every segment runs on generated block code
+        (:mod:`repro.isa.blockjit`); a budget or a breakpoint that ends
+        the segment inside a block runs a truncated copy of that block.
+        Segments share pipeline-timing state, so they resume exactly
+        where the last one stopped.  :meth:`run_reference` is the
+        behaviourally-identical oracle it is tested against.
         """
-        if max_instructions is None:
-            table = blockjit.block_table(self.machine, "inorder")
-            if break_addrs is None or break_addrs <= table.safe_breaks:
-                return blockjit.run_inorder(
-                    self, table, honor_watchdog, break_addrs
-                )
-        return self._run_interp(max_instructions, honor_watchdog, break_addrs)
-
-    def _run_interp(
-        self,
-        max_instructions: int | None = None,
-        honor_watchdog: bool = True,
-        break_addrs: frozenset[int] | None = None,
-    ) -> RunResult:
-        """The specialized per-instruction hot loop (see :meth:`run`)."""
-        state = self.state
-        machine = self.machine
-        program = machine.program
-        mmio = machine.mmio
-        fast = program.fast_plan()
-        tbase = program.text_base
-        tlen = program.text_end - tbase
-        words = machine.memory._words  # noqa: SLF001 - hot-path inlining
-        ir = state.int_regs
-        fr = state.fp_regs
-        stall = self.stall_cycles
-        train_gshare = self.train_gshare
-        train_indirect = self.train_indirect
-
-        # Inlined dict-LRU caches (must mirror Cache.access exactly).
-        ic = machine.icache
-        dc = machine.dcache
-        isets = ic._sets  # noqa: SLF001
-        dsets = dc._sets  # noqa: SLF001
-        insets = ic.config.num_sets
-        dnsets = dc.config.num_sets
-        ishift = ic.config.block_shift
-        dshift = dc.config.block_shift
-        iassoc = ic.config.assoc
-        dassoc = dc.config.assoc
-        itick = ic._tick  # noqa: SLF001
-        dtick = dc._tick  # noqa: SLF001
-        ihits = imiss = dhits = dmiss = 0
-
-        # Inlined timing recurrence state (see inorder_engine.advance).
-        base = self._timing_base
-        ft = self._fast_timing
-        last_fetch, redirect, ex_free, mem_free, prev_mem_start, f0, f1, f2 = ft
-        ready = self._fast_ready
-
-        # Batched event counters; flushed (nonzero only, mirroring the
-        # reference's touch pattern) when the segment ends.
-        fetched = 0  # icache + fetch events (incremented before execute)
-        c_regread = 0
-        c_regwrite = 0
-        c_dcache = 0
-
-        masked = mmio.exceptions_masked
-
-        pc = state.pc
-        now = state.now
-        start_cycle = state.now
-        executed = 0
-        limit = -1 if max_instructions is None else max_instructions
-        if state.halted:
-            return RunResult("halt", start_cycle, start_cycle, 0)
-
-        try:
-            while True:
-                if executed == limit:
-                    return RunResult("limit", start_cycle, now, executed)
-                if break_addrs is not None and pc in break_addrs and executed:
-                    return RunResult("breakpoint", start_cycle, now, executed)
-
-                i = pc - tbase
-                if i < 0 or i >= tlen or i & 3:
-                    raise ReproError(f"no instruction at {pc:#x}")
-                (
-                    kind, ex, src_keys, dkey, wbank, dnum, nsrc, lat,
-                    npc, starget, ptaken, inst,
-                ) = fast[i >> 2]
-
-                # I-cache access (inlined Cache.access).
-                blk = pc >> ishift
-                way = isets[blk % insets]
-                if blk in way:
-                    way[blk] = itick
-                    itick += 1
-                    ihits += 1
-                    icache_extra = 0
-                else:
-                    way[blk] = itick
-                    itick += 1
-                    if len(way) > iassoc:
-                        del way[min(way, key=way.__getitem__)]
-                    imiss += 1
-                    icache_extra = stall
-                fetched += 1
-
-                # Execute (specialized closure), control handling, and the
-                # D-cache access for memory instructions.
-                control_penalty = False
-                dcache_extra = 0
-                if kind == 0:  # K_ALU
-                    value = ex(ir, fr)
-                elif kind == 1:  # K_LOAD
-                    addr = ex(ir)
-                    if addr >= _MMIO_BASE:
-                        mmio_load = True
-                    else:
-                        mmio_load = False
-                        c_dcache += 1
-                        blk = addr >> dshift
-                        way = dsets[blk % dnsets]
-                        if blk in way:
-                            way[blk] = dtick
-                            dtick += 1
-                            dhits += 1
-                        else:
-                            way[blk] = dtick
-                            dtick += 1
-                            if len(way) > dassoc:
-                                del way[min(way, key=way.__getitem__)]
-                            dmiss += 1
-                            dcache_extra = stall
-                elif kind == 2:  # K_STORE
-                    addr, store_value = ex(ir, fr)
-                    if addr < _MMIO_BASE:
-                        c_dcache += 1
-                        blk = addr >> dshift
-                        way = dsets[blk % dnsets]
-                        if blk in way:
-                            way[blk] = dtick
-                            dtick += 1
-                            dhits += 1
-                        else:
-                            way[blk] = dtick
-                            dtick += 1
-                            if len(way) > dassoc:
-                                del way[min(way, key=way.__getitem__)]
-                            dmiss += 1
-                            dcache_extra = stall
-                elif kind == 3:  # K_BRANCH
-                    taken = ex(ir)
-                    control_penalty = ptaken != taken
-                    if train_gshare is not None:
-                        train_gshare.update(pc, taken)
-                elif kind == 5:  # K_INDIRECT
-                    target = ex(ir)
-                    control_penalty = True
-                    if train_indirect is not None:
-                        train_indirect.update(pc, target)
-                # K_JUMP (4) and K_HALT (6): nothing to execute.
-
-                # Timing recurrence (inlined inorder_engine.advance).
-                fetch = last_fetch + 1
-                if redirect > fetch:
-                    fetch = redirect
-                if f0 > fetch:
-                    fetch = f0
-                fetch += icache_extra
-                ex_start = fetch + _FRONT_DEPTH
-                t = ex_free + 1
-                if t > ex_start:
-                    ex_start = t
-                if prev_mem_start > ex_start:
-                    ex_start = prev_mem_start
-                for sk in src_keys:
-                    t = ready[sk]
-                    if t > ex_start:
-                        ex_start = t
-                ex_end = ex_start + lat - 1
-                mem_start = ex_end + 1
-                t = mem_free + 1
-                if t > mem_start:
-                    mem_start = t
-                mem_end = mem_start + dcache_extra
-                if dkey >= 0:
-                    ready[dkey] = mem_end + 1 if kind == 1 else ex_end + 1
-                last_fetch = fetch
-                ex_free = ex_end
-                mem_free = mem_end
-                prev_mem_start = mem_start
-                f0 = f1
-                f1 = f2
-                f2 = ex_start
-                if control_penalty:
-                    redirect = ex_end + _REDIRECT_OFFSET
-                now = base + mem_end + 1
-
-                # Architectural side effects and next PC.
-                if kind == 0:
-                    if wbank == 1:
-                        ir[dnum] = value
-                    elif wbank == 2:
-                        fr[dnum] = value
-                    pc = npc
-                elif kind == 1:
-                    if mmio_load:
-                        value = mmio.read(addr, base + mem_start)
-                    else:
-                        if addr & 3 or tbase <= addr < tbase + tlen:
-                            machine.data_read(addr, now)  # raises precisely
-                        value = words.get(addr, 0)
-                    if wbank == 1:
-                        ir[dnum] = value
-                    elif wbank == 2:
-                        fr[dnum] = value
-                    pc = npc
-                elif kind == 2:
-                    if addr >= _MMIO_BASE:
-                        mmio.write(addr, store_value, base + mem_start)
-                        masked = mmio.exceptions_masked
-                    else:
-                        if addr & 3 or tbase <= addr < tbase + tlen:
-                            machine.data_write(addr, store_value, now)
-                        if store_value.__class__ is int:
-                            words[addr] = (
-                                (store_value + 0x80000000) & 0xFFFFFFFF
-                            ) - 0x80000000
-                        else:
-                            words[addr] = store_value
-                    pc = npc
-                elif kind == 3:
-                    pc = starget if taken else npc
-                elif kind == 4:  # J / JAL
-                    if wbank == 1:
-                        ir[dnum] = npc
-                    pc = starget
-                elif kind == 5:  # JR / JALR
-                    if wbank == 1:
-                        ir[dnum] = npc
-                    pc = target
-                else:  # K_HALT
-                    pc = npc
-
-                c_regread += nsrc
-                if dkey >= 0:
-                    c_regwrite += 1
-                executed += 1
-
-                if kind == 6:
-                    state.halted = True
-                    return RunResult("halt", start_cycle, now, executed)
-
-                if honor_watchdog and not masked and mmio.watchdog_expired(now):
-                    # Report the architecturally precise expiry cycle;
-                    # in-flight instructions drain (now may exceed it).
-                    exception_cycle = min(now, _watchdog_expiry(mmio))
-                    return RunResult(
-                        "watchdog",
-                        start_cycle,
-                        now,
-                        executed,
-                        exception_cycle=exception_cycle,
-                    )
-
-                if executed > 200_000_000:  # pragma: no cover - runaway guard
-                    raise SimulationError("instruction budget exceeded (runaway?)")
-        finally:
-            # Flush batched state back so every exit (return *or* raise)
-            # leaves the core observationally identical to run_reference.
-            state.pc = pc
-            state.now = now
-            state.instret += executed
-            ft[0] = last_fetch
-            ft[1] = redirect
-            ft[2] = ex_free
-            ft[3] = mem_free
-            ft[4] = prev_mem_start
-            ft[5] = f0
-            ft[6] = f1
-            ft[7] = f2
-            ic._tick = itick  # noqa: SLF001
-            dc._tick = dtick  # noqa: SLF001
-            ics = ic.stats
-            ics.hits += ihits
-            ics.misses += imiss
-            dcs = dc.stats
-            dcs.hits += dhits
-            dcs.misses += dmiss
-            if fetched:
-                counters = state.counters
-                k_ic, k_fe, k_dc, k_rr, k_rw, k_fu = self._ckeys
-                counters[k_ic] += fetched
-                counters[k_fe] += fetched
-                if executed:
-                    counters[k_rr] += c_regread
-                    counters[k_fu] += executed
-                if c_regwrite:
-                    counters[k_rw] += c_regwrite
-                if c_dcache:
-                    counters[k_dc] += c_dcache
+        table = blockjit.block_table(self.machine, "inorder")
+        return blockjit.run_inorder(
+            self, table, max_instructions, honor_watchdog, break_addrs
+        )
 
     def run_reference(
         self,

@@ -39,11 +39,13 @@ rename lookups) — exactly the distinction §5.2 draws between simple mode
 and ``simple-fixed``.
 
 Two paths implement complex mode.  :meth:`ComplexCore.run` is the
-event-driven engine (:mod:`repro.pipelines.ooo.event` for the
-per-instruction interpreter, :mod:`repro.isa.blockjit` for generated
-block code); :meth:`ComplexCore.run_reference` is the original
+event-driven engine in generated block code (:mod:`repro.isa.blockjit`):
+occupancy rings for the ROB/IQ/LSQ deques, a commit frontier pair for
+the commit width map, and inlined predictors.  Bounded segments run the
+same code with the last block truncated.
+:meth:`ComplexCore.run_reference` is the original
 :func:`repro.isa.semantics.execute`-based loop, kept verbatim as the
-differential oracle every engine path is tested against.
+differential oracle the engine is tested against.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ from repro.isa import blockjit, layout
 from repro.isa.semantics import execute
 from repro.memory.machine import Machine, MemoryBus, mem_stall_cycles
 from repro.pipelines.inorder import InOrderCore, RunResult
-from repro.pipelines.ooo.event import run_interp_event
 from repro.pipelines.ooo.predictor import GsharePredictor, IndirectPredictor
 from repro.pipelines.state import CoreState
 
@@ -164,25 +165,22 @@ class ComplexCore:
     ) -> RunResult:
         """Execute in complex mode until halt/watchdog-exception/budget.
 
-        Full-run segments dispatch through the basic-block JIT
-        (:mod:`repro.isa.blockjit`); bounded segments use the
-        event-driven interpreter loop.  Every segment starts from a
-        drained pipeline either way, so the paths are freely
-        interchangeable and bit-identical.  :meth:`run_reference` is the
-        behaviourally-identical oracle both are tested against.
+        Every segment runs on generated block code
+        (:mod:`repro.isa.blockjit`), starting from a drained pipeline; a
+        budget that ends the segment inside a block runs a truncated
+        copy of that block.  :meth:`run_reference` is the
+        behaviourally-identical oracle it is tested against.
         """
         self._check_predictor_geometry()
-        if max_instructions is None:
-            table = blockjit.block_table(self.machine, "ooo", self.params)
-            return blockjit.run_ooo(self, table, honor_watchdog)
-        return run_interp_event(self, max_instructions, honor_watchdog)
+        table = blockjit.block_table(self.machine, "ooo", self.params)
+        return blockjit.run_ooo(self, table, max_instructions, honor_watchdog)
 
     def _check_predictor_geometry(self) -> None:
         """Reject predictor tables the event engine cannot simulate.
 
         The event engine inlines the paper's 2^16-entry gshare and
-        indirect-target geometry (§3.2) into specialized and generated
-        code; :class:`ComplexCore` exposes no other size, so a different
+        indirect-target geometry (§3.2) into generated code;
+        :class:`ComplexCore` exposes no other size, so a different
         mask means a caller mutated the predictor.  Only
         :meth:`run_reference` models arbitrary geometries.
         """

@@ -44,7 +44,6 @@ import signal
 import subprocess
 import sys
 import time
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -62,6 +61,7 @@ from repro.service.protocol import (
     encode,
 )
 from repro.service.ring import DEFAULT_VNODES, HashRing
+from repro.service.server import signal_handlers
 from repro.service.store import ResultStore, default_store_dir
 
 
@@ -223,6 +223,29 @@ class FrontJob:
     )
 
 
+async def get_within(
+    queue: asyncio.Queue[Response | None], timeout: float
+) -> Response | None:
+    """``queue.get()`` bounded by ``timeout`` seconds; raises
+    ``asyncio.TimeoutError`` when nothing arrives in time.
+
+    Unlike ``asyncio.wait_for`` before Python 3.12, a cancellation that
+    lands just as the item arrives is never swallowed: swallowed, it
+    would leave a cancelled health loop or job task running, and the
+    drain that awaits it (``ClusterFront.shutdown``) would never end.
+    """
+    getter = asyncio.ensure_future(queue.get())
+    try:
+        await asyncio.wait({getter}, timeout=timeout)
+    except asyncio.CancelledError:
+        getter.cancel()
+        raise
+    if getter.done():
+        return getter.result()
+    getter.cancel()
+    raise asyncio.TimeoutError
+
+
 class BackendLink:
     """One backend daemon: a multiplexed connection plus breaker state.
 
@@ -343,7 +366,7 @@ class BackendLink:
         except (OSError, ConnectionError):
             return None
         try:
-            response = await asyncio.wait_for(queue.get(), timeout)
+            response = await get_within(queue, timeout)
         except asyncio.TimeoutError:
             return None
         finally:
@@ -646,7 +669,7 @@ class ClusterFront:
                 if remaining <= 0:
                     return None
                 try:
-                    response = await asyncio.wait_for(channel.get(), remaining)
+                    response = await get_within(channel, remaining)
                 except asyncio.TimeoutError:
                     return None
                 if response is None:
@@ -1064,29 +1087,6 @@ def spawn_local_backends(
     return backends
 
 
-@contextlib.contextmanager
-def _signal_handlers(
-    loop: asyncio.AbstractEventLoop, front: ClusterFront
-) -> Iterator[None]:
-    """Install SIGTERM/SIGINT -> graceful fleet drain (best effort)."""
-
-    def _trigger() -> None:
-        asyncio.ensure_future(front.shutdown(drain=True))
-
-    installed: list[signal.Signals] = []
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(sig, _trigger)
-            installed.append(sig)
-        except (NotImplementedError, RuntimeError):
-            pass
-    try:
-        yield
-    finally:
-        for sig in installed:
-            loop.remove_signal_handler(sig)
-
-
 async def serve_cluster(
     config: ClusterConfig,
     links: list[BackendLink],
@@ -1112,7 +1112,7 @@ async def serve_cluster(
             flush=True,
         )
     loop = asyncio.get_running_loop()
-    with _signal_handlers(loop, front):
+    with signal_handlers(loop, front):
         await front.wait_stopped()
     print("repro-serve: cluster drained, bye", flush=True)
 

@@ -34,6 +34,7 @@ import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any
 
 from repro.errors import ProtocolError
 from repro.service import jobs as job_registry
@@ -601,13 +602,22 @@ class ReproService:
 
 
 @contextlib.contextmanager
-def _signal_handlers(
-    loop: asyncio.AbstractEventLoop, service: ReproService
+def signal_handlers(
+    loop: asyncio.AbstractEventLoop, service: Any
 ) -> Iterator[None]:
-    """Install SIGTERM/SIGINT -> graceful drain (best effort)."""
+    """Install SIGTERM/SIGINT -> ``service.shutdown(drain=True)`` (best
+    effort); shared by the daemon and the cluster front.
+
+    The drain task is held here until it finishes: the event loop keeps
+    only weak references to tasks, so an unreferenced drain task can be
+    garbage-collected while it waits, and the process never stops.
+    """
+    draining: set[asyncio.Task] = set()
 
     def _trigger() -> None:
-        asyncio.ensure_future(service.shutdown(drain=True))
+        task = loop.create_task(service.shutdown(drain=True))
+        draining.add(task)
+        task.add_done_callback(draining.discard)
 
     installed: list[signal.Signals] = []
     for sig in (signal.SIGTERM, signal.SIGINT):
@@ -640,7 +650,7 @@ async def serve(config: ServiceConfig) -> None:
             flush=True,
         )
     loop = asyncio.get_running_loop()
-    with _signal_handlers(loop, service):
+    with signal_handlers(loop, service):
         await service.wait_stopped()
     print("repro-serve: drained, bye", flush=True)
 

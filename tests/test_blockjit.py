@@ -1,19 +1,25 @@
 """Differential tests for the basic-block compiler (:mod:`repro.isa.blockjit`).
 
-The block JIT fuses straight-line runs of the ``FastInst`` plan into one
-generated Python function per basic block; ``run()`` dispatches per block
-instead of per instruction.  These tests pin the compiled path to the
-reference interpreter:
+Generated block code is each core's only fast path: ``run()`` dispatches
+one generated Python function per basic block, and a segment that must
+stop inside a block (an instruction budget, or an in-order breakpoint
+that is not a block leader) runs a truncated copy of that block
+(:meth:`~repro.isa.blockjit.BlockTable.cut`).  These tests pin block
+code to ``run_reference``:
 
-* fuzz-level: on 200 randomized MiniC programs, ``run()`` (block-compiled)
-  must match ``run_reference()`` bit for bit — end state *and* cycle
-  counts — on both cores;
+* fuzz-level: on 200 randomized MiniC programs, the in-order core run
+  whole, in randomly budgeted segments, and with random interior
+  breakpoints (with and without a budget) must match ``run_reference``
+  driven with the same budgets and breakpoints, bit for bit — every
+  segment's result and the end state (``tests/test_ooo_event.py`` runs
+  the same fuzz on the complex core);
 * edge-level: block exits at MMIO accesses, faults, flush-window
-  breakpoints, checkpoint (sub-task) boundaries, and watchdog expiry must
-  leave identical architectural state at identical cycles on block code,
-  the per-instruction interpreter loop, and ``run_reference``;
-* path-level: only full runs take block code; bounded segments run on
-  the interpreter, and the two interleave freely;
+  breakpoints, checkpoint (sub-task) boundaries, and watchdog expiry
+  must leave identical state at identical cycles — on the complex core
+  including branch-predictor state — in a whole run and in short
+  bounded segments;
+* cut-level: a truncated block is compiled once per ``(pc, n)``, kept in
+  memory, and never written to the codegen cache;
 * cache-level: the on-disk codegen cache round-trips (hit/miss/store
   counters observable through :data:`runcache.STATS`), and a damaged
   entry is a counted miss that rebuilds, never an error;
@@ -23,6 +29,7 @@ reference interpreter:
 
 import hashlib
 import marshal
+import random
 import tracemalloc
 
 import pytest
@@ -34,7 +41,6 @@ from repro.memory.machine import Machine
 from repro.minicc import compile_source
 from repro.pipelines.inorder import InOrderCore
 from repro.pipelines.ooo.core import ComplexCore
-from repro.pipelines.ooo.event import run_interp_event
 from repro.snapshot import runcache
 from repro.visa.spec import VISASpec
 from repro.workloads import get_workload
@@ -58,6 +64,20 @@ BOTH_CORES = pytest.mark.parametrize(
     "core_cls", [InOrderCore, ComplexCore], ids=["inorder", "ooo"]
 )
 
+#: Budget of the bounded variant of each edge case: short and prime, so
+#: segments end at varied offsets inside blocks.
+SEGMENT = 3
+
+#: Most segments one timeline runs (every case halts, faults or hits
+#: its watchdog well before).
+MAX_SEGMENTS = 5000
+
+#: A whole run: one segment with no budget.
+WHOLE = (None,)
+
+#: Segment budgets of the bounded edge cases.
+BOUNDED = (SEGMENT,) * MAX_SEGMENTS
+
 
 @pytest.fixture(autouse=True)
 def _isolated_cache(tmp_path, monkeypatch):
@@ -65,69 +85,116 @@ def _isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
 
 
-def _outcome(core, machine, result):
-    return (
-        result.reason,
-        result.start_cycle,
-        result.end_cycle,
-        result.instructions,
-        result.exception_cycle,
-        _snapshot(core, machine),
+def _state(core, machine):
+    """Observable end state, plus predictor state on the complex core."""
+    state = _snapshot(core, machine)
+    if isinstance(core, ComplexCore):
+        state["gshare"] = core.gshare.dump_state()
+        state["indirect"] = core.indirect.dump_state()
+    return state
+
+
+def _timeline(program, core_cls, method, budgets=WHOLE, breaks=None,
+              masked=True):
+    """Drive a fresh core with ``method`` (``"run"`` or
+    ``"run_reference"``), one segment per entry of ``budgets``.
+
+    Returns ``(timeline, machine)``: one entry per segment (its result
+    and the pc after it, or the message of the fault that ended it),
+    then the end state.  Stops at halt, watchdog, or a fault.
+    """
+    machine = Machine(program)
+    machine.mmio.exceptions_masked = masked
+    core = core_cls(machine)
+    run = getattr(core, method)
+    extra = {} if breaks is None else {"break_addrs": breaks}
+    timeline: list = []
+    for budget in budgets:
+        try:
+            r = run(max_instructions=budget, **extra)
+        except SimulationError as exc:
+            timeline.append(("fault", str(exc)))
+            break
+        timeline.append((
+            r.reason, r.start_cycle, r.end_cycle, r.instructions,
+            r.exception_cycle, core.state.pc,
+        ))
+        if r.reason not in ("limit", "breakpoint"):
+            break
+    timeline.append(_state(core, machine))
+    return timeline, machine
+
+
+def _assert_matches_reference(program, core_cls, budgets, breaks=None,
+                              masked=True):
+    """Block code and ``run_reference`` agree segment by segment,
+    console output (with cycle stamps) included; returns the timeline."""
+    block, block_machine = _timeline(
+        program, core_cls, "run", budgets, breaks, masked
     )
+    ref, ref_machine = _timeline(
+        program, core_cls, "run_reference", budgets, breaks, masked
+    )
+    assert block == ref
+    assert list(block_machine.mmio.console) == list(ref_machine.mmio.console)
+    return block
 
 
-#: Execution paths the edge cases compare: block code (``run()`` on a
-#: full run), the per-instruction interpreter loop, and the oracle.
-PATHS = ("block", "interp", "reference")
+def _assert_whole_and_bounded(program, core_cls, masked=True):
+    """:func:`_assert_matches_reference` on a whole run and in
+    ``SEGMENT``-instruction segments; returns the whole-run timeline."""
+    bounded = _assert_matches_reference(
+        program, core_cls, BOUNDED, masked=masked
+    )
+    assert len(bounded) > 2  # the bounded variant really was segmented
+    return _assert_matches_reference(program, core_cls, WHOLE, masked=masked)
 
 
-def _run_path(core, path, **kwargs):
-    """Drive ``core`` on one execution path."""
-    if path == "block":
-        return core.run(**kwargs)
-    if path == "interp":
-        if isinstance(core, ComplexCore):
-            return run_interp_event(core, **kwargs)
-        return core._run_interp(**kwargs)
-    return core.run_reference(**kwargs)
-
-
-def _path_outcome(program, core_cls, path, **kwargs):
-    machine = Machine(program)
-    core = core_cls(machine)
-    result = _run_path(core, path, **kwargs)
-    return _outcome(core, machine, result), machine
-
-
-def _run_jit_vs_reference(program, core_cls, **kwargs):
-    return [
-        _path_outcome(program, core_cls, path, **kwargs)[0]
-        for path in ("block", "reference")
-    ]
-
-
-def _path_fault(program, core_cls, path):
-    """(message, state) of a run that must raise ``SimulationError``."""
-    machine = Machine(program)
-    core = core_cls(machine)
-    with pytest.raises(SimulationError) as exc_info:
-        _run_path(core, path)
-    return str(exc_info.value), _snapshot(core, machine)
+def _cuts(program):
+    """Truncated blocks compiled so far, over all of ``program``'s tables."""
+    return sum(len(t.cuts) for t in program._blockjit_tables.values())
 
 
 # -- 200-program differential fuzz -------------------------------------------
 
 
+def _interior_addrs(program):
+    """Addresses strictly inside a static block (never block leaders)."""
+    return [
+        start + 4 * k
+        for start, insts in blockjit._walk_blocks(program)
+        for k in range(1, len(insts))
+    ]
+
+
+def _random_budgets(seed):
+    """Segment budgets for fuzz program ``seed``: 0 and 1 first, then
+    uniform in 0..500 (most end inside a block)."""
+    rng = random.Random(seed)
+    return [0, 1, *(rng.randint(0, 500) for _ in range(MAX_SEGMENTS))]
+
+
 @pytest.mark.parametrize("chunk", range(N_PROGRAMS // CHUNK))
 def test_blockjit_matches_reference_on_random_programs(chunk):
-    """End states *and* cycle counts agree on randomized programs."""
+    """In-order runs whole, in randomly budgeted segments, and stopped
+    at random interior breakpoints with and without a budget agree with
+    ``run_reference`` segment by segment."""
     for seed in range(chunk * CHUNK, (chunk + 1) * CHUNK):
         program = compile_source(_program(seed))
-        for core_cls in (InOrderCore, ComplexCore):
-            jit, ref = _run_jit_vs_reference(program, core_cls)
-            assert jit == ref, (seed, core_cls.__name__)
-        # The JIT path must actually have been exercised.
-        assert program._blockjit_tables
+        for segments in (WHOLE, _random_budgets(seed)):
+            timeline = _assert_matches_reference(
+                program, InOrderCore, segments
+            )
+            assert timeline[-2][0] == "halt", seed
+        rng = random.Random(N_PROGRAMS + seed)
+        breaks = frozenset(rng.sample(_interior_addrs(program), 6))
+        for segments in (WHOLE * MAX_SEGMENTS, (37,) * MAX_SEGMENTS):
+            timeline = _assert_matches_reference(
+                program, InOrderCore, segments, breaks
+            )
+            assert timeline[-2][0] == "halt", seed
+        # Budgets and breakpoints really did end segments inside blocks.
+        assert _cuts(program), seed
 
 
 # -- block exits at MMIO, fault, flush, checkpoint, watchdog boundaries -------
@@ -149,12 +216,7 @@ def test_mmio_mid_block_exits(core_cls):
         sw t5, 16(t0)
         halt
     """
-    program = assemble(source)
-    outs = [_path_outcome(program, core_cls, path) for path in PATHS]
-    assert outs[0][0] == outs[1][0] == outs[2][0]
-    # Console entries compare with their cycle stamps too.
-    consoles = [list(machine.mmio.console) for _, machine in outs]
-    assert consoles[0] == consoles[1] == consoles[2]
+    _assert_whole_and_bounded(assemble(source), core_cls)
 
 
 @BOTH_CORES
@@ -169,53 +231,37 @@ def test_fault_mid_block_state(core_cls):
         addi t4, zero, 1
         halt
     """
-    program = assemble(source)
-    outcomes = [_path_fault(program, core_cls, path) for path in PATHS]
-    assert outcomes[0] == outcomes[1] == outcomes[2]
+    timeline = _assert_whole_and_bounded(assemble(source), core_cls)
+    assert timeline[-2] == ("fault", "integer division by zero")
+
+
+def _mark_breaks(program):
+    """Breakpoints at the sub-task marks after the first: the flush and
+    checkpoint windows, all block leaders (``safe_breaks``)."""
+    return frozenset(sorted(program.subtask_marks)[1:])
 
 
 def test_flush_window_breakpoint_parity():
     """``break_addrs`` at sub-task marks (the flush/checkpoint windows)."""
     program = get_workload("srt", "tiny").program
-    marks = sorted(program.subtask_marks)
-    breaks = frozenset(marks[1:])
-    for path in PATHS:
-        segments = _break_segments(program, breaks, lambda _: path)
-        if path == "block":
-            expected = segments
-        else:
-            assert segments == expected, path
-    assert expected[0][0] == "breakpoint"
-    assert expected[-2][0] == "halt"
-
-
-def _break_segments(program, breaks, path_of):
-    """Segment-by-segment timeline of an in-order run stopped at
-    ``breaks``; ``path_of(i)`` picks the execution path of segment i."""
-    machine = Machine(program)
-    core = InOrderCore(machine)
-    segments = []
-    for index in range(200):
-        result = _run_path(core, path_of(index), break_addrs=breaks)
-        segments.append(
-            (result.reason, result.start_cycle, result.end_cycle,
-             result.instructions, core.state.pc)
-        )
-        if result.reason != "breakpoint":
-            break
-    segments.append(_snapshot(core, machine))
-    return segments
+    breaks = _mark_breaks(program)
+    timeline = _assert_matches_reference(
+        program, InOrderCore, WHOLE * 200, breaks
+    )
+    assert timeline[0][0] == "breakpoint"
+    assert timeline[-2][0] == "halt"
 
 
 def test_unsafe_breakpoints_still_match():
     """Arbitrary break addresses (not block leaders) stay exact."""
     program = compile_source(_program(3))
+    program._blockjit_tables.clear()
     target = program.entry + 8
-    jit, ref = _run_jit_vs_reference(
-        program, InOrderCore, break_addrs=frozenset({target})
+    timeline = _assert_matches_reference(
+        program, InOrderCore, WHOLE, frozenset({target})
     )
-    assert jit[0] == "breakpoint"
-    assert jit == ref
+    assert timeline[0][0] == "breakpoint"
+    assert _cuts(program) == 1  # the entry block, cut before ``target``
 
 
 @BOTH_CORES
@@ -232,24 +278,18 @@ def test_watchdog_expiry_mid_block(core_cls):
         addi t3, t3, 1
         b loop
     """
-    program = assemble(source)
-    outcomes = []
-    for path in PATHS:
-        machine = Machine(program)
-        machine.mmio.exceptions_masked = False
-        core = core_cls(machine)
-        result = _run_path(core, path)
-        outcomes.append(_outcome(core, machine, result))
-    assert outcomes[0] == outcomes[1] == outcomes[2]
-    assert outcomes[0][0] == "watchdog"
+    timeline = _assert_whole_and_bounded(
+        assemble(source), core_cls, masked=False
+    )
+    assert timeline[0][0] == "watchdog"
 
 
 # -- hot loops with a once-taken edge event -----------------------------------
 #
 # Each program below runs one loop WARM times before the edge event
 # fires, so the event lands on block code that has been dispatched many
-# times already and must exit its block with state bit-identical to the
-# interpreter loop and to ``run_reference``.
+# times already and must exit its block with state bit-identical to
+# ``run_reference``.
 
 WARM = 16
 
@@ -275,14 +315,7 @@ def test_mmio_mid_trace_side_exit(core_cls):
         sw t5, 12(t0)
         b back
     """
-    program = assemble(source)
-    outs = {}
-    consoles = {}
-    for path in PATHS:
-        outs[path], machine = _path_outcome(program, core_cls, path)
-        consoles[path] = list(machine.mmio.console)
-    assert outs["block"] == outs["interp"] == outs["reference"]
-    assert consoles["block"] == consoles["interp"] == consoles["reference"]
+    _assert_whole_and_bounded(assemble(source), core_cls)
 
 
 @BOTH_CORES
@@ -299,31 +332,28 @@ def test_fault_mid_trace_side_exit(core_cls):
         bne t2, t1, loop
         halt
     """
-    program = assemble(source)
-    outcomes = [_path_fault(program, core_cls, path) for path in PATHS]
-    assert outcomes[0] == outcomes[1] == outcomes[2]
+    timeline = _assert_whole_and_bounded(assemble(source), core_cls)
+    assert timeline[-2] == ("fault", "integer division by zero")
 
 
 def test_flush_window_breakpoint_tier_matrix():
-    """Sub-task-mark breakpoints stay exact when segments switch paths.
+    """Sub-task-mark breakpoints stay exact when whole and bounded
+    segments alternate.
 
     Mark-aligned breakpoints are block boundaries (``safe_breaks``), so
-    full-run segments take block code; segments that alternate between
-    block code and the interpreter loop (which share pipeline-timing
-    state) must reproduce the reference timeline exactly.
+    unbudgeted segments dispatch whole blocks only; budgeted ones cut
+    the block their budget ends in.  In-order segments share
+    pipeline-timing state, so an alternating timeline must reproduce
+    the reference's, driven the same way, exactly.
     """
     program = get_workload("srt", "tiny").program
-    program._blockjit_tables.clear()
-    marks = sorted(program.subtask_marks)
-    breaks = frozenset(marks[1:])
-    expected = _break_segments(program, breaks, lambda _: "reference")
-    for first, second in (("block", "interp"), ("interp", "block")):
-        segments = _break_segments(
-            program, breaks, lambda i: first if i % 2 == 0 else second
+    breaks = _mark_breaks(program)
+    for first, second in ((None, SEGMENT), (SEGMENT, None)):
+        timeline = _assert_matches_reference(
+            program, InOrderCore, (first, second) * MAX_SEGMENTS, breaks
         )
-        assert segments == expected, first
-    assert expected[0][0] == "breakpoint"
-    assert expected[-2][0] == "halt"
+        reasons = {segment[0] for segment in timeline[:-1]}
+        assert {"breakpoint", "limit", "halt"} <= reasons, first
 
 
 @BOTH_CORES
@@ -332,7 +362,7 @@ def test_watchdog_armed_mid_trace(core_cls):
 
     Block code reloads the watchdog state after every MMIO store, so the
     control write that flips it on must hand over to the per-instruction
-    expiry checks at the exact cycle the interpreter and oracle see.
+    expiry checks at the exact cycle the oracle sees.
     """
     source = f"""
     main:
@@ -348,16 +378,27 @@ def test_watchdog_armed_mid_trace(core_cls):
         bne t2, t1, loop
         halt
     """
-    program = assemble(source)
-    outcomes = []
-    for path in PATHS:
-        machine = Machine(program)
-        machine.mmio.exceptions_masked = False
-        core = core_cls(machine)
-        result = _run_path(core, path)
-        outcomes.append(_outcome(core, machine, result))
-    assert outcomes[0] == outcomes[1] == outcomes[2]
-    assert outcomes[0][0] == "watchdog"
+    timeline = _assert_whole_and_bounded(
+        assemble(source), core_cls, masked=False
+    )
+    assert timeline[0][0] == "watchdog"
+
+
+#: Block code's pipeline view at the text-range store fault of
+#: ``test_store_to_text_mid_trace``: ``(now, counters)``, recorded when
+#: block code and the retired per-instruction interpreters still ran
+#: side by side and agreed on it.
+STORE_TO_TEXT_TIMING = {
+    "inorder": (286, {
+        "dcache": 1, "fetch": 78, "fu": 77, "icache": 78, "regread": 125,
+        "regwrite": 28,
+    }),
+    "ooo": (192, {
+        "bpred": 49, "commit": 77, "fetch": 28, "fu": 77, "icache": 28,
+        "iq": 77, "lsq": 1, "regread": 127, "regwrite": 28, "rename": 77,
+        "rob_write": 77,
+    }),
+}
 
 
 @BOTH_CORES
@@ -365,12 +406,12 @@ def test_store_to_text_mid_trace(core_cls):
     """A text-range store reached from a hot loop faults exactly.
 
     The simulator treats text-range data stores as faults (the write
-    would invalidate generated code).  Block code and the interpreter
-    loop must raise with identical state.  ``run_reference`` agrees on
-    the fault and the architectural state, but its pipeline view of
-    the faulting store is known to differ: in-order, the fast paths'
-    ``now`` includes the store's timing; OOO, the oracle's event
-    counters include the store.
+    would invalidate generated code).  ``run_reference`` agrees with
+    block code on the fault and the architectural state, but its
+    pipeline view of the faulting store is known to differ: in-order,
+    block code's ``now`` includes the store's timing; OOO, the oracle's
+    event counters include the store.  Block code's view is pinned to
+    literal values so it cannot drift silently.
     """
     source = f"""
     main:
@@ -388,50 +429,84 @@ def test_store_to_text_mid_trace(core_cls):
         b back
     """
     program = assemble(source)
-    outs = {path: _path_fault(program, core_cls, path) for path in PATHS}
-    assert outs["block"] == outs["interp"]
+    block, _ = _timeline(program, core_cls, "run")
+    ref, _ = _timeline(program, core_cls, "run_reference")
+    message = "data access inside text segment at 0x400000"
+    assert block[0] == ref[0] == ("fault", message)
 
-    def arch(out):
-        message, state = out
+    def split(state):
         timing = ("now", "counters")
-        return message, {k: v for k, v in state.items() if k not in timing}
+        return (
+            (state["now"], state["counters"]),
+            {k: v for k, v in state.items() if k not in timing},
+        )
 
-    assert arch(outs["block"]) == arch(outs["reference"])
+    block_timing, block_arch = split(block[-1])
+    assert block_arch == split(ref[-1])[1]
+    engine = "inorder" if core_cls is InOrderCore else "ooo"
+    assert block_timing == STORE_TO_TEXT_TIMING[engine]
 
 
 @pytest.mark.parametrize("chunk", range(4))
 def test_trace_tier_matches_reference_on_random_programs(chunk):
-    """Path fuzz: a slice of the differential corpus on every path."""
-    for seed in range(chunk * 10, chunk * 10 + 10):
+    """Dense cuts: a slice of the differential corpus in 23-instruction
+    segments, so most segments end inside a block."""
+    for seed in range(chunk * 5, chunk * 5 + 5):
         program = compile_source(_program(seed))
         for core_cls in (InOrderCore, ComplexCore):
-            outs = [
-                _path_outcome(program, core_cls, path)[0] for path in PATHS
-            ]
-            assert outs[0] == outs[1] == outs[2], (seed, core_cls.__name__)
+            timeline = _assert_matches_reference(
+                program, core_cls, (23,) * MAX_SEGMENTS
+            )
+            assert timeline[-2][0] == "halt", (seed, core_cls.__name__)
 
 
-# -- path selection -----------------------------------------------------------
+# -- whole workloads, truncated blocks, predictor geometry --------------------
 
 
 @BOTH_CORES
 def test_off_tier_parity(core_cls):
-    """The interpreter loop and block code agree on a whole workload."""
+    """A whole workload agrees run whole and in 97-instruction segments."""
     program = get_workload("cnt", "tiny").program
-    outcomes = [
-        _path_outcome(program, core_cls, path)[0] for path in PATHS
-    ]
-    assert outcomes[0] == outcomes[1] == outcomes[2]
+    for budgets in (WHOLE, (97,) * MAX_SEGMENTS):
+        timeline = _assert_matches_reference(program, core_cls, budgets)
+        assert timeline[-2][0] == "halt"
 
 
-def test_off_tier_run_uses_interpreter():
-    """A bounded run (``max_instructions=``) never compiles a block table."""
+def test_bounded_run_reuses_cut_and_leaves_disk_entry(tmp_path, monkeypatch):
+    """A budget ending inside a block compiles that cut once per
+    ``(pc, n)``, keeps it in memory, and never touches the disk entry."""
     program = compile_source(_program(11))
-    for core_cls in (InOrderCore, ComplexCore):
-        core = core_cls(Machine(program))
-        result = core.run(max_instructions=50)
-        assert result.instructions == 50
-    assert not program._blockjit_tables
+    compiled = []
+    real_compile = blockjit._compile_block
+
+    def counting_compile(*args):
+        compiled.append(args)
+        return real_compile(*args)
+
+    monkeypatch.setattr(blockjit, "_compile_block", counting_compile)
+    for core_cls, engine in ((InOrderCore, "inorder"), (ComplexCore, "ooo")):
+        program._blockjit_tables.clear()
+        runcache.reset_stats()
+
+        def run():
+            core = core_cls(Machine(program))
+            result = core.run(max_instructions=50)
+            assert (result.reason, result.instructions) == ("limit", 50)
+
+        run()
+        (table,) = program._blockjit_tables.values()
+        (path,) = (tmp_path / "blockjit").glob(f"{engine}-*.marshal")
+        entry = path.read_bytes(), path.stat().st_mtime_ns
+        ((pc, n), cut), = table.cuts.items()
+        assert 0 < n < table.blocks[pc][1], engine
+
+        compiled.clear()
+        run()
+        assert not compiled, engine
+        assert table.cuts == {(pc, n): cut} and table.cuts[pc, n] is cut
+        assert (path.read_bytes(), path.stat().st_mtime_ns) == entry
+        assert runcache.STATS["blockjit_stores"] == 1
+    runcache.reset_stats()
 
 
 # -- on-disk codegen cache ----------------------------------------------------
@@ -513,9 +588,7 @@ def test_damaged_disk_entry_is_a_miss_and_rebuilds(
 
     def run():
         program._blockjit_tables.clear()
-        machine = Machine(program)
-        core = InOrderCore(machine)
-        return _outcome(core, machine, core.run())
+        return _timeline(program, InOrderCore, "run")[0]
 
     def entries():
         return set((tmp_path / "blockjit").glob("inorder-*.marshal"))

@@ -22,6 +22,7 @@ Covered here:
 
 from __future__ import annotations
 
+import asyncio
 import os
 import signal
 import subprocess
@@ -36,7 +37,7 @@ import pytest
 from repro.errors import ServiceError
 from repro.service import jobs as job_registry
 from repro.service.client import ServiceClient
-from repro.service.cluster import TokenBucket
+from repro.service.cluster import TokenBucket, get_within
 from repro.service.metrics import relabel_exposition
 from repro.service.queue import FairPriorityQueue
 from repro.service.ring import HashRing
@@ -336,6 +337,43 @@ def test_token_bucket_zero_rate_is_unlimited():
     bucket = TokenBucket(rate=0.0, burst=1)
     assert all(bucket.allow("c") for _ in range(100))
     assert bucket.retry_after("c") == 0.0
+
+
+def test_get_within_never_swallows_cancellation():
+    """A cancel that lands just as the item arrives still cancels.
+
+    ``asyncio.wait_for`` before Python 3.12 returns the item instead, so
+    a cancelled health loop kept running and the front's SIGTERM drain
+    waited on it forever.  The cancel is tried at every loop step
+    between the item's arrival and the getter's return.
+    """
+
+    async def cancel_after(steps: int) -> str:
+        queue: asyncio.Queue = asyncio.Queue()
+        task = asyncio.ensure_future(get_within(queue, 5.0))
+        await asyncio.sleep(0)  # the getter is waiting
+        queue.put_nowait("item")
+        for _ in range(steps):
+            await asyncio.sleep(0)
+        if task.done():
+            return f"returned {task.result()}"
+        task.cancel()
+        try:
+            await task
+        except asyncio.CancelledError:
+            return "cancelled"
+        return "swallowed"
+
+    outcomes = [asyncio.run(cancel_after(steps)) for steps in range(8)]
+    assert "swallowed" not in outcomes, outcomes
+    assert outcomes[0] == "cancelled"
+    assert outcomes[-1] == "returned item"
+
+    async def times_out() -> None:
+        with pytest.raises(asyncio.TimeoutError):
+            await get_within(asyncio.Queue(), 0.01)
+
+    asyncio.run(times_out())
 
 
 def test_relabel_exposition_injects_backend_label():

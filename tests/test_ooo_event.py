@@ -3,18 +3,20 @@
 :meth:`ComplexCore.run` times the complex core with an event-driven
 formulation of :meth:`ComplexCore.run_reference`'s per-cycle scans of
 the issue queue, ROB, and LSQ: occupancy rings, a commit frontier pair,
-and inlined branch predictors, on both the pure interpreter
-(:mod:`repro.pipelines.ooo.event`) and generated block code
+and inlined branch predictors, all in generated block code
 (:mod:`repro.isa.blockjit`).  The event engine is a pure reformulation
 — no timing model change — so everything observable must stay
 bit-identical to ``run_reference``:
 
-* fuzz-level: on 200 randomized MiniC programs, block code (a full
-  ``run()``) and the interpreter loop must match ``run_reference``
-  exactly — end state, cycle counts, *and* final branch-predictor state
-  (tables + global histories);
+* fuzz-level: on 200 randomized MiniC programs, a whole ``run()`` and a
+  sequence of randomly budgeted segments (which end inside blocks and
+  run truncated ones) must match ``run_reference`` driven with the same
+  budgets exactly — every segment's result, the end state, *and* the
+  final branch-predictor state (tables + global histories);
 * edge-level: MMIO accesses off a hot loop, faults and watchdog
-  arming/expiry must land at identical cycles with identical state;
+  arming/expiry must land at identical cycles with identical state,
+  predictor state included (``tests/test_blockjit.py`` runs the same
+  cases on both cores, whole and in short segments);
 * guard-level: non-standard predictor geometries raise a typed
   :class:`SimulationError` (the event engine inlines the 2^16 geometry).
 """
@@ -26,17 +28,18 @@ from repro.isa.assembler import assemble
 from repro.memory.machine import Machine
 from repro.minicc import compile_source
 from repro.pipelines.ooo.core import ComplexCore
-from repro.pipelines.ooo.event import run_interp_event
 
+from tests.test_blockjit import (
+    WHOLE,
+    _assert_matches_reference,
+    _cuts,
+    _random_budgets,
+)
 from tests.test_cross_core_random import _program
 from tests.test_fastexec import _snapshot
 
 N_PROGRAMS = 200
 CHUNK = 25
-
-#: Fast paths checked against ``run_reference``: generated block code
-#: (what a full ``run()`` takes) and the event interpreter loop.
-PATHS = ("block", "interp")
 
 #: Loop iterations before an edge case's once-taken event fires.
 WARM = 16
@@ -48,52 +51,20 @@ def _isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
 
 
-def _outcome(core, machine, result):
-    return (
-        result.reason,
-        result.start_cycle,
-        result.end_cycle,
-        result.instructions,
-        result.exception_cycle,
-        _snapshot(core, machine),
-        core.gshare.dump_state(),
-        core.indirect.dump_state(),
-    )
-
-
-def _reference(program):
-    machine = Machine(program)
-    core = ComplexCore(machine)
-    result = core.run_reference()
-    return _outcome(core, machine, result)
-
-
-def _run_path(core, path):
-    if path == "block":
-        return core.run()
-    return run_interp_event(core)
-
-
-def _event_run(program, path, masked=True):
-    machine = Machine(program)
-    machine.mmio.exceptions_masked = masked
-    core = ComplexCore(machine)
-    result = _run_path(core, path)
-    return _outcome(core, machine, result), machine
-
-
-# -- 200-program differential fuzz, both paths --------------------------------
-
-
 @pytest.mark.parametrize("chunk", range(N_PROGRAMS // CHUNK))
 def test_event_matches_reference_on_random_programs(chunk):
-    """Cycle counts, arch state, and predictor state agree everywhere."""
+    """Whole runs and randomly budgeted segments agree segment by
+    segment: cycle counts, arch state, and predictor state."""
     for seed in range(chunk * CHUNK, (chunk + 1) * CHUNK):
         program = compile_source(_program(seed))
-        ref = _reference(program)
-        for path in PATHS:
-            event, _ = _event_run(program, path)
-            assert event == ref, (seed, path)
+        for segments in (WHOLE, _random_budgets(seed)):
+            timeline = _assert_matches_reference(
+                program, ComplexCore, segments
+            )
+            assert timeline[-2][0] == "halt", seed
+            assert "gshare" in timeline[-1]
+        assert _cuts(program), seed
+
 
 
 # -- seeded edge cases --------------------------------------------------------
@@ -119,14 +90,8 @@ def test_event_mmio_mid_trace_side_exit():
         sw t5, 12(t0)
         b back
     """
-    program = assemble(source)
-    ref_machine = Machine(program)
-    ref_core = ComplexCore(ref_machine)
-    ref = _outcome(ref_core, ref_machine, ref_core.run_reference())
-    for path in PATHS:
-        event, machine = _event_run(program, path)
-        assert event == ref, path
-        assert list(machine.mmio.console) == list(ref_machine.mmio.console)
+    timeline = _assert_matches_reference(assemble(source), ComplexCore, WHOLE)
+    assert timeline[0][0] == "halt"
 
 
 def test_event_fault_mid_trace():
@@ -142,29 +107,12 @@ def test_event_fault_mid_trace():
         bne t2, t1, loop
         halt
     """
-    program = assemble(source)
-    outcomes = []
-    for path in ("reference", *PATHS):
-        machine = Machine(program)
-        core = ComplexCore(machine)
-        with pytest.raises(SimulationError) as exc_info:
-            if path == "reference":
-                core.run_reference()
-            else:
-                _run_path(core, path)
-        outcomes.append(
-            (
-                str(exc_info.value),
-                _snapshot(core, machine),
-                core.gshare.dump_state(),
-                core.indirect.dump_state(),
-            )
-        )
-    assert all(out == outcomes[0] for out in outcomes[1:])
+    timeline = _assert_matches_reference(assemble(source), ComplexCore, WHOLE)
+    assert timeline[0] == ("fault", "integer division by zero")
 
 
 def test_event_watchdog_arming_and_expiry():
-    """Watchdog armed via MMIO fires at the same cycle on every path."""
+    """Watchdog armed via MMIO fires at the same cycle on both engines."""
     source = """
     main:
         li t0, 0xFFFF0000
@@ -176,23 +124,17 @@ def test_event_watchdog_arming_and_expiry():
         addi t3, t3, 1
         b loop
     """
-    program = assemble(source)
-    ref_machine = Machine(program)
-    ref_machine.mmio.exceptions_masked = False
-    ref_core = ComplexCore(ref_machine)
-    ref = _outcome(ref_core, ref_machine, ref_core.run_reference())
-    assert ref[0] == "watchdog"
-    for path in PATHS:
-        event, _ = _event_run(program, path, masked=False)
-        assert event == ref, path
+    timeline = _assert_matches_reference(
+        assemble(source), ComplexCore, WHOLE, masked=False
+    )
+    assert timeline[0][0] == "watchdog"
 
 
 # -- predictor geometry guard -------------------------------------------------
 
-
 def test_nonstandard_predictor_geometry_raises():
     """The event engine inlines the 2^16 geometry; other masks are refused
-    with a typed error before any state changes, on full and bounded
+    with a typed error before any state changes, on whole and bounded
     runs alike."""
     program = compile_source(_program(0))
     for predictor in ("gshare", "indirect"):

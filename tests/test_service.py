@@ -277,3 +277,50 @@ def test_result_matches_direct_simulation(tmp_path):
                 "run", {"workload": "lms", "instances": 8}
             )
     assert result.value["savings"] == pytest.approx(expected, abs=1e-12)
+
+
+def test_signal_drain_task_survives_gc():
+    """The drain task SIGTERM starts is held until it finishes.
+
+    The event loop keeps only weak references to tasks.  This fake
+    service's shutdown waits on a future nothing else holds (its waker
+    reaches it through a weak reference, like a finished I/O callback),
+    so only the signal helper's reference keeps the drain alive across
+    the forced collections.
+    """
+    import asyncio
+    import gc
+    import weakref
+
+    from repro.service.server import signal_handlers
+
+    class FakeService:
+        drained = False
+
+        async def shutdown(self, drain: bool) -> None:
+            loop = asyncio.get_running_loop()
+            waiter = loop.create_future()
+            ref = weakref.ref(waiter)
+
+            def wake() -> None:
+                fut = ref()
+                if fut is not None and not fut.done():
+                    fut.set_result(None)
+
+            loop.call_later(0.05, wake)
+            await waiter
+            self.drained = drain
+
+    async def main(service: FakeService) -> None:
+        loop = asyncio.get_running_loop()
+        with signal_handlers(loop, service):
+            os.kill(os.getpid(), signal.SIGTERM)
+            for _ in range(20):
+                await asyncio.sleep(0.01)
+                gc.collect()
+                if service.drained:
+                    break
+
+    service = FakeService()
+    asyncio.run(main(service))
+    assert service.drained
