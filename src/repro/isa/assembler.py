@@ -35,11 +35,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from repro.errors import AssemblerError
+from repro.errors import AssemblerError, EncodingError
 from repro.isa import layout
-from repro.isa.encoding import encode
-from repro.isa.instruction import Instruction
-from repro.isa.opcodes import BY_NAME, Fmt, OpInfo
+from repro.isa.encoding import encode_fields
+from repro.isa.opcodes import BY_NAME, OpInfo
 from repro.isa.program import Program
 from repro.isa.registers import parse_fp_reg, parse_int_reg
 
@@ -53,15 +52,14 @@ _SYM_RE = re.compile(r"^[A-Za-z_.$][\w.$]*$")
 MAX_SUBTASKS = 64
 
 
-@dataclass
+@dataclass(slots=True)
 class _PendingInst:
     """One concrete instruction awaiting pass-2 encoding."""
 
     mnemonic: str
     operands: list[str]
     line: int
-    text: str
-    addr: int = 0
+    addr: int
 
 
 @dataclass
@@ -110,10 +108,12 @@ class _Assembler:
         data_addr = self.data_base
         pending_loopbound: int | None = None
         max_subtask = -1
+        # Instruction text -> its expansion; codegen repeats most lines.
+        expansions: dict[str, list[tuple[str, list[str]]]] = {}
 
         for lineno, raw in enumerate(self.source.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
-            while line:
+            while ":" in line:
                 match = _LABEL_RE.match(line)
                 if not match:
                     break
@@ -130,10 +130,21 @@ class _Assembler:
             if not line:
                 continue
 
-            parts = line.split(None, 1)
-            head = parts[0].lower()
-            rest = parts[1].strip() if len(parts) > 1 else ""
+            if not line.startswith("."):
+                if segment != "text":
+                    raise AssemblerError("instruction outside .text", lineno)
+                expansion = expansions.get(line)
+                if expansion is None:
+                    expansion = self._expand(*_split_head(line), lineno)
+                    expansions[line] = expansion
+                entry = (lineno, raw)
+                for mnem, ops in expansion:
+                    self.insts.append(_PendingInst(mnem, ops, lineno, text_addr))
+                    self.source_map[text_addr] = entry
+                    text_addr += 4
+                continue
 
+            head, rest = _split_head(line)
             if head == ".text":
                 segment = "text"
             elif head == ".data":
@@ -173,15 +184,8 @@ class _Assembler:
                 if segment != "data":
                     raise AssemblerError(f"{head} outside .data", lineno)
                 data_addr = self._data_directive(head, rest, lineno, data_addr)
-            elif head.startswith("."):
-                raise AssemblerError(f"unknown directive {head}", lineno)
             else:
-                if segment != "text":
-                    raise AssemblerError("instruction outside .text", lineno)
-                for mnem, ops in self._expand(head, rest, lineno):
-                    self.insts.append(_PendingInst(mnem, ops, lineno, raw, text_addr))
-                    self.source_map[text_addr] = (lineno, raw)
-                    text_addr += 4
+                raise AssemblerError(f"unknown directive {head}", lineno)
 
         if pending_loopbound is not None:
             raise AssemblerError(".loopbound not followed by a label")
@@ -193,12 +197,11 @@ class _Assembler:
         raw: str,
         text_addr: int,
     ) -> int:
+        entry = (lineno, raw)
         for mnem, ops in snippet:
             for emnem, eops in self._expand(mnem, ", ".join(ops), lineno):
-                self.insts.append(
-                    _PendingInst(emnem, eops, lineno, raw, text_addr)
-                )
-                self.source_map[text_addr] = (lineno, raw)
+                self.insts.append(_PendingInst(emnem, eops, lineno, text_addr))
+                self.source_map[text_addr] = entry
                 text_addr += 4
         return text_addr
 
@@ -260,6 +263,8 @@ class _Assembler:
         self, mnem: str, rest: str, lineno: int
     ) -> list[tuple[str, list[str]]]:
         ops = [o.strip() for o in rest.split(",")] if rest else []
+        if mnem in BY_NAME:
+            return [(mnem, ops)]
 
         def need(count: int) -> None:
             if len(ops) != count:
@@ -317,86 +322,95 @@ class _Assembler:
             need(3)
             value = self._parse_int(ops[2], lineno)
             return [("addi", [ops[0], ops[1], str(-value)])]
-        if mnem not in BY_NAME:
-            raise AssemblerError(f"unknown instruction {mnem!r}", lineno)
-        return [(mnem, ops)]
+        raise AssemblerError(f"unknown instruction {mnem!r}", lineno)
 
     # -- pass 2 ---------------------------------------------------------------
 
     def _pass2(self) -> list[int]:
         words = []
+        # Lines without a PC-relative operand encode to the same word
+        # wherever they sit; codegen repeats most of them many times.
+        memo: dict[tuple[str, ...], int] = {}
         for pending in self.insts:
-            inst = self._build(pending)
-            try:
-                words.append(encode(inst))
-            except Exception as exc:
-                raise AssemblerError(str(exc), pending.line) from exc
+            key = (pending.mnemonic, *pending.operands)
+            word = memo.get(key)
+            if word is None:
+                word = self._encode(pending)
+                if key[0] not in _PC_RELATIVE:
+                    memo[key] = word
+            words.append(word)
         return words
 
-    def _build(self, pending: _PendingInst) -> Instruction:
-        info: OpInfo = BY_NAME[pending.mnemonic]
-        slots = [s for s in info.syntax.split(",") if s]
-        if len(slots) != len(pending.operands):
+    def _encode(self, pending: _PendingInst) -> int:
+        info, slots = _SLOT_PLANS[pending.mnemonic]
+        operands = pending.operands
+        if len(slots) != len(operands):
             raise AssemblerError(
                 f"{pending.mnemonic} expects {len(slots)} operands "
-                f"({info.syntax}), got {len(pending.operands)}",
+                f"({info.syntax}), got {len(operands)}",
                 pending.line,
             )
-        fields: dict[str, int] = {}
-        for slot, operand in zip(slots, pending.operands):
-            self._fill_slot(info, slot, operand, pending, fields)
-        return Instruction(info.op, addr=pending.addr, **fields)
-
-    def _fill_slot(
-        self,
-        info: OpInfo,
-        slot: str,
-        operand: str,
-        pending: _PendingInst,
-        fields: dict[str, int],
-    ) -> None:
-        line = pending.line
-        if slot in ("rd", "fd"):
-            fields["rd"] = self._reg(slot, operand, line)
-        elif slot in ("rs", "fs"):
-            fields["rs"] = self._reg(slot, operand, line)
-        elif slot in ("rt", "ft"):
-            fields["rt"] = self._reg(slot, operand, line)
-        elif slot == "shamt":
-            fields["shamt"] = self._parse_uint(operand, line)
-        elif slot == "imm":
-            fields["imm"] = self._imm(operand, line)
-        elif slot == "label":
-            target = self._symbol(operand, line)
-            offset = target - (pending.addr + 4)
-            if offset % 4:
-                raise AssemblerError(f"misaligned branch target {operand}", line)
-            fields["imm"] = offset >> 2
-        elif slot == "target":
-            target = self._symbol(operand, line)
-            if (target & 0xF0000000) != ((pending.addr + 4) & 0xF0000000):
-                raise AssemblerError(f"jump target {operand} out of region", line)
-            fields["target"] = (target >> 2) & 0x3FFFFFF
-        elif slot == "off(rs)":
-            match = _MEM_RE.match(operand)
-            if not match:
-                raise AssemblerError(f"bad memory operand {operand!r}", line)
-            offset_text = match.group(1).strip()
-            fields["imm"] = self._imm(offset_text, line) if offset_text else 0
-            fields["rs"] = self._reg("rs", match.group(2), line)
-        else:  # pragma: no cover - table is static
-            raise AssemblerError(f"internal: unknown slot {slot}")
-
-    def _reg(self, slot: str, operand: str, line: int) -> int:
+        # rd, rs, rt, shamt, imm, target.
+        fields = [0, 0, 0, 0, 0, 0]
+        for (index, parse), operand in zip(slots, operands):
+            if index is None:  # off(rs): an offset and a base register
+                fields[_IMM], fields[_RS] = self._mem(operand, pending)
+            else:
+                fields[index] = parse(self, operand, pending)
         try:
-            if slot.startswith("f"):
-                return parse_fp_reg(operand)
+            return encode_fields(info, *fields)
+        except EncodingError as exc:
+            raise AssemblerError(str(exc), pending.line) from exc
+
+    def _int_reg(self, operand: str, pending: _PendingInst) -> int:
+        try:
             return parse_int_reg(operand)
         except KeyError as exc:
-            raise AssemblerError(str(exc), line) from exc
+            raise AssemblerError(str(exc), pending.line) from exc
+
+    def _fp_reg(self, operand: str, pending: _PendingInst) -> int:
+        try:
+            return parse_fp_reg(operand)
+        except KeyError as exc:
+            raise AssemblerError(str(exc), pending.line) from exc
+
+    def _shamt(self, operand: str, pending: _PendingInst) -> int:
+        return self._parse_uint(operand, pending.line)
+
+    def _imm_slot(self, operand: str, pending: _PendingInst) -> int:
+        return self._imm(operand, pending.line)
+
+    def _label(self, operand: str, pending: _PendingInst) -> int:
+        """Branch offset in words from the next instruction."""
+        target = self._symbol(operand, pending.line)
+        offset = target - (pending.addr + 4)
+        if offset % 4:
+            raise AssemblerError(
+                f"misaligned branch target {operand}", pending.line
+            )
+        return offset >> 2
+
+    def _target(self, operand: str, pending: _PendingInst) -> int:
+        """26-bit J-format target field."""
+        target = self._symbol(operand, pending.line)
+        if (target & 0xF0000000) != ((pending.addr + 4) & 0xF0000000):
+            raise AssemblerError(
+                f"jump target {operand} out of region", pending.line
+            )
+        return (target >> 2) & 0x3FFFFFF
+
+    def _mem(self, operand: str, pending: _PendingInst) -> tuple[int, int]:
+        """``off(base)`` -> (offset, base register)."""
+        line = pending.line
+        match = _MEM_RE.match(operand)
+        if not match:
+            raise AssemblerError(f"bad memory operand {operand!r}", line)
+        offset_text = match.group(1).strip()
+        offset = self._imm(offset_text, line) if offset_text else 0
+        return offset, self._int_reg(match.group(2), pending)
 
     def _imm(self, text: str, line: int) -> int:
-        match = _HILO_RE.match(text)
+        match = text.startswith("%") and _HILO_RE.match(text)
         if match:
             which, name, offset = match.group(1), match.group(2), match.group(3)
             addr = self._symbol(name, line)
@@ -444,6 +458,43 @@ class _Assembler:
                     f"undefined symbol {item.value!r} in .word", item.line
                 ) from None
         return item.value
+
+
+_RD, _RS, _RT, _SHAMT, _IMM, _TARGET = range(6)
+
+#: Operand slot name -> (field index, parser).  ``off(rs)`` fills two
+#: fields (index None, see ``_Assembler._mem``).
+_SLOT_PARSERS = {
+    "rd": (_RD, _Assembler._int_reg),
+    "rs": (_RS, _Assembler._int_reg),
+    "rt": (_RT, _Assembler._int_reg),
+    "fd": (_RD, _Assembler._fp_reg),
+    "fs": (_RS, _Assembler._fp_reg),
+    "ft": (_RT, _Assembler._fp_reg),
+    "shamt": (_SHAMT, _Assembler._shamt),
+    "imm": (_IMM, _Assembler._imm_slot),
+    "label": (_IMM, _Assembler._label),
+    "target": (_TARGET, _Assembler._target),
+    "off(rs)": (None, _Assembler._mem),
+}
+
+#: Mnemonics with a PC-relative operand (branch label, jump target).
+_PC_RELATIVE = frozenset(
+    name for name, info in BY_NAME.items()
+    if "label" in info.syntax or "target" in info.syntax
+)
+
+#: Mnemonic -> (OpInfo, one (field index, parser) per operand slot).
+_SLOT_PLANS: dict[str, tuple[OpInfo, tuple]] = {
+    name: (info, tuple(_SLOT_PARSERS[s] for s in info.syntax.split(",") if s))
+    for name, info in BY_NAME.items()
+}
+
+
+def _split_head(line: str) -> tuple[str, str]:
+    """``"Add t0, t1"`` -> ``("add", "t0, t1")``."""
+    parts = line.split(None, 1)
+    return parts[0].lower(), parts[1].strip() if len(parts) > 1 else ""
 
 
 def _subtask_snippet(k: int) -> list[tuple[str, list[str]]]:

@@ -15,15 +15,61 @@ from __future__ import annotations
 
 from repro.errors import EncodingError
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import BY_ENCODING, INFO, Fmt, Op
+from repro.isa.opcodes import BY_ENCODING, Fmt, OpInfo
 
 _MASK16 = 0xFFFF
 _MASK26 = 0x3FFFFFF
+# Bound once: reading a member off an Enum class costs a Python-level call.
+_FMT_I = Fmt.I
+_FMT_J = Fmt.J
+
+#: ``opcode << 6 | funct`` -> OpInfo (None: not an instruction).  I- and
+#: J-format records (funct None) fill all 64 funct values of their opcode;
+#: R/F records own exactly one.
+_DECODE: list[OpInfo | None] = [None] * (1 << 12)
+for (_opcode, _funct), _rec in BY_ENCODING.items():
+    if _funct is None:
+        _DECODE[_opcode << 6:(_opcode + 1) << 6] = [_rec] * 64
+for (_opcode, _funct), _rec in BY_ENCODING.items():
+    if _funct is not None:
+        _DECODE[_opcode << 6 | _funct] = _rec
 
 
-def _check_reg(value: int, what: str) -> None:
-    if not 0 <= value < 32:
-        raise EncodingError(f"{what} out of range: {value}")
+def encode_fields(
+    info: OpInfo,
+    rd: int = 0,
+    rs: int = 0,
+    rt: int = 0,
+    shamt: int = 0,
+    imm: int = 0,
+    target: int = 0,
+) -> int:
+    """Encode one instruction, given its opcode record and raw fields.
+
+    Raises:
+        EncodingError: if a field does not fit its encoding slot.
+    """
+    if not (0 <= rd < 32 and 0 <= rs < 32 and 0 <= rt < 32):
+        for value, what in ((rd, "rd"), (rs, "rs"), (rt, "rt")):
+            if not 0 <= value < 32:
+                raise EncodingError(f"{what} out of range: {value}")
+    fmt = info.fmt
+    if fmt is _FMT_I:
+        if not -(1 << 15) <= imm < (1 << 16):
+            raise EncodingError(
+                f"immediate out of range for {info.op.value}: {imm}"
+            )
+        return info.opcode << 26 | rs << 21 | rt << 16 | imm & _MASK16
+    if fmt is _FMT_J:
+        if not 0 <= target <= _MASK26:
+            raise EncodingError(f"jump target out of range: {target:#x}")
+        return info.opcode << 26 | target
+    if not 0 <= shamt < 32:
+        raise EncodingError(f"shamt out of range: {shamt}")
+    return (
+        info.opcode << 26 | rs << 21 | rt << 16 | rd << 11 | shamt << 6
+        | info.funct
+    )
 
 
 def encode(inst: Instruction) -> int:
@@ -32,36 +78,10 @@ def encode(inst: Instruction) -> int:
     Raises:
         EncodingError: if a field does not fit its encoding slot.
     """
-    info = INFO[inst.op]
-    for value, what in ((inst.rd, "rd"), (inst.rs, "rs"), (inst.rt, "rt")):
-        _check_reg(value, what)
-    if info.fmt in (Fmt.R, Fmt.F):
-        if not 0 <= inst.shamt < 32:
-            raise EncodingError(f"shamt out of range: {inst.shamt}")
-        assert info.funct is not None
-        return (
-            (info.opcode << 26)
-            | (inst.rs << 21)
-            | (inst.rt << 16)
-            | (inst.rd << 11)
-            | (inst.shamt << 6)
-            | info.funct
-        )
-    if info.fmt is Fmt.I:
-        if not -(1 << 15) <= inst.imm < (1 << 16):
-            raise EncodingError(
-                f"immediate out of range for {inst.op.value}: {inst.imm}"
-            )
-        return (
-            (info.opcode << 26)
-            | (inst.rs << 21)
-            | (inst.rt << 16)
-            | (inst.imm & _MASK16)
-        )
-    # J-format.
-    if not 0 <= inst.target <= _MASK26:
-        raise EncodingError(f"jump target out of range: {inst.target:#x}")
-    return (info.opcode << 26) | inst.target
+    return encode_fields(
+        inst.info, inst.rd, inst.rs, inst.rt, inst.shamt, inst.imm,
+        inst.target,
+    )
 
 
 def decode(word: int, addr: int | None = None) -> Instruction:
@@ -76,30 +96,28 @@ def decode(word: int, addr: int | None = None) -> Instruction:
     """
     if not 0 <= word <= 0xFFFFFFFF:
         raise EncodingError(f"not a 32-bit word: {word:#x}")
-    opcode = (word >> 26) & 0x3F
-    funct = word & 0x3F
-    info = BY_ENCODING.get((opcode, funct))
-    if info is None or info.fmt is Fmt.I or info.fmt is Fmt.J:
-        info = BY_ENCODING.get((opcode, None))
+    info = _DECODE[word >> 20 & 0xFC0 | word & 0x3F]
     if info is None:
         raise EncodingError(
             f"unknown instruction word {word:#010x} "
-            f"(opcode {opcode:#04x}, funct {funct:#04x})"
+            f"(opcode {word >> 26:#04x}, funct {word & 0x3F:#04x})"
         )
-    rs = (word >> 21) & 0x1F
-    rt = (word >> 16) & 0x1F
-    if info.fmt in (Fmt.R, Fmt.F):
-        rd = (word >> 11) & 0x1F
-        shamt = (word >> 6) & 0x1F
-        return Instruction(info.op, rd=rd, rs=rs, rt=rt, shamt=shamt, addr=addr)
-    if info.fmt is Fmt.I:
+    fmt = info.fmt
+    if fmt is _FMT_I:
         imm = word & _MASK16
         if imm >= 1 << 15:  # sign-extend
             imm -= 1 << 16
         # Logical immediates are zero-extended by the semantics layer; the
         # decoded field keeps the signed view so encode/decode round-trips.
-        return Instruction(info.op, rs=rs, rt=rt, imm=imm, addr=addr)
-    return Instruction(info.op, target=word & _MASK26, addr=addr)
+        return Instruction(
+            info.op, 0, word >> 21 & 0x1F, word >> 16 & 0x1F, 0, imm, 0, addr
+        )
+    if fmt is _FMT_J:
+        return Instruction(info.op, 0, 0, 0, 0, 0, word & _MASK26, addr)
+    return Instruction(
+        info.op, word >> 11 & 0x1F, word >> 21 & 0x1F, word >> 16 & 0x1F,
+        word >> 6 & 0x1F, 0, 0, addr,
+    )
 
 
 def is_valid_word(word: int) -> bool:
@@ -111,4 +129,4 @@ def is_valid_word(word: int) -> bool:
     return True
 
 
-__all__ = ["encode", "decode", "is_valid_word"]
+__all__ = ["encode", "encode_fields", "decode", "is_valid_word"]

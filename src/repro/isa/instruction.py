@@ -6,11 +6,15 @@ and the static analyzer.  Register operands are exposed uniformly as
 (floating point), so pipeline hazard logic never needs per-opcode special
 cases.
 
-Instances are immutable once built and are created either by the assembler
-or by :func:`repro.isa.encoding.decode`.
+Instances are immutable once built.  A :class:`~repro.isa.program.Program`
+creates one per instruction word, through :func:`repro.isa.encoding.decode`;
+the opcode-static attributes and the operand shape come from per-opcode
+tables built once at import.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from repro.isa.opcodes import (
     BRANCH_OPS,
@@ -22,6 +26,7 @@ from repro.isa.opcodes import (
     Fmt,
     FuClass,
     Op,
+    OpInfo,
 )
 from repro.isa.registers import RA
 
@@ -69,19 +74,12 @@ class Instruction:
         self.imm = imm
         self.target = target
         self.addr = addr
-        self.info = INFO[op]
-        self.latency = self.info.latency
-        self.is_load = op in LOAD_OPS
-        self.is_store = op in STORE_OPS
-        self.is_mem = self.is_load or self.is_store
-        self.is_branch = op in BRANCH_OPS
-        self.is_direct_jump = op in DIRECT_JUMP_OPS
-        self.is_indirect_jump = op in INDIRECT_JUMP_OPS
-        self.is_control = (
-            self.is_branch or self.is_direct_jump or self.is_indirect_jump
-        )
-        self.fu_class = self.info.cls
-        self.sources, self.dest = _operand_map(self)
+        (
+            self.info, self.latency, self.fu_class, self.is_load,
+            self.is_store, self.is_mem, self.is_branch, self.is_direct_jump,
+            self.is_indirect_jump, self.is_control, shape,
+        ) = _STATIC[op]
+        self.sources, self.dest = shape(rd, rs, rt)
 
     def with_addr(self, addr: int) -> "Instruction":
         """Return a copy of this instruction placed at ``addr``."""
@@ -120,54 +118,85 @@ class Instruction:
         return f"<{disassemble_instruction(self)}{where}>"
 
 
-def _operand_map(inst: Instruction) -> tuple[tuple[RegRef, ...], RegRef | None]:
-    """Compute (sources, dest) register references for ``inst``."""
-    op = inst.op
-    fmt = inst.info.fmt
-    syntax = inst.info.syntax
+OperandShape = Callable[
+    [int, int, int], tuple[tuple[RegRef, ...], RegRef | None]
+]
 
-    if op is Op.HALT:
-        return (), None
-    if op is Op.J:
-        return (), None
+
+def _operand_shape(op: Op) -> OperandShape:
+    """``(rd, rs, rt) -> (sources, dest)`` register references for ``op``."""
+    info = INFO[op]
+    fmt = info.fmt
+    syntax = info.syntax
+
+    if op is Op.HALT or op is Op.J:
+        return lambda rd, rs, rt: ((), None)
     if op is Op.JAL:
-        return (), ("i", RA)
+        return lambda rd, rs, rt: ((), ("i", RA))
     if op is Op.JR:
-        return (("i", inst.rs),), None
+        return lambda rd, rs, rt: ((("i", rs),), None)
     if op is Op.JALR:
-        return (("i", inst.rs),), ("i", inst.rd)
+        return lambda rd, rs, rt: ((("i", rs),), ("i", rd))
     if op is Op.LUI:
-        return (), ("i", inst.rt)
-    if inst.is_branch:
+        return lambda rd, rs, rt: ((), ("i", rt))
+    if op in BRANCH_OPS:
         if op in (Op.BLEZ, Op.BGTZ):
-            return (("i", inst.rs),), None
-        return (("i", inst.rs), ("i", inst.rt)), None
+            return lambda rd, rs, rt: ((("i", rs),), None)
+        return lambda rd, rs, rt: ((("i", rs), ("i", rt)), None)
     if op is Op.LW:
-        return (("i", inst.rs),), ("i", inst.rt)
+        return lambda rd, rs, rt: ((("i", rs),), ("i", rt))
     if op is Op.FLW:
-        return (("i", inst.rs),), ("f", inst.rt)
+        return lambda rd, rs, rt: ((("i", rs),), ("f", rt))
     if op is Op.SW:
-        return (("i", inst.rs), ("i", inst.rt)), None
+        return lambda rd, rs, rt: ((("i", rs), ("i", rt)), None)
     if op is Op.FSW:
-        return (("i", inst.rs), ("f", inst.rt)), None
+        return lambda rd, rs, rt: ((("i", rs), ("f", rt)), None)
     if fmt is Fmt.F:
         if op in (Op.FEQ, Op.FLT_, Op.FLE):
-            return (("f", inst.rs), ("f", inst.rt)), ("i", inst.rd)
+            return lambda rd, rs, rt: ((("f", rs), ("f", rt)), ("i", rd))
         if op is Op.ITOF:
-            return (("i", inst.rs),), ("f", inst.rd)
+            return lambda rd, rs, rt: ((("i", rs),), ("f", rd))
         if op is Op.FTOI:
-            return (("f", inst.rs),), ("i", inst.rd)
+            return lambda rd, rs, rt: ((("f", rs),), ("i", rd))
         if "ft" in syntax:  # 3-operand FP arithmetic
-            return (("f", inst.rs), ("f", inst.rt)), ("f", inst.rd)
-        return (("f", inst.rs),), ("f", inst.rd)  # 2-operand FP
+            return lambda rd, rs, rt: ((("f", rs), ("f", rt)), ("f", rd))
+        return lambda rd, rs, rt: ((("f", rs),), ("f", rd))  # 2-operand FP
     if fmt is Fmt.I:  # immediate ALU
-        return (("i", inst.rs),), ("i", inst.rt)
+        return lambda rd, rs, rt: ((("i", rs),), ("i", rt))
     # R-type ALU / shifts.
     if "shamt" in syntax:
-        return (("i", inst.rt),), ("i", inst.rd)
+        return lambda rd, rs, rt: ((("i", rt),), ("i", rd))
     if syntax == "rd,rt,rs":  # variable shifts
-        return (("i", inst.rt), ("i", inst.rs)), ("i", inst.rd)
-    return (("i", inst.rs), ("i", inst.rt)), ("i", inst.rd)
+        return lambda rd, rs, rt: ((("i", rt), ("i", rs)), ("i", rd))
+    return lambda rd, rs, rt: ((("i", rs), ("i", rt)), ("i", rd))
+
+
+#: info, latency, fu_class, is_load, is_store, is_mem, is_branch,
+#: is_direct_jump, is_indirect_jump, is_control, operand shape.
+_Static = tuple[
+    OpInfo, int, FuClass, bool, bool, bool, bool, bool, bool, bool,
+    OperandShape,
+]
+
+
+def _static(op: Op) -> _Static:
+    """Opcode-static :class:`Instruction` attributes, in ``__init__`` order."""
+    info = INFO[op]
+    is_load = op in LOAD_OPS
+    is_store = op in STORE_OPS
+    is_branch = op in BRANCH_OPS
+    is_direct_jump = op in DIRECT_JUMP_OPS
+    is_indirect_jump = op in INDIRECT_JUMP_OPS
+    return (
+        info, info.latency, info.cls, is_load, is_store, is_load or is_store,
+        is_branch, is_direct_jump, is_indirect_jump,
+        is_branch or is_direct_jump or is_indirect_jump, _operand_shape(op),
+    )
+
+
+#: Op -> opcode-static attributes and operand shape, built once so that
+#: constructing an instruction does one table lookup per opcode.
+_STATIC: dict[Op, _Static] = {op: _static(op) for op in Op}
 
 
 #: Latency classes that keep the single VISA function unit busy for more

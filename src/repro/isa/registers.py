@@ -58,6 +58,9 @@ def parse_int_reg(name: str) -> int:
     >>> parse_int_reg("r0")
     0
     """
+    num = _INT_NAME_TO_NUM.get(name)  # the common, canonical spelling
+    if num is not None:
+        return num
     key = name.lstrip("$").lower()
     if key not in _INT_NAME_TO_NUM:
         raise KeyError(f"unknown integer register {name!r}")
@@ -70,6 +73,9 @@ def parse_fp_reg(name: str) -> int:
     >>> parse_fp_reg("$f12")
     12
     """
+    num = _FP_NAME_TO_NUM.get(name)  # the common, canonical spelling
+    if num is not None:
+        return num
     key = name.lstrip("$").lower()
     if key not in _FP_NAME_TO_NUM:
         raise KeyError(f"unknown FP register {name!r}")

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from repro.errors import CompileError
 
@@ -20,9 +21,23 @@ OPERATORS = (
     "(", ")", "{", "}", "[", "]", ";", ",",
 )
 
+# One master pattern: blanks, then one token or comment.  The numbered
+# groups are the token kinds ``tokenize`` dispatches on (``lastindex``);
+# blanks at the end of the source and ``//`` comments match no group.
+_NEWLINE, _BLOCK_COMMENT, _NUMBER, _WORD, _OP = range(1, 6)
+_TOKEN_RE = re.compile(
+    r"[ \t\r]*(?:"
+    r"(\n)"
+    r"|//[^\n]*"
+    r"|(/\*)"
+    r"|(\d|\.\d)"  # a number; _lex_number reads the rest
+    r"|([^\W\d]\w*)"
+    r"|(" + "|".join(map(re.escape, OPERATORS)) + r")"
+    r"|\Z)"
+)
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     """One lexical token.
 
     kind: "int_lit", "float_lit", "ident", "keyword", "op", or "eof".
@@ -43,54 +58,45 @@ def tokenize(source: str) -> list[Token]:
         CompileError: on unrecognized characters or malformed literals.
     """
     tokens: list[Token] = []
+    append = tokens.append
+    match = _TOKEN_RE.match
     i = 0
     line = 1
     n = len(source)
     while i < n:
-        ch = source[i]
-        if ch == "\n":
+        m = match(source, i)
+        if m is None:
+            ch = source[i:].lstrip(" \t\r")[0]
+            raise CompileError(f"unexpected character {ch!r}", line)
+        kind = m.lastindex
+        if kind == _OP:
+            append(Token("op", m.group(_OP), line))
+        elif kind == _WORD:
+            word = m.group(_WORD)
+            if not (word[0].isalpha() or word[0] == "_"):  # e.g. "½"
+                raise CompileError(f"unexpected character {word[0]!r}", line)
+            append(Token("keyword" if word in KEYWORDS else "ident", word, line))
+        elif kind == _NUMBER:
+            i, token = _lex_number(source, m.start(_NUMBER), line)
+            append(token)
+            continue
+        elif kind == _NEWLINE:
             line += 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            continue
-        if source.startswith("//", i):
-            end = source.find("\n", i)
-            i = n if end < 0 else end
-            continue
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
+        elif kind == _BLOCK_COMMENT:
+            start = m.end()
+            end = source.find("*/", start)
             if end < 0:
                 raise CompileError("unterminated block comment", line)
-            line += source.count("\n", i, end)
+            line += source.count("\n", start, end)
             i = end + 2
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            i, token = _lex_number(source, i, line)
-            tokens.append(token)
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            word = source[i:j]
-            kind = "keyword" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, line))
-            i = j
-            continue
-        for op in OPERATORS:
-            if source.startswith(op, i):
-                tokens.append(Token("op", op, line))
-                i += len(op)
-                break
-        else:
-            raise CompileError(f"unexpected character {ch!r}", line)
+        i = m.end()
     tokens.append(Token("eof", None, line))
     return tokens
 
 
 def _lex_number(source: str, i: int, line: int) -> tuple[int, Token]:
+    # isdecimal, not isdigit: int() and float() reject digits such as "²".
     n = len(source)
     if source.startswith(("0x", "0X"), i):
         j = i + 2
@@ -100,22 +106,22 @@ def _lex_number(source: str, i: int, line: int) -> tuple[int, Token]:
             raise CompileError("malformed hex literal", line)
         return j, Token("int_lit", int(source[i:j], 16), line)
     j = i
-    while j < n and source[j].isdigit():
+    while j < n and source[j].isdecimal():
         j += 1
     is_float = False
     if j < n and source[j] == ".":
         is_float = True
         j += 1
-        while j < n and source[j].isdigit():
+        while j < n and source[j].isdecimal():
             j += 1
     if j < n and source[j] in "eE":
         k = j + 1
         if k < n and source[k] in "+-":
             k += 1
-        if k < n and source[k].isdigit():
+        if k < n and source[k].isdecimal():
             is_float = True
             j = k
-            while j < n and source[j].isdigit():
+            while j < n and source[j].isdecimal():
                 j += 1
     text = source[i:j]
     if is_float:

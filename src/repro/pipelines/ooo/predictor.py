@@ -13,6 +13,10 @@ lives in the in-order engine, not here.
 
 from __future__ import annotations
 
+#: 2-bit counter value <-> its snapshot digit, as byte translation tables.
+_TO_DIGIT = bytes.maketrans(bytes(range(4)), b"0123")
+_FROM_DIGIT = bytes.maketrans(b"0123", bytes(range(4)))
+
 
 class GsharePredictor:
     """gshare: global history XOR PC indexes a table of 2-bit counters."""
@@ -58,16 +62,19 @@ class GsharePredictor:
         """
         return {
             "bits": self.bits,
-            "table": "".join(map(str, self.table)),
+            "table": bytes(self.table).translate(_TO_DIGIT).decode("ascii"),
             "history": self.history,
         }
 
     def load_state(self, payload: dict) -> None:
-        self.table = [int(c) for c in payload["table"]]
-        if len(self.table) != self.size:
+        digits = payload["table"].encode("ascii")
+        if len(digits) != self.size:
             raise ValueError(
-                f"gshare table length {len(self.table)} != {self.size}"
+                f"gshare table length {len(digits)} != {self.size}"
             )
+        if digits.translate(None, b"0123"):
+            raise ValueError("gshare table holds a digit outside 0-3")
+        self.table = list(digits.translate(_FROM_DIGIT))
         self.history = int(payload["history"])
 
 

@@ -63,6 +63,7 @@ from repro.service.protocol import (
 from repro.service.ring import DEFAULT_VNODES, HashRing
 from repro.service.server import signal_handlers
 from repro.service.store import ResultStore, default_store_dir
+from repro.service.workers import await_within
 
 
 @dataclass(frozen=True)
@@ -223,29 +224,6 @@ class FrontJob:
     )
 
 
-async def get_within(
-    queue: asyncio.Queue[Response | None], timeout: float
-) -> Response | None:
-    """``queue.get()`` bounded by ``timeout`` seconds; raises
-    ``asyncio.TimeoutError`` when nothing arrives in time.
-
-    Unlike ``asyncio.wait_for`` before Python 3.12, a cancellation that
-    lands just as the item arrives is never swallowed: swallowed, it
-    would leave a cancelled health loop or job task running, and the
-    drain that awaits it (``ClusterFront.shutdown``) would never end.
-    """
-    getter = asyncio.ensure_future(queue.get())
-    try:
-        await asyncio.wait({getter}, timeout=timeout)
-    except asyncio.CancelledError:
-        getter.cancel()
-        raise
-    if getter.done():
-        return getter.result()
-    getter.cancel()
-    raise asyncio.TimeoutError
-
-
 class BackendLink:
     """One backend daemon: a multiplexed connection plus breaker state.
 
@@ -366,7 +344,7 @@ class BackendLink:
         except (OSError, ConnectionError):
             return None
         try:
-            response = await get_within(queue, timeout)
+            response = await await_within(queue.get(), timeout)
         except asyncio.TimeoutError:
             return None
         finally:
@@ -669,7 +647,7 @@ class ClusterFront:
                 if remaining <= 0:
                     return None
                 try:
-                    response = await get_within(channel, remaining)
+                    response = await await_within(channel.get(), remaining)
                 except asyncio.TimeoutError:
                     return None
                 if response is None:

@@ -44,7 +44,7 @@ import time
 from multiprocessing.connection import Connection
 from multiprocessing.context import BaseContext
 from multiprocessing.process import BaseProcess
-from typing import Any
+from typing import Any, Awaitable, TypeVar
 
 from repro.errors import ReproError
 from repro.service.protocol import JSONDict
@@ -148,6 +148,30 @@ def _worker_main(
             conn.send((job_id, ok, result, delta))
         except (BrokenPipeError, OSError):
             return
+
+
+_T = TypeVar("_T")
+
+
+async def await_within(aw: Awaitable[_T], timeout: float) -> _T:
+    """``await aw`` bounded by ``timeout`` seconds; cancels ``aw`` and
+    raises ``asyncio.TimeoutError`` when it does not finish in time.
+
+    Unlike ``asyncio.wait_for`` before Python 3.12, a cancellation that
+    lands just as ``aw`` finishes is never swallowed: swallowed, it would
+    leave a cancelled health loop or job task running, and the drain that
+    awaits it (``ClusterFront.shutdown``) would never end.
+    """
+    inner = asyncio.ensure_future(aw)
+    try:
+        await asyncio.wait({inner}, timeout=timeout)
+    except asyncio.CancelledError:
+        inner.cancel()
+        raise
+    if inner.done():
+        return inner.result()
+    inner.cancel()
+    raise asyncio.TimeoutError
 
 
 class WorkerHandle:
@@ -291,7 +315,8 @@ class WorkerPool:
         Returns ``(result, cache_delta)`` or raises
         :class:`JobTimeoutError` / :class:`WorkerCrashError` /
         :class:`JobFailedError`.  The worker slot is always returned to
-        the idle queue — as a fresh process when the incumbent died.
+        the idle queue — as a fresh process when the incumbent died, timed
+        out, or was left running by a cancelled caller.
         """
         handle = await self._idle.get()
         try:
@@ -305,9 +330,15 @@ class WorkerPool:
                 ) from None
             loop = asyncio.get_running_loop()
             try:
-                reply = await asyncio.wait_for(
+                reply = await await_within(
                     loop.run_in_executor(None, handle.recv), timeout
                 )
+            except asyncio.CancelledError:
+                # An executor thread is still blocked in recv on this
+                # worker's pipe and the job may still be running: never
+                # hand the worker back idle.
+                handle = self._replace(handle)
+                raise
             except asyncio.TimeoutError:
                 handle = self._replace(handle)
                 raise JobTimeoutError(
@@ -350,4 +381,5 @@ __all__ = [
     "WorkerCrashError",
     "WorkerHandle",
     "WorkerPool",
+    "await_within",
 ]

@@ -37,7 +37,8 @@ import pytest
 from repro.errors import ServiceError
 from repro.service import jobs as job_registry
 from repro.service.client import ServiceClient
-from repro.service.cluster import TokenBucket, get_within
+from repro.service.cluster import TokenBucket
+from repro.service.workers import WorkerPool, await_within
 from repro.service.metrics import relabel_exposition
 from repro.service.queue import FairPriorityQueue
 from repro.service.ring import HashRing
@@ -350,7 +351,7 @@ def test_get_within_never_swallows_cancellation():
 
     async def cancel_after(steps: int) -> str:
         queue: asyncio.Queue = asyncio.Queue()
-        task = asyncio.ensure_future(get_within(queue, 5.0))
+        task = asyncio.ensure_future(await_within(queue.get(), 5.0))
         await asyncio.sleep(0)  # the getter is waiting
         queue.put_nowait("item")
         for _ in range(steps):
@@ -371,9 +372,47 @@ def test_get_within_never_swallows_cancellation():
 
     async def times_out() -> None:
         with pytest.raises(asyncio.TimeoutError):
-            await get_within(asyncio.Queue(), 0.01)
+            await await_within(asyncio.Queue().get(), 0.01)
 
     asyncio.run(times_out())
+
+
+def test_cancelled_job_never_returns_its_worker_idle():
+    """A job task cancelled while its worker runs replaces the worker.
+
+    The reply wait runs ``handle.recv`` on an executor thread, which a
+    cancel cannot stop: handing the worker back idle would let the next
+    job share its pipe with that blocked thread and a still-running job.
+    The cancel also reaches the caller instead of being swallowed.
+    """
+
+    def noop(tag: str, sleep_ms: int) -> dict:
+        return {"tag": tag, "sleep_ms": sleep_ms, "echo": {}}
+
+    async def main() -> None:
+        pool = WorkerPool(1)
+        pool.start()
+        try:
+            (first,) = pool._handles
+            task = asyncio.ensure_future(
+                pool.run_job("slow", "noop", noop("slow", 30_000), {}, 60.0)
+            )
+            await asyncio.sleep(0.3)  # sent; the reader thread is blocked
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+            assert not first.alive()
+            assert pool.restarts == 1
+            (second,) = pool._handles
+            assert second is not first
+            result, _ = await pool.run_job(
+                "next", "noop", noop("next", 0), {}, 60.0
+            )
+            assert result["tag"] == "next"
+        finally:
+            pool.close()
+
+    asyncio.run(main())
 
 
 def test_relabel_exposition_injects_backend_label():

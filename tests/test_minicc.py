@@ -57,6 +57,11 @@ class TestLexer:
         with pytest.raises(CompileError):
             tokenize("int @x;")
 
+    def test_non_decimal_digit_is_a_compile_error(self):
+        for source in ("x = \u00b2;", "x = 3\u00b2;", "x = 1.5\u00b2;"):
+            with pytest.raises(CompileError, match="unexpected character"):
+                tokenize(source)
+
 
 class TestParser:
     def test_precedence(self):

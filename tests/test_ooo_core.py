@@ -154,6 +154,34 @@ class TestPredictors:
         assert not predictor.predict(0x400000)
         assert predictor.history == 0
 
+    def test_gshare_snapshot_digit_string(self):
+        """The snapshot format: one ASCII digit per 2-bit counter."""
+        predictor = GsharePredictor(bits=3)
+        predictor.table = [0, 1, 2, 3, 3, 2, 1, 0]
+        predictor.history = 5
+        state = predictor.dump_state()
+        assert state == {"bits": 3, "table": "01233210", "history": 5}
+        restored = GsharePredictor(bits=3)
+        restored.load_state(state)
+        assert restored.table == predictor.table
+        assert restored.history == 5
+        for bad in ("0123321", "01234210", "0123321x"):
+            with pytest.raises(ValueError):
+                restored.load_state({"bits": 3, "table": bad, "history": 0})
+        assert restored.table == predictor.table  # failed loads change nothing
+
+    def test_gshare_snapshot_full_table_round_trip(self):
+        rng = random.Random(7)
+        predictor = GsharePredictor()
+        for _ in range(5000):
+            predictor.update(4 * rng.randrange(1 << 16), rng.random() < 0.7)
+        state = predictor.dump_state()
+        assert state["table"] == "".join(map(str, predictor.table))
+        restored = GsharePredictor()
+        restored.load_state(state)
+        assert restored.table == predictor.table
+        assert restored.dump_state() == state
+
     def test_indirect_predictor_remembers_target(self):
         predictor = IndirectPredictor(bits=8)
         assert predictor.predict(0x400000) is None
