@@ -129,11 +129,81 @@ def _measure_core(
     }
 
 
-def _measure_blockjit(min_seconds: float) -> dict:
-    """Block-JIT throughput (both cores, against the pre-JIT baseline)
-    and codegen-cache cold-vs-warm build times, entry size and the
-    ``tracemalloc`` peak of a cold build, in a throwaway
-    ``REPRO_CACHE_DIR``."""
+def _spread(values: list[float]) -> dict:
+    """Median and range of repeated trials, in seconds."""
+    import statistics
+
+    return {
+        "median": round(statistics.median(values), 4),
+        "min": round(min(values), 4),
+        "max": round(max(values), 4),
+    }
+
+
+def _measure_tiny_tables(trials: int) -> dict:
+    """Cold codegen of the 16 ``tiny`` block tables (8 workloads x 2
+    engines): every static block emitted, then ``compile()``d, the two
+    timed apart over ``trials`` repetitions, plus the emitted source's
+    lines and characters per static instruction.  Nothing is cached,
+    exec'd or stored, so the numbers are the codegen layer alone."""
+    from repro.isa import blockjit
+    from repro.pipelines.ooo.core import ComplexCore
+    from repro.visa.spec import VISASpec
+    from repro.workloads.suite import (
+        EXTRA_WORKLOAD_NAMES,
+        WORKLOAD_NAMES,
+        get_workload,
+    )
+
+    programs = []
+    for name in WORKLOAD_NAMES + EXTRA_WORKLOAD_NAMES:
+        program = get_workload(name, "tiny").program
+        machine = VISASpec().machine(program)
+        programs.append((
+            blockjit._geometry(machine),
+            ComplexCore(machine).params,
+            list(blockjit._walk_blocks(program)),
+        ))
+    section: dict = {"tables": 2 * len(programs), "trials": trials}
+    for engine in ("inorder", "ooo"):
+        emit_s, compile_s = [], []
+        for _ in range(trials):
+            sources = []
+            start = time.perf_counter()
+            for geom, params, blocks in programs:
+                engine_params = params if engine == "ooo" else None
+                for pc, insts in blocks:
+                    sources.append(blockjit._emit_block(
+                        engine, geom, engine_params, pc, insts
+                    ))
+            emit_s.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            for source in sources:
+                compile(source, "<codegen>", "exec")
+            compile_s.append(time.perf_counter() - start)
+        n = sum(len(insts) for *_, blocks in programs for _, insts in blocks)
+        section[engine] = {
+            "blocks": len(sources),
+            "instructions": n,
+            "lines_per_instruction": round(
+                sum(source.count("\n") for source in sources) / n, 1
+            ),
+            "chars_per_instruction": round(sum(map(len, sources)) / n, 1),
+            "emit_seconds": _spread(emit_s),
+            "compile_seconds": _spread(compile_s),
+            "total_seconds": _spread(
+                [e + c for e, c in zip(emit_s, compile_s)]
+            ),
+        }
+    return section
+
+
+def _measure_blockjit(min_seconds: float, trials: int) -> dict:
+    """Block-JIT throughput (both cores, against the pre-JIT baseline),
+    codegen-cache cold-vs-warm build times, entry size and the
+    ``tracemalloc`` peak of a cold build of ``cnt``, in a throwaway
+    ``REPRO_CACHE_DIR``, and the cold codegen of all 16 ``tiny`` tables
+    (:func:`_measure_tiny_tables`)."""
     import shutil
     import tempfile
     import tracemalloc
@@ -180,6 +250,7 @@ def _measure_blockjit(min_seconds: float) -> dict:
                 "entry_bytes": entry_bytes,
                 "cold_peak_traced_mb": round(peak / 1e6, 1),
             }
+        codegen["tiny_tables"] = _measure_tiny_tables(trials)
         section["codegen_cache"] = codegen
 
         for core_kind in ("inorder", "ooo"):
@@ -373,6 +444,7 @@ def main(argv: list[str] | None = None) -> int:
 
     min_seconds = 0.5 if args.smoke else 4.0
     cell_instances = 4 if args.smoke else 12
+    codegen_trials = 1 if args.smoke else 3
 
     from repro.experiments.parallel import default_jobs
 
@@ -424,7 +496,7 @@ def main(argv: list[str] | None = None) -> int:
         )
 
     phase_start = time.perf_counter()
-    jit_section = _measure_blockjit(min_seconds)
+    jit_section = _measure_blockjit(min_seconds, codegen_trials)
     phase_seconds["blockjit"] = round(time.perf_counter() - phase_start, 3)
     report["measured"]["blockjit"] = jit_section
     for core_kind in ("inorder", "ooo"):
@@ -434,12 +506,24 @@ def main(argv: list[str] | None = None) -> int:
             f"inst/s  ({sec['speedup_vs_pre_jit_baseline']}x vs pre-JIT "
             "fast)"
         )
-    for engine, times in jit_section["codegen_cache"].items():
+    codegen = jit_section["codegen_cache"]
+    for engine in ("inorder", "ooo"):
+        times = codegen[engine]
         print(
             f"blockjit codegen {engine:7s}  cold {times['cold_seconds']:.3f}s  "
             f"warm {times['warm_seconds']:.3f}s ({times['warm_speedup']}x)  "
             f"entry {times['entry_bytes']:,} B  "
             f"cold peak {times['cold_peak_traced_mb']} MB traced"
+        )
+    tables = codegen["tiny_tables"]
+    for engine in ("inorder", "ooo"):
+        cold = tables[engine]
+        print(
+            f"tiny tables {engine:7s}  emit "
+            f"{cold['emit_seconds']['median']:.3f}s  compile "
+            f"{cold['compile_seconds']['median']:.3f}s  "
+            f"({cold['lines_per_instruction']} lines, "
+            f"{cold['chars_per_instruction']} chars per instruction)"
         )
 
     phase_start = time.perf_counter()

@@ -1,15 +1,18 @@
 """CI smoke: block code must match the reference bit for bit.
 
 Runs every workload (all 8, tiny scale) on both pipelines through
-generated block code, whole (``block``, one unbudgeted ``run()``) and
-in fixed 97-instruction segments (``bounded``, where most segments end
-inside a block and run a truncated copy of it), and digests the complete
-observable outcome: every segment's run result, final registers, memory
-image, console output (with cycle stamps), event counters, and cache
-statistics.  The baseline is each core's ``run_reference`` (the original
-``semantics.execute``-based loop, an independent formulation of the same
-timing model) driven with the same budgets, so the complex core's
-event-driven engine is checked end to end against it on both paths.
+generated block code, whole (``block``, one unbudgeted ``run()``), in
+fixed 97-instruction segments (``bounded``, where most segments end
+inside a block and run a truncated copy of it), and whole with the
+watchdog armed to expire halfway through the run (``armed``, so every
+run ends in a watchdog exit from inside a block), and digests the
+complete observable outcome: every segment's run result, final
+registers, memory image, console output (with cycle stamps), event
+counters, and cache statistics.  The baseline is each core's
+``run_reference`` (the original ``semantics.execute``-based loop, an
+independent formulation of the same timing model) driven the same way,
+so the complex core's event-driven engine is checked end to end against
+it on every path.
 Any digest mismatch is a miscompilation and exits nonzero::
 
     PYTHONPATH=src python benchmarks/jit_parity_smoke.py
@@ -38,7 +41,11 @@ RUNS = 3
 SEGMENT = 97
 
 #: Checked paths: name -> segment budget (``None``: one whole run).
-PATHS = {"block": None, "bounded": SEGMENT}
+PATHS = {"block": None, "bounded": SEGMENT, "armed": None}
+
+#: Where the ``armed`` path's watchdog expires, as a fraction of the
+#: run's cycle count on the ``block`` path's reference run.
+ARMED_AT = 0.5
 
 
 def _digest(core, machine, segments) -> str:
@@ -56,6 +63,24 @@ def _digest(core, machine, segments) -> str:
         (machine.dcache.stats.hits, machine.dcache.stats.misses),
     ))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def _arm(machine, expiry: int) -> None:
+    """Arm the watchdog to expire ``expiry`` cycles into the run, with
+    exceptions unmasked (as the VISA runtime runs complex mode).  The
+    sub-task 0 prologue of an instrumented program re-arms it from
+    ``__visa_incr[0]``, so that increment is set to ``expiry`` too (the
+    later ones stay 0)."""
+    from repro.isa import layout
+
+    mmio = machine.mmio
+    mmio.exceptions_masked = False
+    mmio.watchdog_set(expiry, 0)
+    mmio.watchdog_ctrl(1, 0)
+    program = machine.program
+    if program.subtask_marks:
+        incr = program.address_of(layout.VISA_INCR_SYMBOL)
+        machine.write_data_words(incr, [expiry])
 
 
 def _run(core, method: str, budget: int | None) -> list[tuple]:
@@ -101,6 +126,8 @@ def main(argv: list[str] | None = None) -> int:
         for label, core_cls in (("inorder", InOrderCore), ("ooo", ComplexCore)):
             shown = []
             ok = True
+            # Per seed: the block path's reference cycle count.
+            cycles: dict[int | None, int] = {}
             for path, budget in PATHS.items():
                 digests: dict[str, tuple[str, ...]] = {}
                 for method in ("run_reference", "run"):
@@ -110,9 +137,17 @@ def main(argv: list[str] | None = None) -> int:
                         if seed is not None:
                             inputs = workload.generate_inputs(seed=seed)
                             workload.apply_inputs(machine, inputs)
+                        if path == "armed":
+                            _arm(machine, int(cycles[seed] * ARMED_AT))
                         core = core_cls(machine)
                         segments = _run(core, method, budget)
                         per_run.append(_digest(core, machine, segments))
+                        if path == "block" and method == "run_reference":
+                            cycles[seed] = core.state.now
+                        if path == "armed" and segments[-1][0] != "watchdog":
+                            print(f"{name} {label}: armed {method} ended in "
+                                  f"{segments[-1][0]!r}, not a watchdog exit")
+                            ok = False
                     digests[method] = tuple(per_run)
                 ok = ok and digests["run"] == digests["run_reference"]
                 shown.append(

@@ -9,25 +9,31 @@ analysis rejects a program) and emits one specialized Python function
 Within a generated block:
 
 * register values live in locals (promoted on first read, rebound on
-  write) and are spilled back to the architectural arrays only at block
-  exit or immediately before any operation that can raise (MMIO access,
-  misaligned/text-range data access, DIV/REM/FDIV/FSQRT/FTOI),
+  write) and are spilled back to the architectural arrays only when the
+  block exits,
 * the in-order timing recurrence and the OOO event-driven constraint
   system are emitted inline with SSA-style names, mirroring
   :func:`repro.pipelines.inorder_engine.advance` and the reference
-  loops' bookkeeping, and
+  loops' bookkeeping,
 * event counters whose increments are statically known (fetch, regread,
-  regwrite, retired) become literal offsets baked into the exit writes.
+  regwrite, retired) become literal offsets baked into the exit writes,
+  and
+* every exit before the last instruction (the watchdog expiring after an
+  instruction, or an instruction faulting: an MMIO access the device
+  rejects, a misaligned or text-range data access, DIV/REM/FDIV/FSQRT/
+  FTOI raising) is one line that records its exit position and leaves
+  through the block's single epilogue, which writes the state as of that
+  position from a per-block constant table (see "the shared exit
+  epilogue" below).
 
 The contract is *bit-identical observable state* with the cores'
 ``run_reference``: architectural registers and memory, cycle counts,
 cache statistics, event counters, watchdog/exception cycles, and fault
-side effects.  Two documented exclusions: a ``TypeError`` raised by
-arithmetic on a float-contaminated integer register (already undefined
-behaviour in the reference) may leave partially-updated batched state,
-and at a text-range data-store fault the pipeline view differs
-(in-order ``now`` includes the faulting store's timing; OOO event
-counters exclude it).
+side effects, the pipeline's view of a faulting instruction included.
+One documented exclusion: a ``TypeError`` raised by arithmetic on a
+float-contaminated integer register (already undefined behaviour in the
+reference) propagates without the epilogue and may leave
+partially-updated batched state.
 
 Each block is compiled on its own, so a build never holds a whole
 table's source or syntax tree at once.  The compiled block table is
@@ -50,9 +56,9 @@ from __future__ import annotations
 
 import hashlib
 import marshal
-import re
 import sys
 from dataclasses import astuple
+from functools import lru_cache
 from types import CodeType
 from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple
 
@@ -80,7 +86,9 @@ if TYPE_CHECKING:
 #: Bump when the emitted code changes shape; stale disk entries miss.
 #: 3: the OOO disk key lost its ``sched`` field when the event layouts
 #: became the only ones, so older (scan-layout) entries must not load.
-CODEGEN_VERSION = 3
+#: 4: one shared exit epilogue per block; st carries the watchdog limit
+#: ``wl`` where it carried the ``wd`` flag.
+CODEGEN_VERSION = 4
 
 _M = 0xFFFFFFFF
 _S = 0x80000000
@@ -107,22 +115,29 @@ class _Regs:
 
     Each register is represented by TEXT: a stable local name (``R5`` /
     ``F5``), an int literal (constant-folded writes), or its home array
-    slot before first use.  Reads of ``r0`` fold to ``0``.  Writes mark
-    the key dirty; :meth:`spill` emits the home-array writebacks.
+    slot before first use.  Reads of ``r0`` fold to ``0``.  Every write
+    records a *version* (the first exit position that sees it, and its
+    value) so the block's exit epilogue can spill each register as it
+    stood at any exit (:meth:`exit_spills`).
     """
 
-    def __init__(self, lines: list[str]) -> None:
+    def __init__(self, lines: list[str], rows: list[tuple]) -> None:
         self._lines = lines
+        # The block's exit positions so far: a write is seen by every
+        # position allocated after it.
+        self._rows = rows
         # key -> ("name", text) | ("const", value)
         self._val: dict[int, tuple[str, Any]] = {}
-        self.dirty: set[int] = set()
+        # key -> [(first exit position that sees it, local name or int
+        # constant)], in write order.
+        self.versions: dict[int, list[tuple[int, str | int]]] = {}
 
     @staticmethod
     def _home(key: int) -> str:
         return f"ir[{key}]" if key < 32 else f"fr[{key - 32}]"
 
     @staticmethod
-    def _name(key: int) -> str:
+    def name(key: int) -> str:
         return f"R{key}" if key < 32 else f"F{key - 32}"
 
     def read(self, key: int, ind: str) -> str:
@@ -131,7 +146,7 @@ class _Regs:
             return "0"
         state = self._val.get(key)
         if state is None:
-            name = self._name(key)
+            name = self.name(key)
             self._lines.append(f"{ind}{name} = {self._home(key)}")
             self._val[key] = ("name", name)
             return name
@@ -149,60 +164,54 @@ class _Regs:
             return int(state[1])
         return None
 
+    def _record(self, key: int, value: str | int) -> None:
+        start = len(self._rows)
+        versions = self.versions.setdefault(key, [])
+        if versions and versions[-1][1] == value:
+            return  # a local name always holds its latest value
+        if versions and versions[-1][0] == start:
+            versions.pop()  # overwritten before any exit could see it
+        versions.append((start, value))
+
     def write_name(self, key: int) -> str:
-        """Local name to assign ``key``'s new value into (marks dirty)."""
-        name = self._name(key)
+        """Local name to assign ``key``'s new value into (marks dirty).
+
+        Call it after the instruction's fault sites: an exit there must
+        still see the register's previous value.
+        """
+        name = self.name(key)
         self._val[key] = ("name", name)
-        self.dirty.add(key)
+        self._record(key, name)
         return name
 
     def write_const(self, key: int, value: int) -> None:
-        """Record a constant write (no code emitted until spill)."""
+        """Record a constant write (no code emitted until an exit)."""
         self._val[key] = ("const", value)
-        self.dirty.add(key)
+        self._record(key, value)
 
-    def prepare_write(self, key: int, ind: str) -> None:
-        """Materialize ``key``'s *old* value into its home local.
+    def spill_lines(self, ind: str) -> list[str]:
+        """Home-array writebacks of every written register's final value."""
+        return [
+            f"{ind}{self._home(key)} = {self.versions[key][-1][1]}"
+            for key in sorted(self.versions)
+        ]
 
-        Needed before a conditional/faulting write site (load dest): a
-        sync emitted between :meth:`write_name` and the actual
-        assignment spills the local name, which must therefore already
-        hold the pre-write architectural value on every path.
-        """
-        state = self._val.get(key)
-        if state is not None and state[0] == "name":
-            return
-        name = self._name(key)
-        if state is None:
-            self._lines.append(f"{ind}{name} = {self._home(key)}")
-            self._val[key] = ("name", name)
-        else:  # pending const: keep the dirty flag, value moves to the local
-            value = state[1]
-            self._lines.append(f"{ind}{name} = {value}")
-            self._val[key] = ("name", name)
-
-    def spill_lines(self, ind: str, commit: bool = False) -> list[str]:
-        """Home-array writebacks for every dirty register.
-
-        ``commit`` may only be True for an *unconditional* spill site
-        (function-body base indent): every later line is then reached
-        only after these writebacks ran, so the dirty set can be
-        cleared and later syncs skip registers written before this
-        point.  Conditional spill sites (inside an arm) must keep the
-        dirty set — the not-taken path never stored the values.
-        """
-        out = []
-        for key in sorted(self.dirty):
-            state = self._val[key]
-            text = str(state[1]) if state[0] == "const" else state[1]
-            out.append(f"{ind}{self._home(key)} = {text}")
-        if commit:
-            self.dirty.clear()
-        return out
+    def exit_spills(self) -> tuple[tuple[int, int, str | int], ...]:
+        """The spill table of the block's exits: ``(key, first exit
+        position that sees it, local name or constant)`` for every
+        register version some exit sees, each register's in write
+        order (so at position ``k`` the last version with first <= k
+        wins; see :func:`_spill`)."""
+        return tuple(
+            (key, start, value)
+            for key in sorted(self.versions)
+            for start, value in self.versions[key]
+            if start < len(self._rows)
+        )
 
 
 #: ALU ops whose generated expression can raise and therefore need a
-#: state sync before evaluation (fault-state parity with the reference).
+#: fault site (``k = ...``) before evaluation.
 _MAY_RAISE_OPS = frozenset({Op.DIV, Op.REM, Op.FDIV, Op.FSQRT, Op.FTOI})
 
 #: Pure integer ALU ops safe to constant-fold at codegen time by
@@ -324,6 +333,13 @@ def _alu_fold(inst: Any, regs: _Regs) -> int | None:
         if regs.read_const(key) is None:
             return None
     expr, _ = _alu_expr(inst, regs, "")  # const reads: no promotion emitted
+    return _fold_value(expr)
+
+
+@lru_cache(maxsize=4096)
+def _fold_value(expr: str) -> int:
+    """The value of a literal-only generated expression (memoized: the
+    same folds recur across blocks and programs)."""
     return int(eval(expr, dict(_FOLD_GLOBALS)))  # noqa: S307 - own codegen
 
 
@@ -349,6 +365,354 @@ def _wrap_s32(value: int) -> int:
     return ((value + _S) & _M) - _S
 
 
+# --- the shared exit epilogue ------------------------------------------------
+#
+# A block can leave before its last instruction at a *mid-block exit*:
+# the watchdog expiring after instruction i, or instruction i faulting (a
+# misaligned or text-range data access, an MMIO access the device
+# rejects, or a DIV/REM/FDIV/FSQRT/FTOI that raises).  Each such exit is
+# an *exit position* k, numbered in block order, and the code at it is
+# one line: ``if y3 >= wl: k = 5; raise _Watchdog`` after an instruction,
+# or ``k = 5`` ahead of an operation that can raise.  The block body runs
+# inside ``try:``, and one ``except`` epilogue per block hands its
+# locals, k and a constant *exit table* to the engine's exit routine
+# (:func:`_inorder_exit` / :func:`_ooo_exit`), which writes the state as
+# of position k; the epilogue then returns "w" or re-raises the fault.
+# The exit table holds one row per position (counter offsets and the
+# locals that hold position-dependent state) and the spill table of
+# :meth:`_Regs.exit_spills`, each row and spill one space-separated
+# string (a nested tuple constant costs several times more to compile).
+#
+# A fault at instruction i leaves the state run_reference leaves: the
+# instruction's fetch (and, for a load or store, its cache access and,
+# on the complex core, its pass through the pipeline) done, nothing else
+# of it.  The watchdog limit ``wl`` (st slot 20 in-order, 21 OOO) is the
+# expiry cycle relative to the segment's timing base, or _NEVER when the
+# segment does not honour the watchdog; block code recomputes it after
+# every MMIO store.
+
+#: Watchdog limit of a segment that never takes a watchdog exit.
+_NEVER = 1 << 62
+
+#: When a segment honours the watchdog (recomputed after an MMIO store).
+_WD_ARMED = "honor and not mmio.exceptions_masked and mmio._wd_enabled"
+
+
+class _Watchdog(Exception):
+    """Raised by block code to leave through its epilogue on watchdog
+    expiry (the epilogue returns "w")."""
+
+
+#: Exceptions the epilogue serves: its watchdog exit and every fault an
+#: operation preceded by ``k = ...`` can raise.  Anything else (a bug, or
+#: arithmetic on a float-contaminated integer register) propagates
+#: without the state write.
+_EXITS = (_Watchdog, ReproError, ArithmeticError, ValueError)
+
+
+def _spill(L: dict[str, Any], k: int, spills: tuple[str, ...]) -> None:
+    """Write back every register the block wrote, as of exit position
+    ``k`` (``L``: the block's locals; ``spills``: its spill table, each
+    entry "register key, first position, local name or constant")."""
+    ir, fr = L["ir"], L["fr"]
+    for spill in spills:
+        key, first, value = spill.split()
+        if k >= int(first):
+            value = L[value] if value[0].isalpha() else int(value)
+            if int(key) < 32:
+                ir[int(key)] = value
+            else:
+                fr[int(key) - 32] = value
+
+
+def _inorder_exit(
+    st: list[Any], k: int, L: dict[str, Any], table: tuple
+) -> None:
+    """The in-order epilogue: write ``st`` as of exit position ``k``.
+
+    ``table`` is ``(start pc, I-cache block shift, I-cache sets, rows,
+    spills)``; a row lists instructions executed, fetched, register
+    reads, register writes, pending guaranteed I-cache hits, then the
+    locals holding the timing vector.
+    """
+    start, ishift, insets, rows, spills = table
+    row = rows[k].split()
+    kn, kf, kr, kw, kp = map(int, row[:5])
+    _spill(L, k, spills)
+    st[:] = [L[name] for name in _INORDER_SLOTS]
+    st[:8] = [L[name] for name in row[5:]]
+    if kp:
+        # The pending hits are all on the line of the last fetch.
+        blk = (start + 4 * kf - 4) >> ishift
+        L["isets"][blk % insets][blk] = st[8] + kp - 1
+        st[8] += kp
+        st[10] += kp
+    st[14] += kf
+    st[15] += kr
+    st[16] += kw
+    st[18] = start + 4 * kn
+    st[19] += kn
+
+
+def _ooo_exit(st: list[Any], k: int, L: dict[str, Any], table: tuple) -> None:
+    """The complex-core epilogue: write ``st`` as of exit position ``k``.
+
+    ``table`` is ``(start pc, rows, spills)``; a row lists instructions
+    executed, register reads, register writes, memory operations,
+    predictions, then the local holding the committed frontier: ``lcp``
+    for a load or store that faults past the commit stage, else ``lc``.
+    """
+    start, rows, spills = table
+    row = rows[k].split()
+    kn, kr, kw, km, kb = map(int, row[:5])
+    lc = row[5]
+    _spill(L, k, spills)
+    st[:] = [L[name] for name in _OOO_SLOTS]
+    st[6] = L[lc]
+    st[14] += kb
+    st[15] += kr
+    st[16] += kw
+    st[18] += km
+    st[19] = start + 4 * kn
+    st[20] += kn
+
+
+def _ctr(name: str, add: int) -> str:
+    return f"{name} + {add}" if add else name
+
+
+def _static_data_fault(g: "_Geometry", addr: int) -> bool:
+    """Does a data access at constant non-MMIO ``addr`` fault?"""
+    return bool(addr & 3) or g.tbase <= addr < g.text_end
+
+
+class _Emitter:
+    """What both block emitters share: the line buffer, the register
+    tracker, and the block's exit positions with their epilogue."""
+
+    #: The engine's exit routine, as named in the exec globals.
+    EXIT = ""
+
+    def __init__(self, geom: "_Geometry") -> None:
+        self.g = geom
+        self.start = 0
+        self.lines: list[str] = []
+        # One exit-table row per exit position, in block order.
+        self.rows: list[tuple] = []
+        self.regs = _Regs(self.lines, self.rows)
+        # The current instruction's fault position, once allocated.
+        self._fault_k: int | None = None
+
+    def emit(self, ind: str, text: str) -> None:
+        self.lines.append(ind + text)
+
+    def _max_into(self, ind: str, x: str, e: str,
+                  plus_one: bool = False) -> None:
+        """``x = max(x, e [+ 1])`` as a compare and a store on the taken
+        path only (``e + 1 > x`` is ``e >= x`` on ints)."""
+        if plus_one:
+            self.emit(ind, f"if {e} >= {x}:")
+            self.emit(ind + "    ", f"{x} = {e} + 1")
+        else:
+            self.emit(ind, f"if {e} > {x}:")
+            self.emit(ind + "    ", f"{x} = {e}")
+
+    def _fault_site(self, ind: str, row: tuple) -> None:
+        """``k = <position>`` ahead of an operation that can raise; all
+        of one instruction's sites share its fault position."""
+        if self._fault_k is None:
+            self.rows.append(row)
+            self._fault_k = len(self.rows) - 1
+        self.emit(ind, f"k = {self._fault_k}")
+
+    def _watchdog_check(self, t: str, row: tuple) -> None:
+        """Leave through the epilogue when cycle ``t`` reaches ``wl``."""
+        self.rows.append(row)
+        self.emit(
+            "    ", f"if {t} >= wl: k = {len(self.rows) - 1}; raise _Watchdog"
+        )
+
+    def _data_check(self, ind: str, a: str, const_addr: int | None,
+                    access: str, row: tuple) -> None:
+        """Guard a non-MMIO data access: a misaligned or text-range
+        address re-performs ``access`` (which raises) at a fault site.
+        A constant address is decided here."""
+        g = self.g
+        if const_addr is None:
+            self.emit(ind, f"if {a} & 3 or {g.tbase} <= {a} < {g.text_end}:")
+            ind += "    "
+        elif not _static_data_fault(g, const_addr):
+            return
+        self._fault_site(ind, row)
+        self.emit(ind, access)
+
+    def _alu(self, ind: str, i: int, inst: Any, dkey: int, wbank: int,
+             row: tuple) -> None:
+        """A K_ALU instruction: constant-folded when its sources are
+        known, else its expression, behind a fault site if it can raise."""
+        regs = self.regs
+        folded = _alu_fold(inst, regs)
+        if folded is not None:
+            if wbank != 0:
+                regs.write_const(dkey, folded)
+            return
+        expr, may_raise = _alu_expr(inst, regs, ind)
+        if may_raise:
+            self._fault_site(ind, row)
+        if wbank != 0:
+            self.emit(ind, f"{regs.write_name(dkey)} = {expr}")
+        elif may_raise:
+            self.emit(ind, f"v{i} = {expr}")
+
+    def _address(self, ind: str, i: int, kind: int,
+                 inst: Any) -> tuple[str, int | None, str]:
+        """A load's or store's address: ``(text, constant value or None,
+        store value text)``; a computed address is bound to ``a{i}``."""
+        regs = self.regs
+        base_c = regs.read_const(inst.rs)
+        s_txt = "" if base_c is not None else regs.read(inst.rs, ind)
+        vt = ""
+        if kind == K_STORE:
+            vt = (regs.read(32 + inst.rt, ind) if inst.op is Op.FSW
+                  else regs.read(inst.rt, ind))
+        if base_c is not None:
+            const_addr = (base_c + inst.imm) & _M
+            return str(const_addr), const_addr, vt
+        self.emit(ind, f"a{i} = ({s_txt} + {inst.imm}) & _M")
+        return f"a{i}", None, vt
+
+    def _memory_access(
+        self, ind: str, mmio_cond: str, a: str, const_addr: int | None,
+        mmio_static: bool | None, row: tuple, mmio: list[str], access: str,
+        data: Callable[[str], None],
+    ) -> None:
+        """A load's or store's side effects at address ``a``: the
+        ``mmio`` lines (a fault site) on the MMIO path, else ``access``
+        behind :meth:`_data_check`, then ``data(indent)`` (the memory
+        image and cache work).  ``mmio_static`` picks the path here;
+        ``None`` leaves it to ``mmio_cond`` at run time."""
+        def mmio_arm(b: str) -> None:
+            self._fault_site(b, row)
+            for line in mmio:
+                self.emit(b, line)
+
+        def data_arm(b: str, known: int | None) -> None:
+            self._data_check(b, a, known, access, row)
+            data(b)
+
+        if mmio_static is None:
+            self.emit(ind, f"if {mmio_cond}:")
+            mmio_arm(ind + "    ")
+            self.emit(ind, "else:")
+            data_arm(ind + "    ", None)
+        elif mmio_static:
+            mmio_arm(ind)
+        else:
+            data_arm(ind, const_addr)
+
+    def _load(
+        self, ind: str, i: int, a: str, const_addr: int | None,
+        mmio_static: bool | None, dkey: int, wbank: int, row: tuple,
+        mmio_at: str, data_at: str,
+    ) -> None:
+        """A load's register write (``mmio_at``/``data_at``: the cycle
+        the device read / the faulting memory read is performed at)."""
+        regs = self.regs
+        dest = regs.name(dkey) if wbank != 0 else f"v{i}"
+        self._memory_access(
+            ind, f"o{i}", a, const_addr, mmio_static, row,
+            [f"{dest} = mmio_read({a}, {mmio_at})"],
+            f"data_read({a}, {data_at})",
+            lambda b: self.emit(b, f"{dest} = words_get({a}, 0)"),
+        )
+        if wbank != 0:
+            regs.write_name(dkey)
+
+    def _store(
+        self, ind: str, a: str, vt: str, const_addr: int | None,
+        mmio_static: bool | None, row: tuple, mmio_at: str, data_at: str,
+        origin: str, data: Callable[[str], None],
+    ) -> None:
+        """A store's side effects; an MMIO store reloads the watchdog
+        limit (``origin``: what ``wl`` is relative to, as in
+        :func:`_watchdog_limit`)."""
+        self._memory_access(
+            ind, f"{a} >= {_MMIO}", a, const_addr, mmio_static, row,
+            [
+                f"mmio_write({a}, {vt}, {mmio_at})",
+                "wdx = mmio._wd_expiry",
+                f"wl = wdx - {origin} if {_WD_ARMED} else {_NEVER}",
+            ],
+            f"data_write({a}, {vt}, {data_at})",
+            data,
+        )
+
+    def _store_words(self, ind: str, a: str, vt: str) -> None:
+        """The memory-image store with the reference's int wrap check."""
+        try:
+            const = int(vt)
+        except ValueError:
+            self.emit(ind, f"if {vt}.__class__ is int:")
+            self.emit(ind, f"    words[{a}] = (({vt} + {_S}) & {_M}) - {_S}")
+            self.emit(ind, "else:")
+            self.emit(ind, f"    words[{a}] = {vt}")
+        else:
+            self.emit(ind, f"words[{a}] = {_wrap_s32(const)}")
+
+    def _dcache(self, ind: str, i: int, a: str, hit: list[str],
+                miss: list[str]) -> None:
+        """Inline D-cache access for address text ``a`` (true LRU, as
+        :mod:`repro.memory.cache`), ending its hit and miss arms with
+        the ``hit``/``miss`` lines."""
+        g = self.g
+        b = ind + "    "
+        self.emit(ind, f"b{i} = {a} >> {g.dshift}")
+        self.emit(ind, f"w = dsets[b{i} % {g.dnsets}]")
+        self.emit(ind, f"if b{i} in w:")
+        self.emit(b, f"w[b{i}] = dtick")
+        self.emit(b, "dtick += 1")
+        self.emit(b, "dhits += 1")
+        for line in hit:
+            self.emit(b, line)
+        self.emit(ind, "else:")
+        self.emit(b, f"w[b{i}] = dtick")
+        self.emit(b, "dtick += 1")
+        self.emit(b, f"if len(w) > {g.dassoc}:")
+        self.emit(b + "    ", "del w[min(w, key=w.__getitem__)]")
+        self.emit(b, "dmiss += 1")
+        for line in miss:
+            self.emit(b, line)
+
+    def _exit_table(self) -> tuple:
+        """The block's constant exit table (see the engine's exit routine)."""
+        raise NotImplementedError
+
+    def _rows_and_spills(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """The exit rows and the spill table, each entry one string."""
+        return (
+            tuple(" ".join(map(str, row)) for row in self.rows),
+            tuple(" ".join(map(str, spill))
+                  for spill in self.regs.exit_spills()),
+        )
+
+    def _finish(self, head: list[str]) -> str:
+        """The block's source: ``head``, then the body inside the epilogue
+        frame when the block has a mid-block exit."""
+        body = self.lines
+        if not self.rows:
+            return "\n".join(head + body) + "\n"
+        return "\n".join([
+            *head,
+            "    try:",
+            *("    " + line for line in body),
+            "    except _EXITS as e:",
+            f"        {self.EXIT}(st, k, locals(), {self._exit_table()!r})",
+            "        if e.__class__ is _Watchdog:",
+            '            return "w"',
+            "        raise",
+        ]) + "\n"
+
+
 # --- in-order block emitter --------------------------------------------------
 #
 # Generated signature: def _b{pc:x}(ir, fr, ready, st, env)
@@ -357,7 +721,8 @@ def _wrap_s32(value: int) -> int:
 #   ex_free, mem_free, prev_mem_start, front0, front1, front2], 8 itick,
 #   9 dtick, 10 ihits, 11 imiss, 12 dhits, 13 dmiss, 14 fetched,
 #   15 c_regread, 16 c_regwrite, 17 c_dcache, 18 pc, 19 executed,
-#   20 wd (honor and not masked and wd_enabled), 21 wd_expiry.
+#   20 wl (watchdog limit: a watchdog exit follows the first instruction
+#   whose mem_end reaches it), 21 wd_expiry.
 # env (tuple, 14): words, words.get, icache sets, dcache sets, mmio,
 #   mmio.read, mmio.write, machine.data_read, machine.data_write,
 #   stall_cycles, timing base, honor_watchdog, gshare-train-or-None,
@@ -365,74 +730,29 @@ def _wrap_s32(value: int) -> int:
 #
 # Return protocol: int -> next block pc (full block retired); "h" -> halt;
 # "w" -> watchdog.  String exits (and faults) leave the authoritative
-# pc/executed in st[18]/st[19]; every may-raise operation is preceded by a
-# full st write so faults are observationally identical to the reference.
+# pc/executed in st[18]/st[19].  The timing vector is SSA-named per
+# instruction, so an exit-table row names the locals that hold it there.
 
 _INORDER_ENV = (
     "words, words_get, isets, dsets, mmio, mmio_read, mmio_write, "
     "data_read, data_write, stall, base, honor, tg, ti"
 )
-_INORDER_ST = (
-    "lf, rd, xf, mf, pm, q0, q1, q2, itick, dtick, ihits, imiss, dhits, "
-    "dmiss, cfe, crr, crw, cdc, _pc, nex, wd, wdx"
+_INORDER_TIMING = ("lf", "rd", "xf", "mf", "pm", "q0", "q1", "q2")
+_INORDER_SLOTS = (
+    *_INORDER_TIMING, "itick", "dtick", "ihits", "imiss", "dhits", "dmiss",
+    "cfe", "crr", "crw", "cdc", "_pc", "nex", "wl", "wdx",
 )
 
 
-def _ctr(name: str, add: int) -> str:
-    return f"{name} + {add}" if add else name
-
-
-_TMAX_RE = re.compile(
-    r"^(\s+)t = ([A-Za-z_][A-Za-z0-9_]*(?:\[\d+\])?)( \+ 1)?$"
-)
-_TMAX_IF_RE = re.compile(r"^(\s+)if t > ([A-Za-z_][A-Za-z0-9_]*):$")
-
-
-def _tighten_max(lines: list[str]) -> list[str]:
-    """Strength-reduce the scratch-``t`` max pattern in emitted code.
-
-    ``t = E; if t > x: x = t`` (with ``E`` a name, a literal subscript,
-    or either plus one) becomes a direct compare that skips the scratch
-    store/load — and computes ``E + 1`` only on the taken path.  ``t``
-    is write-before-read scratch at every emission site, so dropping an
-    assignment never leaks into a later read.
-    """
-    out: list[str] = []
-    i = 0
-    n = len(lines)
-    while i < n:
-        m = _TMAX_RE.match(lines[i])
-        if m and i + 2 < n:
-            mi = _TMAX_IF_RE.match(lines[i + 1])
-            if (
-                mi
-                and mi.group(1) == m.group(1)
-                and lines[i + 2] == f"{m.group(1)}    {mi.group(2)} = t"
-            ):
-                ind, e, x = m.group(1), m.group(2), mi.group(2)
-                if m.group(3):  # E + 1 > x  <=>  E >= x (ints)
-                    out.append(f"{ind}if {e} >= {x}:")
-                    out.append(f"{ind}    {x} = {e} + 1")
-                else:
-                    out.append(f"{ind}if {e} > {x}:")
-                    out.append(f"{ind}    {x} = {e}")
-                i += 3
-                continue
-        out.append(lines[i])
-        i += 1
-    return out
-
-
-class _InOrderEmitter:
+class _InOrderEmitter(_Emitter):
     """Emit one in-order basic-block function (see layout comment above)."""
 
+    EXIT = "_inorder_exit"
+
     def __init__(self, geom: "_Geometry") -> None:
-        self.g = geom
-        self.lines: list[str] = []
-        self.regs = _Regs(self.lines)
+        super().__init__(geom)
         # Semantic timing-state names -> current text (SSA per instruction).
-        self.nm = {k: k for k in
-                   ("lf", "rd", "xf", "mf", "pm", "q0", "q1", "q2")}
+        self.nm = {k: k for k in _INORDER_TIMING}
         self.cfe = 0
         self.crr = 0
         self.crw = 0
@@ -445,8 +765,12 @@ class _InOrderEmitter:
 
     # -- helpers --
 
-    def emit(self, ind: str, text: str) -> None:
-        self.lines.append(ind + text)
+    def _timing(self) -> str:
+        """The locals holding the timing vector now, space-separated."""
+        return " ".join(self.nm[slot] for slot in _INORDER_TIMING)
+
+    def _row(self, timing: str) -> tuple:
+        return (self.nex, self.cfe, self.crr, self.crw, self.ip_count, timing)
 
     def _pending_way_lines(self, ind: str) -> list[str]:
         out = []
@@ -465,37 +789,25 @@ class _InOrderEmitter:
         self.ip_count = 0
         self.ip_ways.clear()
 
-    def _sync(self, ind: str, pc_expr: str, commit: bool | None = None) -> None:
-        """Write full architectural+batched state to st (fault parity).
-
-        Never clears codegen-side pending icache state: on raising paths
-        nothing follows, and on continuing paths the pending way-writes
-        are idempotent re-writes.  Register spills at base indent are
-        unconditional, so by default they *do* commit (clear the dirty
-        set) and later syncs skip them; spills inside an arm repeat at
-        the next sync.  ``commit=False`` is required at the one site
-        where a destination register is already marked dirty but its
-        runtime assignment only happens *after* the sync (statically
-        known MMIO loads): committing there would lose the writeback.
-        """
+    def _exit(self, ind: str, pc_expr: str, ret: str) -> None:
+        """The exit after the block's last instruction: flush pending
+        icache hits, spill, write st, return ``ret``."""
         self.lines.extend(self._pending_way_lines(ind))
-        if commit is None:
-            commit = ind == "    "
-        self.lines.extend(self.regs.spill_lines(ind, commit=commit))
+        self.lines.extend(self.regs.spill_lines(ind))
         n = self.nm
         self.emit(ind, "st[:] = (" + ", ".join((
-            n["lf"], n["rd"], n["xf"], n["mf"], n["pm"],
-            n["q0"], n["q1"], n["q2"],
+            *(n[slot] for slot in _INORDER_TIMING),
             _ctr("itick", self.ip_count), "dtick",
             _ctr("ihits", self.ip_count), "imiss", "dhits", "dmiss",
             _ctr("cfe", self.cfe), _ctr("crr", self.crr),
             _ctr("crw", self.crw), "cdc",
-            pc_expr, _ctr("nex", self.nex), "wd", "wdx",
+            pc_expr, _ctr("nex", self.nex), "wl", "wdx",
         )) + ")")
-
-    def _exit(self, ind: str, pc_expr: str, ret: str) -> None:
-        self._sync(ind, pc_expr)
         self.emit(ind, f"return {ret}")
+
+    def _exit_table(self) -> tuple:
+        return (self.start, self.g.ishift, self.g.insets,
+                *self._rows_and_spills())
 
     def _icache(self, i: int, pc: int, f: str) -> None:
         """Inline I-cache access for the fetch of ``pc`` (ind level 1)."""
@@ -525,39 +837,16 @@ class _InOrderEmitter:
             self._last_line[setk] = blk
         self.cfe += 1
 
-    def _dcache(self, ind: str, i: int, a: str, d: str | None) -> None:
-        """Inline D-cache access for address text ``a``.
-
-        ``d`` names the dcache_extra local to set (None: caller only
-        needs the stats/LRU side effects — OOO store commit path).
-        """
-        g = self.g
-        self.emit(ind, f"b{i} = {a} >> {g.dshift}")
-        self.emit(ind, f"w = dsets[b{i} % {g.dnsets}]")
-        self.emit(ind, f"if b{i} in w:")
-        self.emit(ind + "    ", f"w[b{i}] = dtick")
-        self.emit(ind + "    ", "dtick += 1")
-        self.emit(ind + "    ", "dhits += 1")
-        if d is not None:
-            self.emit(ind + "    ", f"{d} = 0")
-        self.emit(ind, "else:")
-        self.emit(ind + "    ", f"w[b{i}] = dtick")
-        self.emit(ind + "    ", "dtick += 1")
-        self.emit(ind + "    ", f"if len(w) > {g.dassoc}:")
-        self.emit(ind + "        ", "del w[min(w, key=w.__getitem__)]")
-        self.emit(ind + "    ", "dmiss += 1")
-        if d is not None:
-            self.emit(ind + "    ", f"{d} = stall")
-
     # -- main entry --
 
     def emit_block(self, pc: int, insts: list[tuple[int, Any]]) -> str:
         """Generate the block function source for ``insts`` at ``pc``."""
         fname = f"_b{pc:x}"
+        self.start = pc
         head = [
             f"def {fname}(ir, fr, ready, st, env):",
             f"    ({_INORDER_ENV}) = env",
-            f"    ({_INORDER_ST}) = st",
+            f"    ({', '.join(_INORDER_SLOTS)}) = st",
         ]
         g = self.g
         sets_used = sorted({
@@ -567,22 +856,27 @@ class _InOrderEmitter:
             head.append(f"    iw{setk} = isets[{setk}]")
         for idx, (ipc, fi) in enumerate(insts):
             self._inst(idx, ipc, fi, is_last=idx == len(insts) - 1)
-        return "\n".join(head + _tighten_max(self.lines)) + "\n"
+        return self._finish(head)
 
     def _inst(self, i: int, pc: int, fi: Any, is_last: bool) -> None:
         (kind, src_keys, dkey, wbank, dnum, nsrc, lat, npc, starget,
          ptaken, inst) = fi
         n = self.nm
         regs = self.regs
-        g = self.g
         ind = "    "
+        self._fault_k = None
+        # A fault here leaves the timing of the previous instruction.
+        before = self._timing()
 
         # -- fetch timing + I-cache (reference lines: fetch clamps then
         # `fetch += icache_extra`, emitted as `f += stall` on the miss arm).
         f = f"f{i}"
         self.emit(ind, f"{f} = {n['lf']} + 1")
-        self.emit(ind, f"if {n['rd']} > {f}:")
-        self.emit(ind + "    ", f"{f} = {n['rd']}")
+        if i == 0:
+            # Later fetches follow one in this block that already waited
+            # for the redirect (only a block's last instruction sets it).
+            self.emit(ind, f"if {n['rd']} > {f}:")
+            self.emit(ind + "    ", f"{f} = {n['rd']}")
         self.emit(ind, f"if {n['q0']} > {f}:")
         self.emit(ind + "    ", f"{f} = {n['q0']}")
         self._icache(i, pc, f)
@@ -594,54 +888,29 @@ class _InOrderEmitter:
         mmio_static: bool | None = None
         vt = ""
         if kind == K_ALU:
-            folded = _alu_fold(inst, regs)
-            if folded is not None:
-                if wbank != 0:
-                    regs.write_const(dkey, folded)
-            else:
-                expr, may_raise = _alu_expr(inst, regs, ind)
-                if may_raise:
-                    self._sync(ind, str(pc))
-                if wbank != 0:
-                    self.emit(ind, f"{regs.write_name(dkey)} = {expr}")
-                elif may_raise:
-                    self.emit(ind, f"v{i} = {expr}")
+            self._alu(ind, i, inst, dkey, wbank, self._row(before))
         elif kind == K_LOAD or kind == K_STORE:
-            base_c = regs.read_const(inst.rs)
-            if kind == K_LOAD:
-                if base_c is not None:
-                    const_addr = (base_c + inst.imm) & _M
-                    a = str(const_addr)
-                else:
-                    s_txt = regs.read(inst.rs, ind)
-                    self.emit(ind, f"{a} = ({s_txt} + {inst.imm}) & _M")
-            else:
-                s_txt = "" if base_c is not None else regs.read(inst.rs, ind)
-                vt = (regs.read(32 + inst.rt, ind) if inst.op is Op.FSW
-                      else regs.read(inst.rt, ind))
-                if base_c is not None:
-                    const_addr = (base_c + inst.imm) & _M
-                    a = str(const_addr)
-                else:
-                    self.emit(ind, f"{a} = ({s_txt} + {inst.imm}) & _M")
+            a, const_addr, vt = self._address(ind, i, kind, inst)
             mmio_static = (const_addr >= _MMIO) if const_addr is not None \
                 else None
             if mmio_static is True:
                 self.emit(ind, f"{d} = 0")
             elif mmio_static is False:
                 self.emit(ind, "cdc += 1")
-                self._dcache(ind, i, a, d)
+                self._dcache(ind, i, a, [f"{d} = 0"], [f"{d} = stall"])
             elif kind == K_LOAD:
                 self.emit(ind, f"o{i} = {a} >= {_MMIO}")
                 self.emit(ind, f"if o{i}:")
                 self.emit(ind + "    ", f"{d} = 0")
                 self.emit(ind, "else:")
                 self.emit(ind + "    ", "cdc += 1")
-                self._dcache(ind + "    ", i, a, d)
+                self._dcache(ind + "    ", i, a, [f"{d} = 0"],
+                             [f"{d} = stall"])
             else:
                 self.emit(ind, f"if {a} < {_MMIO}:")
                 self.emit(ind + "    ", "cdc += 1")
-                self._dcache(ind + "    ", i, a, d)
+                self._dcache(ind + "    ", i, a, [f"{d} = 0"],
+                             [f"{d} = stall"])
                 self.emit(ind, "else:")
                 self.emit(ind + "    ", f"{d} = 0")
         elif kind == K_BRANCH:
@@ -659,15 +928,10 @@ class _InOrderEmitter:
         # -- timing recurrence (inlined inorder_engine.advance) --
         x = f"x{i}"
         self.emit(ind, f"{x} = {f} + {_FRONT_DEPTH}")
-        self.emit(ind, f"t = {n['xf']} + 1")
-        self.emit(ind, f"if t > {x}:")
-        self.emit(ind + "    ", f"{x} = t")
-        self.emit(ind, f"if {n['pm']} > {x}:")
-        self.emit(ind + "    ", f"{x} = {n['pm']}")
+        self._max_into(ind, x, n["xf"], plus_one=True)
+        self._max_into(ind, x, n["pm"])
         for sk in dict.fromkeys(src_keys):
-            self.emit(ind, f"t = ready[{sk}]")
-            self.emit(ind, f"if t > {x}:")
-            self.emit(ind + "    ", f"{x} = t")
+            self._max_into(ind, x, f"ready[{sk}]")
         if lat == 1:
             xe = x
         else:
@@ -675,9 +939,7 @@ class _InOrderEmitter:
             self.emit(ind, f"{xe} = {x} + {lat - 1}")
         m = f"m{i}"
         self.emit(ind, f"{m} = {xe} + 1")
-        self.emit(ind, f"t = {n['mf']} + 1")
-        self.emit(ind, f"if t > {m}:")
-        self.emit(ind + "    ", f"{m} = t")
+        self._max_into(ind, m, n["mf"], plus_one=True)
         if kind == K_LOAD or kind == K_STORE:
             if mmio_static is True:
                 u = m  # dcache_extra statically 0
@@ -708,63 +970,16 @@ class _InOrderEmitter:
         # -- architectural side effects --
         pc_next = str(npc)
         if kind == K_LOAD:
-            if wbank != 0:
-                regs.prepare_write(dkey, ind)
-                dest = regs.write_name(dkey)
-            else:
-                dest = f"v{i}"
-            mm = f"{dest} = mmio_read({a}, base + {m})"
-            mem_guard = f"if {a} & 3 or {g.tbase} <= {a} < {g.text_end}:"
-            mem_read = f"data_read({a}, base + {u} + 1)"
-            mem_val = f"{dest} = words_get({a}, 0)"
-            if mmio_static is True:
-                self._sync(ind, str(pc), commit=False)
-                self.emit(ind, mm)
-            elif mmio_static is False:
-                self.emit(ind, mem_guard)
-                self._sync(ind + "    ", str(pc))
-                self.emit(ind + "    ", mem_read)
-                self.emit(ind, mem_val)
-            else:
-                self.emit(ind, f"if o{i}:")
-                self._sync(ind + "    ", str(pc))
-                self.emit(ind + "    ", mm)
-                self.emit(ind, "else:")
-                self.emit(ind + "    ", mem_guard)
-                self._sync(ind + "        ", str(pc))
-                self.emit(ind + "        ", mem_read)
-                self.emit(ind + "    ", mem_val)
+            self._load(
+                ind, i, a, const_addr, mmio_static, dkey, wbank,
+                self._row(before), f"base + {m}", f"base + {u} + 1",
+            )
         elif kind == K_STORE:
-            wr = self._store_words_lines(ind, a, vt)
-            mm = [
-                f"mmio_write({a}, {vt}, base + {m})",
-                "wd = honor and not mmio.exceptions_masked"
-                " and mmio._wd_enabled",
-                "wdx = mmio._wd_expiry",
-            ]
-            mem_guard = f"if {a} & 3 or {g.tbase} <= {a} < {g.text_end}:"
-            mem_write = f"data_write({a}, {vt}, base + {u} + 1)"
-            if mmio_static is True:
-                self._sync(ind, str(pc))
-                for line in mm:
-                    self.emit(ind, line)
-            elif mmio_static is False:
-                self.emit(ind, mem_guard)
-                self._sync(ind + "    ", str(pc))
-                self.emit(ind + "    ", mem_write)
-                for line in wr:
-                    self.emit(ind, line)
-            else:
-                self.emit(ind, f"if {a} >= {_MMIO}:")
-                self._sync(ind + "    ", str(pc))
-                for line in mm:
-                    self.emit(ind + "    ", line)
-                self.emit(ind, "else:")
-                self.emit(ind + "    ", mem_guard)
-                self._sync(ind + "        ", str(pc))
-                self.emit(ind + "        ", mem_write)
-                for line in wr:
-                    self.emit(ind + "    ", line)
+            self._store(
+                ind, a, vt, const_addr, mmio_static, self._row(before),
+                f"base + {m}", f"base + {u} + 1", "base - 1",
+                lambda b: self._store_words(b, a, vt),
+            )
         elif kind == K_BRANCH:
             pc_next = f"n{i}"
             self.emit(ind, f"{pc_next} = {starget} if k{i} else {npc}")
@@ -779,34 +994,20 @@ class _InOrderEmitter:
         # K_ALU: write already folded into the execute section.  K_HALT:
         # pc advances to npc (pc_next default).
 
-        # -- event counters (statically known; become exit literals) --
+        # -- event counters (statically known; exit literals and rows) --
         self.crr += nsrc
         if dkey >= 0:
             self.crw += 1
         self.nex += 1
 
+        # -- exit: halt, or the watchdog check (merged with the block's
+        # own exit after its last instruction) --
         if kind == K_HALT:
             self._exit(ind, pc_next, '"h"')
-            return
-
-        self.emit(ind, f"if wd and base + {u} + 1 >= wdx:")
-        self._exit(ind + "    ", pc_next, '"w"')
-
-        if is_last:
-            self._exit(ind, pc_next, pc_next)
-
-    def _store_words_lines(self, ind: str, a: str, vt: str) -> list[str]:
-        """The memory-image store with the reference's int wrap check."""
-        try:
-            const = int(vt)
-        except ValueError:
-            return [
-                f"if {vt}.__class__ is int:",
-                f"    words[{a}] = (({vt} + {_S}) & {_M}) - {_S}",
-                "else:",
-                f"    words[{a}] = {vt}",
-            ]
-        return [f"words[{a}] = {_wrap_s32(const)}"]
+        elif is_last:
+            self._exit(ind, pc_next, f'"w" if {u} >= wl else {pc_next}')
+        else:
+            self._watchdog_check(u, self._row(self._timing()))
 
 
 # --- OOO block emitter --------------------------------------------------------
@@ -815,11 +1016,14 @@ class _InOrderEmitter:
 #
 # st (list, 29 slots): 0 bus_free, 1 fetch_cycle, 2 group_done,
 #   3 group_count, 4 group_block, 5 redirect, 6 last_commit (the
-#   *committed* value: at a mid-instruction fault it lags the commit-stage
-#   clamp exactly like ``committed_now`` in the reference), 7 itick,
-#   8 dtick, 9 ihits, 10 imiss, 11 dhits, 12 dmiss, 13 c_group,
-#   14 c_bpred, 15 c_regread, 16 c_regwrite, 17 c_dcache, 18 n_mem,
-#   19 pc, 20 executed, 21 wd, 22 wd_expiry, 23 ri (ROB ring cursor),
+#   *committed* value: a load or store that faults has passed the
+#   commit stage, and this slot then holds the frontier from before it,
+#   the ``lcp`` snapshot, exactly like ``committed_now`` in the
+#   reference), 7 itick, 8 dtick, 9 ihits, 10 imiss, 11 dhits, 12 dmiss,
+#   13 c_group, 14 c_bpred, 15 c_regread, 16 c_regwrite, 17 c_dcache,
+#   18 n_mem, 19 pc, 20 executed, 21 wl (watchdog limit: a watchdog exit
+#   follows the first instruction whose commit reaches it),
+#   22 wd_expiry, 23 ri (ROB ring cursor),
 #   24 qi (IQ ring cursor), 25 li (LSQ ring cursor), 26 ccn (commits at
 #   the lc frontier cycle), 27 gh (gshare global history), 28 ih
 #   (indirect-predictor history).  The dispatcher's finally-flush
@@ -839,10 +1043,10 @@ _OOO_ENV = (
     "dis_used, dis_get, iss_used, iss_get, port_used, port_get, "
     "robq, iqq, lsqq, inflight_stores, get_inflight"
 )
-_OOO_ST = (
-    "bf, fc, gd, gc, gb, rd, lc, itick, dtick, ihits, imiss, dhits, "
-    "dmiss, cg, cbp, crr, crw, cdc, nmem, _pc, nex, wd, wdx, "
-    "ri, qi, li, ccn, gh, ih"
+_OOO_SLOTS = (
+    "bf", "fc", "gd", "gc", "gb", "rd", "lc", "itick", "dtick", "ihits",
+    "imiss", "dhits", "dmiss", "cg", "cbp", "crr", "crw", "cdc", "nmem",
+    "_pc", "nex", "wl", "wdx", "ri", "qi", "li", "ccn", "gh", "ih",
 )
 
 
@@ -867,19 +1071,14 @@ def _fwd_consumers(insts: list[tuple[int, Any]]) -> set[int]:
     return useful
 
 
-class _OOOEmitter:
+class _OOOEmitter(_Emitter):
     """Emit one complex-mode basic-block function (layout comment above)."""
 
+    EXIT = "_ooo_exit"
+
     def __init__(self, geom: "_Geometry", params: Any) -> None:
-        self.g = geom
+        super().__init__(geom)
         self.p = params
-        self.lines: list[str] = []
-        self.regs = _Regs(self.lines)
-        # ``lc`` is the commit frontier (the reference's ``last_commit``,
-        # updated at the commit stage); the sync name tracks
-        # ``committed_now``'s cycle part, which only advances *after* an
-        # instruction's side effects.
-        self.lc_sync = "lc"
         # Flat register key -> local holding the ready value
         # its in-block producer just computed (consumers read the local
         # instead of ``ready[key]``; the values are equal by construction).
@@ -893,83 +1092,42 @@ class _OOOEmitter:
         self.nex = 0
         self.nmem = 0
         self._prev_blk: int | None = None
+        # The fetch-group count, once a group formed at a known point
+        # (None while it still depends on the block's entry state).
+        self._gc: int | None = None
 
-    def emit(self, ind: str, text: str) -> None:
-        self.lines.append(ind + text)
+    def _row(self, lc: str) -> tuple:
+        return (self.nex, self.crr, self.crw, self.nmem, self.cbp, lc)
 
-    def _sync(self, ind: str, pc_expr: str, commit: bool | None = None) -> None:
-        """Write full architectural state to st before a may-raise op.
-
-        Spill-commit semantics mirror the in-order emitter: base-indent
-        syncs clear the dirty set, except when a dirty destination's
-        runtime assignment follows the sync (``commit=False``).
-        """
-        if commit is None:
-            commit = ind == "    "
-        self.lines.extend(self.regs.spill_lines(ind, commit=commit))
-        slots = (
-            "bf", "fc", "gd", "gc", "gb", "rd", self.lc_sync,
+    def _exit(self, ind: str, pc_expr: str, ret: str) -> None:
+        """The exit after the block's last instruction (the commit
+        frontier ``lc`` then equals its commit cycle)."""
+        self.lines.extend(self.regs.spill_lines(ind))
+        self.emit(ind, "st[:] = (" + ", ".join((
+            "bf", "fc", "gd", "gc", "gb", "rd", "lc",
             "itick", "dtick", "ihits", "imiss", "dhits", "dmiss", "cg",
             _ctr("cbp", self.cbp), _ctr("crr", self.crr),
             _ctr("crw", self.crw), "cdc", _ctr("nmem", self.nmem),
-            pc_expr, _ctr("nex", self.nex), "wd", "wdx",
+            pc_expr, _ctr("nex", self.nex), "wl", "wdx",
             "ri", "qi", "li", "ccn", "gh", "ih",
-        )
-        self.emit(ind, "st[:] = (" + ", ".join(slots) + ")")
-
-    def _exit(self, ind: str, pc_expr: str, ret: str) -> None:
-        self._sync(ind, pc_expr)
+        )) + ")")
         self.emit(ind, f"return {ret}")
 
-    def _dcache_hit(self, ind: str, i: int, a: str) -> None:
-        """Inline D-cache access setting the hit flag ``h{i}``."""
-        g = self.g
-        self.emit(ind, f"b{i} = {a} >> {g.dshift}")
-        self.emit(ind, f"w = dsets[b{i} % {g.dnsets}]")
-        self.emit(ind, f"if b{i} in w:")
-        self.emit(ind + "    ", f"w[b{i}] = dtick")
-        self.emit(ind + "    ", "dtick += 1")
-        self.emit(ind + "    ", "dhits += 1")
-        self.emit(ind + "    ", f"h{i} = True")
-        self.emit(ind, "else:")
-        self.emit(ind + "    ", f"w[b{i}] = dtick")
-        self.emit(ind + "    ", "dtick += 1")
-        self.emit(ind + "    ", f"if len(w) > {g.dassoc}:")
-        self.emit(ind + "        ", "del w[min(w, key=w.__getitem__)]")
-        self.emit(ind + "    ", "dmiss += 1")
-        self.emit(ind + "    ", f"h{i} = False")
-
-    def _dcache_store_commit(self, ind: str, i: int, a: str, y: str) -> None:
-        """Store-commit D-cache access; a miss occupies the bus (fill)."""
-        g = self.g
-        self.emit(ind, f"b{i} = {a} >> {g.dshift}")
-        self.emit(ind, f"w = dsets[b{i} % {g.dnsets}]")
-        self.emit(ind, f"if b{i} in w:")
-        self.emit(ind + "    ", f"w[b{i}] = dtick")
-        self.emit(ind + "    ", "dtick += 1")
-        self.emit(ind + "    ", "dhits += 1")
-        self.emit(ind, "else:")
-        self.emit(ind + "    ", f"w[b{i}] = dtick")
-        self.emit(ind + "    ", "dtick += 1")
-        self.emit(ind + "    ", f"if len(w) > {g.dassoc}:")
-        self.emit(ind + "        ", "del w[min(w, key=w.__getitem__)]")
-        self.emit(ind + "    ", "dmiss += 1")
-        self.emit(ind + "    ", f"t = {y}")
-        self.emit(ind + "    ", "if bf > t:")
-        self.emit(ind + "        ", "t = bf")
-        self.emit(ind + "    ", "bf = t + pen")
+    def _exit_table(self) -> tuple:
+        return (self.start, *self._rows_and_spills())
 
     def emit_block(self, pc: int, insts: list[tuple[int, Any]]) -> str:
         fname = f"_o{pc:x}"
+        self.start = pc
         head = [
             f"def {fname}(ir, fr, ready, st, env):",
             f"    ({_OOO_ENV}) = env",
-            f"    ({_OOO_ST}) = st",
+            f"    ({', '.join(_OOO_SLOTS)}) = st",
         ]
         self._fwd_useful = _fwd_consumers(insts)
         for idx, (ipc, fi) in enumerate(insts):
             self._inst(idx, ipc, fi, is_last=idx == len(insts) - 1)
-        return "\n".join(head + _tighten_max(self.lines)) + "\n"
+        return self._finish(head)
 
     def _fetch_group(self, i: int, pc: int) -> None:
         """Fetch-group formation (reference 'fetch group' section)."""
@@ -987,12 +1145,18 @@ class _OOOEmitter:
             # last group formed on the previous line) and mid-block
             # `fetch_cycle >= redirect` always -> form unconditionally.
             self._group_body(ind, blk, setk, clamp=False)
-        else:
+            self._gc = 0
+        elif self._gc is None or self._gc >= fw:
             # Same line as the previous instruction: only width overflow
-            # can break the group, and the line is a guaranteed hit (the
-            # set's most recent access was this very line).
-            self.emit(ind, f"if gc >= {fw}:")
-            b = ind + "    "
+            # can break the group (decided here once the count is
+            # known), and the line is a guaranteed hit (the set's most
+            # recent access was this very line).
+            b = ind
+            if self._gc is None:
+                self.emit(ind, f"if gc >= {fw}:")
+                b += "    "
+            else:
+                self._gc = 0
             self.emit(b, "fc += 1")
             self.emit(b, "gc = 0")
             self.emit(b, "cg += 1")
@@ -1002,6 +1166,8 @@ class _OOOEmitter:
             self.emit(b, "ihits += 1")
             self.emit(b, "gd = fc")
         self.emit(ind, "gc += 1")
+        if self._gc is not None:
+            self._gc += 1
         self._prev_blk = blk
 
     def _group_body(self, b: str, blk: int, setk: int, clamp: bool) -> None:
@@ -1035,9 +1201,9 @@ class _OOOEmitter:
         (kind, src_keys, dkey, wbank, dnum, nsrc, lat, npc, starget,
          ptaken, inst) = fi
         regs = self.regs
-        g = self.g
         p = self.p
         ind = "    "
+        self._fault_k = None
 
         self._fetch_group(i, pc)
 
@@ -1047,30 +1213,11 @@ class _OOOEmitter:
         mmio_static: bool | None = None
         vt = ""
         if kind == K_ALU:
-            folded = _alu_fold(inst, regs)
-            if folded is not None:
-                if wbank != 0:
-                    regs.write_const(dkey, folded)
-            else:
-                expr, may_raise = _alu_expr(inst, regs, ind)
-                if may_raise:
-                    self._sync(ind, str(pc))
-                if wbank != 0:
-                    self.emit(ind, f"{regs.write_name(dkey)} = {expr}")
-                elif may_raise:
-                    self.emit(ind, f"v{i} = {expr}")
+            self._alu(ind, i, inst, dkey, wbank, self._row("lc"))
         elif kind == K_LOAD or kind == K_STORE:
-            base_c = regs.read_const(inst.rs)
-            s_txt = "" if base_c is not None else regs.read(inst.rs, ind)
-            if kind == K_STORE:
-                vt = (regs.read(32 + inst.rt, ind) if inst.op is Op.FSW
-                      else regs.read(inst.rt, ind))
-            if base_c is not None:
-                const_addr = (base_c + inst.imm) & _M
-                a = str(const_addr)
+            a, const_addr, vt = self._address(ind, i, kind, inst)
+            if const_addr is not None:
                 mmio_static = const_addr >= _MMIO
-            else:
-                self.emit(ind, f"{a} = ({s_txt} + {inst.imm}) & _M")
         elif kind == K_BRANCH:
             self.emit(ind, f"k{i} = {_branch_expr(inst, regs, ind)}")
             # Inlined gshare (predictor.py semantics, 2^16 geometry
@@ -1102,6 +1249,11 @@ class _OOOEmitter:
 
         # -- dispatch (rename, allocate ROB/IQ/LSQ) --
         is_mem = kind == K_LOAD or kind == K_STORE
+        # A load or store with a fault site faults past the commit stage.
+        faults = is_mem and (
+            const_addr is None or const_addr >= _MMIO
+            or _static_data_fault(self.g, const_addr)
+        )
         d = f"d{i}"
         self.emit(ind, f"{d} = gd + 1")
         # Ring occupancy clamps: the cursor slot holds the oldest
@@ -1125,9 +1277,7 @@ class _OOOEmitter:
         self.emit(ind, f"{s} = {d} + 1")
         for sk in dict.fromkeys(src_keys):
             fwd = self._fwd.get(sk)
-            self.emit(ind, f"t = {fwd if fwd is not None else f'ready[{sk}]'}")
-            self.emit(ind, f"if t > {s}:")
-            self.emit(ind + "    ", f"{s} = t")
+            self._max_into(ind, s, f"ready[{sk}]" if fwd is None else fwd)
         if is_mem:
             self.emit(ind, "while True:")
             self.emit(ind + "    ",
@@ -1188,26 +1338,22 @@ class _OOOEmitter:
             self.emit(ind, f"gc = {fw}")
 
         # -- commit (in order, 4-wide) --
-        y = f"y{i}"
         # Batched retirement via the commit frontier (lc, ccn): every
         # candidate max(c+1, lc) is >= lc and the width map has no
         # entries past lc, so one pair replaces the dict scan.  The
-        # frontier equals this commit afterwards (lc == y), but the
-        # sync slot must keep lagging through the side effects
-        # (committed_now semantics), hence the lcp snapshot.
-        if is_mem:
-            self.emit(ind, f"lcp{i} = lc")
-        self.emit(ind, f"{y} = {c} + 1")
-        self.emit(ind, f"if {y} <= lc:")
-        self.emit(ind + "    ", f"if ccn < {p.commit_width}:")
-        self.emit(ind + "        ", "ccn += 1")
-        self.emit(ind + "        ", f"{y} = lc")
-        self.emit(ind + "    ", "else:")
-        self.emit(ind + "        ", "lc += 1")
-        self.emit(ind + "        ", "ccn = 1")
-        self.emit(ind + "        ", f"{y} = lc")
+        # frontier then *is* this instruction's commit cycle (``y``),
+        # but a fault in the side effects must report the frontier from
+        # before it (committed_now semantics), hence the lcp snapshot.
+        y = "lc"
+        if faults:
+            self.emit(ind, "lcp = lc")
+        self.emit(ind, f"if {c} >= lc:")
+        self.emit(ind + "    ", f"lc = {c} + 1")
+        self.emit(ind + "    ", "ccn = 1")
+        self.emit(ind, f"elif ccn < {p.commit_width}:")
+        self.emit(ind + "    ", "ccn += 1")
         self.emit(ind, "else:")
-        self.emit(ind + "    ", f"lc = {y}")
+        self.emit(ind + "    ", "lc += 1")
         self.emit(ind + "    ", "ccn = 1")
         self.emit(ind, f"robq[ri] = {y}")
         self.emit(ind, "ri += 1")
@@ -1222,65 +1368,20 @@ class _OOOEmitter:
         self.emit(ind, "qi += 1")
         self.emit(ind, f"if qi == {p.iq_entries}:")
         self.emit(ind + "    ", "qi = 0")
-        self.lc_sync = f"lcp{i}" if is_mem else "lc"
 
         # -- architectural side effects --
         pc_next = str(npc)
         if kind == K_LOAD:
-            if wbank != 0:
-                regs.prepare_write(dkey, ind)
-                dest = regs.write_name(dkey)
-            else:
-                dest = f"v{i}"
-            mm = f"{dest} = mmio_read({a}, base + {x} + 1)"
-            mem_guard = f"if {a} & 3 or {g.tbase} <= {a} < {g.text_end}:"
-            mem_read = f"data_read({a}, base + {y})"
-            mem_val = f"{dest} = words_get({a}, 0)"
-            if mmio_static is True:
-                self._sync(ind, str(pc), commit=False)
-                self.emit(ind, mm)
-            elif mmio_static is False:
-                self.emit(ind, mem_guard)
-                self._sync(ind + "    ", str(pc))
-                self.emit(ind + "    ", mem_read)
-                self.emit(ind, mem_val)
-            else:
-                self.emit(ind, f"if o{i}:")
-                self._sync(ind + "    ", str(pc))
-                self.emit(ind + "    ", mm)
-                self.emit(ind, "else:")
-                self.emit(ind + "    ", mem_guard)
-                self._sync(ind + "        ", str(pc))
-                self.emit(ind + "        ", mem_read)
-                self.emit(ind + "    ", mem_val)
+            self._load(
+                ind, i, a, const_addr, mmio_static, dkey, wbank,
+                self._row("lcp"), f"base + {x} + 1", f"base + {y}",
+            )
         elif kind == K_STORE:
-            mm = [
-                f"mmio_write({a}, {vt}, base + {y})",
-                "wd = honor and not mmio.exceptions_masked"
-                " and mmio._wd_enabled",
-                "wdx = mmio._wd_expiry",
-            ]
-            mem_guard = f"if {a} & 3 or {g.tbase} <= {a} < {g.text_end}:"
-            mem_write = f"data_write({a}, {vt}, base + {y})"
-            if mmio_static is True:
-                self._sync(ind, str(pc))
-                for line in mm:
-                    self.emit(ind, line)
-            elif mmio_static is False:
-                self.emit(ind, mem_guard)
-                self._sync(ind + "    ", str(pc))
-                self.emit(ind + "    ", mem_write)
-                self._store_commit(ind, i, a, vt, c, y)
-            else:
-                self.emit(ind, f"if {a} >= {_MMIO}:")
-                self._sync(ind + "    ", str(pc))
-                for line in mm:
-                    self.emit(ind + "    ", line)
-                self.emit(ind, "else:")
-                self.emit(ind + "    ", mem_guard)
-                self._sync(ind + "        ", str(pc))
-                self.emit(ind + "        ", mem_write)
-                self._store_commit(ind + "    ", i, a, vt, c, y)
+            self._store(
+                ind, a, vt, const_addr, mmio_static, self._row("lcp"),
+                f"base + {y}", f"base + {y}", "base",
+                lambda b: self._store_commit(b, i, a, vt, c, y),
+            )
         elif kind == K_BRANCH:
             pc_next = f"n{i}"
             self.emit(ind, f"{pc_next} = {starget} if k{i} else {npc}")
@@ -1294,7 +1395,6 @@ class _OOOEmitter:
             pc_next = f"g{i}"
         # K_ALU: write already folded into the execute section.  K_HALT:
         # pc advances to npc (pc_next default).
-        self.lc_sync = y
 
         if dkey >= 0:
             self.crw += 1
@@ -1307,15 +1407,14 @@ class _OOOEmitter:
                 self._fwd.pop(dkey, None)
         self.nex += 1
 
+        # -- exit: halt, or the watchdog check (merged with the block's
+        # own exit after its last instruction) --
         if kind == K_HALT:
             self._exit(ind, pc_next, '"h"')
-            return
-
-        self.emit(ind, f"if wd and base + {y} >= wdx:")
-        self._exit(ind + "    ", pc_next, '"w"')
-
-        if is_last:
-            self._exit(ind, pc_next, pc_next)
+        elif is_last:
+            self._exit(ind, pc_next, f'"w" if {y} >= wl else {pc_next}')
+        else:
+            self._watchdog_check(y, self._row("lc"))
 
     def _load_mem_timing(self, ind: str, i: int, a: str, x: str,
                          c: str) -> None:
@@ -1323,12 +1422,10 @@ class _OOOEmitter:
         self.emit(ind, f"e{i} = get_inflight({a})")
         self.emit(ind, f"fw{i} = e{i} is not None and e{i}[1] > {x}")
         self.emit(ind, "cdc += 1")
-        self._dcache_hit(ind, i, a)
+        self._dcache(ind, i, a, [f"h{i} = True"], [f"h{i} = False"])
         self.emit(ind, f"if fw{i}:")
         self.emit(ind + "    ", f"{c} = e{i}[0] + 1")
-        self.emit(ind + "    ", f"t = {x} + 1")
-        self.emit(ind + "    ", f"if t > {c}:")
-        self.emit(ind + "        ", f"{c} = t")
+        self._max_into(ind + "    ", c, x, plus_one=True)
         self.emit(ind, f"elif h{i}:")
         self.emit(ind + "    ", f"{c} = {x} + 2")
         self.emit(ind, "else:")
@@ -1341,18 +1438,12 @@ class _OOOEmitter:
     def _store_commit(self, ind: str, i: int, a: str, vt: str, c: str,
                       y: str) -> None:
         """Non-MMIO store commit: words write, D-cache, LSQ in-flight entry."""
-        try:
-            const = int(vt)
-        except ValueError:
-            self.emit(ind, f"if {vt}.__class__ is int:")
-            self.emit(ind + "    ",
-                      f"words[{a}] = (({vt} + {_S}) & {_M}) - {_S}")
-            self.emit(ind, "else:")
-            self.emit(ind + "    ", f"words[{a}] = {vt}")
-        else:
-            self.emit(ind, f"words[{a}] = {_wrap_s32(const)}")
+        self._store_words(ind, a, vt)
         self.emit(ind, "cdc += 1")
-        self._dcache_store_commit(ind, i, a, y)
+        # A miss's write-allocate fill occupies the bus from commit.
+        self._dcache(ind, i, a, [], [
+            f"t = {y}", "if bf > t:", "    t = bf", "bf = t + pen",
+        ])
         self.emit(ind, f"inflight_stores[{a}] = ({c}, {y})")
 
 
@@ -1373,7 +1464,7 @@ class _Geometry(NamedTuple):
 
 
 #: Upper bound on instructions fused into one generated function; longer
-#: straight-line runs split at the cap (state is fully synced at every
+#: straight-line runs split at the cap (state is fully written at every
 #: block exit, so an artificial boundary is behaviourally invisible).
 _MAX_BLOCK = 64
 
@@ -1384,9 +1475,13 @@ _EXEC_GLOBALS: dict[str, Any] = {
     "_fsqrt": _fsqrt,
     "_M": _M,
     "_S": _S,
+    "_Watchdog": _Watchdog,
+    "_EXITS": _EXITS,
+    "_inorder_exit": _inorder_exit,
+    "_ooo_exit": _ooo_exit,
     "__builtins__": {"len": len, "min": min, "abs": abs, "int": int,
-                     "float": float, "True": True, "False": False,
-                     "None": None},
+                     "float": float, "locals": locals, "True": True,
+                     "False": False, "None": None},
 }
 
 
@@ -1556,7 +1651,7 @@ class BlockTable:
         budget or interior breakpoint).
 
         Emitted by the same emitters as a full block, so it exits with
-        the same synced state a block ending at that address would.
+        the same state a block ending at that address would.
         Compiled on first use into its own namespace (it shares the full
         block's function name) and never persisted.
         """
@@ -1694,6 +1789,17 @@ def _limit(max_instructions: int | None) -> int:
     return min(max_instructions, _RUNAWAY + 1)
 
 
+def _watchdog_limit(mmio: Any, honor: bool, origin: int) -> int:
+    """A segment's initial watchdog limit ``wl``: the expiry cycle less
+    ``origin``, the absolute cycle at which the count block code checks
+    (in-order mem_end, OOO commit) would be 0, or ``_NEVER`` when the
+    segment does not honour the watchdog."""
+    wd_enabled = mmio._wd_enabled  # noqa: SLF001
+    if honor and not mmio.exceptions_masked and wd_enabled:
+        return mmio._wd_expiry - origin  # noqa: SLF001
+    return _NEVER
+
+
 def _first_interior(pc: int, length: int, breaks: frozenset[int]) -> int:
     """Instructions before the first breakpoint strictly inside the
     ``length``-instruction block at ``pc`` (``length`` if none)."""
@@ -1741,18 +1847,14 @@ def run_inorder(
     base = core._timing_base  # noqa: SLF001
     tg = core.train_gshare
     ti = core.train_indirect
-    wd = (
-        honor_watchdog
-        and not mmio.exceptions_masked
-        and mmio._wd_enabled  # noqa: SLF001
-    )
     st: list[Any] = [
         ft[0], ft[1], ft[2], ft[3], ft[4], ft[5], ft[6], ft[7],
         ic._tick, dc._tick,  # noqa: SLF001
         0, 0, 0, 0,  # ihits, imiss, dhits, dmiss
         0, 0, 0, 0,  # fetched, c_regread, c_regwrite, c_dcache
         state.pc, 0,  # pc, executed
-        wd, mmio._wd_expiry,  # noqa: SLF001
+        _watchdog_limit(mmio, honor_watchdog, base + 1),
+        mmio._wd_expiry,  # noqa: SLF001
     ]
     words = machine.memory._words  # noqa: SLF001
     env = (
@@ -1879,18 +1981,14 @@ def run_ooo(
     port_used: dict[int, int] = {}
     inflight_stores: dict[int, tuple[int, int]] = {}
     ready = [0] * 64
-    wd = (
-        honor_watchdog
-        and not mmio.exceptions_masked
-        and mmio._wd_enabled  # noqa: SLF001
-    )
     st: list[Any] = [
         0, 0, 0, 0, -1, 0, 0,  # bf, fc, gd, gc, gb, rd, lc
         ic._tick, dc._tick,  # noqa: SLF001
         0, 0, 0, 0,  # ihits, imiss, dhits, dmiss
         0, 0, 0, 0, 0, 0,  # cg, cbp, crr, crw, cdc, nmem
         state.pc, 0,  # pc, executed
-        wd, mmio._wd_expiry,  # noqa: SLF001
+        _watchdog_limit(mmio, honor_watchdog, base),
+        mmio._wd_expiry,  # noqa: SLF001
         0, 0, 0, 0,  # ri, qi, li, ccn
         gshare.history, indirect.history,  # gh, ih
     ]
@@ -1921,6 +2019,11 @@ def run_ooo(
     block_at = table.block_at
     pc = state.pc
     pruned_at = 0
+    # Instructions counted by the pipeline events but not retired: a load
+    # or store that faults does so at its memory access, after the
+    # timing model renamed, issued and committed it (run_reference
+    # counts it there too); an ALU fault stops it before dispatch.
+    faulted = 0
     try:
         while True:
             entry = blocks.get(pc)
@@ -1974,6 +2077,10 @@ def run_ooo(
                 "watchdog", start_cycle, now, st[20],
                 exception_cycle=min(now, st[22]),
             )
+    except ReproError:
+        if table.program.inst_at(st[19]).is_mem:
+            faulted = 1
+        raise
     finally:
         gshare.history = st[27]
         indirect.history = st[28]
@@ -1989,14 +2096,14 @@ def run_ooo(
         dcs.hits += st[11]
         dcs.misses += st[12]
         counters = state.counters
-        executed = st[20]
-        if executed:
-            counters["rename"] += executed
-            counters["rob_write"] += executed
-            counters["iq"] += executed
+        dispatched = st[20] + faulted
+        if dispatched:
+            counters["rename"] += dispatched
+            counters["rob_write"] += dispatched
+            counters["iq"] += dispatched
             counters["regread"] += st[15]
-            counters["fu"] += executed
-            counters["commit"] += executed
+            counters["fu"] += dispatched
+            counters["commit"] += dispatched
         if st[13]:
             counters["icache"] += st[13]
             counters["fetch"] += st[13]

@@ -23,8 +23,12 @@ code to ``run_reference``:
 * cache-level: the on-disk codegen cache round-trips (hit/miss/store
   counters observable through :data:`runcache.STATS`), and a damaged
   entry is a counted miss that rebuilds, never an error;
+* exit-level: the watchdog fires after every instruction of a block in
+  turn, and every fault kind the shared exit epilogue serves is raised
+  at several positions in it, each matching ``run_reference`` in full;
 * codegen-level: the emitted source of every workload program is pinned
-  by a golden digest, and a cold table build stays memory-bounded.
+  by a golden digest and held to a size budget, and a cold table build
+  stays memory-bounded.
 """
 
 import hashlib
@@ -53,11 +57,12 @@ N_PROGRAMS = 200
 CHUNK = 25
 
 #: sha256 over the emitted per-block source (with start pc and length) of
-#: all 16 (workload, scale) programs on both engines, recorded while the
-#: whole table was still compiled in one piece.  Any codegen change must
-#: bump ``CODEGEN_VERSION`` and re-record this digest.
+#: all 16 (workload, scale) programs on both engines, re-recorded when
+#: every block's mid-block exits moved into one shared epilogue
+#: (``CODEGEN_VERSION`` 4).  Any codegen change must bump
+#: ``CODEGEN_VERSION`` and re-record this digest.
 CODEGEN_SHA256 = (
-    "4ec96f66410ce786f1e2f41ca0fe481e3a19690616adab0fe0247a6960cf33b1"
+    "071fc865a85c45e3587e432d27da13b2eb51b4e47e94400815d98edc761b69b6"
 )
 
 BOTH_CORES = pytest.mark.parametrize(
@@ -86,8 +91,13 @@ def _isolated_cache(tmp_path, monkeypatch):
 
 
 def _state(core, machine):
-    """Observable end state, plus predictor state on the complex core."""
+    """Observable end state, plus the caches' LRU stamps and, on the
+    complex core, predictor state."""
     state = _snapshot(core, machine)
+    state["lru"] = [
+        (cache._tick, [dict(ways) for ways in cache._sets])
+        for cache in (machine.icache, machine.dcache)
+    ]
     if isinstance(core, ComplexCore):
         state["gshare"] = core.gshare.dump_state()
         state["indirect"] = core.indirect.dump_state()
@@ -95,16 +105,21 @@ def _state(core, machine):
 
 
 def _timeline(program, core_cls, method, budgets=WHOLE, breaks=None,
-              masked=True):
+              masked=True, setup=None):
     """Drive a fresh core with ``method`` (``"run"`` or
     ``"run_reference"``), one segment per entry of ``budgets``.
 
+    ``setup``, if given, receives the fresh machine before the run.
     Returns ``(timeline, machine)``: one entry per segment (its result
     and the pc after it, or the message of the fault that ended it),
-    then the end state.  Stops at halt, watchdog, or a fault.
+    then the end state.  Stops at halt, a fault, or the watchdog; with
+    ``setup`` given, a watchdog exit masks exceptions and the remaining
+    segments run on, as VISA's recovery continues after one.
     """
     machine = Machine(program)
     machine.mmio.exceptions_masked = masked
+    if setup is not None:
+        setup(machine)
     core = core_cls(machine)
     run = getattr(core, method)
     extra = {} if breaks is None else {"break_addrs": breaks}
@@ -119,35 +134,39 @@ def _timeline(program, core_cls, method, budgets=WHOLE, breaks=None,
             r.reason, r.start_cycle, r.end_cycle, r.instructions,
             r.exception_cycle, core.state.pc,
         ))
-        if r.reason not in ("limit", "breakpoint"):
+        if r.reason == "watchdog" and setup is not None:
+            machine.mmio.exceptions_masked = True
+        elif r.reason not in ("limit", "breakpoint"):
             break
     timeline.append(_state(core, machine))
     return timeline, machine
 
 
 def _assert_matches_reference(program, core_cls, budgets, breaks=None,
-                              masked=True):
+                              masked=True, setup=None):
     """Block code and ``run_reference`` agree segment by segment,
     console output (with cycle stamps) included; returns the timeline."""
     block, block_machine = _timeline(
-        program, core_cls, "run", budgets, breaks, masked
+        program, core_cls, "run", budgets, breaks, masked, setup
     )
     ref, ref_machine = _timeline(
-        program, core_cls, "run_reference", budgets, breaks, masked
+        program, core_cls, "run_reference", budgets, breaks, masked, setup
     )
     assert block == ref
     assert list(block_machine.mmio.console) == list(ref_machine.mmio.console)
     return block
 
 
-def _assert_whole_and_bounded(program, core_cls, masked=True):
+def _assert_whole_and_bounded(program, core_cls, masked=True, setup=None):
     """:func:`_assert_matches_reference` on a whole run and in
     ``SEGMENT``-instruction segments; returns the whole-run timeline."""
     bounded = _assert_matches_reference(
-        program, core_cls, BOUNDED, masked=masked
+        program, core_cls, BOUNDED, masked=masked, setup=setup
     )
     assert len(bounded) > 2  # the bounded variant really was segmented
-    return _assert_matches_reference(program, core_cls, WHOLE, masked=masked)
+    return _assert_matches_reference(
+        program, core_cls, WHOLE, masked=masked, setup=setup
+    )
 
 
 def _cuts(program):
@@ -384,34 +403,15 @@ def test_watchdog_armed_mid_trace(core_cls):
     assert timeline[0][0] == "watchdog"
 
 
-#: Block code's pipeline view at the text-range store fault of
-#: ``test_store_to_text_mid_trace``: ``(now, counters)``, recorded when
-#: block code and the retired per-instruction interpreters still ran
-#: side by side and agreed on it.
-STORE_TO_TEXT_TIMING = {
-    "inorder": (286, {
-        "dcache": 1, "fetch": 78, "fu": 77, "icache": 78, "regread": 125,
-        "regwrite": 28,
-    }),
-    "ooo": (192, {
-        "bpred": 49, "commit": 77, "fetch": 28, "fu": 77, "icache": 28,
-        "iq": 77, "lsq": 1, "regread": 127, "regwrite": 28, "rename": 77,
-        "rob_write": 77,
-    }),
-}
-
-
 @BOTH_CORES
 def test_store_to_text_mid_trace(core_cls):
     """A text-range store reached from a hot loop faults exactly.
 
     The simulator treats text-range data stores as faults (the write
-    would invalidate generated code).  ``run_reference`` agrees with
-    block code on the fault and the architectural state, but its
-    pipeline view of the faulting store is known to differ: in-order,
-    block code's ``now`` includes the store's timing; OOO, the oracle's
-    event counters include the store.  Block code's view is pinned to
-    literal values so it cannot drift silently.
+    would invalidate generated code).  Block code leaves the state
+    ``run_reference`` leaves, the pipeline's view of the faulting store
+    included: in-order, ``now`` stops at the previous instruction; on
+    the complex core the store counts in the pipeline events it passed.
     """
     source = f"""
     main:
@@ -428,23 +428,144 @@ def test_store_to_text_mid_trace(core_cls):
         sw t2, 0(t0)       # store into the text range: faults
         b back
     """
-    program = assemble(source)
-    block, _ = _timeline(program, core_cls, "run")
-    ref, _ = _timeline(program, core_cls, "run_reference")
+    timeline = _assert_whole_and_bounded(assemble(source), core_cls)
     message = "data access inside text segment at 0x400000"
-    assert block[0] == ref[0] == ("fault", message)
+    assert timeline[0] == ("fault", message)
 
-    def split(state):
-        timing = ("now", "counters")
-        return (
-            (state["now"], state["counters"]),
-            {k: v for k, v in state.items() if k not in timing},
+
+# -- an exit at every instruction index -----------------------------------
+#
+# Every mid-block exit leaves through the block's shared epilogue, which
+# reads the state at exit position k from per-block tables.  The body
+# block below is a 21-instruction dependency chain (so each instruction
+# commits in a cycle of its own on the complex core too) with a DIV, a
+# data store and load, an MMIO load and store, and an indirect jump
+# last; the preamble block sets up its base registers.
+
+_EXIT_PREAMBLE = """
+main:
+    li t0, 0xFFFF0000      # MMIO base
+    lui t6, 0x1000         # data buffer (DATA_BASE)
+    lui t7, 0x0040         # text segment base
+    la t4, done
+    addi t2, zero, -4
+    itof f1, t2            # a negative float
+    addi t1, zero, 1000
+    addi t2, zero, 7
+    div t5, t1, t2         # slow: the body waits for it
+    j body
+body:
+"""
+
+_EXIT_BODY = [
+    "addi s0, t5, 12",
+    "sll s1, s0, 4",
+    "mul s1, s1, s0",
+    "div s2, s1, s0",       # DIV
+    "andi s2, s2, 60",      # a word offset into buf
+    "add s3, t6, s2",
+    "sw s2, 0(s3)",         # data store
+    "lw s4, 0(s3)",         # data load (forwarded from the store)
+    "addi s4, s4, 1",
+    "sub s5, s4, s4",
+    "add s5, s5, t0",
+    "lw s6, 8(s5)",         # MMIO load (CYCLE_COUNT)
+    "sw s6, 12(s5)",        # MMIO store (CONSOLE_OUT)
+    "rem s7, s6, s0",
+    "addi s7, s7, 3",
+    "xor s7, s7, s4",
+    "sll s7, s7, 2",
+    "sw s7, 4(s3)",
+    "mul t8, s7, zero",     # completes after the store it follows
+    "add t8, t8, t4",
+    "jr t8",                # the block's last instruction
+]
+
+_EXIT_TAIL = """
+done:
+    halt
+.data
+buf: .space 64
+"""
+
+
+def _exit_program(body):
+    return assemble(
+        _EXIT_PREAMBLE + "\n".join(f"    {line}" for line in body)
+        + _EXIT_TAIL
+    )
+
+
+def _armed(expiry):
+    """Setup arming the watchdog to expire at cycle ``expiry``."""
+    def setup(machine):
+        machine.mmio.exceptions_masked = False
+        machine.mmio.watchdog_set(expiry, 0)
+        machine.mmio.watchdog_ctrl(1, 0)
+    return setup
+
+
+@BOTH_CORES
+def test_watchdog_exit_at_every_index(core_cls):
+    """Sweeping the watchdog expiry fires it after each instruction of
+    the body block in turn; every exit, and the run that continues from
+    it to the halt, matches ``run_reference`` whole and in
+    ``SEGMENT``-instruction segments."""
+    program = _exit_program(_EXIT_BODY)
+    first = (program.symbols["body"] - program.entry) // 4
+    hit = set()
+    expiry = 0
+    while True:
+        setup = _armed(expiry)
+        _assert_matches_reference(
+            program, core_cls, BOUNDED, masked=False, setup=setup
         )
+        timeline = _assert_matches_reference(
+            program, core_cls, WHOLE * 2, masked=False, setup=setup
+        )
+        reason, _, _, executed = timeline[0][:4]
+        if reason == "halt":
+            break
+        assert reason == "watchdog"
+        hit.add(executed - 1 - first)
+        expiry += 1
+    assert set(range(len(_EXIT_BODY))) <= hit
 
-    block_timing, block_arch = split(block[-1])
-    assert block_arch == split(ref[-1])[1]
-    engine = "inorder" if core_cls is InOrderCore else "ooo"
-    assert block_timing == STORE_TO_TEXT_TIMING[engine]
+
+#: One faulting instruction (or a short sequence ending in one) per kind
+#: of fault the epilogue serves; ``t6``/``t7``/``t0`` hold data, text and
+#: MMIO addresses the block cannot know, constant addresses are decided
+#: at code generation.
+_EXIT_FAULTS = {
+    "load-misaligned": ["lw s6, 2(t6)"],
+    "store-misaligned": ["sw s0, 2(t6)"],
+    "load-misaligned-constant": ["lw s6, 6(zero)"],
+    "store-misaligned-constant": ["sw s0, 6(zero)"],
+    "load-text": ["lw s6, 0(t7)"],
+    "store-text": ["sw s0, 4(t7)"],
+    "load-text-constant": ["lui s6, 0x0040", "lw s6, 8(s6)"],
+    "store-text-constant": ["lui s6, 0x0040", "sw s0, 8(s6)"],
+    "mmio-read-unmapped": ["lw s6, 24(t0)"],
+    "mmio-write-unmapped": ["sw s0, 24(t0)"],
+    "mmio-read-unmapped-constant": ["lw s6, -8(zero)"],
+    "div-by-zero": ["div s6, s0, zero"],
+    "rem-by-zero": ["rem s6, s1, zero"],
+    "fsqrt-negative": ["fsqrt f2, f1"],
+}
+
+
+@BOTH_CORES
+@pytest.mark.parametrize("fault", sorted(_EXIT_FAULTS))
+def test_fault_exit_at_indices(core_cls, fault):
+    """Each fault kind, placed at the start, middle and end of the body
+    block, leaves the state ``run_reference`` leaves, whole and in
+    ``SEGMENT``-instruction segments."""
+    lines = _EXIT_FAULTS[fault]
+    for index in (0, 9, len(_EXIT_BODY) - 1 - len(lines)):
+        body = list(_EXIT_BODY)
+        body[index:index + len(lines)] = lines
+        timeline = _assert_whole_and_bounded(_exit_program(body), core_cls)
+        assert timeline[0][0] == "fault", (fault, index)
 
 
 @pytest.mark.parametrize("chunk", range(4))
@@ -622,28 +743,66 @@ def test_damaged_disk_entry_is_a_miss_and_rebuilds(
     runcache.reset_stats()
 
 
-def test_golden_codegen():
-    """The emitted source of every workload program is unchanged."""
-    assert blockjit.CODEGEN_VERSION == 3
-    digest = hashlib.sha256()
-    for scale in ("tiny", "default"):
+def _emitted_blocks(scales, engines=("inorder", "ooo")):
+    """``(name, scale, engine, start, insts, source)`` for every static
+    block of the 8 workload programs at ``scales``, emitted (not
+    compiled)."""
+    for scale in scales:
         for name in WORKLOAD_NAMES + EXTRA_WORKLOAD_NAMES:
             program = get_workload(name, scale).program
             machine = VISASpec().machine(program)
             geom = blockjit._geometry(machine)
-            for engine, params in (
-                ("inorder", None), ("ooo", ComplexCore(machine).params),
-            ):
+            for engine in engines:
+                params = ComplexCore(machine).params if engine == "ooo" \
+                    else None
                 for start, insts in blockjit._walk_blocks(program):
                     source = blockjit._emit_block(
                         engine, geom, params, start, insts
                     )
-                    digest.update(
-                        f"{name} {scale} {engine} {start} {len(insts)}\n"
-                        .encode()
-                    )
-                    digest.update(source.encode())
+                    yield name, scale, engine, start, insts, source
+
+
+def test_golden_codegen():
+    """The emitted source of every workload program is unchanged."""
+    assert blockjit.CODEGEN_VERSION == 4
+    digest = hashlib.sha256()
+    for name, scale, engine, start, insts, source in _emitted_blocks(
+        ("tiny", "default")
+    ):
+        digest.update(
+            f"{name} {scale} {engine} {start} {len(insts)}\n".encode()
+        )
+        digest.update(source.encode())
     assert digest.hexdigest() == CODEGEN_SHA256
+
+
+def _emitted_chars_per_instruction(engine):
+    """Source characters per static instruction over every block of the
+    8 ``tiny`` workloads, emitted for ``engine``."""
+    chars = insts = 0
+    for *_, block_insts, source in _emitted_blocks(("tiny",), (engine,)):
+        chars += len(source)
+        insts += len(block_insts)
+    return chars / insts
+
+
+#: Emitted source characters per instruction (see
+#: :func:`_emitted_chars_per_instruction`), recorded with the shared exit
+#: epilogue (``CODEGEN_VERSION`` 4).
+CODEGEN_CHARS_PER_INSTRUCTION = {"inorder": 689.3, "ooo": 1401.4}
+
+
+@pytest.mark.parametrize("engine", ["inorder", "ooo"])
+def test_codegen_size_budget(engine):
+    """Emitted source stays within 5 % of its recorded size per
+    instruction, so a later change cannot quietly re-inflate codegen
+    (cold compile cost tracks the emitted syntax)."""
+    budget = CODEGEN_CHARS_PER_INSTRUCTION[engine] * 1.05
+    measured = _emitted_chars_per_instruction(engine)
+    assert measured <= budget, (
+        f"{engine} block code emits {measured:.1f} characters per "
+        f"instruction, over its budget of {budget:.1f}"
+    )
 
 
 def test_cold_table_build_memory_is_bounded():
