@@ -447,27 +447,6 @@ def cmd_serve(args) -> int:
     """
     import asyncio
 
-    if args.cluster > 0:
-        from repro.service.cluster import run_cluster
-
-        run_cluster(
-            host=args.host,
-            port=args.port,
-            backends=args.cluster,
-            workers=args.jobs,
-            queue_depth=args.queue_depth,
-            timeout=args.timeout,
-            drain_grace=args.drain_grace,
-            cache_dir=args.cache_dir,
-            store_dir=args.store_dir,
-            quota_rate=args.quota_rate,
-            quota_burst=args.quota_burst,
-            age_seconds=args.age_seconds,
-            vnodes=args.vnodes,
-            metrics_port=args.metrics_port,
-        )
-        return 0
-
     from repro.service.server import ServiceConfig, serve
 
     config = ServiceConfig(
@@ -480,9 +459,16 @@ def cmd_serve(args) -> int:
         cache_dir=args.cache_dir,
         age_seconds=args.age_seconds,
         store_dir=args.store_dir,
+        quota_rate=args.quota_rate,
+        quota_burst=args.quota_burst,
         metrics_port=args.metrics_port,
     )
-    asyncio.run(serve(config))
+    if args.cluster > 0:
+        from repro.service.cluster import run_cluster
+
+        run_cluster(config, args.cluster, args.vnodes)
+    else:
+        asyncio.run(serve(config))
     return 0
 
 
@@ -998,7 +984,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.0,
         help=(
-            "cluster front: per-client submissions per second "
+            "per-client submissions per second "
             "(token bucket; 0 = unlimited)"
         ),
     )
@@ -1006,7 +992,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--quota-burst",
         type=int,
         default=8,
-        help="cluster front: per-client token-bucket burst (default 8)",
+        help="per-client token-bucket burst (default 8)",
     )
     p.add_argument(
         "--vnodes",

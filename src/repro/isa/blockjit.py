@@ -41,9 +41,12 @@ memoized on the :class:`~repro.isa.program.Program` and persisted as
 ``.repro_cache/blockjit/<engine>-<key>.marshal``: one ``marshal`` blob of
 per-block ``(start, name, length, code)`` records.  The key hashes the
 program digest, cache geometry, pipeline parameters, ``CODEGEN_VERSION``,
-``FORMAT_VERSION`` and the interpreter's cache tag (marshal is
-interpreter-specific, so another Python never reads the entry and simply
-rebuilds it); an unreadable entry counts as a miss and is rebuilt.
+a digest of the source the emitted code depends on
+(:data:`_CODEGEN_SOURCES`, so an emitter edit made without a version bump
+still misses), ``FORMAT_VERSION`` and the interpreter's cache tag
+(marshal is interpreter-specific, so another Python never reads the
+entry and simply rebuilds it); an unreadable entry counts as a miss and
+is rebuilt.
 
 Every segment runs here.  A *bounded* segment (an instruction budget, or
 breakpoints that may fall inside a block) runs a truncated copy of the
@@ -55,6 +58,7 @@ call alone, with no tier switch.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import marshal
 import sys
 from dataclasses import astuple
@@ -89,6 +93,16 @@ if TYPE_CHECKING:
 #: 4: one shared exit epilogue per block; st carries the watchdog limit
 #: ``wl`` where it carried the ``wd`` flag.
 CODEGEN_VERSION = 4
+
+#: Modules whose source shapes the emitted code or the dispatchers' ``st``
+#: layout: the emitters here, and the constants and helpers they inline.
+_CODEGEN_SOURCES = (
+    "repro.isa.blockjit",
+    "repro.isa.fastexec",
+    "repro.isa.layout",
+    "repro.isa.semantics",
+    "repro.pipelines.inorder_engine",
+)
 
 _M = 0xFFFFFFFF
 _S = 0x80000000
@@ -1666,6 +1680,18 @@ class BlockTable:
         return entry
 
 
+@lru_cache(maxsize=None)
+def _source_digest() -> str:
+    """SHA-256 of the :data:`_CODEGEN_SOURCES` files, once per process."""
+    digest = hashlib.sha256()
+    for name in _CODEGEN_SOURCES:
+        path = importlib.import_module(name).__file__
+        assert path is not None, name
+        with open(path, "rb") as source:
+            digest.update(source.read())
+    return digest.hexdigest()
+
+
 def _disk_key(
     program: "Program", engine: str, geom: _Geometry,
     params_tuple: tuple | None,
@@ -1679,6 +1705,7 @@ def _disk_key(
     payload = {
         "format": FORMAT_VERSION,
         "codegen": CODEGEN_VERSION,
+        "source": _source_digest(),
         "python": sys.implementation.cache_tag,
         "engine": engine,
         "program": program_digest(program),

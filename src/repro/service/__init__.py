@@ -23,8 +23,12 @@ Components:
   coalesce-key derivation, worker-side execution).
 * :mod:`~repro.service.metrics` — counters/gauges/histograms served on a
   ``/metrics``-style text endpoint.
-* :mod:`~repro.service.server` — the asyncio daemon: dispatch,
-  single-flight coalescing, SIGTERM drain.
+* :mod:`~repro.service.front` — the job front the daemon and the
+  cluster share: listener, admission (quota, single-flight coalescing,
+  result-store lookup), job records, result fan-out, SIGTERM drain.
+* :mod:`~repro.service.server` — the daemon: the front over a local
+  worker pool; :mod:`~repro.service.cluster` — the front over a
+  digest-routed ring of backend daemons (``--cluster N``).
 * :mod:`~repro.service.client` — blocking (``ServiceClient``) and
   asyncio (``AsyncServiceClient``) client libraries used by the
   ``repro submit`` / ``repro status`` CLI subcommands.

@@ -244,28 +244,83 @@ class Registry:
         return "\n".join(lines) + "\n"
 
 
-class ServiceMetrics:
-    """Every collector the repro service exports, pre-registered."""
+class JobMetrics:
+    """The collectors every job front exports, pre-registered.
 
-    def __init__(self) -> None:
+    ``prefix`` names the front's families (``repro_`` on a daemon,
+    ``repro_front_`` on the cluster front tier).  ``repro_job_seconds``
+    keeps one name on both, so per-kind latency histograms exist at every
+    endpoint.
+    """
+
+    def __init__(self, prefix: str) -> None:
         self.registry = Registry()
         reg = self.registry
         self.jobs_submitted = reg.counter(
-            "repro_jobs_submitted_total", "Jobs accepted into the queue, by kind."
+            f"{prefix}jobs_submitted_total", "Jobs admitted, by kind."
         )
         self.jobs_completed = reg.counter(
-            "repro_jobs_completed_total",
+            f"{prefix}jobs_completed_total",
             "Jobs finished, by kind and outcome "
-            "(ok/job_error/timeout/worker_crash).",
+            "(ok/store/job_error/timeout/worker_crash/draining/...).",
         )
         self.jobs_coalesced = reg.counter(
-            "repro_jobs_coalesced_total",
+            f"{prefix}jobs_coalesced_total",
             "Submissions served by attaching to an identical in-flight job.",
         )
         self.jobs_rejected = reg.counter(
-            "repro_jobs_rejected_total",
-            "Submissions rejected, by reason (queue_full/draining/bad_request).",
+            f"{prefix}jobs_rejected_total",
+            "Submissions rejected, by reason "
+            "(queue_full/quota/draining/bad_request).",
         )
+        self.store_ops = reg.counter(
+            f"{prefix}store_ops_total",
+            "Shared result-store hits/misses/stores for this front.",
+        )
+        self.store_hit_ratio = reg.gauge(
+            f"{prefix}store_hit_ratio",
+            "Result-store hits / (hits + misses) since start.",
+        )
+        self.jobs_in_flight = reg.gauge(
+            f"{prefix}jobs_in_flight",
+            "Jobs currently executing on a worker or a backend.",
+        )
+        self.draining = reg.gauge(
+            f"{prefix}draining", "1 while the front is draining after SIGTERM."
+        )
+        self.job_seconds = reg.histogram(
+            "repro_job_seconds",
+            "Job latency by kind (seconds), submission to result, "
+            "store hits included.",
+        )
+
+    def record_store_op(self, op: str) -> None:
+        """Count one result-store operation and refresh the hit ratio."""
+        self.store_ops.inc(op=op)
+        hits = self.store_ops.value(op="hits")
+        misses = self.store_ops.value(op="misses")
+        if hits + misses > 0:
+            self.store_hit_ratio.set(hits / (hits + misses))
+
+    def snapshot(self) -> dict[str, float]:
+        """Scalar summary embedded in ``status`` responses."""
+        return {
+            "submitted": self.jobs_submitted.total(),
+            "completed": self.jobs_completed.total(),
+            "coalesced": self.jobs_coalesced.total(),
+            "rejected": self.jobs_rejected.total(),
+            "jobs_in_flight": self.jobs_in_flight.value(),
+            "store_hits": self.store_ops.value(op="hits"),
+            "store_misses": self.store_ops.value(op="misses"),
+        }
+
+
+class ServiceMetrics(JobMetrics):
+    """The daemon's collectors: the shared ones plus queue and workers."""
+
+    def __init__(self) -> None:
+        super().__init__("repro_")
+        reg = self.registry
         self.worker_restarts = reg.counter(
             "repro_worker_restarts_total",
             "Worker processes restarted after a crash or job timeout.",
@@ -278,28 +333,11 @@ class ServiceMetrics:
             "repro_jobs_aged_total",
             "Queue entries promoted one priority level by aging.",
         )
-        self.store_ops = reg.counter(
-            "repro_store_ops_total",
-            "Shared result-store hits/misses/stores for this node.",
-        )
-        self.store_hit_ratio = reg.gauge(
-            "repro_store_hit_ratio",
-            "Result-store hits / (hits + misses) since service start.",
-        )
         self.queue_depth = reg.gauge(
             "repro_queue_depth", "Jobs currently waiting in the queue."
         )
-        self.jobs_in_flight = reg.gauge(
-            "repro_jobs_in_flight", "Jobs currently executing on a worker."
-        )
         self.workers_alive = reg.gauge(
             "repro_workers_alive", "Worker processes currently alive."
-        )
-        self.draining = reg.gauge(
-            "repro_draining", "1 while the service is draining after SIGTERM."
-        )
-        self.job_seconds = reg.histogram(
-            "repro_job_seconds", "Wall-clock job latency by kind (seconds)."
         )
         self.job_phase_seconds = reg.histogram(
             "repro_job_phase_seconds",
@@ -347,14 +385,6 @@ class ServiceMetrics:
         if hits + misses > 0:
             self.cache_hit_ratio.set(hits / (hits + misses))
 
-    def record_store_op(self, op: str) -> None:
-        """Count one result-store operation and refresh the hit ratio."""
-        self.store_ops.inc(op=op)
-        hits = self.store_ops.value(op="hits")
-        misses = self.store_ops.value(op="misses")
-        if hits + misses > 0:
-            self.store_hit_ratio.set(hits / (hits + misses))
-
     def refresh_disk_gauges(self) -> None:
         """Update the on-disk cache gauges from the shared collector."""
         stats = runcache.cache_stats()
@@ -368,18 +398,11 @@ class ServiceMetrics:
         return self.registry.render_text()
 
     def snapshot(self) -> dict[str, float]:
-        """Scalar summary embedded in ``status`` responses."""
         return {
-            "submitted": self.jobs_submitted.total(),
-            "completed": self.jobs_completed.total(),
-            "coalesced": self.jobs_coalesced.total(),
-            "rejected": self.jobs_rejected.total(),
+            **super().snapshot(),
             "requeued": self.jobs_requeued.total(),
             "worker_restarts": self.worker_restarts.total(),
             "queue_depth": self.queue_depth.value(),
-            "jobs_in_flight": self.jobs_in_flight.value(),
-            "store_hits": self.store_ops.value(op="hits"),
-            "store_misses": self.store_ops.value(op="misses"),
             "run_cache_hits": self.run_cache_ops.value(op="hits"),
             "run_cache_misses": self.run_cache_ops.value(op="misses"),
             "run_cache_stores": self.run_cache_ops.value(op="stores"),
@@ -390,6 +413,7 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "JobMetrics",
     "LATENCY_BUCKETS",
     "Registry",
     "ServiceMetrics",

@@ -198,11 +198,16 @@ def render_frame(
         total = hits + misses
         return f"{hits / total:.0%}" if total else "-"
 
+    rejected = (
+        "repro_front_jobs_rejected_total"
+        if cluster
+        else "repro_jobs_rejected_total"
+    )
     lines.append(
         f"store hit {ratio(store_hits, store_misses)} · "
         f"run-cache hit {ratio(cache_hits, cache_misses)} · "
         f"quota rejects "
-        f"{_counter_total(cur, 'repro_front_jobs_rejected_total', reason='quota'):.0f}"
+        f"{_counter_total(cur, rejected, reason='quota'):.0f}"
     )
     lines.append("")
     # Per-kind table over the sampling window.  The front tier and the

@@ -160,7 +160,7 @@ async def await_within(aw: Awaitable[_T], timeout: float) -> _T:
     Unlike ``asyncio.wait_for`` before Python 3.12, a cancellation that
     lands just as ``aw`` finishes is never swallowed: swallowed, it would
     leave a cancelled health loop or job task running, and the drain that
-    awaits it (``ClusterFront.shutdown``) would never end.
+    awaits it (``JobFront.shutdown``) would never end.
     """
     inner = asyncio.ensure_future(aw)
     try:
@@ -357,15 +357,6 @@ class WorkerPool:
             handle.busy_job = None
             if not self._closed:
                 self._idle.put_nowait(handle)
-
-    async def drain_idle(self, grace: float) -> bool:
-        """Wait until every worker is idle (True) or ``grace`` expires."""
-        deadline = time.monotonic() + grace
-        while time.monotonic() < deadline:
-            if self._idle.qsize() >= len(self._handles):
-                return True
-            await asyncio.sleep(0.05)
-        return self._idle.qsize() >= len(self._handles)
 
     def close(self) -> None:
         """Shut every worker down (graceful, then kill)."""

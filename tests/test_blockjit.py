@@ -743,6 +743,29 @@ def test_damaged_disk_entry_is_a_miss_and_rebuilds(
     runcache.reset_stats()
 
 
+def test_disk_entry_of_other_codegen_source_is_a_miss(
+    tmp_path, monkeypatch
+):
+    """The disk key hashes the codegen source: a table persisted under
+    one source digest is a counted miss under another, even though
+    ``CODEGEN_VERSION`` is the same."""
+    program = get_workload("cnt", "tiny").program
+
+    def run():
+        program._blockjit_tables.clear()
+        return _timeline(program, InOrderCore, "run")[0]
+
+    expected = run()
+    monkeypatch.setattr(blockjit, "_source_digest", lambda: "edited")
+    runcache.reset_stats()
+    assert run() == expected
+    assert runcache.STATS["blockjit_misses"] == 1
+    assert runcache.STATS["blockjit_hits"] == 0
+    assert runcache.STATS["blockjit_stores"] == 1
+    assert len(list((tmp_path / "blockjit").glob("inorder-*.marshal"))) == 2
+    runcache.reset_stats()
+
+
 def _emitted_blocks(scales, engines=("inorder", "ooo")):
     """``(name, scale, engine, start, insts, source)`` for every static
     block of the 8 workload programs at ``scales``, emitted (not

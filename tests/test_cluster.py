@@ -15,7 +15,8 @@ Covered here:
   result;
 * byte-identical results between the single-node and cluster paths for
   run/wcet/lint (digest parity);
-* per-client token-bucket quotas (``code="quota"`` + ``retry_after``);
+* per-client token-bucket quotas (``code="quota"`` + ``retry_after``),
+  on the front and on a single daemon;
 * jittered ``submit_retry`` backoff: two clients hammering a 1-slot
   queue both finish.
 """
@@ -37,7 +38,7 @@ import pytest
 from repro.errors import ServiceError
 from repro.service import jobs as job_registry
 from repro.service.client import ServiceClient
-from repro.service.cluster import TokenBucket
+from repro.service.front import TokenBucket
 from repro.service.workers import WorkerPool, await_within
 from repro.service.metrics import relabel_exposition
 from repro.service.queue import FairPriorityQueue
@@ -242,17 +243,28 @@ def test_sigkill_failover_requeues_exactly_once(tmp_path):
                 pytest.fail(f"orphaned worker(s) survived: {worker_pids}")
 
 
+QUOTA = ("--quota-rate", "0.5", "--quota-burst", "2")
+
+
+def _assert_quota_enforced(port: int) -> None:
+    with _client(port) as client:
+        for i in range(2):
+            assert client.submit("noop", {"tag": f"q{i}"}).ok
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit("noop", {"tag": "q-over"})
+        assert excinfo.value.code == "quota"
+        assert excinfo.value.retry_after > 0
+
+
 def test_quota_rejects_with_retry_after(tmp_path):
-    with cluster(
-        tmp_path, 1, "--quota-rate", "0.5", "--quota-burst", "2"
-    ) as (_proc, port):
-        with _client(port) as client:
-            for i in range(2):
-                assert client.submit("noop", {"tag": f"q{i}"}).ok
-            with pytest.raises(ServiceError) as excinfo:
-                client.submit("noop", {"tag": "q-over"})
-            assert excinfo.value.code == "quota"
-            assert excinfo.value.retry_after > 0
+    with cluster(tmp_path, 1, *QUOTA) as (_proc, port):
+        _assert_quota_enforced(port)
+
+
+def test_daemon_quota_rejects_with_retry_after(tmp_path):
+    """The single daemon shares the front's admission, quota included."""
+    with serve(tmp_path, "--jobs", "1", *QUOTA) as (_proc, port):
+        _assert_quota_enforced(port)
 
 
 def test_digest_parity_single_node_vs_cluster(tmp_path):

@@ -11,7 +11,9 @@ library over real TCP.  Covered here:
 * worker crash mid-job -> restart + requeue exactly once, then fail;
 * per-job timeout -> worker killed, job fails, service stays healthy;
 * queue-full backpressure with a ``retry_after`` hint;
-* SIGTERM -> in-flight jobs drain, new submissions rejected, clean exit.
+* SIGTERM -> in-flight jobs drain, new submissions rejected, clean exit;
+  jobs still unfinished when the drain grace runs out end ``draining``;
+* store hits count in the per-kind latency histogram.
 """
 
 from __future__ import annotations
@@ -260,6 +262,62 @@ def test_sigterm_drains_in_flight_and_rejects_new(tmp_path):
         result = done["result"]
         assert result.ok, "in-flight job must complete during the drain"
         assert proc.wait(timeout=60) == 0, "drain must exit cleanly"
+
+
+def test_drain_grace_expiry_sends_draining_to_every_waiter(tmp_path):
+    """Jobs still running or queued when ``--drain-grace`` runs out end
+    with a ``draining`` result, not a dropped connection."""
+    with service(
+        tmp_path, "--jobs", "1", "--drain-grace", "0.5"
+    ) as (proc, port):
+        errors: dict[str, ServiceError] = {}
+
+        def wait_on(tag: str) -> None:
+            with _client(port) as client:
+                try:
+                    client.submit("noop", {"tag": tag, "sleep_ms": 5000})
+                except ServiceError as exc:
+                    errors[tag] = exc
+
+        threads = [
+            threading.Thread(target=wait_on, args=(tag,))
+            for tag in ("running", "queued")
+        ]
+        with _client(port) as client:
+            threads[0].start()
+            _wait_for_busy_pid(client)
+            threads[1].start()
+            deadline = time.monotonic() + 30
+            while client.status().value["queue_depth"] < 1:
+                assert time.monotonic() < deadline, "job never queued"
+                time.sleep(0.02)
+        proc.send_signal(signal.SIGTERM)
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert {tag: exc.code for tag, exc in errors.items()} == {
+            "running": "draining",
+            "queued": "draining",
+        }
+        assert proc.wait(timeout=30) == 0
+
+
+def test_store_hits_count_in_job_seconds(tmp_path):
+    """A job served from the store is observed in ``repro_job_seconds``
+    like an executed one."""
+    with service(
+        tmp_path, "--jobs", "1", "--store-dir", str(tmp_path / "store")
+    ) as (proc, port):
+        with _client(port) as client:
+            first = client.submit("wcet", {"workload": "cnt"})
+            second = client.submit("wcet", {"workload": "cnt"})
+            assert second.value == first.value
+            assert client.metric_value(
+                'repro_jobs_completed_total{kind="wcet",outcome="store"}'
+            ) == 1
+            assert client.metric_value(
+                'repro_job_seconds_count{kind="wcet"}'
+            ) == 2
 
 
 def test_result_matches_direct_simulation(tmp_path):

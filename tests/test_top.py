@@ -143,6 +143,14 @@ class TestRenderFrame:
         assert "b0" in frame and "b1" in frame
         assert "open" in frame
 
+    def test_single_node_frame_counts_daemon_quota_rejects(self):
+        cur = parse_exposition(
+            'repro_jobs_rejected_total{reason="quota"} 3\n'
+            'repro_jobs_rejected_total{reason="draining"} 1\n'
+        )
+        frame = render_frame({"cluster": False}, {}, cur, 1.0)
+        assert "quota rejects 3" in frame
+
     def test_zero_window_does_not_divide_by_zero(self):
         frame = render_frame({}, self._samples(0), self._samples(1), 0.0)
         assert "admit" in frame
