@@ -32,8 +32,8 @@ Commands:
   front tier over N locally spawned backend daemons sharing one result
   store (see docs/cluster.md).
 * ``submit``         — send one job (run/wcet/lint/experiment/noop/admit)
-  to a running service and print the result (``--stream`` prints
-  progress events as they arrive).
+  to a running service, print its acceptance and progress events on
+  stderr as they arrive, and print the result.
 * ``status``         — query a running service (``--metrics`` for the
   Prometheus-style text exposition).
 * ``admit``          — task-set admission control: derive WCETs, pick
@@ -54,6 +54,7 @@ import argparse
 import pathlib
 import sys
 
+from repro.experiments import EXPERIMENT_NAMES
 from repro.isa.assembler import assemble
 from repro.isa.disassembler import disassemble
 from repro.memory.machine import Machine
@@ -127,10 +128,10 @@ def cmd_wcet(args) -> int:
     """``wcet``: per-sub-task WCET report (static or model-checking)."""
     import json
 
-    from repro.wcet.mc import ModelCheckEngine, default_engine
+    from repro.wcet.mc import ModelCheckEngine
 
     program = _load_program(args.file)
-    engine = args.engine or default_engine()
+    engine = args.engine
     analyzer = WCETAnalyzer(program)
     analyzer.dcache_bounds = measure_dcache_misses(program)
     if engine == "mc":
@@ -355,22 +356,16 @@ def cmd_trace(args) -> int:
 def cmd_experiment(args) -> int:
     """``experiment``: run one of the paper's experiments.
 
-    ``--jobs`` and ``--no-cache`` are threaded through as explicit
-    parameters (environment variables remain the defaults only), so
-    concurrent in-process callers — the service daemon in particular —
-    never race on mutated global state.
+    ``--jobs`` is an explicit parameter and ``--no-cache`` a scoped
+    :func:`~repro.snapshot.runcache.no_cache_override` (environment
+    variables remain the defaults only), so concurrent in-process
+    callers never race on mutated global state.
     """
-    from repro.experiments import ablations, figure2, figure3, figure4, table3
+    from repro.experiments import experiment_module
+    from repro.snapshot import runcache
 
-    modules = {
-        "table3": table3,
-        "figure2": figure2,
-        "figure3": figure3,
-        "figure4": figure4,
-        "ablations": ablations,
-    }
-    no_cache = True if args.no_cache else None  # None = REPRO_NO_CACHE default
-    modules[args.name].main(jobs=args.jobs, no_cache=no_cache)
+    with runcache.no_cache_override(args.no_cache or None):
+        experiment_module(args.name).main(jobs=args.jobs)
     return 0
 
 
@@ -499,17 +494,15 @@ def _parse_task_spec(spec: str, default_scale: str) -> dict:
 
 
 def _admit_payload_from_specs(args) -> dict:
-    payload = {
+    return {
         "tasks": [
             _parse_task_spec(spec, args.scale) for spec in args.tasks
         ],
         "policy": args.policy,
         "background_threads": args.threads,
         "alpha": args.alpha,
+        "engine": args.engine,
     }
-    if args.engine:
-        payload["engine"] = args.engine
-    return payload
 
 
 def _render_admission(decision: dict) -> str:
@@ -583,10 +576,12 @@ def cmd_admit(args) -> int:
     """``admit``: run the admission decision locally (library path)."""
     import json
 
-    from repro.rt.admission import cached_decide, decide, normalize_payload
+    from repro.rt.admission import cached_decide, normalize_payload
+    from repro.snapshot import runcache
 
     payload = normalize_payload(_admit_payload_from_specs(args))
-    decision = decide(payload) if args.no_cache else cached_decide(payload)
+    with runcache.no_cache_override(args.no_cache or None):
+        decision = cached_decide(payload)
     if args.format == "json":
         print(json.dumps(decision, indent=2, sort_keys=True))
     else:
@@ -621,66 +616,31 @@ def _submit_payload(args) -> dict:
             payload["flush_rate"] = args.flush_rate
         return payload
     if args.kind == "wcet":
-        payload = {
+        return {
             "workload": args.target,
             "scale": args.scale,
             "freq_mhz": args.freq,
+            "engine": args.engine,
         }
-        if args.engine:
-            payload["engine"] = args.engine
-        return payload
     if args.kind == "lint":
         return {"workload": args.target, "scale": args.scale}
     if args.kind == "noop":
         return {"tag": args.target, "sleep_ms": args.sleep_ms}
     if args.kind == "admit":
         specs = [args.target] + list(args.task or [])
-        payload = {
+        return {
             "tasks": [_parse_task_spec(s, args.scale) for s in specs],
             "policy": args.policy,
             "background_threads": args.threads,
             "alpha": args.alpha,
+            "engine": args.engine,
         }
-        if args.engine:
-            payload["engine"] = args.engine
-        return payload
     payload = {  # experiment
         "name": args.target,
         "scale": args.scale,
         "instances": args.instances,
     }
     return payload
-
-
-def _submit_streaming(args):
-    """Submit over the async client, printing progress lines as they arrive."""
-    import asyncio
-
-    from repro.service.client import AsyncServiceClient
-
-    async def _run():
-        async with AsyncServiceClient(args.host, args.port) as client:
-            final = None
-            async for response in client.stream(
-                args.kind, _submit_payload(args), priority=args.priority
-            ):
-                if response.type == "accepted":
-                    coalesced = " (coalesced)" if response.coalesced else ""
-                    print(
-                        f"# {response.job_id}: accepted{coalesced}",
-                        file=sys.stderr,
-                    )
-                elif response.type == "event":
-                    print(
-                        f"# {response.job_id}: {response.stage} "
-                        f"(attempt {response.attempts})",
-                        file=sys.stderr,
-                    )
-                else:
-                    final = response
-            return final
-
-    return asyncio.run(_run())
 
 
 def cmd_submit(args) -> int:
@@ -690,34 +650,25 @@ def cmd_submit(args) -> int:
     from repro.service.client import ServiceClient
     from repro.service.protocol import Response
 
-    def on_event(event: Response) -> None:
-        print(
-            f"# {event.job_id}: {event.stage} (attempt {event.attempts})",
-            file=sys.stderr,
-        )
+    def on_event(frame: Response) -> None:
+        if frame.type == "accepted":
+            note = "accepted (coalesced)" if frame.coalesced else "accepted"
+        else:
+            note = f"{frame.stage} (attempt {frame.attempts})"
+        print(f"# {frame.job_id}: {note}", file=sys.stderr)
 
-    if args.stream:
-        result = _submit_streaming(args)
-        if result is None or not result.ok:
-            print(
-                f"repro: error: "
-                f"{(result.error if result else None) or 'job failed'}",
-                file=sys.stderr,
-            )
-            return 1
-    else:
-        with ServiceClient(args.host, args.port) as client:
-            if args.no_wait:
-                accepted = client.submit(
-                    args.kind, _submit_payload(args),
-                    priority=args.priority, wait=False,
-                )
-                print(accepted.job_id)
-                return 0
-            result = client.submit_retry(
+    with ServiceClient(args.host, args.port) as client:
+        if args.no_wait:
+            accepted = client.submit(
                 args.kind, _submit_payload(args),
-                priority=args.priority, on_event=on_event,
+                priority=args.priority, wait=False,
             )
+            print(accepted.job_id)
+            return 0
+        result = client.submit_retry(
+            args.kind, _submit_payload(args),
+            priority=args.priority, on_event=on_event,
+        )
     value = result.value if result.value is not None else {}
     if isinstance(value, dict) and "table" in value:
         print(value["table"])
@@ -789,11 +740,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--engine",
         choices=["static", "mc"],
-        default=None,
+        default="static",
         help=(
-            "WCET engine: 'static' (paper §3.3 timing tree) or 'mc' "
-            "(bounded model checking; exact on small programs). "
-            "Default: REPRO_WCET_ENGINE or 'static'."
+            "WCET engine: 'static' (paper §3.3 timing tree, the default) "
+            "or 'mc' (bounded model checking; exact on small programs)."
         ),
     )
     p.add_argument(
@@ -874,10 +824,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("experiment", help="run a paper experiment")
-    p.add_argument(
-        "name",
-        choices=["table3", "figure2", "figure3", "figure4", "ablations"],
-    )
+    p.add_argument("name", choices=EXPERIMENT_NAMES)
     p.add_argument(
         "--jobs",
         type=int,
@@ -1052,8 +999,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--engine",
         choices=["static", "mc"],
-        default=None,
-        help="wcet jobs: WCET engine (default: server's REPRO_WCET_ENGINE)",
+        default="static",
+        help="wcet/admit jobs: WCET engine (default static)",
     )
     p.add_argument(
         "--sleep-ms",
@@ -1097,14 +1044,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the job id immediately instead of waiting for the result",
     )
-    p.add_argument(
-        "--stream",
-        action="store_true",
-        help=(
-            "print progress events as they arrive (asyncio client) "
-            "instead of silently waiting"
-        ),
-    )
     p.set_defaults(func=cmd_submit)
 
     p = sub.add_parser("status", help="query a running service")
@@ -1144,8 +1083,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--engine",
         choices=["static", "mc"],
-        default=None,
-        help="WCET engine (default: REPRO_WCET_ENGINE or static)",
+        default="static",
+        help="WCET engine (default static)",
     )
     p.add_argument(
         "--threads",

@@ -67,7 +67,6 @@ def run_subtask_granularity(
     instances: int = 30,
     counts: tuple[int, ...] = (2, 5, 10),
     jobs: int | None = None,
-    no_cache: bool | None = None,
 ) -> list[AblationRow]:
     """srt with varying checkpoint granularity; one shared deadline."""
     # Deadline from the canonical 10-sub-task version so variants compete
@@ -77,7 +76,7 @@ def run_subtask_granularity(
     wcet = VISASpec().wcet(base.program, 1e9, base_bounds).total_seconds
     deadline = 1.2 * wcet + OVHD
     cells = [(scale, instances, count, deadline) for count in counts]
-    return parallel_map(_granularity_cell, cells, jobs, no_cache)
+    return parallel_map(_granularity_cell, cells, jobs)
 
 
 def _pet_cell(args: tuple[str, int, str, float, str, dict]) -> AblationRow:
@@ -98,7 +97,6 @@ def run_pet_policies(
     instances: int = 30,
     benchmark: str = "lms",
     jobs: int | None = None,
-    no_cache: bool | None = None,
 ) -> list[AblationRow]:
     """last-N vs histogram PET selection (§4.3)."""
     workload = get_workload(benchmark, scale)
@@ -114,7 +112,7 @@ def run_pet_policies(
         (scale, instances, benchmark, deadline, label, overrides)
         for label, overrides in policies
     ]
-    return parallel_map(_pet_cell, cells, jobs, no_cache)
+    return parallel_map(_pet_cell, cells, jobs)
 
 
 def _overhead_cell(args: tuple[str, int, str, float, float]) -> AblationRow:
@@ -135,7 +133,6 @@ def run_switch_overhead(
     benchmark: str = "cnt",
     overheads: tuple[float, ...] = (0.5e-6, 2e-6, 8e-6),
     jobs: int | None = None,
-    no_cache: bool | None = None,
 ) -> list[AblationRow]:
     """Sensitivity to the mode/frequency switch overhead (EQ 1's ovhd)."""
     workload = get_workload(benchmark, scale)
@@ -144,7 +141,7 @@ def run_switch_overhead(
     cells = [
         (scale, instances, benchmark, wcet, ovhd) for ovhd in overheads
     ]
-    return parallel_map(_overhead_cell, cells, jobs, no_cache)
+    return parallel_map(_overhead_cell, cells, jobs)
 
 
 @dataclass
@@ -194,7 +191,6 @@ def _dcache_cell(args: tuple[str, str]) -> DCacheModelRow:
 def run_dcache_models(
     scale: str = "tiny",
     jobs: int | None = None,
-    no_cache: bool | None = None,
 ) -> list[DCacheModelRow]:
     """Trace-derived padding vs fully-static D-cache bounds (§3.3).
 
@@ -205,7 +201,7 @@ def run_dcache_models(
     from repro.workloads import WORKLOAD_NAMES
 
     cells = [(name, scale) for name in WORKLOAD_NAMES]
-    return parallel_map(_dcache_cell, cells, jobs, no_cache)
+    return parallel_map(_dcache_cell, cells, jobs)
 
 
 def render_dcache(rows: list[DCacheModelRow]) -> str:
@@ -237,7 +233,6 @@ def run_power_sensitivity(
     scale: str = "tiny",
     instances: int = 40,
     benchmark: str = "lms",
-    no_cache: bool | None = None,
 ) -> list[SensitivityRow]:
     """Is Figure 2 an artifact of the power constants?  Re-score one
     tight-deadline run under perturbed :class:`PowerParams` (the phases
@@ -253,11 +248,8 @@ def run_power_sensitivity(
     from repro.power.model import PowerParams
     from repro.power.report import power_savings
 
-    from repro.snapshot import runcache
-
-    with runcache.no_cache_override(no_cache):
-        prep = setup(benchmark, scale)
-        pair = run_pair(prep, prep.deadline_tight, instances)
+    prep = setup(benchmark, scale)
+    pair = run_pair(prep, prep.deadline_tight, instances)
     skip = min(20, instances // 2)
     visa_runs = pair.visa_runs[skip:]
     simple_runs = pair.simple_runs[skip:]
@@ -312,22 +304,22 @@ def render(rows: list[AblationRow]) -> str:
     return format_table(headers, body)
 
 
-def main(jobs: int | None = None, no_cache: bool | None = None) -> None:
+def main(jobs: int | None = None) -> None:
     """Command-line entry point: run and print every ablation study."""
     print("== Sub-task granularity (srt) ==")
-    print(render(run_subtask_granularity(jobs=jobs, no_cache=no_cache)))
+    print(render(run_subtask_granularity(jobs=jobs)))
     print()
     print("== PET policy (lms) ==")
-    print(render(run_pet_policies(jobs=jobs, no_cache=no_cache)))
+    print(render(run_pet_policies(jobs=jobs)))
     print()
     print("== Switch overhead (cnt) ==")
-    print(render(run_switch_overhead(jobs=jobs, no_cache=no_cache)))
+    print(render(run_switch_overhead(jobs=jobs)))
     print()
     print("== D-cache bound models ==")
-    print(render_dcache(run_dcache_models(jobs=jobs, no_cache=no_cache)))
+    print(render_dcache(run_dcache_models(jobs=jobs)))
     print()
     print("== Power-model sensitivity (lms) ==")
-    print(render_sensitivity(run_power_sensitivity(no_cache=no_cache)))
+    print(render_sensitivity(run_power_sensitivity()))
 
 
 if __name__ == "__main__":

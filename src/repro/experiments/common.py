@@ -66,10 +66,6 @@ class Setup:
     deadline_loose: float
 
 
-def _cache_disabled() -> bool:
-    return runcache.cache_disabled()
-
-
 def _program_digest(workload: Workload) -> str:
     """Stable digest of everything the analysis results depend on."""
     program = workload.program
@@ -129,7 +125,7 @@ def setup(name: str, scale: str) -> Setup:
     the ``setup(a, b) is setup(a, b)`` identity) always applies.
     """
     workload = get_workload(name, scale)
-    use_disk = not _cache_disabled()
+    use_disk = not runcache.cache_disabled()
     if use_disk:
         path = _cache_path(name, scale, _program_digest(workload))
         cached = _cache_load(path, workload)

@@ -59,7 +59,6 @@ def run(
     scale: str | None = None,
     instances: int | None = None,
     jobs: int | None = None,
-    no_cache: bool | None = None,
 ) -> list[Figure2Row]:
     """Run the experiment; returns one row per measured configuration."""
     scale = scale or default_scale()
@@ -69,7 +68,7 @@ def run(
         for name in WORKLOAD_NAMES
         for kind in ("T", "L")
     ]
-    return parallel_map(_cell, cells, jobs, no_cache)
+    return parallel_map(_cell, cells, jobs)
 
 
 def render(rows: list[Figure2Row]) -> str:
@@ -105,13 +104,13 @@ def chart(rows: list[Figure2Row]) -> str:
         bars, title="Power savings of the VISA complex core vs simple-fixed"
     )
 
-def main(jobs: int | None = None, no_cache: bool | None = None) -> None:
+def main(jobs: int | None = None) -> None:
     """Command-line entry point: run and print the experiment."""
     print(
         "Figure 2 reproduction (scale=%s, instances=%d)"
         % (default_scale(), default_instances())
     )
-    rows = run(jobs=jobs, no_cache=no_cache)
+    rows = run(jobs=jobs)
     print(render(rows))
     print()
     print(chart(rows))

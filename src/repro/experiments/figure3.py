@@ -56,13 +56,12 @@ def run(
     scale: str | None = None,
     instances: int | None = None,
     jobs: int | None = None,
-    no_cache: bool | None = None,
 ) -> list[Figure3Row]:
     """Run the experiment; returns one row per measured configuration."""
     scale = scale or default_scale()
     instances = instances or default_instances()
     cells = [(name, scale, instances) for name in WORKLOAD_NAMES]
-    return parallel_map(_cell, cells, jobs, no_cache)
+    return parallel_map(_cell, cells, jobs)
 
 
 def render(rows: list[Figure3Row]) -> str:
@@ -91,14 +90,14 @@ def chart(rows: list[Figure3Row]) -> str:
         title="Savings with simple-fixed at 1.5x frequency",
     )
 
-def main(jobs: int | None = None, no_cache: bool | None = None) -> None:
+def main(jobs: int | None = None) -> None:
     """Command-line entry point: run and print the experiment."""
     print(
         "Figure 3 reproduction: simple-fixed at %.1fx frequency "
         "(scale=%s, instances=%d)"
         % (FREQ_ADVANTAGE, default_scale(), default_instances())
     )
-    rows = run(jobs=jobs, no_cache=no_cache)
+    rows = run(jobs=jobs)
     print(render(rows))
     print()
     print(chart(rows))

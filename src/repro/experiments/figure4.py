@@ -65,7 +65,6 @@ def run(
     instances: int | None = None,
     rates: tuple[float, ...] = RATES,
     jobs: int | None = None,
-    no_cache: bool | None = None,
 ) -> list[Figure4Row]:
     """Run the experiment; returns one row per measured configuration."""
     scale = scale or default_scale()
@@ -75,7 +74,7 @@ def run(
         for name in WORKLOAD_NAMES
         for rate in rates
     ]
-    return parallel_map(_cell, cells, jobs, no_cache)
+    return parallel_map(_cell, cells, jobs)
 
 
 def render(rows: list[Figure4Row]) -> str:
@@ -112,13 +111,13 @@ def chart(rows: list[Figure4Row]) -> str:
         groups, title="Savings under induced mispredictions"
     )
 
-def main(jobs: int | None = None, no_cache: bool | None = None) -> None:
+def main(jobs: int | None = None) -> None:
     """Command-line entry point: run and print the experiment."""
     print(
         "Figure 4 reproduction: induced mispredictions "
         "(scale=%s, instances=%d)" % (default_scale(), default_instances())
     )
-    rows = run(jobs=jobs, no_cache=no_cache)
+    rows = run(jobs=jobs)
     print(render(rows))
     print()
     print(chart(rows))

@@ -21,6 +21,11 @@ Knobs:
   benchmarks (default 1 = serial; any value <= 1 never spawns a pool).
 * ``jobs=`` keyword on each experiment's ``run()`` and the CLI's
   ``--jobs`` flag override the environment.
+* No-cache is not a parameter here: callers scope it with
+  :func:`repro.snapshot.runcache.no_cache_override`, and
+  :func:`parallel_map` reads :func:`~repro.snapshot.runcache.cache_disabled`
+  once and ships that bool to every worker cell as a value, so workers
+  honour it under any ``multiprocessing`` start method.
 """
 
 from __future__ import annotations
@@ -51,17 +56,12 @@ def default_jobs() -> int:
         ) from None
 
 
-def _cell_with_overrides(
-    fn: Callable[[C], R],
-    no_cache: bool | None,
-    cell: C,
-) -> R:
-    """Run one cell under an explicit cache-bypass override.
+def _run_cell(fn: Callable[[C], R], no_cache: bool, cell: C) -> R:
+    """Run one cell in a worker under the caller's cache-bypass decision.
 
-    Module-level (and composed via :func:`functools.partial`) so the
-    resulting callable pickles into worker processes; the override is
-    re-entered *inside* each process rather than published through
-    ``os.environ``, which concurrent in-process callers would race on.
+    Module-level (and composed via :func:`functools.partial`) so it
+    pickles into worker processes: a worker started with ``spawn`` or
+    ``forkserver`` does not inherit the caller's context variables.
     """
     with runcache.no_cache_override(no_cache):
         return fn(cell)
@@ -71,7 +71,6 @@ def parallel_map(
     fn: Callable[[C], R],
     cells: Iterable[C],
     jobs: int | None = None,
-    no_cache: bool | None = None,
 ) -> list[R]:
     """Map ``fn`` over ``cells``, optionally across worker processes.
 
@@ -80,10 +79,10 @@ def parallel_map(
     ``REPRO_JOBS``) at 1 — or a single cell — no pool is created and the
     map runs in-process, which also keeps tracebacks simple.
 
-    ``no_cache`` threads the CLI's ``--no-cache`` down to every cell as an
-    explicit parameter (``None`` defers to the ``REPRO_NO_CACHE``
-    environment default) — global state is never mutated, so concurrent
-    in-process callers cannot observe each other's setting.
+    The caller's :func:`~repro.snapshot.runcache.cache_disabled` is read
+    once and passed to each worker cell, so a no-cache decision scoped
+    with :func:`~repro.snapshot.runcache.no_cache_override` holds in
+    every worker.
 
     Worker exceptions propagate to the caller (the pool is shut down
     eagerly; remaining cells may or may not have run, exactly like an
@@ -92,13 +91,9 @@ def parallel_map(
     items: Sequence[C] = cells if isinstance(cells, Sequence) else list(cells)
     if jobs is None:
         jobs = default_jobs()
-    call: Callable[[C], R] = (
-        fn
-        if no_cache is None
-        else partial(_cell_with_overrides, fn, no_cache)
-    )
     if jobs <= 1 or len(items) <= 1:
-        return [call(c) for c in items]
+        return [fn(c) for c in items]
+    call = partial(_run_cell, fn, runcache.cache_disabled())
     with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
         return list(pool.map(call, items))
 

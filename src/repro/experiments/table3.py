@@ -97,12 +97,11 @@ def _cell(args: tuple[str, str]) -> Table3Row:
 def run(
     scale: str | None = None,
     jobs: int | None = None,
-    no_cache: bool | None = None,
 ) -> list[Table3Row]:
     """Run the experiment; returns one row per benchmark."""
     scale = scale or default_scale()
     return parallel_map(
-        _cell, [(name, scale) for name in WORKLOAD_NAMES], jobs, no_cache
+        _cell, [(name, scale) for name in WORKLOAD_NAMES], jobs
     )
 
 
@@ -130,10 +129,10 @@ def render(rows: list[Table3Row]) -> str:
     return format_table(headers, body)
 
 
-def main(jobs: int | None = None, no_cache: bool | None = None) -> None:
+def main(jobs: int | None = None) -> None:
     """Command-line entry point: run and print the experiment."""
     print("Table 3 reproduction (scale=%s)" % default_scale())
-    print(render(run(jobs=jobs, no_cache=no_cache)))
+    print(render(run(jobs=jobs)))
 
 
 if __name__ == "__main__":

@@ -100,13 +100,13 @@ def _positive_seconds(value: Any, what: str, upper: float) -> float:
 def normalize_payload(payload: JSONDict) -> JSONDict:
     """Validate and canonicalize one ``admit`` payload.
 
-    Fills defaults (task names, explicit deadlines, the environment's
-    WCET engine) and rejects unknown fields and out-of-range values, so
+    Fills defaults (task names, explicit deadlines, the ``static`` WCET
+    engine) and rejects unknown fields and out-of-range values, so
     logically identical submissions are byte-identical — the service's
     coalesce digest and the decision cache both key on the result.
     Raises :class:`ProtocolError` on any violation.
     """
-    from repro.wcet.mc import ENGINES, default_engine
+    from repro.wcet.mc import ENGINES
     from repro.workloads.suite import EXTRA_WORKLOAD_NAMES, WORKLOAD_NAMES
 
     known_workloads = tuple(WORKLOAD_NAMES) + tuple(EXTRA_WORKLOAD_NAMES)
@@ -185,7 +185,7 @@ def normalize_payload(payload: JSONDict) -> JSONDict:
     )
     engine = payload.get("engine")
     if engine is None:
-        engine = default_engine()
+        engine = "static"
     _require(
         isinstance(engine, str) and engine in ENGINES,
         f"engine must be one of {list(ENGINES)}",
@@ -593,7 +593,9 @@ def cached_decide(payload: JSONDict) -> JSONDict:
     writes under :func:`repro.snapshot.runcache.cache_dir`, salted with
     the snapshot format version) so the CLI, service workers on the same
     cache volume, and repeated processes all share one entry per
-    digest.  ``REPRO_NO_CACHE=1`` bypasses the disk layer.
+    digest.  Under ``REPRO_NO_CACHE=1`` or ``repro admit --no-cache``
+    (see :func:`repro.snapshot.runcache.cache_disabled`) it is plain
+    :func:`decide`.
     """
     from repro.snapshot import runcache
 

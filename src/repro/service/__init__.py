@@ -29,9 +29,9 @@ Components:
 * :mod:`~repro.service.server` — the daemon: the front over a local
   worker pool; :mod:`~repro.service.cluster` — the front over a
   digest-routed ring of backend daemons (``--cluster N``).
-* :mod:`~repro.service.client` — blocking (``ServiceClient``) and
-  asyncio (``AsyncServiceClient``) client libraries used by the
-  ``repro submit`` / ``repro status`` CLI subcommands.
+* :mod:`~repro.service.client` — the blocking client library
+  (``ServiceClient``) used by the ``repro submit`` / ``repro status``
+  CLI subcommands.
 * :mod:`~repro.service.httpexpo` — plain-HTTP ``GET /metrics``
   exposition for Prometheus-style scraping (``--metrics-port``).
 * :mod:`~repro.service.top` — the ``repro top`` live terminal view.
@@ -42,13 +42,12 @@ See ``docs/service.md`` for the protocol spec and job lifecycle, and
 
 from __future__ import annotations
 
-from repro.service.client import AsyncServiceClient, ServiceClient
+from repro.service.client import ServiceClient
 from repro.service.protocol import PROTOCOL_VERSION, JobSpec, Request, Response
 from repro.service.server import ReproService, ServiceConfig
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "AsyncServiceClient",
     "JobSpec",
     "ReproService",
     "Request",

@@ -1,14 +1,14 @@
 """Blocking client for the repro service (used by the CLI and tests).
 
 One TCP connection, synchronous request/response over the line protocol.
-``submit(..., wait=True)`` streams progress events (``queued`` /
-``started`` / ``requeued``) to an optional callback and returns the
-final result; ``submit_retry`` additionally honors the server's
-``queue_full`` (and the cluster front's ``quota``) backpressure by
-sleeping out a *jittered* multiple of the advertised ``retry_after``
-and resubmitting, which is the polite way to drive the service at
-saturation without synchronized clients thundering-herd-ing a
-recovering daemon.
+``submit(..., wait=True)`` passes the ``accepted`` frame and then every
+progress event (``queued`` / ``started`` / ``requeued``) to an optional
+callback as they arrive, and returns the final result; ``submit_retry``
+additionally honors the server's ``queue_full`` (and the cluster
+front's ``quota``) backpressure by sleeping out a *jittered* multiple of
+the advertised ``retry_after`` and resubmitting, which is the polite
+way to drive the service at saturation without synchronized clients
+thundering-herd-ing a recovering daemon.
 
 Transport or server-side failures surface as
 :class:`repro.errors.ServiceError` with the machine-readable ``code``
@@ -19,12 +19,11 @@ branch without string matching.
 
 from __future__ import annotations
 
-import asyncio
 import random
 import socket
 import time
 from types import TracebackType
-from typing import Any, AsyncIterator, Callable
+from typing import Any, Callable
 
 from repro.errors import ServiceError
 from repro.service.protocol import (
@@ -154,8 +153,10 @@ class ServiceClient:
 
         With ``wait`` (default), blocks through progress events until the
         ``result`` response and returns it; otherwise returns the
-        ``accepted`` response (poll with :meth:`status`).  Raises
-        :class:`ServiceError` on rejection or a failed job.
+        ``accepted`` response (poll with :meth:`status`).  While it
+        waits, ``on_event`` sees the ``accepted`` frame and then each
+        progress event, in wire order.  Raises :class:`ServiceError` on rejection or a
+        failed job.
         """
         spec = JobSpec(
             kind=kind,
@@ -167,22 +168,20 @@ class ServiceClient:
             type="submit", id=self._next_id(), job=spec, wait=wait
         )
         self._send(request)
-        accepted = self._raise_on_error(self._read_response())
+        response = self._raise_on_error(self._read_response())
         if not wait:
-            return accepted
-        while True:
+            return response
+        while response.type != "result":
+            if on_event is not None:
+                on_event(response)
             response = self._raise_on_error(self._read_response())
-            if response.type == "event":
-                if on_event is not None:
-                    on_event(response)
-                continue
-            if response.ok:
-                return response
-            raise ServiceError(
-                response.error or "job failed",
-                code=response.code,
-                retry_after=response.retry_after,
-            )
+        if response.ok:
+            return response
+        raise ServiceError(
+            response.error or "job failed",
+            code=response.code,
+            retry_after=response.retry_after,
+        )
 
     def _retry_sleep_seconds(self, retry_after: float | None) -> float:
         """Jittered backoff for one ``queue_full``/``quota`` rejection.
@@ -250,236 +249,4 @@ class ServiceClient:
         return 0.0
 
 
-class AsyncServiceClient:
-    """Asyncio twin of :class:`ServiceClient` (same protocol, same codes).
-
-    Built for callers that multiplex many jobs from one event loop —
-    notebooks, the benchmarks, other services.  One connection per
-    client; submissions on one client are sequential (the line protocol
-    answers in order), so fan-out means fanning out client instances,
-    which is exactly what the cluster benchmarks do with threads today.
-
-    :meth:`stream` is the piece the blocking client cannot offer
-    cleanly: an async iterator over the raw ``accepted`` / ``event`` /
-    ``result`` responses as the daemon emits them, which is what
-    ``repro submit --stream`` prints.
-    """
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 7341,
-        timeout: float = 600.0,
-        jitter: random.Random | None = None,
-    ):
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
-        self._seq = 0
-        self._jitter = jitter if jitter is not None else random.Random()
-
-    # -- connection management --------------------------------------------------
-
-    async def connect(self) -> "AsyncServiceClient":
-        if self._writer is None:
-            try:
-                self._reader, self._writer = await asyncio.wait_for(
-                    asyncio.open_connection(self.host, self.port),
-                    timeout=self.timeout,
-                )
-            except (OSError, asyncio.TimeoutError) as exc:
-                raise ServiceError(
-                    f"cannot connect to service at "
-                    f"{self.host}:{self.port}: {exc}"
-                ) from None
-        return self
-
-    async def close(self) -> None:
-        writer = self._writer
-        self._reader = None
-        self._writer = None
-        if writer is not None:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, ConnectionError):
-                pass
-
-    async def __aenter__(self) -> "AsyncServiceClient":
-        return await self.connect()
-
-    async def __aexit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: TracebackType | None,
-    ) -> None:
-        await self.close()
-
-    # -- low-level I/O ----------------------------------------------------------
-
-    def _next_id(self) -> str:
-        self._seq += 1
-        return f"a{self._seq}"
-
-    async def _send(self, request: Request) -> None:
-        await self.connect()
-        assert self._writer is not None
-        try:
-            self._writer.write(encode(request))
-            await self._writer.drain()
-        except (OSError, ConnectionError) as exc:
-            raise ServiceError(
-                f"cannot reach service at {self.host}:{self.port}: {exc}"
-            ) from None
-
-    async def _read_response(self) -> Response:
-        assert self._reader is not None
-        line = await asyncio.wait_for(
-            self._reader.readline(), timeout=self.timeout
-        )
-        if not line:
-            raise ServiceError("connection closed by service")
-        return decode_response(line)
-
-    async def request(self, request: Request) -> Response:
-        """Send one request and return its first (non-event) response."""
-        await self._send(request)
-        return await self._read_response()
-
-    # -- high-level operations --------------------------------------------------
-
-    async def ping(self) -> bool:
-        """Liveness probe; True when the service answers ``pong``."""
-        try:
-            response = await self.request(
-                Request(type="ping", id=self._next_id())
-            )
-            return response.type == "pong"
-        except (ServiceError, OSError, asyncio.TimeoutError):
-            return False
-
-    async def stream(
-        self,
-        kind: str,
-        payload: JSONDict | None = None,
-        *,
-        priority: int = 0,
-        timeout: float | None = None,
-    ) -> AsyncIterator[Response]:
-        """Submit one job and yield responses as the daemon emits them.
-
-        Yields the ``accepted`` response, then every progress ``event``
-        (``started``/``requeued``), and finally the ``result`` (which
-        ends the iteration).  Rejections raise :class:`ServiceError`
-        immediately; a *failed* job yields its ``result`` response with
-        ``ok=False`` so the consumer sees the terminal frame too.
-        """
-        spec = JobSpec(
-            kind=kind,
-            payload=payload or {},
-            priority=priority,
-            timeout=timeout,
-        )
-        await self._send(
-            Request(type="submit", id=self._next_id(), job=spec, wait=True)
-        )
-        while True:
-            response = ServiceClient._raise_on_error(
-                await self._read_response()
-            )
-            yield response
-            if response.type == "result":
-                return
-
-    async def submit(
-        self,
-        kind: str,
-        payload: JSONDict | None = None,
-        *,
-        priority: int = 0,
-        timeout: float | None = None,
-        wait: bool = True,
-        on_event: Callable[[Response], None] | None = None,
-    ) -> Response:
-        """Async :meth:`ServiceClient.submit` (same semantics and errors)."""
-        if not wait:
-            spec = JobSpec(
-                kind=kind,
-                payload=payload or {},
-                priority=priority,
-                timeout=timeout,
-            )
-            await self._send(
-                Request(
-                    type="submit", id=self._next_id(), job=spec, wait=False
-                )
-            )
-            return ServiceClient._raise_on_error(await self._read_response())
-        async for response in self.stream(
-            kind, payload, priority=priority, timeout=timeout
-        ):
-            if response.type == "event":
-                if on_event is not None:
-                    on_event(response)
-                continue
-            if response.type == "accepted":
-                continue
-            if response.ok:
-                return response
-            raise ServiceError(
-                response.error or "job failed",
-                code=response.code,
-                retry_after=response.retry_after,
-            )
-        raise ServiceError("stream ended without a result")
-
-    async def submit_retry(
-        self,
-        kind: str,
-        payload: JSONDict | None = None,
-        *,
-        priority: int = 0,
-        timeout: float | None = None,
-        max_attempts: int = 5,
-        on_event: Callable[[Response], None] | None = None,
-    ) -> Response:
-        """:meth:`submit` with jittered ``queue_full``/``quota`` backoff."""
-        last: ServiceError | None = None
-        for _ in range(max_attempts):
-            try:
-                return await self.submit(
-                    kind,
-                    payload,
-                    priority=priority,
-                    timeout=timeout,
-                    on_event=on_event,
-                )
-            except ServiceError as exc:
-                if exc.code not in ("queue_full", "quota"):
-                    raise
-                last = exc
-                base = exc.retry_after if exc.retry_after else 0.25
-                await asyncio.sleep(base * (0.5 + self._jitter.random()))
-        assert last is not None
-        raise last
-
-    async def status(self, job_id: str | None = None) -> Response:
-        """One job's state (``job_id``) or the service-wide summary."""
-        return ServiceClient._raise_on_error(
-            await self.request(
-                Request(type="status", id=self._next_id(), job_id=job_id)
-            )
-        )
-
-    async def metrics_text(self) -> str:
-        """The raw ``/metrics`` text exposition."""
-        response = ServiceClient._raise_on_error(
-            await self.request(Request(type="metrics", id=self._next_id()))
-        )
-        return response.text or ""
-
-
-__all__ = ["AsyncServiceClient", "ServiceClient"]
+__all__ = ["ServiceClient"]

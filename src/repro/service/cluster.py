@@ -526,7 +526,7 @@ def spawn_local_backends(
 ) -> list[BackendLink]:
     """Start ``count`` backend daemons on free ports; link to each.
 
-    Backends inherit this process's environment (so ``REPRO_WCET_ENGINE``
+    Backends inherit this process's environment (so ``REPRO_NO_CACHE``
     and friends propagate) and all share one cache directory and one
     result store — that sharing is the cluster's whole point.  They get
     no quota: the front enforces it, and a backend would count it again.

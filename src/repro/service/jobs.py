@@ -6,15 +6,14 @@ The service accepts four job kinds at launch, mirroring the CLI:
   (:func:`repro.experiments.common.run_pair`) for a given deadline kind,
   instance count, and induced-flush rate.
 * ``wcet`` — per-sub-task WCET analysis of a workload or MiniC source at
-  a given frequency; ``engine`` picks the static analyzer or the bounded
-  model-checking oracle (default: the server's ``REPRO_WCET_ENGINE``),
-  and the resolved engine is pinned into the normalized payload so
-  results cache per-engine.
+  a given frequency; ``engine`` picks the static analyzer (the default)
+  or the bounded model-checking oracle, and the engine is pinned into
+  the normalized payload so results cache per-engine.
 * ``lint`` — the visalint static-analysis catalog over a workload or
   MiniC source.
-* ``experiment`` — one of the paper's experiment drivers (``table3``,
-  ``figure2``, ``figure3``, ``figure4``, ``ablations``), run serially
-  inside the worker.
+* ``experiment`` — one of the paper's experiment drivers
+  (:data:`repro.experiments.EXPERIMENT_NAMES`), run inside the worker
+  (``jobs`` fans its cells across processes).
 * ``admit`` — task-set admission control (:mod:`repro.rt.admission`):
   derive every task's WCET, pick the lowest feasible recovery DVS
   setting, build EQ 1 checkpoint plans, and answer admissible/not with
@@ -43,14 +42,12 @@ import hashlib
 from typing import Any, Callable
 
 from repro.errors import ProtocolError
+from repro.experiments import EXPERIMENT_NAMES
 from repro.service.protocol import JSONDict
 from repro.snapshot.state import FORMAT_VERSION, canonical_json
 
 #: Workload scales the service accepts (mirrors the CLI choices).
 SCALES = ("tiny", "default", "paper")
-
-#: Experiment drivers reachable through the ``experiment`` job kind.
-EXPERIMENT_NAMES = ("table3", "figure2", "figure3", "figure4", "ablations")
 
 #: Kinds whose results are pure functions of the normalized payload —
 #: eligible for the shared result store (see repro.service.store).
@@ -145,18 +142,17 @@ def _normalize_run(payload: JSONDict) -> JSONDict:
 
 
 def _engine_field(payload: JSONDict) -> str:
-    """Resolve the effective WCET engine for a ``wcet`` payload.
+    """The WCET engine of a ``wcet`` payload (``static`` when unnamed).
 
-    When the submission names no engine, the server's environment
-    default (``REPRO_WCET_ENGINE``) is pinned into the normalized
-    payload, so the coalesce digest — and the shared result store keyed
-    from it — never aliases a static bound with a model-checked one.
+    The engine is pinned into the normalized payload, so the coalesce
+    digest — and the shared result store keyed from it — never aliases
+    a static bound with a model-checked one.
     """
-    from repro.wcet.mc import ENGINES, default_engine
+    from repro.wcet.mc import ENGINES
 
     engine = payload.get("engine")
     if engine is None:
-        return default_engine()
+        return "static"
     _require(
         isinstance(engine, str) and engine in ENGINES,
         f"engine must be one of {list(ENGINES)}",
@@ -396,37 +392,29 @@ def _execute_lint(payload: JSONDict) -> JSONDict:
 
 
 def _execute_experiment(payload: JSONDict) -> JSONDict:
-    from repro.experiments import ablations, figure2, figure3, figure4, table3
+    from repro.experiments import experiment_module
     from repro.snapshot import runcache
 
     name = payload["name"]
     scale = payload["scale"]
     instances = int(payload["instances"])
     jobs = int(payload["jobs"])
+    module = experiment_module(name)
     with runcache.no_cache_override(payload["no_cache"] or None):
         rows: list[Any]
         if name == "table3":
-            rows = table3.run(scale=scale, jobs=jobs)
-            table = table3.render(rows)
-        elif name == "figure2":
-            rows = figure2.run(scale=scale, instances=instances, jobs=jobs)
-            table = figure2.render(rows)
-        elif name == "figure3":
-            rows = figure3.run(scale=scale, instances=instances, jobs=jobs)
-            table = figure3.render(rows)
-        elif name == "figure4":
-            rows = figure4.run(scale=scale, instances=instances, jobs=jobs)
-            table = figure4.render(rows)
-        else:
-            rows = ablations.run_subtask_granularity(
+            rows = module.run(scale=scale, jobs=jobs)
+        elif name == "ablations":  # the sub-task granularity study only
+            rows = module.run_subtask_granularity(
                 scale=scale, instances=instances, jobs=jobs
             )
-            table = ablations.render(rows)
+        else:
+            rows = module.run(scale=scale, instances=instances, jobs=jobs)
     return {
         "name": name,
         "scale": scale,
         "rows": [dataclasses.asdict(row) for row in rows],
-        "table": table,
+        "table": module.render(rows),
     }
 
 

@@ -13,8 +13,12 @@ bounds, speculation policy) — and is salted with the snapshot
 :data:`~repro.snapshot.state.FORMAT_VERSION`, so a layout change
 invalidates every stored entry at once.
 
-``REPRO_NO_CACHE=1`` (or the CLI's ``--no-cache``) bypasses loads *and*
-stores; ``REPRO_CACHE_DIR`` relocates the directory.  Entries are
+``REPRO_NO_CACHE=1`` bypasses loads *and* stores; ``REPRO_CACHE_DIR``
+relocates the directory.  :func:`cache_disabled` is the one place the
+no-cache decision is resolved: entry points (``--no-cache``, a service
+payload's ``no_cache``) scope it with :func:`no_cache_override`, and
+:func:`repro.experiments.parallel.parallel_map` ships the resolved bool
+to its worker processes.  Entries are
 published atomically so parallel experiment workers may race on a key.
 In-process :data:`STATS` counters make hits observable to tests and CI
 smoke checks.
@@ -29,17 +33,21 @@ import json
 import os
 import tempfile
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from contextvars import ContextVar
 from pathlib import Path
+from typing import TYPE_CHECKING, Any
 
 from repro.snapshot.state import FORMAT_VERSION, canonical_json, program_digest
 from repro.visa.dvs import DVSTable, Setting
 from repro.visa.runtime import Phase, RuntimeConfig, TaskRun
 
+if TYPE_CHECKING:
+    from repro.isa.program import Program
+
 #: In-process observability: run-cache hits/misses/stores since import
 #: (or the last :func:`reset_stats`).
-STATS = Counter()
+STATS: Counter[str] = Counter()
 
 
 def reset_stats() -> None:
@@ -65,8 +73,8 @@ _NO_CACHE_OVERRIDE: ContextVar[bool | None] = ContextVar(
 def cache_disabled() -> bool:
     """True when the disk caches should be bypassed.
 
-    An explicit :func:`no_cache_override` (threaded down from the CLI's
-    ``--no-cache`` or an API ``no_cache=`` parameter) takes precedence;
+    An explicit :func:`no_cache_override` (entered by the CLI's
+    ``--no-cache`` or a service payload's ``no_cache``) takes precedence;
     the ``REPRO_NO_CACHE`` environment variable is only the default.
     """
     override = _NO_CACHE_OVERRIDE.get()
@@ -79,10 +87,11 @@ def cache_disabled() -> bool:
 def no_cache_override(value: bool | None) -> Iterator[None]:
     """Scope an explicit cache-bypass decision (``None`` = no opinion).
 
-    Used by the experiment entry points to honor ``no_cache=`` without
-    mutating global environment state that parallel in-process callers
-    would race on; worker processes re-enter the override around each
-    cell (see :func:`repro.experiments.parallel.parallel_map`).
+    Used by the entry points to honor ``--no-cache`` without mutating
+    global environment state that parallel in-process callers would race
+    on; worker processes re-enter the override around each cell with the
+    caller's resolved value (see
+    :func:`repro.experiments.parallel.parallel_map`).
     """
     token = _NO_CACHE_OVERRIDE.set(value)
     try:
@@ -103,7 +112,7 @@ def atomic_write(path: Path, data: bytes) -> None:
         pass  # caching is best-effort; the computed result is still returned
 
 
-def atomic_write_json(path: Path, payload) -> None:
+def atomic_write_json(path: Path, payload: Any) -> None:
     """:func:`atomic_write` of ``payload`` as canonical JSON."""
     atomic_write(path, canonical_json(payload).encode())
 
@@ -111,18 +120,18 @@ def atomic_write_json(path: Path, payload) -> None:
 # -- key derivation -------------------------------------------------------------
 
 
-def table_fields(table: DVSTable) -> list:
+def table_fields(table: DVSTable) -> list[list[float]]:
     """The DVS operating points as JSON-able ``[freq_hz, volts]`` pairs."""
     return [[s.freq_hz, s.volts] for s in table]
 
 
 def run_key(
     kind: str,
-    program,
+    program: Program,
     config: RuntimeConfig,
     table: DVSTable,
-    flush_instances=frozenset(),
-    extra: dict | None = None,
+    flush_instances: Iterable[int] = frozenset(),
+    extra: dict[str, Any] | None = None,
 ) -> str:
     """Cache key for one runtime's full run.
 
@@ -146,15 +155,15 @@ def run_key(
 # -- TaskRun (de)serialization ---------------------------------------------------
 
 
-def _dump_setting(setting: Setting) -> list:
+def _dump_setting(setting: Setting) -> list[float]:
     return [setting.freq_hz, setting.volts]
 
 
-def _load_setting(pair: list) -> Setting:
+def _load_setting(pair: list[float]) -> Setting:
     return Setting(freq_hz=float(pair[0]), volts=float(pair[1]))
 
 
-def serialize_runs(runs: list[TaskRun]) -> list:
+def serialize_runs(runs: list[TaskRun]) -> list[dict[str, Any]]:
     """JSON-able form of a ``TaskRun`` list (exact float round-trip)."""
     return [
         {
@@ -183,7 +192,7 @@ def serialize_runs(runs: list[TaskRun]) -> list:
     ]
 
 
-def deserialize_runs(payload: list) -> list[TaskRun]:
+def deserialize_runs(payload: list[dict[str, Any]]) -> list[TaskRun]:
     """Inverse of :func:`serialize_runs`; results compare ``==`` to originals."""
     return [
         TaskRun(
@@ -252,7 +261,7 @@ def cache_entries() -> list[tuple[str, int]]:
     directory = cache_dir()
     if not directory.is_dir():
         return []
-    entries = []
+    entries: list[tuple[str, int]] = []
     for path in directory.iterdir():
         if path.is_file() and path.suffix in (".json", ".tmp"):
             try:
@@ -263,7 +272,7 @@ def cache_entries() -> list[tuple[str, int]]:
     return entries
 
 
-def cache_stats() -> dict:
+def cache_stats() -> dict[str, Any]:
     """One collector for every cache-observability surface.
 
     Combines the on-disk view (entry count, total bytes) with the

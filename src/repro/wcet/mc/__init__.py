@@ -6,16 +6,13 @@ by exhaustively exploring the CFG × pipeline × cache × value state space
 analyzer (:mod:`repro.wcet.mc.diff`): ``static >= mc >= observed`` must
 hold per sub-task, or the static analyzer has a soundness bug.
 
-Engine selection (``repro wcet --engine``, the service's ``wcet`` job
-kind) defaults to the ``REPRO_WCET_ENGINE`` environment variable so a
-whole fleet can be flipped onto the oracle without touching payloads;
-the service pins the resolved engine into every normalized payload, so
-cached results never alias across engines.
+Engine selection (``repro wcet --engine``, the service's ``wcet`` and
+``admit`` job kinds) defaults to ``static``; the service pins the engine
+into every normalized payload, so cached results never alias across
+engines.
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.wcet.mc.diff import (
     DiffReport,
@@ -29,17 +26,6 @@ from repro.wcet.mc.engine import MCState, MCStats, ModelCheckEngine
 #: Recognized WCET engine names (CLI ``--engine``, service payloads).
 ENGINES = ("static", "mc")
 
-
-def default_engine() -> str:
-    """The engine used when a request doesn't name one.
-
-    Resolves ``REPRO_WCET_ENGINE`` (``static`` when unset); unknown
-    values fall back to ``static`` rather than failing a whole fleet.
-    """
-    engine = os.environ.get("REPRO_WCET_ENGINE", "static").strip().lower()
-    return engine if engine in ENGINES else "static"
-
-
 __all__ = [
     "DiffReport",
     "ENGINES",
@@ -47,7 +33,6 @@ __all__ = [
     "MCStats",
     "ModelCheckEngine",
     "SubtaskGap",
-    "default_engine",
     "diff_program",
     "observed_complex",
     "observed_inorder",

@@ -130,28 +130,26 @@ class TestExperimentCommand:
         monkeypatch.setattr(
             table3,
             "main",
-            lambda jobs=None, no_cache=None: (
-                calls.append(("table3", jobs, no_cache))
-            ),
+            lambda jobs=None: calls.append(("table3", jobs)),
         )
         assert main(["experiment", "table3"]) == 0
-        assert calls == [("table3", None, None)]
+        assert calls == [("table3", None)]
 
     def test_experiment_flags_become_parameters_not_env(
         self, monkeypatch, capsys
     ):
-        """--jobs/--no-cache are explicit args; os.environ untouched."""
+        """--jobs is an explicit arg and --no-cache a scoped override
+        in force inside main(); os.environ untouched."""
         import os
 
         import repro.experiments.figure2 as figure2
+        from repro.snapshot import runcache
 
         calls = []
         monkeypatch.setattr(
             figure2,
             "main",
-            lambda jobs=None, no_cache=None: (
-                calls.append((jobs, no_cache))
-            ),
+            lambda jobs=None: calls.append((jobs, runcache.cache_disabled())),
         )
         monkeypatch.delenv("REPRO_JOBS", raising=False)
         monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
@@ -159,8 +157,23 @@ class TestExperimentCommand:
             ["experiment", "figure2", "--jobs", "3", "--no-cache"]
         ) == 0
         assert calls == [(3, True)]
+        assert not runcache.cache_disabled()  # the override was scoped
         assert "REPRO_JOBS" not in os.environ
         assert "REPRO_NO_CACHE" not in os.environ
+
+
+class TestAdmitCommand:
+    def test_no_cache_bypasses_the_decision_cache(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        assert main(["admit", "cnt:0.01", "--no-cache"]) == 0
+        assert list(tmp_path.iterdir()) == []
+        uncached = capsys.readouterr().out
+        assert main(["admit", "cnt:0.01"]) == 0
+        assert len(list(tmp_path.glob("admit-*.json"))) == 1
+        assert capsys.readouterr().out == uncached
 
 
 class TestCacheCommand:

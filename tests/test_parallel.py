@@ -10,6 +10,10 @@ analyzer would have computed.
 import json
 import math
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +46,35 @@ class TestParallelMap:
         assert parallel_map(_square, (x for x in range(5)), jobs=2) == [
             0, 1, 4, 9, 16,
         ]
+
+    def test_no_cache_reaches_spawned_workers(self, tmp_path):
+        """A no-cache decision scoped in the caller holds in every worker,
+        also under the ``spawn`` start method (no inherited context)."""
+        script = tmp_path / "probe.py"
+        script.write_text(textwrap.dedent("""
+            import multiprocessing
+
+            from repro.experiments.parallel import parallel_map
+            from repro.snapshot import runcache
+
+
+            def probe(_cell):
+                return runcache.cache_disabled()
+
+
+            if __name__ == "__main__":
+                multiprocessing.set_start_method("spawn", force=True)
+                with runcache.no_cache_override(True):
+                    print(parallel_map(probe, range(4), jobs=2))
+        """))
+        env = dict(os.environ)
+        env.pop("REPRO_NO_CACHE", None)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run(
+            [sys.executable, str(script)], env=env, capture_output=True,
+            text=True, timeout=120, check=True,
+        ).stdout
+        assert out.strip() == "[True, True, True, True]"
 
     def test_default_jobs_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)

@@ -13,7 +13,8 @@ library over real TCP.  Covered here:
 * queue-full backpressure with a ``retry_after`` hint;
 * SIGTERM -> in-flight jobs drain, new submissions rejected, clean exit;
   jobs still unfinished when the drain grace runs out end ``draining``;
-* store hits count in the per-kind latency histogram.
+* store hits count in the per-kind latency histogram;
+* ``ping()`` on an unreachable port is False.
 """
 
 from __future__ import annotations
@@ -318,6 +319,10 @@ def test_store_hits_count_in_job_seconds(tmp_path):
             assert client.metric_value(
                 'repro_job_seconds_count{kind="wcet"}'
             ) == 2
+
+
+def test_ping_false_when_unreachable():
+    assert ServiceClient("127.0.0.1", 1, timeout=0.5).ping() is False
 
 
 def test_result_matches_direct_simulation(tmp_path):

@@ -19,7 +19,7 @@ from repro.minicc import compile_source
 from repro.pipelines.inorder import InOrderCore
 from repro.wcet.analyzer import WCETAnalyzer
 from repro.wcet.dcache_pad import measure_dcache_misses
-from repro.wcet.mc import ENGINES, default_engine
+from repro.wcet.mc import ENGINES
 from repro.wcet.mc.engine import ModelCheckEngine
 from repro.wcet.mc.icache import ExactICache, orderfree_sets
 from repro.wcet.mc.slicing import program_relevance
@@ -209,37 +209,19 @@ def test_mc_results_cache_per_stall():
     assert engine.stats.steps > steps
 
 
-# -- engine selection --------------------------------------------------------------
-
-
-def test_default_engine_env(monkeypatch):
-    monkeypatch.delenv("REPRO_WCET_ENGINE", raising=False)
-    assert default_engine() == "static"
-    monkeypatch.setenv("REPRO_WCET_ENGINE", "mc")
-    assert default_engine() == "mc"
-    monkeypatch.setenv("REPRO_WCET_ENGINE", "bogus")
-    assert default_engine() == "static"
-    assert ENGINES == ("static", "mc")
-
-
 # -- service integration -----------------------------------------------------------
 
 
-def test_service_pins_engine_into_wcet_payload(monkeypatch):
+def test_service_pins_engine_into_wcet_payload():
     from repro.service.jobs import coalesce_key, normalize
 
-    monkeypatch.delenv("REPRO_WCET_ENGINE", raising=False)
     base = normalize("wcet", {"workload": "cnt"})
     assert base["engine"] == "static"
     explicit = normalize("wcet", {"workload": "cnt", "engine": "mc"})
     assert explicit["engine"] == "mc"
     # Engines never alias in the result store / coalescer.
     assert coalesce_key("wcet", base) != coalesce_key("wcet", explicit)
-    # The server's environment default is pinned into the payload.
-    monkeypatch.setenv("REPRO_WCET_ENGINE", "mc")
-    pinned = normalize("wcet", {"workload": "cnt"})
-    assert pinned["engine"] == "mc"
-    assert coalesce_key("wcet", pinned) == coalesce_key("wcet", explicit)
+    assert ENGINES == ("static", "mc")
 
 
 def test_service_rejects_unknown_engine():
