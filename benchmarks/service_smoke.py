@@ -1,9 +1,13 @@
 """CI smoke check: the repro service round-trips every job kind.
 
 Boots a real daemon subprocess, submits one job of each kind (``run``,
-``wcet``, ``lint``, ``experiment``) through the blocking client,
-validates each result shape, then sends SIGTERM and requires a clean
-drain (exit code 0) within a deadline.
+``wcet``, ``lint``, ``experiment``, ``admit``, ``noop``) through the
+blocking client and validates each result shape.  Then runs
+``python -m repro submit wcet fft`` with no payload flags against the
+same daemon: its printed result must equal the client's result for
+``{"workload": "fft"}``, so the defaults the CLI leaves out are the ones
+the normalizer fills.  Finally sends SIGTERM and requires a clean drain
+(exit code 0) within a deadline.
 
 Usage::
 
@@ -12,6 +16,7 @@ Usage::
 
 from __future__ import annotations
 
+import json
 import os
 import pathlib
 import signal
@@ -29,6 +34,8 @@ JOBS: list[tuple[str, dict, str]] = [
     ("wcet", {"workload": "fft"}, "total_cycles"),
     ("lint", {"workload": "lms"}, "clean"),
     ("experiment", {"name": "table3", "instances": 4}, "rows"),
+    ("admit", {"tasks": [{"workload": "cnt", "period": 0.01}]}, "admissible"),
+    ("noop", {"tag": "smoke", "sleep_ms": 10}, "slept_ms"),
 ]
 
 
@@ -77,6 +84,28 @@ def main() -> int:
                         f"service_smoke: {kind:<10} ok in {elapsed:6.2f}s "
                         f"({key} present)"
                     )
+                want = client.submit("wcet", {"workload": "fft"}).value
+
+            cli = subprocess.run(
+                [
+                    sys.executable, "-m", "repro", "submit", "wcet", "fft",
+                    "--port", str(port),
+                ],
+                capture_output=True, text=True, env=env, timeout=300,
+            )
+            try:
+                got = json.loads(cli.stdout)
+            except ValueError:
+                got = None
+            if cli.returncode != 0 or got != want:
+                print(
+                    f"service_smoke: FAIL: repro submit wcet fft printed "
+                    f"{cli.stdout!r} (exit {cli.returncode}), client got "
+                    f"{want!r}",
+                    file=sys.stderr,
+                )
+                return 1
+            print("service_smoke: repro submit wcet fft == client result")
 
             proc.send_signal(signal.SIGTERM)
             try:
@@ -95,7 +124,10 @@ def main() -> int:
                     file=sys.stderr,
                 )
                 return 1
-            print("service_smoke: OK (all kinds round-trip, clean drain)")
+            print(
+                "service_smoke: OK (all kinds round-trip, CLI submit "
+                "matches, clean drain)"
+            )
             return 0
         finally:
             if proc.poll() is None:

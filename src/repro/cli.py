@@ -33,7 +33,8 @@ Commands:
   store (see docs/cluster.md).
 * ``submit``         — send one job (run/wcet/lint/experiment/noop/admit)
   to a running service, print its acceptance and progress events on
-  stderr as they arrive, and print the result.
+  stderr as they arrive, and print the result.  Only the payload flags
+  given are sent; the service's normalizer fills every other field.
 * ``status``         — query a running service (``--metrics`` for the
   Prometheus-style text exposition).
 * ``admit``          — task-set admission control: derive WCETs, pick
@@ -46,24 +47,34 @@ Commands:
 
 MiniC files use extension ``.c`` (anything other than ``.s``/``.asm``);
 assembly files use ``.s``/``.asm``.
+
+Shared flags are declared once each (endpoint, ``--format``, WCET
+engine/clock, admission flags, ``files``/``--workloads`` targets).
+Payload defaults live only in the job normalizers: ``submit`` and
+``admit`` leave unset flags out of the payload, and ``wcet FILE``, which
+cannot go through a normalizer, reads :mod:`repro.wcet`'s defaults.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import pathlib
 import sys
 
+from repro.errors import ProtocolError, ReproError
 from repro.experiments import EXPERIMENT_NAMES
 from repro.isa.assembler import assemble
 from repro.isa.disassembler import disassemble
+from repro.jobfields import DEFAULT_SCALE, POLICIES
 from repro.memory.machine import Machine
 from repro.minicc import compile_source, compile_to_asm
 from repro.pipelines.inorder import InOrderCore
 from repro.pipelines.ooo.core import ComplexCore
 from repro.visa.binary import attach_wcet, dumps
-from repro.wcet.analyzer import WCETAnalyzer
 from repro.wcet.dcache_pad import measure_dcache_misses
+from repro.wcet import DEFAULT_ENGINE, DEFAULT_FREQ_MHZ, ENGINES, wcet_result
+from repro.workloads.suite import ALL_WORKLOAD_NAMES, SCALES, get_workload
 
 
 def _load_program(path: str):
@@ -126,65 +137,51 @@ def cmd_run(args) -> int:
 
 def cmd_wcet(args) -> int:
     """``wcet``: per-sub-task WCET report (static or model-checking)."""
-    import json
-
-    from repro.wcet.mc import ModelCheckEngine
-
-    program = _load_program(args.file)
-    engine = args.engine
-    analyzer = WCETAnalyzer(program)
-    analyzer.dcache_bounds = measure_dcache_misses(program)
-    if engine == "mc":
-        task = ModelCheckEngine(analyzer).analyze(args.freq * 1e6)
-    else:
-        task = analyzer.analyze(args.freq * 1e6)
+    result = wcet_result(_load_program(args.file), args.freq_mhz, args.engine)
+    engine, stall = result["engine"], result["stall_cycles"]
     if args.format == "json":
-        for sub in task.subtasks:
+        for sub in result["subtasks"]:
             print(json.dumps({
                 "type": "subtask",
                 "engine": engine,
-                "subtask": sub.index,
-                "cycles": sub.cycles,
-                "dmiss_bound": sub.dmiss_bound,
-                "stall": sub.stall,
-                "total_cycles": sub.total_cycles,
+                "subtask": sub["index"],
+                "cycles": sub["cycles"],
+                "dmiss_bound": sub["dmiss_bound"],
+                "stall": stall,
+                "total_cycles": sub["total_cycles"],
             }, sort_keys=True))
         print(json.dumps({
             "type": "total",
             "engine": engine,
-            "freq_mhz": args.freq,
-            "stall": task.stall,
-            "total_cycles": task.total_cycles,
-            "total_us": round(task.total_seconds * 1e6, 4),
+            "freq_mhz": result["freq_mhz"],
+            "stall": stall,
+            "total_cycles": result["total_cycles"],
+            "total_us": round(result["total_us"], 4),
         }, sort_keys=True))
         return 0
     print(
-        f"WCET @ {args.freq:.0f} MHz ({engine} engine, "
-        f"memory stall {task.stall} cycles):"
+        f"WCET @ {result['freq_mhz']:.0f} MHz ({engine} engine, "
+        f"memory stall {stall} cycles):"
     )
-    for sub in task.subtasks:
+    for sub in result["subtasks"]:
         print(
-            f"  sub-task {sub.index}: {sub.total_cycles} cycles "
-            f"({sub.cycles} pipeline + {sub.dmiss_bound} D-miss pad)"
+            f"  sub-task {sub['index']}: {sub['total_cycles']} cycles "
+            f"({sub['cycles']} pipeline + {sub['dmiss_bound']} D-miss pad)"
         )
     print(
-        f"  total: {task.total_cycles} cycles = "
-        f"{task.total_seconds * 1e6:.2f} us"
+        f"  total: {result['total_cycles']} cycles = "
+        f"{result['total_us']:.2f} us"
     )
     return 0
 
 
-def _diff_targets(args) -> list[tuple[str, object, object]]:
-    """Resolve ``wcet diff`` targets to (name, program, prepare) triples."""
+def _targets(args) -> list[tuple[str, object, object]]:
+    """(name, program, prepare) per ``files``/``--workloads`` target,
+    ``prepare`` loading a workload's inputs (None for a file); prints the
+    usage error when there is none (the caller exits 2)."""
     targets: list[tuple[str, object, object]] = []
     if args.workloads:
-        from repro.workloads.suite import (
-            EXTRA_WORKLOAD_NAMES,
-            WORKLOAD_NAMES,
-            get_workload,
-        )
-
-        for name in WORKLOAD_NAMES + EXTRA_WORKLOAD_NAMES:
+        for name in ALL_WORKLOAD_NAMES:
             w = get_workload(name, args.scale)
 
             def prepare(machine, w=w):
@@ -193,6 +190,11 @@ def _diff_targets(args) -> list[tuple[str, object, object]]:
             targets.append((name, w.program, prepare))
     for path in args.files:
         targets.append((path, _load_program(path), None))
+    if not targets:
+        print(
+            "repro: error: no files given (or use --workloads)",
+            file=sys.stderr,
+        )
     return targets
 
 
@@ -204,16 +206,10 @@ def cmd_wcet_diff(args) -> int:
     ``static >= mc >= observed`` is violated — i.e. when the static
     analyzer under-bounds an exactly explored or actually executed path.
     """
-    import json
-
     from repro.wcet.mc.diff import diff_program
 
-    targets = _diff_targets(args)
+    targets = _targets(args)
     if not targets:
-        print(
-            "repro: error: no files given (or use --workloads)",
-            file=sys.stderr,
-        )
         return 2
 
     failures = 0
@@ -277,8 +273,6 @@ def cmd_pack(args) -> int:
 
 def cmd_lint(args) -> int:
     """``lint``: run the static-analysis checks; exit 1 on any finding."""
-    import json
-
     from repro.analysis import ALL_CHECKS, lint_program
 
     disable = frozenset(
@@ -292,24 +286,12 @@ def cmd_lint(args) -> int:
         )
         return 2
 
-    targets: list[tuple[str, object]] = []
-    if args.workloads:
-        from repro.workloads.suite import (
-            EXTRA_WORKLOAD_NAMES,
-            WORKLOAD_NAMES,
-            get_workload,
-        )
-
-        for name in WORKLOAD_NAMES + EXTRA_WORKLOAD_NAMES:
-            targets.append((name, get_workload(name, args.scale).program))
-    for path in args.files:
-        targets.append((path, _load_program(path)))
+    targets = _targets(args)
     if not targets:
-        print("repro: error: no files given (or use --workloads)", file=sys.stderr)
         return 2
 
     total = 0
-    for name, program in targets:
+    for name, program, _ in targets:
         diagnostics = lint_program(program, disable=disable)
         total += len(diagnostics)
         for diag in diagnostics:
@@ -467,10 +449,12 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def _parse_task_spec(spec: str, default_scale: str) -> dict:
-    """Parse one ``workload:period[:deadline][@scale]`` task spec."""
-    from repro.errors import ProtocolError
+def _parse_task_spec(spec: str, default_scale: str | None) -> dict:
+    """Parse one ``workload:period[:deadline][@scale]`` task spec.
 
+    A spec without ``@scale`` takes ``default_scale``; with neither, the
+    task carries no ``scale`` and the normalizer fills it.
+    """
     body, _, scale = spec.partition("@")
     fields = body.split(":")
     if not 2 <= len(fields) <= 3:
@@ -479,29 +463,37 @@ def _parse_task_spec(spec: str, default_scale: str) -> dict:
             "workload:period[:deadline][@scale] with times in seconds"
         )
     try:
-        task = {
-            "workload": fields[0],
-            "period": float(fields[1]),
-            "scale": scale or default_scale,
-        }
+        task = {"workload": fields[0], "period": float(fields[1])}
         if len(fields) == 3:
             task["deadline"] = float(fields[2])
     except ValueError:
         raise ProtocolError(
             f"bad task spec {spec!r}: period/deadline must be seconds"
         ) from None
+    if scale or default_scale:
+        task["scale"] = scale or default_scale
     return task
 
 
-def _admit_payload_from_specs(args) -> dict:
+def _given(args, fields: tuple[str, ...]) -> dict:
+    """The payload ``fields`` whose flags were given (a payload flag's
+    ``dest`` is its field name); the normalizer fills the others."""
     return {
-        "tasks": [
-            _parse_task_spec(spec, args.scale) for spec in args.tasks
-        ],
-        "policy": args.policy,
-        "background_threads": args.threads,
-        "alpha": args.alpha,
-        "engine": args.engine,
+        field: getattr(args, field)
+        for field in fields
+        if getattr(args, field) is not None
+    }
+
+
+#: The payload fields of the admission flags (``admit``, ``submit admit``).
+_ADMIT_FIELDS = ("policy", "background_threads", "alpha", "engine")
+
+
+def _admit_payload(args, specs: list[str]) -> dict:
+    """The ``admit`` payload of task specs plus the given admission flags."""
+    return {
+        "tasks": [_parse_task_spec(spec, args.scale) for spec in specs],
+        **_given(args, _ADMIT_FIELDS),
     }
 
 
@@ -574,12 +566,10 @@ def _render_admission(decision: dict) -> str:
 
 def cmd_admit(args) -> int:
     """``admit``: run the admission decision locally (library path)."""
-    import json
-
     from repro.rt.admission import cached_decide, normalize_payload
     from repro.snapshot import runcache
 
-    payload = normalize_payload(_admit_payload_from_specs(args))
+    payload = normalize_payload(_admit_payload(args, args.tasks))
     with runcache.no_cache_override(args.no_cache or None):
         decision = cached_decide(payload)
     if args.format == "json":
@@ -600,53 +590,36 @@ def cmd_top(args) -> int:
     return 0
 
 
+#: Per ``repro submit`` kind: the payload field the target fills, and
+#: the payload fields its flags may fill.
+_SUBMIT_FIELDS: dict[str, tuple[str, tuple[str, ...]]] = {
+    "run": ("workload", ("scale", "deadline", "instances", "flush_rate")),
+    "wcet": ("workload", ("scale", "freq_mhz", "engine")),
+    "lint": ("workload", ("scale",)),
+    "experiment": ("name", ("scale", "instances")),
+    "noop": ("tag", ("sleep_ms",)),
+}
+
+
 def _submit_payload(args) -> dict:
-    """Map ``repro submit`` flags onto the job payload for its kind."""
-    if args.kind == "run":
-        deadline = args.deadline
-        if deadline not in ("tight", "loose"):
-            deadline = float(deadline)
-        payload = {
-            "workload": args.target,
-            "scale": args.scale,
-            "deadline": deadline,
-            "instances": args.instances,
-        }
-        if args.flush_rate:
-            payload["flush_rate"] = args.flush_rate
-        return payload
-    if args.kind == "wcet":
-        return {
-            "workload": args.target,
-            "scale": args.scale,
-            "freq_mhz": args.freq,
-            "engine": args.engine,
-        }
-    if args.kind == "lint":
-        return {"workload": args.target, "scale": args.scale}
-    if args.kind == "noop":
-        return {"tag": args.target, "sleep_ms": args.sleep_ms}
+    """The job payload of ``repro submit``'s target and given flags
+    (``jobs.normalize`` fills the other fields)."""
     if args.kind == "admit":
-        specs = [args.target] + list(args.task or [])
-        return {
-            "tasks": [_parse_task_spec(s, args.scale) for s in specs],
-            "policy": args.policy,
-            "background_threads": args.threads,
-            "alpha": args.alpha,
-            "engine": args.engine,
-        }
-    payload = {  # experiment
-        "name": args.target,
-        "scale": args.scale,
-        "instances": args.instances,
-    }
-    return payload
+        return _admit_payload(args, [args.target, *args.task])
+    target, fields = _SUBMIT_FIELDS[args.kind]
+    return {target: args.target, **_given(args, fields)}
+
+
+def _deadline(text: str) -> float | str:
+    """``--deadline``: seconds, or a deadline name the normalizer checks."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
 
 
 def cmd_submit(args) -> int:
     """``submit``: send one job to a running service and print the result."""
-    import json
-
     from repro.service.client import ServiceClient
     from repro.service.protocol import Response
 
@@ -684,8 +657,6 @@ def cmd_submit(args) -> int:
 def cmd_status(args) -> int:
     """``status``: query a running service (add ``--metrics`` for the text
     exposition)."""
-    import json
-
     from repro.service.client import ServiceClient
 
     with ServiceClient(args.host, args.port) as client:
@@ -706,6 +677,91 @@ def cmd_status(args) -> int:
         else:
             print(json.dumps(response.value, indent=2, sort_keys=True))
     return 0
+
+
+def _endpoint_flags(p: argparse.ArgumentParser) -> None:
+    """``--host``/``--port`` of the service (``serve``, ``submit``,
+    ``status``, ``top``)."""
+    p.add_argument("--host", default="127.0.0.1")
+    p.add_argument(
+        "--port",
+        type=int,
+        default=7341,
+        help="TCP port (serve: 0 picks a free port, printed on startup)",
+    )
+
+
+def _format_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--format",
+        choices=["text", "json"],
+        default="text",
+        help="output format (json = machine-readable objects)",
+    )
+
+
+def _engine_flags(
+    p: argparse.ArgumentParser, *, wcet_job: bool = True
+) -> None:
+    """``--engine`` of ``wcet``, ``submit`` and ``admit``, plus, with
+    ``wcet_job``, the flags only a ``wcet`` job takes (``--freq``).
+
+    Unset, they stay None: the normalizer fills the payload default.
+    """
+    p.add_argument(
+        "--engine",
+        choices=ENGINES,
+        help=(
+            "WCET engine: 'static' (paper §3.3 timing tree) or 'mc' "
+            "(bounded model checking; exact on small programs)"
+        ),
+    )
+    if wcet_job:
+        p.add_argument(
+            "--freq",
+            type=float,
+            dest="freq_mhz",
+            metavar="MHZ",
+            help="analysis clock, MHz",
+        )
+
+
+def _admit_flags(p: argparse.ArgumentParser) -> None:
+    """The admission flags of ``admit`` and ``submit`` (``--engine``
+    comes from :func:`_engine_flags`); unset, they stay None."""
+    p.add_argument(
+        "--scale",
+        choices=SCALES,
+        help="workload scale (admit: of task specs without @scale)",
+    )
+    p.add_argument("--policy", choices=POLICIES, help="scheduling policy")
+    p.add_argument(
+        "--threads",
+        type=int,
+        dest="background_threads",
+        metavar="N",
+        help="SMT background threads to co-schedule",
+    )
+    p.add_argument(
+        "--alpha", type=float, help="SMT contention aggressiveness"
+    )
+
+
+def _target_flags(p: argparse.ArgumentParser, verb: str) -> None:
+    """The ``files``/``--workloads``/``--scale`` targets of
+    :func:`_targets`."""
+    p.add_argument("files", nargs="*", help="MiniC or assembly files")
+    p.add_argument(
+        "--workloads",
+        action="store_true",
+        help=f"{verb} every built-in C-lab workload",
+    )
+    p.add_argument(
+        "--scale",
+        choices=SCALES,
+        default=DEFAULT_SCALE,
+        help=f"workload scale for --workloads (default: {DEFAULT_SCALE})",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -731,59 +787,33 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="execute on a simulated core")
     p.add_argument("file")
     p.add_argument("--core", choices=["simple", "complex"], default="simple")
-    p.add_argument("--freq", type=float, default=1000.0, help="MHz")
+    p.add_argument("--freq", type=float, default=DEFAULT_FREQ_MHZ, help="MHz")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("wcet", help="WCET analysis (static or model-checking)")
     p.add_argument("file")
-    p.add_argument("--freq", type=float, default=1000.0, help="MHz")
-    p.add_argument(
-        "--engine",
-        choices=["static", "mc"],
-        default="static",
-        help=(
-            "WCET engine: 'static' (paper §3.3 timing tree, the default) "
-            "or 'mc' (bounded model checking; exact on small programs)."
-        ),
+    _engine_flags(p)
+    _format_flag(p)
+    # A file (MiniC or assembly) cannot go through the wcet normalizer,
+    # so the local command reads its defaults.
+    p.set_defaults(
+        func=cmd_wcet, engine=DEFAULT_ENGINE, freq_mhz=DEFAULT_FREQ_MHZ
     )
-    p.add_argument(
-        "--format",
-        choices=["text", "json"],
-        default="text",
-        help="output format (json = one result object per line)",
-    )
-    p.set_defaults(func=cmd_wcet)
 
     p = sub.add_parser(
         "wcet-diff",
         help="differential WCET oracle: static vs mc vs observed "
              "(also spelled 'repro wcet diff')",
     )
-    p.add_argument("files", nargs="*", help="MiniC or assembly files")
-    p.add_argument(
-        "--workloads",
-        action="store_true",
-        help="diff every built-in C-lab workload",
-    )
-    p.add_argument(
-        "--scale",
-        choices=["tiny", "default", "paper"],
-        default="tiny",
-        help="workload scale for --workloads (default: tiny)",
-    )
-    p.add_argument("--freq", type=float, default=1000.0, help="MHz")
+    _target_flags(p, "diff")
+    p.add_argument("--freq", type=float, default=DEFAULT_FREQ_MHZ, help="MHz")
     p.add_argument(
         "--state-cap",
         type=int,
         default=64,
         help="MC states kept per program point before collapsing (default 64)",
     )
-    p.add_argument(
-        "--format",
-        choices=["text", "json"],
-        default="text",
-        help="output format (json = one result object per line)",
-    )
+    _format_flag(p)
     p.set_defaults(func=cmd_wcet_diff)
 
     p = sub.add_parser("pack", help="write a timed binary (WCET attached)")
@@ -792,29 +822,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pack)
 
     p = sub.add_parser("lint", help="static analysis / ABI / WCET lint")
-    p.add_argument("files", nargs="*", help="MiniC or assembly files")
-    p.add_argument(
-        "--workloads",
-        action="store_true",
-        help="lint every built-in C-lab workload",
-    )
-    p.add_argument(
-        "--scale",
-        choices=["tiny", "default", "paper"],
-        default="tiny",
-        help="workload scale for --workloads (default: tiny)",
-    )
+    _target_flags(p, "lint")
     p.add_argument(
         "--disable",
         default="",
         help="comma-separated check ids to skip (see docs/static_analysis.md)",
     )
-    p.add_argument(
-        "--format",
-        choices=["text", "json"],
-        default="text",
-        help="output format (json = one finding object per line)",
-    )
+    _format_flag(p)
     p.set_defaults(func=cmd_lint)
 
     p = sub.add_parser("trace", help="pipeline diagram on the VISA pipeline")
@@ -866,13 +880,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cache)
 
     p = sub.add_parser("serve", help="run the async simulation service")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument(
-        "--port",
-        type=int,
-        default=7341,
-        help="TCP port (0 picks a free port, printed on startup)",
-    )
+    _endpoint_flags(p)
     p.add_argument(
         "--jobs", type=int, default=2, help="worker processes (default 2)"
     )
@@ -959,7 +967,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_serve)
 
-    p = sub.add_parser("submit", help="submit one job to a running service")
+    p = sub.add_parser(
+        "submit",
+        help="submit one job to a running service",
+        description=(
+            "Submit one job. An omitted payload flag takes the job kind's "
+            "default (docs/service.md, 'Job kinds and payloads')."
+        ),
+    )
     p.add_argument(
         "kind",
         choices=["run", "wcet", "lint", "experiment", "noop", "admit"],
@@ -973,40 +988,24 @@ def build_parser() -> argparse.ArgumentParser:
             "workload:period[:deadline][@scale] (admit)"
         ),
     )
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=7341)
-    p.add_argument(
-        "--scale", choices=["tiny", "default", "paper"], default="tiny"
-    )
+    _endpoint_flags(p)
+    _engine_flags(p)
+    _admit_flags(p)
     p.add_argument(
         "--deadline",
-        default="tight",
-        help="run jobs: 'tight', 'loose', or seconds (default tight)",
+        type=_deadline,
+        help="run jobs: 'tight', 'loose', or seconds",
     )
     p.add_argument(
-        "--instances",
-        type=int,
-        default=12,
-        help="task instances for run/experiment jobs (default 12)",
+        "--instances", type=int, help="task instances for run/experiment jobs"
     )
     p.add_argument(
         "--flush-rate",
         type=float,
-        default=0.0,
         help="run jobs: induced pipeline-flush rate in [0, 1]",
     )
-    p.add_argument("--freq", type=float, default=1000.0, help="wcet jobs: MHz")
     p.add_argument(
-        "--engine",
-        choices=["static", "mc"],
-        default="static",
-        help="wcet/admit jobs: WCET engine (default static)",
-    )
-    p.add_argument(
-        "--sleep-ms",
-        type=int,
-        default=0,
-        help="noop jobs: milliseconds the worker sleeps (default 0)",
+        "--sleep-ms", type=int, help="noop jobs: milliseconds the worker sleeps"
     )
     p.add_argument(
         "--task",
@@ -1019,24 +1018,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument(
-        "--policy",
-        choices=["rm", "edf"],
-        default="rm",
-        help="admit jobs: scheduling policy (default rm)",
-    )
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=0,
-        help="admit jobs: SMT background threads (default 0)",
-    )
-    p.add_argument(
-        "--alpha",
-        type=float,
-        default=1.0,
-        help="admit jobs: SMT contention aggressiveness (default 1.0)",
-    )
-    p.add_argument(
         "--priority", type=int, default=0, help="queue priority (higher first)"
     )
     p.add_argument(
@@ -1047,8 +1028,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_submit)
 
     p = sub.add_parser("status", help="query a running service")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=7341)
+    _endpoint_flags(p)
     p.add_argument("--job", default=None, help="job id (default: service-wide)")
     p.add_argument(
         "--metrics",
@@ -1068,39 +1048,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="TASK",
         help="task spec workload:period[:deadline][@scale], times in seconds",
     )
-    p.add_argument(
-        "--scale",
-        choices=["tiny", "default", "paper"],
-        default="tiny",
-        help="default workload scale for specs without @scale",
-    )
-    p.add_argument(
-        "--policy",
-        choices=["rm", "edf"],
-        default="rm",
-        help="scheduling policy (default rm)",
-    )
-    p.add_argument(
-        "--engine",
-        choices=["static", "mc"],
-        default="static",
-        help="WCET engine (default static)",
-    )
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=0,
-        help="SMT background threads to co-schedule (default 0)",
-    )
-    p.add_argument(
-        "--alpha",
-        type=float,
-        default=1.0,
-        help="SMT contention aggressiveness (default 1.0)",
-    )
-    p.add_argument(
-        "--format", choices=["text", "json"], default="text"
-    )
+    _admit_flags(p)
+    _engine_flags(p, wcet_job=False)
+    _format_flag(p)
     p.add_argument(
         "--no-cache",
         action="store_true",
@@ -1111,8 +1061,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "top", help="live terminal view of a running service or cluster"
     )
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=7341)
+    _endpoint_flags(p)
     p.add_argument(
         "--interval",
         type=float,
@@ -1135,8 +1084,6 @@ def main(argv: list[str] | None = None) -> int:
     Library errors (compile errors, analysis failures, infeasible
     deadlines) are reported as one-line diagnostics, not tracebacks.
     """
-    from repro.errors import ReproError
-
     if argv is None:
         argv = sys.argv[1:]
     if argv[:2] == ["wcet", "diff"]:
@@ -1145,10 +1092,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ReproError as exc:
-        print(f"repro: error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ReproError, FileNotFoundError) as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 1
 

@@ -43,7 +43,17 @@ import math
 from functools import lru_cache
 from typing import Any
 
-from repro.errors import HyperperiodError, InfeasibleError, ProtocolError
+from repro.errors import HyperperiodError, InfeasibleError
+from repro.jobfields import (
+    POLICIES,
+    _require,
+    check_no_extras,
+    engine_field,
+    int_field,
+    payload_digest,
+    scale_field,
+    workload_field,
+)
 from repro.rt.sched import (
     PeriodicTask,
     edf_schedulable,
@@ -53,14 +63,9 @@ from repro.rt.sched import (
     utilization,
 )
 from repro.snapshot.state import FORMAT_VERSION, canonical_json
+from repro.workloads.suite import SCALES  # re-exported: accepted scales
 
 JSONDict = dict[str, Any]
-
-#: Workload scales accepted (mirrors the service/CLI choices).
-SCALES = ("tiny", "default", "paper")
-
-#: Scheduling policies the admission test understands.
-POLICIES = ("rm", "edf")
 
 #: Most tasks per admission request.  Every task costs WCET analyses
 #: over a binary search of the DVS table; eight bounds the worst case.
@@ -77,11 +82,6 @@ AET_SCALE_RATIO = 4.0
 
 
 # -- payload normalization -------------------------------------------------------
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ProtocolError(message)
 
 
 def _positive_seconds(value: Any, what: str, upper: float) -> float:
@@ -104,16 +104,12 @@ def normalize_payload(payload: JSONDict) -> JSONDict:
     engine) and rejects unknown fields and out-of-range values, so
     logically identical submissions are byte-identical — the service's
     coalesce digest and the decision cache both key on the result.
-    Raises :class:`ProtocolError` on any violation.
+    Raises :class:`~repro.errors.ProtocolError` on any violation.
     """
-    from repro.wcet.mc import ENGINES
-    from repro.workloads.suite import EXTRA_WORKLOAD_NAMES, WORKLOAD_NAMES
-
-    known_workloads = tuple(WORKLOAD_NAMES) + tuple(EXTRA_WORKLOAD_NAMES)
-    allowed = {"tasks", "policy", "engine", "background_threads", "alpha"}
-    extras = set(payload) - allowed
-    _require(not extras, f"unknown payload fields: {sorted(extras)}")
-
+    check_no_extras(
+        payload,
+        frozenset({"tasks", "policy", "engine", "background_threads", "alpha"}),
+    )
     raw_tasks = payload.get("tasks")
     _require(
         isinstance(raw_tasks, list) and len(raw_tasks) > 0,
@@ -127,31 +123,21 @@ def normalize_payload(payload: JSONDict) -> JSONDict:
     tasks: list[JSONDict] = []
     names: set[str] = set()
     for index, raw in enumerate(raw_tasks):
+        where = f"tasks[{index}]: "
         _require(
             isinstance(raw, dict), f"tasks[{index}] must be a JSON object"
         )
-        task_extras = set(raw) - {
-            "name", "workload", "scale", "period", "deadline"
-        }
-        _require(
-            not task_extras,
-            f"tasks[{index}]: unknown fields {sorted(task_extras)}",
+        check_no_extras(
+            raw,
+            frozenset({"name", "workload", "scale", "period", "deadline"}),
+            where,
         )
-        workload = raw.get("workload")
-        _require(
-            isinstance(workload, str) and workload in known_workloads,
-            f"tasks[{index}]: unknown workload {workload!r}; "
-            f"known: {list(known_workloads)}",
-        )
-        scale = raw.get("scale", "tiny")
-        _require(
-            scale in SCALES,
-            f"tasks[{index}]: scale must be one of {list(SCALES)}",
-        )
+        workload = workload_field(raw, where)
+        scale = scale_field(raw, where)
         name = raw.get("name", f"t{index}-{workload}")
         _require(
             isinstance(name, str) and 0 < len(name) <= 64,
-            f"tasks[{index}]: name must be a non-empty string (<= 64 chars)",
+            f"{where}name must be a non-empty string (<= 64 chars)",
         )
         _require(name not in names, f"duplicate task name {name!r}")
         names.add(name)
@@ -167,13 +153,13 @@ def normalize_payload(payload: JSONDict) -> JSONDict:
             )
             _require(
                 deadline_s <= period,
-                f"tasks[{index}]: deadline must not exceed the period",
+                f"{where}deadline must not exceed the period",
             )
         tasks.append(
             {
                 "name": str(name),
-                "workload": str(workload),
-                "scale": str(scale),
+                "workload": workload,
+                "scale": scale,
                 "period": period,
                 "deadline": deadline_s,
             }
@@ -183,21 +169,8 @@ def normalize_payload(payload: JSONDict) -> JSONDict:
     _require(
         policy in POLICIES, f"policy must be one of {list(POLICIES)}"
     )
-    engine = payload.get("engine")
-    if engine is None:
-        engine = "static"
-    _require(
-        isinstance(engine, str) and engine in ENGINES,
-        f"engine must be one of {list(ENGINES)}",
-    )
-    threads = payload.get("background_threads", 0)
-    _require(
-        isinstance(threads, int) and not isinstance(threads, bool),
-        "background_threads must be an integer",
-    )
-    _require(
-        0 <= int(threads) <= 8, "background_threads must be in [0, 8]"
-    )
+    engine = engine_field(payload)
+    threads = int_field(payload, "background_threads", 0, 0, 8)
     alpha = payload.get("alpha", 1.0)
     _require(
         isinstance(alpha, (int, float)) and not isinstance(alpha, bool),
@@ -209,8 +182,8 @@ def normalize_payload(payload: JSONDict) -> JSONDict:
     return {
         "tasks": tasks,
         "policy": str(policy),
-        "engine": str(engine),
-        "background_threads": int(threads),
+        "engine": engine,
+        "background_threads": threads,
         "alpha": float(alpha),
     }
 
@@ -218,15 +191,12 @@ def normalize_payload(payload: JSONDict) -> JSONDict:
 def task_set_digest(payload: JSONDict) -> str:
     """Digest of a *normalized* payload; the decision-cache key.
 
-    Byte-identical to ``repro.service.jobs.coalesce_key("admit",
-    payload)`` by construction (same canonical JSON, same format salt),
-    so the library cache, the single-flight table, and the shared
-    result store all key the same bytes — pinned by tests.
+    The same :func:`repro.jobfields.payload_digest` as
+    ``repro.service.jobs.coalesce_key("admit", payload)``, so the library
+    cache, the single-flight table, and the shared result store all key
+    the same bytes.
     """
-    blob = canonical_json(
-        {"format": FORMAT_VERSION, "kind": "admit", "payload": payload}
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()[:24]
+    return payload_digest("admit", payload)
 
 
 # -- WCET derivation -------------------------------------------------------------

@@ -38,16 +38,23 @@ inside the handlers so the server process never pays for them.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 from typing import Any, Callable
 
 from repro.errors import ProtocolError
 from repro.experiments import EXPERIMENT_NAMES
+from repro.jobfields import (
+    _require,
+    bool_field,
+    check_no_extras,
+    engine_field,
+    int_field,
+    payload_digest,
+    scale_field,
+    workload_field,
+)
 from repro.service.protocol import JSONDict
-from repro.snapshot.state import FORMAT_VERSION, canonical_json
-
-#: Workload scales the service accepts (mirrors the CLI choices).
-SCALES = ("tiny", "default", "paper")
+from repro.wcet import DEFAULT_FREQ_MHZ, wcet_result
+from repro.workloads.suite import SCALES  # re-exported: the service's scales
 
 #: Kinds whose results are pure functions of the normalized payload —
 #: eligible for the shared result store (see repro.service.store).
@@ -55,59 +62,11 @@ SCALES = ("tiny", "default", "paper")
 CACHEABLE_KINDS = frozenset({"run", "wcet", "lint", "experiment", "admit"})
 
 
-def _known_workloads() -> tuple[str, ...]:
-    from repro.workloads.suite import EXTRA_WORKLOAD_NAMES, WORKLOAD_NAMES
-
-    return tuple(WORKLOAD_NAMES) + tuple(EXTRA_WORKLOAD_NAMES)
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ProtocolError(message)
-
-
-def _check_no_extras(payload: JSONDict, allowed: frozenset[str]) -> None:
-    extras = set(payload) - allowed
-    _require(not extras, f"unknown payload fields: {sorted(extras)}")
-
-
-def _workload_field(payload: JSONDict) -> str:
-    name = payload.get("workload")
-    _require(isinstance(name, str), "payload requires a 'workload' name")
-    known = _known_workloads()
-    _require(
-        name in known, f"unknown workload {name!r}; known: {list(known)}"
-    )
-    return str(name)
-
-
-def _scale_field(payload: JSONDict) -> str:
-    scale = payload.get("scale", "tiny")
-    _require(scale in SCALES, f"scale must be one of {list(SCALES)}")
-    return str(scale)
-
-
-def _int_field(payload: JSONDict, name: str, default: int, lo: int, hi: int) -> int:
-    value = payload.get(name, default)
-    _require(
-        isinstance(value, int) and not isinstance(value, bool),
-        f"{name} must be an integer",
-    )
-    _require(lo <= int(value) <= hi, f"{name} must be in [{lo}, {hi}]")
-    return int(value)
-
-
-def _bool_field(payload: JSONDict, name: str, default: bool) -> bool:
-    value = payload.get(name, default)
-    _require(isinstance(value, bool), f"{name} must be a boolean")
-    return bool(value)
-
-
 # -- normalization (server side) -------------------------------------------------
 
 
 def _normalize_run(payload: JSONDict) -> JSONDict:
-    _check_no_extras(
+    check_no_extras(
         payload,
         frozenset(
             {"workload", "scale", "deadline", "instances", "flush_rate",
@@ -132,63 +91,43 @@ def _normalize_run(payload: JSONDict) -> JSONDict:
         "flush_rate must be in [0, 1]",
     )
     return {
-        "workload": _workload_field(payload),
-        "scale": _scale_field(payload),
+        "workload": workload_field(payload),
+        "scale": scale_field(payload),
         "deadline": deadline,
-        "instances": _int_field(payload, "instances", 12, 1, 1000),
+        "instances": int_field(payload, "instances", 12, 1, 1000),
         "flush_rate": float(flush_rate),
-        "no_cache": _bool_field(payload, "no_cache", False),
+        "no_cache": bool_field(payload, "no_cache", False),
     }
 
 
-def _engine_field(payload: JSONDict) -> str:
-    """The WCET engine of a ``wcet`` payload (``static`` when unnamed).
-
-    The engine is pinned into the normalized payload, so the coalesce
-    digest — and the shared result store keyed from it — never aliases
-    a static bound with a model-checked one.
-    """
-    from repro.wcet.mc import ENGINES
-
-    engine = payload.get("engine")
-    if engine is None:
-        return "static"
-    _require(
-        isinstance(engine, str) and engine in ENGINES,
-        f"engine must be one of {list(ENGINES)}",
-    )
-    return str(engine)
+def _program_fields(payload: JSONDict) -> JSONDict:
+    """The program of a ``wcet``/``lint`` payload: MiniC ``source``, or a
+    ``workload`` at a ``scale``."""
+    source = payload.get("source")
+    if source is not None:
+        _require(isinstance(source, str), "source must be MiniC text")
+        return {"source": str(source)}
+    return {"workload": workload_field(payload), "scale": scale_field(payload)}
 
 
 def _normalize_wcet(payload: JSONDict) -> JSONDict:
-    _check_no_extras(
+    check_no_extras(
         payload,
         frozenset({"workload", "source", "scale", "freq_mhz", "engine"}),
     )
-    freq = payload.get("freq_mhz", 1000.0)
+    freq = payload.get("freq_mhz", DEFAULT_FREQ_MHZ)
     _require(
         isinstance(freq, (int, float)) and float(freq) > 0,
         "freq_mhz must be a positive number",
     )
-    engine = _engine_field(payload)
-    source = payload.get("source")
-    if source is not None:
-        _require(isinstance(source, str), "source must be MiniC text")
-        return {
-            "source": str(source),
-            "freq_mhz": float(freq),
-            "engine": engine,
-        }
+    engine = engine_field(payload)
     return {
-        "workload": _workload_field(payload),
-        "scale": _scale_field(payload),
-        "freq_mhz": float(freq),
-        "engine": engine,
+        **_program_fields(payload), "freq_mhz": float(freq), "engine": engine
     }
 
 
 def _normalize_lint(payload: JSONDict) -> JSONDict:
-    _check_no_extras(
+    check_no_extras(
         payload, frozenset({"workload", "source", "scale", "disable"})
     )
     disable = payload.get("disable", [])
@@ -201,19 +140,11 @@ def _normalize_lint(payload: JSONDict) -> JSONDict:
 
     unknown = set(disable) - set(ALL_CHECKS)
     _require(not unknown, f"unknown checks: {sorted(unknown)}")
-    source = payload.get("source")
-    if source is not None:
-        _require(isinstance(source, str), "source must be MiniC text")
-        return {"source": str(source), "disable": sorted(set(disable))}
-    return {
-        "workload": _workload_field(payload),
-        "scale": _scale_field(payload),
-        "disable": sorted(set(disable)),
-    }
+    return {**_program_fields(payload), "disable": sorted(set(disable))}
 
 
 def _normalize_experiment(payload: JSONDict) -> JSONDict:
-    _check_no_extras(
+    check_no_extras(
         payload,
         frozenset({"name", "scale", "instances", "jobs", "no_cache"}),
     )
@@ -224,10 +155,10 @@ def _normalize_experiment(payload: JSONDict) -> JSONDict:
     )
     return {
         "name": str(name),
-        "scale": _scale_field(payload),
-        "instances": _int_field(payload, "instances", 12, 2, 1000),
-        "jobs": _int_field(payload, "jobs", 1, 1, 64),
-        "no_cache": _bool_field(payload, "no_cache", False),
+        "scale": scale_field(payload),
+        "instances": int_field(payload, "instances", 12, 2, 1000),
+        "jobs": int_field(payload, "jobs", 1, 1, 64),
+        "no_cache": bool_field(payload, "no_cache", False),
     }
 
 
@@ -238,14 +169,14 @@ def _normalize_noop(payload: JSONDict) -> JSONDict:
     their tags (and sleeps) match — which is what cluster tests and the
     serving-layer benchmarks rely on.
     """
-    _check_no_extras(payload, frozenset({"tag", "sleep_ms", "echo"}))
+    check_no_extras(payload, frozenset({"tag", "sleep_ms", "echo"}))
     tag = payload.get("tag", "")
     _require(isinstance(tag, str), "tag must be a string")
     echo = payload.get("echo", {})
     _require(isinstance(echo, dict), "echo must be a JSON object")
     return {
         "tag": str(tag),
-        "sleep_ms": _int_field(payload, "sleep_ms", 0, 0, 60_000),
+        "sleep_ms": int_field(payload, "sleep_ms", 0, 0, 60_000),
         "echo": dict(echo),
     }
 
@@ -255,9 +186,9 @@ def _normalize_admit(payload: JSONDict) -> JSONDict:
 
     One canonicalizer, two entry points: ``repro admit`` (library) and
     the service both normalize through
-    :func:`repro.rt.admission.normalize_payload`, so the coalesce digest
-    below is byte-identical to the library's
-    :func:`~repro.rt.admission.task_set_digest` — pinned by tests.
+    :func:`repro.rt.admission.normalize_payload`, and both key it with
+    :func:`repro.jobfields.payload_digest`, so the coalesce digest is the
+    library's :func:`~repro.rt.admission.task_set_digest`.
     """
     from repro.rt.admission import normalize_payload
 
@@ -292,14 +223,12 @@ def coalesce_key(kind: str, payload: JSONDict) -> str:
 
     Same derivation as :func:`repro.snapshot.runcache.run_key` — a SHA-256
     over :func:`~repro.snapshot.state.canonical_json` salted with the
-    snapshot ``FORMAT_VERSION`` — applied at the payload level (the true
-    ``run_key`` needs the compiled program and solved deadline, which
-    only exist inside the worker; the disk cache layers that key on top).
+    snapshot ``FORMAT_VERSION`` (:func:`repro.jobfields.payload_digest`) —
+    applied at the payload level (the true ``run_key`` needs the compiled
+    program and solved deadline, which only exist inside the worker; the
+    disk cache layers that key on top).
     """
-    blob = canonical_json(
-        {"format": FORMAT_VERSION, "kind": kind, "payload": payload}
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()[:24]
+    return payload_digest(kind, payload)
 
 
 # -- execution (worker side) -----------------------------------------------------
@@ -346,35 +275,9 @@ def _job_program(payload: JSONDict) -> Any:
 
 
 def _execute_wcet(payload: JSONDict) -> JSONDict:
-    from repro.wcet.analyzer import WCETAnalyzer
-    from repro.wcet.dcache_pad import measure_dcache_misses
-
-    program = _job_program(payload)
-    engine = payload.get("engine", "static")
-    analyzer = WCETAnalyzer(program)
-    analyzer.dcache_bounds = measure_dcache_misses(program)
-    if engine == "mc":
-        from repro.wcet.mc import ModelCheckEngine
-
-        task = ModelCheckEngine(analyzer).analyze(payload["freq_mhz"] * 1e6)
-    else:
-        task = analyzer.analyze(payload["freq_mhz"] * 1e6)
-    return {
-        "engine": engine,
-        "freq_mhz": payload["freq_mhz"],
-        "stall_cycles": task.stall,
-        "subtasks": [
-            {
-                "index": sub.index,
-                "cycles": sub.cycles,
-                "dmiss_bound": sub.dmiss_bound,
-                "total_cycles": sub.total_cycles,
-            }
-            for sub in task.subtasks
-        ],
-        "total_cycles": task.total_cycles,
-        "total_us": task.total_seconds * 1e6,
-    }
+    return wcet_result(
+        _job_program(payload), payload["freq_mhz"], payload["engine"]
+    )
 
 
 def _execute_lint(payload: JSONDict) -> JSONDict:

@@ -7,13 +7,13 @@ analyzer (:mod:`repro.wcet.mc.diff`): ``static >= mc >= observed`` must
 hold per sub-task, or the static analyzer has a soundness bug.
 
 Engine selection (``repro wcet --engine``, the service's ``wcet`` and
-``admit`` job kinds) defaults to ``static``; the service pins the engine
-into every normalized payload, so cached results never alias across
-engines.
+``admit`` job kinds) is :data:`repro.wcet.ENGINES`, re-exported here;
+:func:`repro.wcet.wcet_result` dispatches a ``wcet`` job to this engine.
 """
 
 from __future__ import annotations
 
+from repro.wcet import ENGINES
 from repro.wcet.mc.diff import (
     DiffReport,
     SubtaskGap,
@@ -22,9 +22,6 @@ from repro.wcet.mc.diff import (
     observed_inorder,
 )
 from repro.wcet.mc.engine import MCState, MCStats, ModelCheckEngine
-
-#: Recognized WCET engine names (CLI ``--engine``, service payloads).
-ENGINES = ("static", "mc")
 
 __all__ = [
     "DiffReport",

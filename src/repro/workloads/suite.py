@@ -32,6 +32,11 @@ _MAKERS = {
 WORKLOAD_NAMES = ("adpcm", "cnt", "fft", "lms", "mm", "srt")
 #: Additional C-lab-family kernels shipped for library completeness.
 EXTRA_WORKLOAD_NAMES = ("crc", "fir")
+#: Every workload :func:`get_workload` builds (CLI ``--workloads``,
+#: service and admission payloads).
+ALL_WORKLOAD_NAMES = WORKLOAD_NAMES + EXTRA_WORKLOAD_NAMES
+#: Input-size presets (module docstring); the one list every CLI
+#: ``--scale`` and payload ``scale`` check uses.
 SCALES = ("tiny", "default", "paper")
 
 _CACHE: dict[tuple[str, str], Workload] = {}

@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import asyncio
 import json
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 from repro.errors import ProtocolError
 from repro.rt import admission
 from repro.service import jobs
+from tests.conftest import serve_daemon
 
 TASKS_OK = {
     "tasks": [
@@ -199,14 +197,6 @@ def test_cached_decide_hits_disk(tmp_path, monkeypatch):
 # -- service round trips ----------------------------------------------------------
 
 
-def _serve_args(tmp_path: Path, extra: list[str]) -> list[str]:
-    return [
-        sys.executable, "-m", "repro", "serve",
-        "--port", "0", "--jobs", "1", "--drain-grace", "5",
-        "--cache-dir", str(tmp_path),
-    ] + extra
-
-
 def test_admit_roundtrip_single_daemon(tmp_path, monkeypatch):
     """Library, library-cached, and daemon answers are byte-identical."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
@@ -238,28 +228,15 @@ def test_admit_roundtrip_single_daemon(tmp_path, monkeypatch):
 
 def test_admit_roundtrip_cluster(tmp_path):
     """--cluster N serves the same digest-cached decision as the library."""
-    proc = subprocess.Popen(
-        _serve_args(tmp_path, ["--cluster", "2", "--store-dir",
-                               str(tmp_path / "store")]),
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-    )
-    try:
-        assert proc.stdout is not None
-        line = proc.stdout.readline()
-        assert "listening on" in line, line
-        port = int(line.split(":")[-1].split()[0])
-        proc.stdout.readline()  # ring members
+    from repro.service.client import ServiceClient
 
-        from repro.service.client import ServiceClient
-
+    with serve_daemon(
+        tmp_path, "--cluster", "2", "--jobs", "1", "--drain-grace", "5",
+        "--store-dir", str(tmp_path / "store"),
+    ) as (_proc, port):
         with ServiceClient("127.0.0.1", port, timeout=120.0) as client:
             first = client.submit("admit", TASKS_OK).value
             second = client.submit("admit", TASKS_OK).value
-    finally:
-        proc.terminate()
-        proc.wait(timeout=30)
 
     lib = admission.decide(admission.normalize_payload(TASKS_OK))
     assert first == lib

@@ -26,8 +26,6 @@ from __future__ import annotations
 import asyncio
 import os
 import signal
-import subprocess
-import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -44,43 +42,12 @@ from repro.service.metrics import relabel_exposition
 from repro.service.queue import FairPriorityQueue
 from repro.service.ring import HashRing
 from repro.snapshot.runcache import canonical_json
-
-
-@contextmanager
-def serve(tmp_path, *extra_args):
-    """Boot a daemon (single node or cluster front); yield (proc, port)."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = "src" + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "serve", "--port", "0",
-            "--cache-dir", str(tmp_path / "cache"), *extra_args,
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-        env=env,
-    )
-    try:
-        line = proc.stdout.readline()
-        assert "listening on" in line, f"unexpected startup line: {line!r}"
-        port = int(line.split(":")[-1].split()[0])
-        yield proc, port
-    finally:
-        if proc.poll() is None:
-            proc.terminate()
-            try:
-                proc.communicate(timeout=30)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.communicate()
+from tests.conftest import serve_daemon
 
 
 @contextmanager
 def cluster(tmp_path, backends=2, *extra_args):
-    with serve(
+    with serve_daemon(
         tmp_path,
         "--cluster", str(backends),
         "--jobs", "1",
@@ -263,7 +230,7 @@ def test_quota_rejects_with_retry_after(tmp_path):
 
 def test_daemon_quota_rejects_with_retry_after(tmp_path):
     """The single daemon shares the front's admission, quota included."""
-    with serve(tmp_path, "--jobs", "1", *QUOTA) as (_proc, port):
+    with serve_daemon(tmp_path, "--jobs", "1", *QUOTA) as (_proc, port):
         _assert_quota_enforced(port)
 
 
@@ -275,7 +242,7 @@ def test_digest_parity_single_node_vs_cluster(tmp_path):
         ("lint", {"workload": "fir", "scale": "tiny"}),
     ]
     single: dict[str, bytes] = {}
-    with serve(tmp_path / "single", "--jobs", "1") as (_proc, port):
+    with serve_daemon(tmp_path / "single", "--jobs", "1") as (_proc, port):
         with _client(port) as client:
             for kind, payload in payloads:
                 single[kind] = canonical_json(
@@ -291,7 +258,7 @@ def test_digest_parity_single_node_vs_cluster(tmp_path):
 def test_jittered_retry_two_clients_one_slot_queue(tmp_path):
     """Satellite: two clients vs a 1-slot queue; jittered backoff means
     both eventually get every job through the queue_full storm."""
-    with serve(
+    with serve_daemon(
         tmp_path, "--jobs", "1", "--queue-depth", "1"
     ) as (_proc, port):
         outcomes: dict[str, list[bool]] = {"a": [], "b": []}

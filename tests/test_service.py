@@ -21,51 +21,17 @@ from __future__ import annotations
 
 import os
 import signal
-import subprocess
-import sys
 import threading
 import time
-from contextlib import contextmanager
 
 import pytest
 
 from repro.errors import ServiceError
 from repro.service.client import ServiceClient
+from tests.conftest import serve_daemon
 
 #: A job slow enough (seconds) to observe mid-flight, fast enough to drain.
 SLOW_RUN = {"workload": "srt", "instances": 90, "no_cache": True}
-
-
-@contextmanager
-def service(tmp_path, *extra_args):
-    """Boot a daemon subprocess on a free port; yield (process, port)."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = "src" + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "serve", "--port", "0",
-            "--cache-dir", str(tmp_path / "cache"), *extra_args,
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-        env=env,
-    )
-    try:
-        line = proc.stdout.readline()
-        assert "listening on" in line, f"unexpected startup line: {line!r}"
-        port = int(line.split(":")[-1].split()[0])
-        yield proc, port
-    finally:
-        if proc.poll() is None:
-            proc.terminate()
-            try:
-                proc.communicate(timeout=30)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.communicate()
 
 
 def _client(port: int) -> ServiceClient:
@@ -87,7 +53,7 @@ def _wait_for_busy_pid(client: ServiceClient, deadline: float = 30.0) -> int:
 def test_mixed_concurrent_submissions_with_coalescing(tmp_path):
     """32 concurrent mixed submissions; identical ones simulate once."""
     identical = {"workload": "fft", "instances": 10}
-    with service(tmp_path, "--jobs", "4") as (proc, port):
+    with serve_daemon(tmp_path, "--jobs", "4") as (proc, port):
         results: dict[int, object] = {}
         errors: dict[int, BaseException] = {}
 
@@ -153,7 +119,7 @@ def test_mixed_concurrent_submissions_with_coalescing(tmp_path):
 
 def test_worker_crash_restart_and_requeue_once(tmp_path):
     """A killed worker is replaced and the job requeued exactly once."""
-    with service(tmp_path, "--jobs", "1") as (proc, port):
+    with serve_daemon(tmp_path, "--jobs", "1") as (proc, port):
         done: dict[str, object] = {}
 
         def run_slow() -> None:
@@ -174,7 +140,7 @@ def test_worker_crash_restart_and_requeue_once(tmp_path):
 
 def test_worker_crash_twice_fails_job(tmp_path):
     """The second crash of the same job fails it (no requeue loop)."""
-    with service(tmp_path, "--jobs", "1") as (proc, port):
+    with serve_daemon(tmp_path, "--jobs", "1") as (proc, port):
         failure: dict[str, BaseException] = {}
 
         def run_slow() -> None:
@@ -206,7 +172,7 @@ def test_worker_crash_twice_fails_job(tmp_path):
 
 def test_job_timeout_kills_worker_and_fails_job(tmp_path):
     """A job over its wall-clock budget fails; the service stays healthy."""
-    with service(tmp_path, "--jobs", "1") as (proc, port):
+    with serve_daemon(tmp_path, "--jobs", "1") as (proc, port):
         with _client(port) as client:
             with pytest.raises(ServiceError) as excinfo:
                 client.submit("run", dict(SLOW_RUN), timeout=0.3)
@@ -219,7 +185,7 @@ def test_job_timeout_kills_worker_and_fails_job(tmp_path):
 
 def test_queue_full_backpressure(tmp_path):
     """Submissions beyond the queue bound are rejected with retry-after."""
-    with service(
+    with serve_daemon(
         tmp_path, "--jobs", "1", "--queue-depth", "2"
     ) as (proc, port):
         with _client(port) as client:
@@ -240,7 +206,7 @@ def test_queue_full_backpressure(tmp_path):
 
 def test_sigterm_drains_in_flight_and_rejects_new(tmp_path):
     """SIGTERM: accepted jobs finish, new ones bounce, exit is clean."""
-    with service(tmp_path, "--jobs", "1") as (proc, port):
+    with serve_daemon(tmp_path, "--jobs", "1") as (proc, port):
         done: dict[str, object] = {}
 
         def run_slow() -> None:
@@ -268,7 +234,7 @@ def test_sigterm_drains_in_flight_and_rejects_new(tmp_path):
 def test_drain_grace_expiry_sends_draining_to_every_waiter(tmp_path):
     """Jobs still running or queued when ``--drain-grace`` runs out end
     with a ``draining`` result, not a dropped connection."""
-    with service(
+    with serve_daemon(
         tmp_path, "--jobs", "1", "--drain-grace", "0.5"
     ) as (proc, port):
         errors: dict[str, ServiceError] = {}
@@ -306,7 +272,7 @@ def test_drain_grace_expiry_sends_draining_to_every_waiter(tmp_path):
 def test_store_hits_count_in_job_seconds(tmp_path):
     """A job served from the store is observed in ``repro_job_seconds``
     like an executed one."""
-    with service(
+    with serve_daemon(
         tmp_path, "--jobs", "1", "--store-dir", str(tmp_path / "store")
     ) as (proc, port):
         with _client(port) as client:
@@ -334,7 +300,7 @@ def test_result_matches_direct_simulation(tmp_path):
         prep = setup("lms", "tiny")
         pair = run_pair(prep, prep.deadline_tight, 8)
     expected = pair.savings(standby=False)
-    with service(tmp_path, "--jobs", "1") as (proc, port):
+    with serve_daemon(tmp_path, "--jobs", "1") as (proc, port):
         with _client(port) as client:
             result = client.submit(
                 "run", {"workload": "lms", "instances": 8}
