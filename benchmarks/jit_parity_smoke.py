@@ -13,7 +13,10 @@ counters, and cache statistics.  The baseline is each core's
 independent formulation of the same timing model) driven the same way,
 so the complex core's event-driven engine is checked end to end against
 it on every path.
-Any digest mismatch is a miscompilation and exits nonzero::
+Any digest mismatch is a miscompilation and exits nonzero, and so does
+block code whose whole runs (the ``block`` path, block tables built
+before the clock starts) take longer in total than ``run_reference``'s
+on either core::
 
     PYTHONPATH=src python benchmarks/jit_parity_smoke.py
     PYTHONPATH=src python benchmarks/jit_parity_smoke.py --warm
@@ -29,6 +32,8 @@ import argparse
 import hashlib
 import pathlib
 import sys
+import time
+from collections import Counter
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -120,6 +125,8 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     failures = 0
+    # Per (core, method): seconds spent in the ``block`` path's runs.
+    seconds: Counter[tuple[str, str]] = Counter()
     for name in WORKLOAD_NAMES + EXTRA_WORKLOAD_NAMES:
         workload = get_workload(name, "tiny")
         seeds = list(range(RUNS)) if workload.inputs else [None]
@@ -140,7 +147,17 @@ def main(argv: list[str] | None = None) -> int:
                         if path == "armed":
                             _arm(machine, int(cycles[seed] * ARMED_AT))
                         core = core_cls(machine)
+                        if method == "run":
+                            # Codegen (or its disk load) stays off the clock.
+                            blockjit.block_table(
+                                machine, label, getattr(core, "params", None)
+                            )
+                        start = time.perf_counter()
                         segments = _run(core, method, budget)
+                        if path == "block":
+                            seconds[label, method] += (
+                                time.perf_counter() - start
+                            )
                         per_run.append(_digest(core, machine, segments))
                         if path == "block" and method == "run_reference":
                             cycles[seed] = core.state.now
@@ -165,6 +182,19 @@ def main(argv: list[str] | None = None) -> int:
     if args.warm and (codegen["misses"] or not codegen["hits"]):
         print("FAIL: --warm run rebuilt block tables", file=sys.stderr)
         failures += 1
+    for label in ("inorder", "ooo"):
+        block = seconds[label, "run"]
+        reference = seconds[label, "run_reference"]
+        print(
+            f"{label:7s} whole runs: block code {block:.2f} s, "
+            f"run_reference {reference:.2f} s"
+        )
+        if block > reference:
+            print(
+                f"FAIL: block code is slower than run_reference on {label}",
+                file=sys.stderr,
+            )
+            failures += 1
     if failures:
         print(f"FAIL: {failures} failure(s)", file=sys.stderr)
         return 1

@@ -424,22 +424,9 @@ def cmd_serve(args) -> int:
     """
     import asyncio
 
-    from repro.service.server import ServiceConfig, serve
+    from repro.service.server import serve
 
-    config = ServiceConfig(
-        host=args.host,
-        port=args.port,
-        workers=args.jobs,
-        queue_depth=args.queue_depth,
-        default_timeout=args.timeout,
-        drain_grace=args.drain_grace,
-        cache_dir=args.cache_dir,
-        age_seconds=args.age_seconds,
-        store_dir=args.store_dir,
-        quota_rate=args.quota_rate,
-        quota_burst=args.quota_burst,
-        metrics_port=args.metrics_port,
-    )
+    config = _serve_config(args)
     if args.cluster > 0:
         from repro.service.cluster import run_cluster
 
@@ -447,6 +434,61 @@ def cmd_serve(args) -> int:
     else:
         asyncio.run(serve(config))
     return 0
+
+
+#: ``repro serve`` flags that set a ``ServiceConfig`` field (besides
+#: ``--host``/``--port``): flag -> (field, type, help).  No flag has a
+#: default of its own; ``cmd_serve`` passes only the flags given.
+_SERVE_FLAGS: dict[str, tuple[str, type, str]] = {
+    "--jobs": ("workers", int, "worker processes"),
+    "--queue-depth": (
+        "queue_depth", int,
+        "max queued jobs before submissions are rejected",
+    ),
+    "--timeout": (
+        "default_timeout", float,
+        "default per-job wall-clock budget, seconds",
+    ),
+    "--drain-grace": (
+        "drain_grace", float,
+        "SIGTERM drain budget for accepted jobs, seconds",
+    ),
+    "--cache-dir": (
+        "cache_dir", str,
+        "cache directory for workers (default: REPRO_CACHE_DIR)",
+    ),
+    "--store-dir": (
+        "store_dir", str,
+        "shared result-store directory (default: REPRO_STORE_DIR or "
+        "store/ inside the cache directory; single node: off unless set)",
+    ),
+    "--age-seconds": (
+        "age_seconds", float,
+        "promote queue entries one priority level after waiting this "
+        "long (default: aging off)",
+    ),
+    "--quota-rate": (
+        "quota_rate", float,
+        "per-client submissions per second (token bucket; 0 = unlimited)",
+    ),
+    "--quota-burst": ("quota_burst", int, "per-client token-bucket burst"),
+    "--metrics-port": (
+        "metrics_port", int,
+        "also serve GET /metrics over plain HTTP on this port "
+        "(0 picks a free port, printed on startup; default: off)",
+    ),
+}
+
+
+def _serve_config(args):
+    """The ``ServiceConfig`` of the ``serve`` flags given; the dataclass
+    fills every other field."""
+    import dataclasses
+
+    from repro.service.server import ServiceConfig
+
+    fields = tuple(f.name for f in dataclasses.fields(ServiceConfig))
+    return ServiceConfig(**_given(args, fields))
 
 
 def _parse_task_spec(spec: str, default_scale: str | None) -> dict:
@@ -476,12 +518,13 @@ def _parse_task_spec(spec: str, default_scale: str | None) -> dict:
 
 
 def _given(args, fields: tuple[str, ...]) -> dict:
-    """The payload ``fields`` whose flags were given (a payload flag's
-    ``dest`` is its field name); the normalizer fills the others."""
+    """The ``fields`` whose flags were given (a flag's ``dest`` is its
+    field name; a field with no flag is never given); the normalizer or
+    the config type fills the others."""
     return {
         field: getattr(args, field)
         for field in fields
-        if getattr(args, field) is not None
+        if getattr(args, field, None) is not None
     }
 
 
@@ -879,34 +922,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_cache)
 
-    p = sub.add_parser("serve", help="run the async simulation service")
+    p = sub.add_parser(
+        "serve",
+        help="run the async simulation service",
+        description=(
+            "Run the service. An omitted flag takes the default of its "
+            "field in repro.service.server.ServiceConfig."
+        ),
+    )
     _endpoint_flags(p)
-    p.add_argument(
-        "--jobs", type=int, default=2, help="worker processes (default 2)"
-    )
-    p.add_argument(
-        "--queue-depth",
-        type=int,
-        default=64,
-        help="max queued jobs before submissions are rejected (default 64)",
-    )
-    p.add_argument(
-        "--timeout",
-        type=float,
-        default=300.0,
-        help="default per-job wall-clock budget, seconds (default 300)",
-    )
-    p.add_argument(
-        "--drain-grace",
-        type=float,
-        default=30.0,
-        help="SIGTERM drain budget for accepted jobs, seconds (default 30)",
-    )
-    p.add_argument(
-        "--cache-dir",
-        default=None,
-        help="cache directory for workers (default: REPRO_CACHE_DIR)",
-    )
+    p.set_defaults(host=None, port=None)
+    for flag, (field, kind, text) in _SERVE_FLAGS.items():
+        p.add_argument(flag, type=kind, dest=field, help=text)
     p.add_argument(
         "--cluster",
         type=int,
@@ -918,52 +945,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument(
-        "--store-dir",
-        default=None,
-        help=(
-            "shared result-store directory (default: REPRO_STORE_DIR or "
-            "store/ inside the cache directory; single node: off unless set)"
-        ),
-    )
-    p.add_argument(
-        "--age-seconds",
-        type=float,
-        default=None,
-        help=(
-            "promote queue entries one priority level after waiting this "
-            "long (default: aging off)"
-        ),
-    )
-    p.add_argument(
-        "--quota-rate",
-        type=float,
-        default=0.0,
-        help=(
-            "per-client submissions per second "
-            "(token bucket; 0 = unlimited)"
-        ),
-    )
-    p.add_argument(
-        "--quota-burst",
-        type=int,
-        default=8,
-        help="per-client token-bucket burst (default 8)",
-    )
-    p.add_argument(
         "--vnodes",
         type=int,
         default=64,
         help="cluster front: virtual nodes per backend on the ring",
-    )
-    p.add_argument(
-        "--metrics-port",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help=(
-            "also serve GET /metrics over plain HTTP on this port "
-            "(0 picks a free port, printed on startup; default: off)"
-        ),
     )
     p.set_defaults(func=cmd_serve)
 

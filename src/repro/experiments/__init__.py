@@ -13,8 +13,10 @@ One module per table/figure:
   rates of 10/20/30 % (caches + predictor flushed at task start).
 
 Each module exposes ``run(...) -> rows`` and ``main()`` for the command
-line; the benchmark harness under ``benchmarks/`` wraps the same entry
-points.  Scale and instance counts default to quick settings and are
+line; ``benchmarks/bench_table3.py``, ``bench_figure2/3/4.py`` and
+``bench_ablations.py`` wrap the same entry points and assert the
+paper's claims, and ``perfbench``'s ``sim-cells`` workload times their
+cells.  Scale and instance counts default to quick settings and are
 overridable via ``REPRO_SCALE`` / ``REPRO_INSTANCES`` (see DESIGN.md §6).
 :data:`EXPERIMENT_NAMES` is the one list of drivers: ``repro
 experiment`` and the service's ``experiment`` job kind both take it.

@@ -11,6 +11,7 @@ down in one place.  Every check raises :class:`~repro.errors.ProtocolError`;
 from __future__ import annotations
 
 import hashlib
+import math
 from typing import Any
 
 from repro.errors import ProtocolError
@@ -87,6 +88,33 @@ def int_field(payload: JSONDict, name: str, default: int, lo: int, hi: int) -> i
     )
     _require(lo <= int(value) <= hi, f"{name} must be in [{lo}, {hi}]")
     return int(value)
+
+
+def number_field(
+    payload: JSONDict,
+    name: str,
+    default: float | None,
+    lo: float,
+    hi: float = math.inf,
+    *,
+    closed: bool = False,
+    where: str = "",
+) -> float:
+    """Number field ``name`` in ``(lo, hi]``, or ``[lo, hi]`` when
+    ``closed`` (``default`` when absent; ``None``: required).  A bool is
+    not a number."""
+    value = payload.get(name, default)
+    _require(
+        isinstance(value, (int, float)) and not isinstance(value, bool),
+        f"{where}{name} must be a number",
+    )
+    number = float(value)
+    above = number >= lo if closed else number > lo
+    _require(
+        above and number <= hi,
+        f"{where}{name} must be in {'[' if closed else '('}{lo:g}, {hi:g}]",
+    )
+    return number
 
 
 def bool_field(payload: JSONDict, name: str, default: bool) -> bool:

@@ -50,6 +50,7 @@ from repro.jobfields import (
     check_no_extras,
     engine_field,
     int_field,
+    number_field,
     payload_digest,
     scale_field,
     workload_field,
@@ -82,19 +83,6 @@ AET_SCALE_RATIO = 4.0
 
 
 # -- payload normalization -------------------------------------------------------
-
-
-def _positive_seconds(value: Any, what: str, upper: float) -> float:
-    _require(
-        isinstance(value, (int, float)) and not isinstance(value, bool),
-        f"{what} must be a number (seconds)",
-    )
-    seconds = float(value)
-    _require(
-        0.0 < seconds <= upper,
-        f"{what} must be in (0, {upper:g}] seconds",
-    )
-    return seconds
 
 
 def normalize_payload(payload: JSONDict) -> JSONDict:
@@ -141,15 +129,12 @@ def normalize_payload(payload: JSONDict) -> JSONDict:
         )
         _require(name not in names, f"duplicate task name {name!r}")
         names.add(name)
-        period = _positive_seconds(
-            raw.get("period"), f"tasks[{index}].period", 60.0
-        )
-        deadline = raw.get("deadline")
-        if deadline is None:
+        period = number_field(raw, "period", None, 0.0, 60.0, where=where)
+        if raw.get("deadline") is None:
             deadline_s = period
         else:
-            deadline_s = _positive_seconds(
-                deadline, f"tasks[{index}].deadline", 60.0
+            deadline_s = number_field(
+                raw, "deadline", None, 0.0, 60.0, where=where
             )
             _require(
                 deadline_s <= period,
@@ -171,20 +156,12 @@ def normalize_payload(payload: JSONDict) -> JSONDict:
     )
     engine = engine_field(payload)
     threads = int_field(payload, "background_threads", 0, 0, 8)
-    alpha = payload.get("alpha", 1.0)
-    _require(
-        isinstance(alpha, (int, float)) and not isinstance(alpha, bool),
-        "alpha must be a number",
-    )
-    _require(
-        0.0 < float(alpha) <= 4.0, "alpha must be in (0, 4]"
-    )
     return {
         "tasks": tasks,
         "policy": str(policy),
         "engine": engine,
         "background_threads": threads,
-        "alpha": float(alpha),
+        "alpha": number_field(payload, "alpha", 1.0, 0.0, 4.0),
     }
 
 

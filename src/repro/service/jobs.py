@@ -48,6 +48,7 @@ from repro.jobfields import (
     check_no_extras,
     engine_field,
     int_field,
+    number_field,
     payload_digest,
     scale_field,
     workload_field,
@@ -80,22 +81,15 @@ def _normalize_run(payload: JSONDict) -> JSONDict:
             "deadline must be 'tight', 'loose', or seconds",
         )
     else:
-        _require(
-            isinstance(deadline, (int, float)) and float(deadline) > 0,
-            "deadline must be 'tight', 'loose', or positive seconds",
-        )
-        deadline = float(deadline)
-    flush_rate = payload.get("flush_rate", 0.0)
-    _require(
-        isinstance(flush_rate, (int, float)) and 0.0 <= float(flush_rate) <= 1.0,
-        "flush_rate must be in [0, 1]",
-    )
+        deadline = number_field(payload, "deadline", None, 0.0)
     return {
         "workload": workload_field(payload),
         "scale": scale_field(payload),
         "deadline": deadline,
         "instances": int_field(payload, "instances", 12, 1, 1000),
-        "flush_rate": float(flush_rate),
+        "flush_rate": number_field(
+            payload, "flush_rate", 0.0, 0.0, 1.0, closed=True
+        ),
         "no_cache": bool_field(payload, "no_cache", False),
     }
 
@@ -115,14 +109,10 @@ def _normalize_wcet(payload: JSONDict) -> JSONDict:
         payload,
         frozenset({"workload", "source", "scale", "freq_mhz", "engine"}),
     )
-    freq = payload.get("freq_mhz", DEFAULT_FREQ_MHZ)
-    _require(
-        isinstance(freq, (int, float)) and float(freq) > 0,
-        "freq_mhz must be a positive number",
-    )
-    engine = engine_field(payload)
     return {
-        **_program_fields(payload), "freq_mhz": float(freq), "engine": engine
+        **_program_fields(payload),
+        "freq_mhz": number_field(payload, "freq_mhz", DEFAULT_FREQ_MHZ, 0.0),
+        "engine": engine_field(payload),
     }
 
 
@@ -166,8 +156,8 @@ def _normalize_noop(payload: JSONDict) -> JSONDict:
     """Synthetic job: optional sleep plus payload echo.
 
     ``tag`` keys the coalesce digest, so two noops coalesce exactly when
-    their tags (and sleeps) match — which is what cluster tests and the
-    serving-layer benchmarks rely on.
+    their tags (and sleeps) match — which is what the cluster tests and
+    smoke checks rely on.
     """
     check_no_extras(payload, frozenset({"tag", "sleep_ms", "echo"}))
     tag = payload.get("tag", "")

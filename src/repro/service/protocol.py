@@ -43,9 +43,9 @@ PROTOCOL_VERSION = 1
 REQUEST_TYPES = frozenset({"submit", "status", "metrics", "ping"})
 
 #: Job kinds accepted at launch.  ``noop`` is a synthetic job (optional
-#: sleep + payload echo) used for health probes, failover tests, and
-#: serving-layer benchmarks — it exercises routing, queueing, and
-#: coalescing without simulating anything.
+#: sleep + payload echo) used for health probes, failover tests and the
+#: service and cluster smoke checks — it exercises routing, queueing,
+#: and coalescing without simulating anything.
 JOB_KINDS = frozenset({"run", "wcet", "lint", "experiment", "noop", "admit"})
 
 #: Response/event types the client understands.

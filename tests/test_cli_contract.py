@@ -1,4 +1,5 @@
-"""The CLI's contract with the job normalizers, pinned byte for byte.
+"""The CLI's contract with the job normalizers and the daemon config,
+pinned byte for byte.
 
 ``repro submit`` sends only the flags it was given and leaves every
 default to ``jobs.normalize``; the coalesce keys below were recorded
@@ -6,17 +7,20 @@ when the submit parser still restated those defaults itself, so both
 spellings must key the same job.  The local commands' stdout
 (``tests/golden/cli_stdout.json``, one entry per command line, run in a
 directory holding ``task.c``, ``task.s`` and ``bad.s``) is compared
-exactly.  Neither is ever re-recorded.
+exactly.  Neither is ever re-recorded.  ``repro serve`` likewise passes
+only the flags given, and ``ServiceConfig`` fills the rest.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.cli import _submit_payload, build_parser, main
+from repro.cli import _serve_config, _submit_payload, build_parser, main
 from repro.rt import admission
 from repro.service import jobs
+from repro.service.server import ServiceConfig
 from tests.test_cli import ASM, MINIC
 
 #: ``repro submit KIND TARGET`` targets.
@@ -93,6 +97,40 @@ def test_wcet_defaults_key_is_pinned():
         "engine": "static",
     }
     assert jobs.coalesce_key("wcet", payload) == "e65ac29b7fb79837312053f0"
+
+
+#: ``repro serve`` config flags: field -> (flag, argument, field value).
+SERVE_FLAGS = {
+    "host": ("--host", "0.0.0.0", "0.0.0.0"),
+    "port": ("--port", "0", 0),
+    "workers": ("--jobs", "3", 3),
+    "queue_depth": ("--queue-depth", "5", 5),
+    "default_timeout": ("--timeout", "1.5", 1.5),
+    "drain_grace": ("--drain-grace", "2", 2.0),
+    "cache_dir": ("--cache-dir", "cache", "cache"),
+    "age_seconds": ("--age-seconds", "0.5", 0.5),
+    "store_dir": ("--store-dir", "store", "store"),
+    "quota_rate": ("--quota-rate", "3", 3.0),
+    "quota_burst": ("--quota-burst", "4", 4),
+    "metrics_port": ("--metrics-port", "0", 0),
+}
+
+
+def test_every_config_field_but_history_limit_has_a_serve_flag():
+    fields = {f.name for f in dataclasses.fields(ServiceConfig)}
+    assert set(SERVE_FLAGS) == fields - {"history_limit"}
+
+
+@pytest.mark.parametrize("field", [None, *sorted(SERVE_FLAGS)])
+def test_serve_flags_build_the_service_config(field):
+    """No flag gives every ``ServiceConfig`` default; one flag sets only
+    its field."""
+    if field is None:
+        argv, want = [], ServiceConfig()
+    else:
+        flag, text, value = SERVE_FLAGS[field]
+        argv, want = [flag, text], ServiceConfig(**{field: value})
+    assert _serve_config(build_parser().parse_args(["serve", *argv])) == want
 
 
 @pytest.fixture

@@ -1,8 +1,11 @@
-"""Documentation hygiene: every public item carries a docstring."""
+"""Documentation hygiene: every public item carries a docstring, and
+every script the live documents name exists."""
 
 import importlib
 import inspect
+import pathlib
 import pkgutil
+import re
 
 import repro
 
@@ -39,11 +42,33 @@ def test_every_public_class_and_function_has_a_docstring():
     assert not missing, f"public items without docstrings: {missing}"
 
 
-def test_docs_exist_and_are_substantial():
-    import pathlib
+ROOT = pathlib.Path(repro.__file__).resolve().parents[2]
 
-    root = pathlib.Path(repro.__file__).resolve().parents[2]
+#: The live documents (CHANGES.md is history and may name retired
+#: scripts).
+LIVE_DOCS = (
+    "README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md",
+    "docs/*.md", "perfbench/README.md", ".claude/skills/verify/SKILL.md",
+    ".github/workflows/ci.yml", "src/repro/experiments/__init__.py",
+)
+
+
+def test_referenced_scripts_exist():
+    named = {
+        (str(doc.relative_to(ROOT)), script)
+        for pattern in LIVE_DOCS
+        for doc in ROOT.glob(pattern)
+        for script in re.findall(
+            r"\b(?:benchmarks|perfbench)/[\w/]+\.py", doc.read_text()
+        )
+    }
+    assert named, "no script references found; is the pattern stale?"
+    missing = sorted(pair for pair in named if not (ROOT / pair[1]).exists())
+    assert not missing, f"documents name missing scripts: {missing}"
+
+
+def test_docs_exist_and_are_substantial():
     for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md"):
-        path = root / doc
+        path = ROOT / doc
         assert path.exists(), doc
         assert len(path.read_text()) > 2000, f"{doc} looks like a stub"

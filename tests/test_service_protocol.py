@@ -224,6 +224,38 @@ def test_normalize_rejects_bad_payloads():
         job_registry.normalize("zap", {})
 
 
+TASK = {"workload": "cnt", "period": 0.01}
+
+
+@pytest.mark.parametrize("kind, field, payload", [
+    ("run", "deadline", {"workload": "cnt", "deadline": True}),
+    ("run", "flush_rate", {"workload": "cnt", "flush_rate": True}),
+    ("wcet", "freq_mhz", {"workload": "cnt", "freq_mhz": True}),
+    ("admit", "period", {"tasks": [{**TASK, "period": True}]}),
+    ("admit", "deadline", {"tasks": [{**TASK, "deadline": True}]}),
+    ("admit", "alpha", {"tasks": [TASK], "alpha": True}),
+])
+def test_normalize_rejects_bool_numbers(kind, field, payload):
+    with pytest.raises(ProtocolError, match=f"{field} must be a number"):
+        job_registry.normalize(kind, payload)
+
+
+@pytest.mark.parametrize("kind, payload, key", [
+    ("run", {"workload": "cnt", "deadline": 2, "flush_rate": 1},
+     "bfb6ab805870c3c371c79386"),
+    ("run", {"workload": "cnt", "deadline": 0.5, "flush_rate": 0},
+     "4d36d9f3365b7133f0c42745"),
+    ("wcet", {"workload": "cnt", "freq_mhz": 500}, "c1192ff1ada89c4e146733d7"),
+    ("admit", {"tasks": [{**TASK, "period": 1, "deadline": 0.5}], "alpha": 4},
+     "d4ca16a7b51d3c1aaf2e6fd2"),
+])
+def test_numeric_fields_keep_their_keys(kind, payload, key):
+    """Ints normalize to floats; the keys were recorded before the
+    numeric fields shared one check."""
+    normalized = job_registry.normalize(kind, payload)
+    assert job_registry.coalesce_key(kind, normalized) == key
+
+
 def test_lint_source_job_executes_inline():
     """Worker-side execution works in-process too (source payload)."""
     payload = job_registry.normalize(
