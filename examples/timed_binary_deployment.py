@@ -5,9 +5,11 @@ The paper's closing idea: append parameterized WCET information to a task
 binary so *any* VISA-compliant processor can admit and schedule it without
 re-running the timing analyzer.  This example plays both roles:
 
-* the **vendor** compiles a task, runs the analyzer once, fits the
-  paper's parameterization (cycles split into frequency-scaling and
-  memory-latency-scaling components), and ships a single JSON artifact;
+* the **vendor** compiles a task, runs the analyzer once over the whole
+  DVS stall range, packages the paper's parameterization (per sub-task,
+  the exact line ``base + misses * stall``: cycles that scale with the
+  frequency and cycles that scale with the memory latency), and ships a
+  single JSON artifact;
 * the **deployment** loads the artifact, checks the VISA fingerprint,
   evaluates WCETs at its own DVS operating points with no analyzer in
   sight, and runs the task under the full VISA runtime using only the
@@ -16,6 +18,7 @@ re-running the timing analyzer.  This example plays both roles:
 Run:  python examples/timed_binary_deployment.py
 """
 
+import os
 import tempfile
 
 from repro import DVSTable, RuntimeConfig, VISARuntime, VISASpec
@@ -35,8 +38,9 @@ def vendor_side(path: str) -> None:
     print(f"  shipped {len(text)} bytes: {len(binary.params)} sub-task WCET "
           f"params, VISA fingerprint {binary.fingerprint}")
     for k, p in enumerate(binary.params[:3]):
-        print(f"    sub-task {k}: {p.base_cycles} cycles "
-              f"+ {p.stall_slope:.2f}/stall-cycle + {p.dmiss_bound} D-misses")
+        base, misses = p.line
+        print(f"    sub-task {k}: {base} + {misses}*stall cycles "
+              f"+ {p.dmiss_bound} D-misses")
 
 
 def deployment_side(path: str) -> None:
@@ -83,8 +87,11 @@ def deployment_side(path: str) -> None:
 def main() -> None:
     with tempfile.NamedTemporaryFile(suffix=".timedbin", delete=False) as fh:
         path = fh.name
-    vendor_side(path)
-    deployment_side(path)
+    try:
+        vendor_side(path)
+        deployment_side(path)
+    finally:
+        os.unlink(path)
 
 
 if __name__ == "__main__":

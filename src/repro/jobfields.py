@@ -102,13 +102,18 @@ def number_field(
 ) -> float:
     """Number field ``name`` in ``(lo, hi]``, or ``[lo, hi]`` when
     ``closed`` (``default`` when absent; ``None``: required).  A bool is
-    not a number."""
+    not a number, and neither is ``Infinity`` or ``NaN``, which
+    ``json.loads`` accepts."""
     value = payload.get(name, default)
     _require(
         isinstance(value, (int, float)) and not isinstance(value, bool),
         f"{where}{name} must be a number",
     )
-    number = float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an int too large for a float
+        number = math.inf
+    _require(math.isfinite(number), f"{where}{name} must be finite")
     above = number >= lo if closed else number > lo
     _require(
         above and number <= hi,

@@ -10,8 +10,11 @@ simple pipeline's timing:
    calls :func:`advance` with its exact I-cache outcomes; and
 3. the static WCET analyzer (:mod:`repro.wcet.analyzer`), which runs
    :func:`advance_block` -- the same recurrence unrolled over one basic
-   block -- with worst-case inputs.  ``tests/test_inorder_engine.py``
-   pins the block form to :func:`advance` instruction by instruction.
+   block -- with worst-case inputs, or :func:`advance_block_env`, its
+   form over timing values that are lines in the memory stall.
+   ``tests/test_inorder_engine.py`` pins the block form to
+   :func:`advance` instruction by instruction, and the line form to the
+   block form at every stall of a range.
 
 Sharing the recurrence removes any possibility of drift between the
 simulator and the analyzer; the safety invariant WCET >= actual then rests
@@ -40,6 +43,7 @@ Pipeline timing rules (paper §3.1)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 from repro.isa.instruction import Instruction
 
@@ -249,6 +253,70 @@ def advance_block(
         front0, front1, front2 = front1, front2, ex_start
     if penalty:
         redirect = ex_free + BRANCH_PENALTY - _FRONT_DEPTH + 1
+
+    timing.last_fetch = last_fetch
+    timing.ex_free = ex_free
+    timing.mem_free = mem_free
+    timing.prev_mem_start = prev_mem_start
+    timing.redirect = redirect
+    timing.front_occupancy = (front0, front1, front2)
+    return cache_block
+
+
+def advance_block_env(
+    timing: TimingState,
+    insts: tuple[BlockInst, ...],
+    cache_block: int | None,
+    covered: set[int] | frozenset[int],
+    stall: Any,
+    penalty: bool,
+    vmax: Callable[[Any, Any], Any],
+) -> int | None:
+    """:func:`advance_block` over stall-dependent timing values.
+
+    The same recurrence with every comparison written as the maximum it
+    computes, so it runs on any values closed under ``+`` and ``vmax``:
+    the analyzer's range pass passes the lines of
+    :mod:`repro.wcet.envelope`, ``stall`` as the line ``0 + 1 * stall``
+    and :meth:`~repro.wcet.envelope.StallRange.vmax`.  With plain ints
+    and ``max`` it computes exactly what :func:`advance_block` does, but
+    a scalar pass through it takes twice as long (a call per
+    comparison), so the scalar pass keeps :func:`advance_block`.
+    """
+    last_fetch = timing.last_fetch
+    ex_free = timing.ex_free
+    mem_free = timing.mem_free
+    prev_mem_start = timing.prev_mem_start
+    redirect = timing.redirect
+    front0, front1, front2 = timing.front_occupancy
+    reg_ready = timing.reg_ready
+    for block, sources, dest, latency, is_load in insts:
+        fetch = vmax(vmax(last_fetch + 1, redirect), front0)
+        if block != cache_block:
+            cache_block = block
+            if block not in covered:
+                fetch = fetch + stall
+
+        ex_start = vmax(
+            vmax(fetch + _FRONT_DEPTH, ex_free + 1), prev_mem_start
+        )
+        for src in sources:
+            ready = reg_ready.get(src)
+            if ready is not None:
+                ex_start = vmax(ex_start, ready)
+        ex_end = ex_start + (latency - 1)
+
+        mem_start = vmax(ex_end, mem_free) + 1
+        if dest is not None:
+            reg_ready[dest] = mem_start + 1 if is_load else ex_end + 1
+
+        last_fetch = fetch
+        ex_free = ex_end
+        mem_free = mem_start
+        prev_mem_start = mem_start
+        front0, front1, front2 = front1, front2, ex_start
+    if penalty:
+        redirect = ex_free + (BRANCH_PENALTY - _FRONT_DEPTH + 1)
 
     timing.last_fetch = last_fetch
     timing.ex_free = ex_free

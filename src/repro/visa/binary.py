@@ -10,30 +10,38 @@ the timing analyzer:
     parameterized in terms of worst-case memory latency since the memory
     sub-system is outside the influence of processor design."
 
-Per sub-task *k* we store an affine bound
+Per sub-task *k* we store the pipeline WCET as an integer line
 
-    WCET_k(stall) <= base_k + slope_k * stall_cycles
+    WCET_k(stall) = base_k + misses_k * stall
 
-where ``stall_cycles = ceil(f * mem_stall_ns)`` is the worst-case memory
-stall at the deployment frequency.  The pair is fitted over the analyzer's
-results across the whole DVS stall range and *verified* to dominate every
-exact analysis in that range, so the packaged bound is safe wherever the
-deployment's memory latency and frequency fall inside the declared
-envelope.  A VISA fingerprint ties the numbers to the exact pipeline
-specification they were derived for.
+plus a worst-case D-cache miss count that costs one stall each, where
+``stall = ceil(f * mem_stall_ns)`` is the worst-case memory stall at the
+deployment frequency.  The line is the analyzer's range pass
+(:meth:`repro.wcet.analyzer.WCETAnalyzer.stall_lines`): it *equals* the
+analysis at every integer stall of the certified range, so the packaged
+bound is exact, not a fit, wherever the deployment's memory latency and
+frequency fall inside the declared envelope.  A program whose bound is
+no line on that range (the range pass fell back; no workload program
+does) gets the lowest line at or above the analysis at every integer
+stall of the range instead: safe, but not exact.  A VISA fingerprint
+ties the numbers to the exact pipeline specification they were derived
+for.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 from repro.errors import ReproError
 from repro.isa.program import Program
 from repro.memory.machine import mem_stall_cycles
 from repro.visa.spec import VISASpec
-from repro.wcet.analyzer import SubtaskWCET, TaskWCET
+from repro.wcet.analyzer import DVS_RANGE_HZ, SubtaskWCET, TaskWCET
+from repro.wcet.envelope import Line
+
+#: Format tag of :func:`dumps`; ``-1`` stored a fitted affine bound.
+FORMAT = "rtp32-timed-binary-2"
 
 
 def visa_fingerprint(spec: VISASpec) -> str:
@@ -48,18 +56,17 @@ def visa_fingerprint(spec: VISASpec) -> str:
 
 @dataclass
 class WCETParam:
-    """Affine per-sub-task WCET bound in the paper's parameterization."""
+    """Per-sub-task WCET in the paper's parameterization."""
 
-    base_cycles: int  # frequency-independent component
-    stall_slope: float  # extra cycles per memory-stall cycle
+    #: ``(base cycles, I-cache misses charged)``: the pipeline WCET is
+    #: ``base + misses * stall``.
+    line: Line
     dmiss_bound: int  # worst-case D-cache misses (each costs one stall)
 
     def cycles(self, stall_cycles: int) -> int:
-        return (
-            self.base_cycles
-            + math.ceil(self.stall_slope * stall_cycles)
-            + self.dmiss_bound * stall_cycles
-        )
+        """Pipeline WCET cycles (D-miss padding excluded) at a stall."""
+        base, misses = self.line
+        return base + misses * stall_cycles
 
 
 @dataclass
@@ -96,8 +103,7 @@ class TimedBinary:
             task.subtasks.append(
                 SubtaskWCET(
                     index=index,
-                    cycles=param.base_cycles
-                    + math.ceil(param.stall_slope * stall),
+                    cycles=param.cycles(stall),
                     stall=stall,
                     dmiss_bound=param.dmiss_bound,
                 )
@@ -109,59 +115,24 @@ def attach_wcet(
     program: Program,
     spec: VISASpec | None = None,
     dcache_bounds: list[int] | None = None,
-    freq_range: tuple[float, float] = (100e6, 1e9),
 ) -> TimedBinary:
     """Analyze ``program`` and package portable WCET parameters.
 
-    Fits the affine per-sub-task bound over the stall range implied by
-    ``freq_range`` and verifies it dominates the exact analysis at every
-    DVS-grid stall value (25 MHz steps).
+    The certified stall range is the DVS table's, from 100 MHz to 1 GHz
+    (:data:`repro.wcet.analyzer.DVS_RANGE_HZ`).
     """
     spec = spec or VISASpec()
-    stall_lo = spec.stall_cycles(freq_range[0])
-    stall_hi = spec.stall_cycles(freq_range[1])
-
-    grid_hz = [
-        f
-        for f in (freq_range[0] + 25e6 * i for i in range(10_000))
-        if f <= freq_range[1] + 1
-    ]
-    tasks = {f: spec.wcet(program, f, dcache_bounds) for f in grid_hz}
-    count = len(tasks[grid_hz[0]].subtasks)
-
-    params: list[WCETParam] = []
-    for k in range(count):
-        lo_cycles = tasks[grid_hz[0]].subtasks[k].cycles
-        hi_cycles = tasks[grid_hz[-1]].subtasks[k].cycles
-        lo_stall = tasks[grid_hz[0]].stall
-        hi_stall = tasks[grid_hz[-1]].stall
-        if hi_stall == lo_stall:
-            slope = 0.0
-        else:
-            slope = (hi_cycles - lo_cycles) / (hi_stall - lo_stall)
-        base = lo_cycles - slope * lo_stall
-        # Raise the intercept until the affine bound dominates every grid
-        # point (analysis is near-affine in the stall, but not exactly).
-        shortfall = 0
-        for f in grid_hz:
-            task = tasks[f]
-            bound = base + slope * task.stall
-            exact = task.subtasks[k].cycles
-            shortfall = max(shortfall, math.ceil(exact - bound))
-        dmiss = tasks[grid_hz[0]].subtasks[k].dmiss_bound
-        params.append(
-            WCETParam(
-                base_cycles=int(math.ceil(base)) + shortfall,
-                stall_slope=slope,
-                dmiss_bound=dmiss,
-            )
-        )
+    lines = spec.wcet_lines(program)
+    bounds = dcache_bounds or [0] * len(lines)
     return TimedBinary(
         program=program,
         fingerprint=visa_fingerprint(spec),
         mem_stall_ns=spec.mem_stall_ns,
-        stall_range=(min(stall_lo, stall_hi), max(stall_lo, stall_hi)),
-        params=params,
+        stall_range=tuple(spec.stall_cycles(f) for f in DVS_RANGE_HZ),
+        params=[
+            WCETParam(line=line, dmiss_bound=dmiss)
+            for line, dmiss in zip(lines, bounds, strict=True)
+        ],
     )
 
 
@@ -172,14 +143,13 @@ def dumps(binary: TimedBinary) -> str:
     program = binary.program
     return json.dumps(
         {
-            "format": "rtp32-timed-binary-1",
+            "format": FORMAT,
             "fingerprint": binary.fingerprint,
             "mem_stall_ns": binary.mem_stall_ns,
             "stall_range": list(binary.stall_range),
             "wcet": [
                 {
-                    "base_cycles": p.base_cycles,
-                    "stall_slope": p.stall_slope,
+                    "line": list(p.line),
                     "dmiss_bound": p.dmiss_bound,
                 }
                 for p in binary.params
@@ -206,11 +176,18 @@ def loads(text: str) -> TimedBinary:
     """Load a timed binary produced by :func:`dumps`.
 
     Raises:
-        ReproError: on an unknown format tag.
+        ReproError: on an unknown format tag, or on format 1, whose
+            fitted bound this version no longer reads.
     """
     payload = json.loads(text)
-    if payload.get("format") != "rtp32-timed-binary-1":
-        raise ReproError(f"unknown binary format {payload.get('format')!r}")
+    tag = payload.get("format")
+    if tag == "rtp32-timed-binary-1":
+        raise ReproError(
+            "timed binary format rtp32-timed-binary-1 stores a fitted "
+            f"bound; re-package the program with `repro pack` ({FORMAT})"
+        )
+    if tag != FORMAT:
+        raise ReproError(f"unknown binary format {tag!r}")
     prog = payload["program"]
     program = Program(
         words=list(prog["words"]),
@@ -229,8 +206,7 @@ def loads(text: str) -> TimedBinary:
         stall_range=tuple(payload["stall_range"]),
         params=[
             WCETParam(
-                base_cycles=entry["base_cycles"],
-                stall_slope=entry["stall_slope"],
+                line=tuple(entry["line"]),
                 dmiss_bound=entry["dmiss_bound"],
             )
             for entry in payload["wcet"]

@@ -10,10 +10,13 @@ A :class:`VISASpec` is the contract between three parties:
 Keeping it in one object makes the "same VISA" relationship explicit and
 lets tests verify all three parties agree.
 
-:meth:`VISASpec.wcet` is the one place the runtimes, experiment set-up,
-admission control and timed binaries get their WCETs from.  It shares
-one *private* analyzer per ``(spec, program)`` across the whole process,
-so each memory-stall count is analyzed once, not once per runtime.
+:meth:`VISASpec.wcet` is the one place the runtimes, experiment set-up
+and admission control get their WCETs from, and :meth:`VISASpec.wcet_lines`
+the one place timed binaries get theirs.  Both share one *private*
+analyzer per ``(spec, program)`` across the whole process, so every
+memory-stall count of the DVS range costs at most two analysis passes
+per process (see :meth:`repro.wcet.analyzer.WCETAnalyzer.analyze`), not
+a pass per stall and runtime.
 """
 
 from __future__ import annotations
@@ -28,10 +31,11 @@ from repro.memory.machine import Machine, MachineConfig, mem_stall_cycles
 from repro.pipelines.inorder_engine import BRANCH_PENALTY
 from repro.snapshot.state import program_digest
 from repro.wcet.analyzer import TaskWCET, WCETAnalyzer
+from repro.wcet.envelope import Line
 
 #: Private analyzers behind :meth:`VISASpec.wcet`, keyed by
 #: ``(spec, program_digest(program))``, least recently used first.  Each
-#: keeps its own per-stall result cache and is never handed to a caller,
+#: keeps its own results and is never handed to a caller,
 #: so no caller-side mutation (loop bounds, ``run_cls``, D-cache bounds)
 #: can leak into a shared result.
 _SHARED: "OrderedDict[tuple[VISASpec, str], WCETAnalyzer]" = OrderedDict()
@@ -87,6 +91,24 @@ class VISASpec:
         but the pipeline analysis comes from the process-wide shared
         analyzer; the D-cache padding is applied per call.
         """
+        task = self._shared(program, lambda analyzer: analyzer.analyze(freq_hz))
+        if dcache_bounds is not None:
+            for sub in task.subtasks:
+                sub.dmiss_bound = dcache_bounds[sub.index]
+        return task
+
+    def wcet_lines(self, program: Program) -> tuple[Line, ...]:
+        """Per-sub-task pipeline WCET lines over the DVS stall range.
+
+        :meth:`repro.wcet.analyzer.WCETAnalyzer.stall_lines` of the
+        shared analyzer: a safe ``(base, misses)`` line per sub-task,
+        exact at every stall of the range unless the range pass fell
+        back.
+        """
+        return self._shared(program, WCETAnalyzer.stall_lines)
+
+    def _shared(self, program: Program, query):
+        """``query(analyzer)`` on the shared analyzer of ``program``."""
         key = (self, program_digest(program))
         # Held across the analysis too: an analyzer's memo tables are not
         # safe to fill from two threads at once (and the GIL serializes
@@ -99,11 +121,7 @@ class VISASpec:
                     _SHARED.popitem(last=False)
             else:
                 _SHARED.move_to_end(key)
-            task = analyzer.analyze(freq_hz)
-        if dcache_bounds is not None:
-            for sub in task.subtasks:
-                sub.dmiss_bound = dcache_bounds[sub.index]
-        return task
+            return query(analyzer)
 
     def stall_cycles(self, freq_hz: float) -> int:
         """Worst-case memory stall in cycles at ``freq_hz``."""

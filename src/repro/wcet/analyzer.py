@@ -27,25 +27,40 @@ Safety argument (tested, not assumed):
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial, reduce
 from typing import NamedTuple
 
 from repro.errors import AnalysisError
 from repro.isa.program import Program
 from repro.memory.cache import CacheConfig
 from repro.memory.machine import WORST_CASE_MEM_STALL_NS, mem_stall_cycles
-from repro.pipelines.inorder_engine import BlockInst, advance_block, block_insts
+from repro.pipelines.inorder_engine import (
+    BlockInst,
+    advance_block,
+    advance_block_env,
+    block_insts,
+)
 from repro.wcet.cfg import BasicBlock, FunctionCFG, build_cfg
+from repro.wcet.envelope import STALL, Line, RangeFallback, StallRange, unpack
 from repro.wcet.icache_static import ScopeCacheInfo, scope_info
 from repro.wcet.loops import Loop, find_loops
 from repro.wcet.pipeline_model import PathState, edge_penalty, merge
 
-#: Analysis passes (``run_cls(...).region_cycles()``, one per analyzer and
-#: memory-stall count) since process start or the caller's last
-#: ``STATS.clear()``.  Tests use it to verify that the shared analysis
-#: behind :meth:`repro.visa.spec.VISASpec.wcet` really skips re-solves.
+#: Counters since process start or the caller's last ``STATS.clear()``:
+#: ``passes`` counts analysis passes (``run_cls(...).region_cycles()``),
+#: a scalar pass at one memory-stall count or a range pass over the
+#: analyzer's whole :attr:`WCETAnalyzer.stall_range`; ``fallbacks``
+#: counts range passes that gave up (see :meth:`WCETAnalyzer.analyze`).
+#: Tests use them to verify that an analyzer, and the shared analysis
+#: behind :meth:`repro.visa.spec.VISASpec.wcet`, really skip re-solves.
 STATS = Counter()
+
+#: The DVS frequencies whose memory stalls bound a range pass: the ends
+#: of the XScale table (:meth:`repro.visa.dvs.DVSTable.xscale`).
+DVS_RANGE_HZ = (100e6, 1e9)
 
 
 @dataclass
@@ -135,10 +150,10 @@ class BlockPlan(NamedTuple):
 class WCETAnalyzer:
     """Static worst-case timing analyzer for one program."""
 
-    #: Analysis-pass class instantiated per memory-stall count.  The
-    #: seeded-defect corpus (tests/test_wcet_oracle_defects.py) swaps in
-    #: deliberately broken subclasses of ``_Run``; production code never
-    #: overrides this.
+    #: Analysis-pass class, instantiated per memory-stall count or stall
+    #: range.  The seeded-defect corpus
+    #: (tests/test_wcet_oracle_defects.py) swaps in deliberately broken
+    #: subclasses of ``_Run``; production code never overrides this.
     run_cls: "type[_Run]"
 
     def __init__(
@@ -166,22 +181,32 @@ class WCETAnalyzer:
         self._scope_plans: dict[tuple[int, int, int | None], ScopePlan] = {}
         self._block_plans: dict[tuple[int, int], BlockPlan] = {}
         self._result_cache: dict[int, list[int]] = {}
+        #: Closed memory-stall range one range pass answers.
+        self.stall_range = tuple(
+            mem_stall_cycles(f, mem_stall_ns) for f in DVS_RANGE_HZ
+        )
+        #: Per-sub-task lines of the range pass; None until it has run,
+        #: or when it fell back.
+        self._lines: tuple[Line, ...] | None = None
+        self._range_tried = False
 
     # -- public API -------------------------------------------------------------
 
     def analyze(self, freq_hz: float = 1e9) -> TaskWCET:
         """Compute per-sub-task WCETs at ``freq_hz``.
 
-        Results are cached per distinct memory-stall cycle count, so
-        sweeping the 37-point DVS table costs at most 37 analysis runs.
+        Results are cached per distinct memory-stall cycle count.  The
+        first stall costs one scalar pass, so a single-frequency caller
+        pays nothing more.  The first later stall inside
+        :attr:`stall_range` runs one range pass, and every stall of the
+        range is then an evaluation of its lines: sweeping the 37-point
+        DVS table costs two passes.  Where the range pass cannot stay
+        exact it falls back, and each stall gets its own scalar pass, as
+        do stalls outside the range; the answer is the same either way.
         """
         stall = mem_stall_cycles(freq_hz, self.mem_stall_ns)
-        if stall not in self._result_cache:
-            STATS["passes"] += 1
-            self._result_cache[stall] = self.run_cls(self, stall).region_cycles()
-        cycles = self._result_cache[stall]
         task = TaskWCET(freq_hz=freq_hz, stall=stall)
-        for index, c in enumerate(cycles):
+        for index, c in enumerate(self._cycles(stall)):
             dmiss = 0
             if self.dcache_bounds is not None:
                 dmiss = self.dcache_bounds[index]
@@ -189,6 +214,60 @@ class WCETAnalyzer:
                 SubtaskWCET(index=index, cycles=c, stall=stall, dmiss_bound=dmiss)
             )
         return task
+
+    def stall_lines(self) -> tuple[Line, ...]:
+        """Per-sub-task pipeline WCET as a line over :attr:`stall_range`.
+
+        Sub-task *k* takes at most ``base + misses * stall`` cycles, for
+        ``(base, misses) = lines[k]``, at every integer stall of the
+        range.  From the range pass the line is exact: it equals a
+        scalar pass at every such stall.  Where the range pass falls
+        back, every stall of the range gets its own scalar pass and the
+        line is the lowest one, with the end-to-end slope rounded up,
+        that is at or above all of them: still safe, exact only where
+        the bound is that line.
+        """
+        if self._range_pass():
+            return self._lines
+        lo, hi = self.stall_range
+        columns = zip(*(self._cycles(stall) for stall in range(lo, hi + 1)))
+        lines = []
+        for cycles in columns:
+            misses = -((cycles[0] - cycles[-1]) // max(hi - lo, 1))
+            base = max(c - misses * s for s, c in enumerate(cycles, lo))
+            lines.append((base, misses))
+        return tuple(lines)
+
+    def _cycles(self, stall: int) -> list[int]:
+        """Per-sub-task pipeline cycles at ``stall`` (cached)."""
+        cycles = self._result_cache.get(stall)
+        if cycles is None:
+            lo, hi = self.stall_range
+            if (
+                lo <= stall <= hi
+                and (self._range_tried or self._result_cache)
+                and self._range_pass()
+            ):
+                cycles = [base + misses * stall for base, misses in self._lines]
+            else:
+                STATS["passes"] += 1
+                cycles = self.run_cls(self, stall).region_cycles()
+            self._result_cache[stall] = cycles
+        return cycles
+
+    def _range_pass(self) -> bool:
+        """Run the range pass once; has it given exact lines?"""
+        if not self._range_tried:
+            self._range_tried = True
+            rng = StallRange(*self.stall_range)
+            STATS["passes"] += 1
+            try:
+                values = self.run_cls(self, rng).region_cycles()
+            except RangeFallback:
+                STATS["fallbacks"] += 1
+            else:
+                self._lines = tuple(unpack(value) for value in values)
+        return self._lines is not None
 
     @property
     def num_subtasks(self) -> int:
@@ -413,18 +492,37 @@ def scope_topo_order(
 
 
 class _Run:
-    """One analysis pass at a fixed memory-stall cycle count.
+    """One analysis pass: at one memory-stall cycle count, or over a range.
+
+    A scalar pass (``stall`` an int) times in cycles.  A range pass
+    (``stall`` a :class:`~repro.wcet.envelope.StallRange`) walks the
+    same code with every timing value a line in the stall,
+    ``self.stall`` the line ``0 + 1 * stall``, joins and
+    ``advance_block`` in their line forms, and every ``max`` and loop
+    decision raising :class:`~repro.wcet.envelope.RangeFallback` unless
+    it comes out the same at every stall of the range.
 
     The ``_fm_charge`` / ``_finish`` hooks isolate the two numeric
     decisions the pass makes beyond the shared recurrence — the
     first-miss charge at scope entry and the drained-pipeline frontier at
-    region exit.  The seeded-unsoundness corpus subclasses them to build
+    region exit.  Both only add and multiply, so they run unchanged on
+    lines.  The seeded-unsoundness corpus subclasses them to build
     deliberately broken analyzers the differential oracle must catch.
     """
 
-    def __init__(self, analyzer: WCETAnalyzer, stall: int):
+    def __init__(self, analyzer: WCETAnalyzer, stall: int | StallRange):
         self.a = analyzer
-        self.stall = stall
+        if isinstance(stall, StallRange):
+            self.stall = STALL
+            self._advance = partial(advance_block_env, vmax=stall.vmax)
+            self._merge = partial(merge, vmax=stall.vmax)
+            self._same = stall.same
+            self._worst = partial(reduce, stall.vmax)
+        else:
+            self.stall = stall
+            self._advance = advance_block
+            self._merge = merge
+            self._same, self._worst = operator.eq, max
 
     def _fm_charge(self, count: int) -> int:
         """Cycles charged for ``count`` first-miss blocks at scope entry."""
@@ -460,7 +558,7 @@ class _Run:
                         f"region {region['index']} exits to unexpected "
                         f"{target:#x}"
                     )
-                final = merge(final, st)
+                final = self._merge(final, st)
             if final is None:
                 raise AnalysisError(f"region {region['index']} has no exit")
             cycles.append(self._finish(final))
@@ -491,18 +589,23 @@ class _Run:
         back_state: PathState | None = None
         externals: dict[int | None, PathState] = {}
 
+        merge_into = self._merge
+
         # Every state delivered here is owned by this walk (entry state,
         # per-edge outputs of _block and _loop), so the first arrival at a
         # node, the back edge or an exit is handed over without a copy.
+        def join(held: PathState | None, st: PathState) -> PathState:
+            return st if held is None else merge_into(held, st)
+
         def deliver(target: int | None, st: PathState) -> None:
             nonlocal back_state
             if target is not None and target == backedge_header:
-                back_state = _join(back_state, st)
+                back_state = join(back_state, st)
             elif target is None or target not in node_of:
-                externals[target] = _join(externals.get(target), st)
+                externals[target] = join(externals.get(target), st)
             else:
                 node = node_of[target]
-                in_states[node] = _join(in_states.get(node), st)
+                in_states[node] = join(in_states.get(node), st)
 
         for node in plan.order:
             st = in_states.pop(node, None)
@@ -529,6 +632,7 @@ class _Run:
         """Walk one basic block; returns per-edge (target, state) pairs."""
         plan = self.a.block_plan(fcfg.entry, block)
         stall = self.stall
+        advance_block = self._advance
         if block.call_target is not None:
             state.cache_block = advance_block(
                 state.timing, plan.insts, state.cache_block, covered, stall,
@@ -579,7 +683,7 @@ class _Run:
                 raise AnalysisError(
                     f"function {entry:#x} escapes to {target:#x}"
                 )
-            result = merge(result, st)
+            result = self._merge(result, st)
         if result is None:
             raise AnalysisError(f"function {entry:#x} never returns")
         return result
@@ -595,7 +699,9 @@ class _Run:
 
         Iterates the loop body with the threaded pipeline state until the
         per-iteration cost stabilizes, replicates the remaining iterations
-        at the fixed cost, then runs the exit paths.
+        at the fixed cost, then runs the exit paths.  In a range pass the
+        cost is a line, and each decision (converged or not, the largest
+        cost) must be the same at every stall of the range.
         """
         info = self.a.scope_cache_info(("loop", loop.header), fcfg, loop.blocks)
         fresh = info.persistent - covered
@@ -621,13 +727,13 @@ class _Run:
             costs.append(back.frontier - current.frontier)
             current = back
             done += 1
-            if len(costs) >= 2 and costs[-1] == costs[-2]:
+            if len(costs) >= 2 and self._same(costs[-1], costs[-2]):
                 converged = True
                 break
             if done >= self.a.fixpoint_cap:
                 break
         if done < loop.bound and done > 0:
-            per_iter = costs[-1] if converged else max(costs)
+            per_iter = costs[-1] if converged else self._worst(costs)
             current = current.shift(per_iter * (loop.bound - done))
         _, externals = self._walk(
             fcfg,
@@ -641,11 +747,6 @@ class _Run:
         if not externals:
             raise AnalysisError(f"loop at {loop.header:#x} has no exit")
         return externals
-
-
-def _join(held: PathState | None, st: PathState) -> PathState:
-    """Join ``st`` into ``held``, adopting ``st`` itself if it is first."""
-    return st if held is None else merge(held, st)
 
 
 WCETAnalyzer.run_cls = _Run

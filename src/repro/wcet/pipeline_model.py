@@ -22,6 +22,7 @@ The path state and join rules the static analyzer threads through the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable
 
 from repro.isa.instruction import Instruction
 from repro.pipelines.inorder_engine import TimingState
@@ -62,35 +63,43 @@ class PathState:
         return self.timing.mem_free + 1
 
 
-def merge_timing(ta: TimingState, tb: TimingState) -> TimingState:
+#: The maximum of two timing values.
+VMax = Callable[[Any, Any], Any]
+
+
+def merge_timing(
+    ta: TimingState, tb: TimingState, vmax: VMax = max
+) -> TimingState:
     """Component-wise maximum of two timing states (sound upper bound).
 
     Shared by the static analyzer's path joins and the model-checking
     engine's state subsumption — both rely on the recurrence being
-    monotone in every component.
+    monotone in every component.  ``vmax`` is the maximum of two
+    component values: ``max`` on cycle counts, or a range pass's
+    :meth:`repro.wcet.envelope.StallRange.vmax` on lines in the stall.
     """
     reg_ready = dict(ta.reg_ready)
     for key, value in tb.reg_ready.items():
-        if reg_ready.get(key, -1) < value:
-            reg_ready[key] = value
+        held = reg_ready.get(key)
+        reg_ready[key] = value if held is None else vmax(held, value)
     return TimingState(
-        last_fetch=max(ta.last_fetch, tb.last_fetch),
-        redirect=max(ta.redirect, tb.redirect),
-        ex_free=max(ta.ex_free, tb.ex_free),
-        mem_free=max(ta.mem_free, tb.mem_free),
-        prev_mem_start=max(ta.prev_mem_start, tb.prev_mem_start),
+        last_fetch=vmax(ta.last_fetch, tb.last_fetch),
+        redirect=vmax(ta.redirect, tb.redirect),
+        ex_free=vmax(ta.ex_free, tb.ex_free),
+        mem_free=vmax(ta.mem_free, tb.mem_free),
+        prev_mem_start=vmax(ta.prev_mem_start, tb.prev_mem_start),
         front_occupancy=tuple(
-            max(x, y) for x, y in zip(ta.front_occupancy, tb.front_occupancy)
+            vmax(x, y) for x, y in zip(ta.front_occupancy, tb.front_occupancy)
         ),
         reg_ready=reg_ready,
     )
 
 
-def merge(a: PathState | None, b: PathState) -> PathState:
+def merge(a: PathState | None, b: PathState, vmax: VMax = max) -> PathState:
     """Sound join: component-wise maximum of two pipeline states."""
     if a is None:
         return b.clone()
-    merged = merge_timing(a.timing, b.timing)
+    merged = merge_timing(a.timing, b.timing, vmax)
     cache_block = a.cache_block if a.cache_block == b.cache_block else None
     return PathState(timing=merged, cache_block=cache_block)
 

@@ -1,10 +1,13 @@
 """CLI tests (python -m repro)."""
 
 import json
+from collections import OrderedDict
 
 import pytest
 
 from repro.cli import main
+from repro.visa import spec as spec_mod
+from repro.wcet.envelope import RangeFallback, StallRange
 
 MINIC = """
 int v[4];
@@ -95,9 +98,21 @@ class TestPackCommand:
         out_path = tmp_path / "task.bin"
         assert main(["pack", minic_file, str(out_path)]) == 0
         payload = json.loads(out_path.read_text())
-        assert payload["format"] == "rtp32-timed-binary-1"
+        assert payload["format"] == "rtp32-timed-binary-2"
         assert len(payload["wcet"]) == 1
         assert payload["program"]["words"]
+
+    def test_pack_survives_a_range_pass_fallback(
+        self, minic_file, tmp_path, monkeypatch
+    ):
+        def give_up(self, a, b):
+            raise RangeFallback("forced")
+
+        monkeypatch.setattr(StallRange, "vmax", give_up)
+        monkeypatch.setattr(spec_mod, "_SHARED", OrderedDict())
+        out_path = tmp_path / "task.bin"
+        assert main(["pack", minic_file, str(out_path)]) == 0
+        assert len(json.loads(out_path.read_text())["wcet"]) == 1
 
 
 class TestParser:

@@ -3,7 +3,10 @@
 The WCET analyzer's soundness rests on two properties of ``advance``:
 monotonicity in the pipeline state (so join-merging by component-wise max
 over-approximates), and monotonicity in the worst-case inputs (so assuming
-a miss/penalty never underestimates).  Both are property-tested here.
+a miss/penalty never underestimates).  Both are property-tested here, as
+is the parity of the analyzer's block forms: ``advance_block`` with the
+per-instruction rule, and ``advance_block_env`` on lines with
+``advance_block`` at every stall of a range.
 """
 
 import dataclasses
@@ -18,9 +21,11 @@ from repro.pipelines.inorder_engine import (
     TimingState,
     advance,
     advance_block,
+    advance_block_env,
     block_insts,
 )
-from repro.wcet.pipeline_model import PathState, merge
+from repro.wcet.envelope import STALL, RangeFallback, StallRange
+from repro.wcet.pipeline_model import PathState, merge, merge_timing
 
 
 def alu(addr, rd=1, rs=2, rt=3):
@@ -255,3 +260,69 @@ def test_advance_block_matches_per_instruction_rule(seed):
     )
     assert actual_block == expected_block
     assert dataclasses.asdict(actual) == dataclasses.asdict(expected)
+
+
+def _state_at(timing, stalls, stall):
+    """``dataclasses.asdict`` of a line state evaluated at ``stall``."""
+    at = stalls.at
+    return {
+        "last_fetch": at(timing.last_fetch, stall),
+        "redirect": at(timing.redirect, stall),
+        "ex_free": at(timing.ex_free, stall),
+        "mem_free": at(timing.mem_free, stall),
+        "prev_mem_start": at(timing.prev_mem_start, stall),
+        "front_occupancy": tuple(at(t, stall) for t in timing.front_occupancy),
+        "reg_ready": {k: at(v, stall) for k, v in timing.reg_ready.items()},
+    }
+
+
+def _block_form_parity(seed) -> bool:
+    """One ``advance_block_env`` run over lines equals ``advance_block``
+    run at each stall of the range, unless it gives up.  Two prefixes,
+    joined, feed the block, so its inputs are lines of several slopes.
+    Returns whether the line form stayed exact."""
+    rng = random.Random(seed)
+    shift = rng.choice([4, 5, 6])
+    stalls = StallRange(10, 100)
+    start = _random_state(rng)
+    base = 0x400000 + 4 * rng.randrange(0, 64)
+    prefixes = [
+        (_random_run(rng, rng.randrange(1, 12), base + 256 * k),
+         rng.random() < 0.5)
+        for k in range(2)
+    ]
+    penalty = rng.random() < 0.5
+    run = _random_run(rng, rng.randrange(1 if penalty else 0, 24), base + 512)
+    blocks = {inst.addr >> shift for inst in run}
+    for prefix, _ in prefixes:
+        blocks |= {inst.addr >> shift for inst in prefix}
+    covered = {b for b in blocks if rng.random() < 0.3}
+
+    def walk(stall, advance, **vmax):
+        states = []
+        for prefix, prefix_penalty in prefixes:
+            state = start.clone()
+            advance(state, block_insts(prefix, shift), None, covered, stall,
+                    prefix_penalty, **vmax)
+            states.append(state)
+        joined = merge_timing(*states, **vmax)
+        block = advance(joined, block_insts(run, shift), None, covered,
+                        stall, penalty, **vmax)
+        return joined, block
+
+    try:
+        lines, lines_block = walk(STALL, advance_block_env, vmax=stalls.vmax)
+    except RangeFallback:
+        return False
+    for stall in range(stalls.lo, stalls.hi + 1):
+        exact, block = walk(stall, advance_block)
+        assert block == lines_block
+        assert _state_at(lines, stalls, stall) == dataclasses.asdict(exact)
+    return True
+
+
+def test_line_block_form_matches_block_form_at_every_stall():
+    exact = sum(_block_form_parity(seed) for seed in range(300))
+    # Seeded, so the count is fixed (103); the bound keeps the parity
+    # check from going vacuous if the line form starts giving up.
+    assert exact >= 90, f"only {exact} of 300 runs stayed lines"

@@ -8,6 +8,8 @@ registry (exposition format, histogram buckets), and the job registry
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.errors import ProtocolError
@@ -238,6 +240,26 @@ TASK = {"workload": "cnt", "period": 0.01}
 def test_normalize_rejects_bool_numbers(kind, field, payload):
     with pytest.raises(ProtocolError, match=f"{field} must be a number"):
         job_registry.normalize(kind, payload)
+
+
+@pytest.mark.parametrize(
+    "text", ["Infinity", "-Infinity", "NaN", "1" * 400],
+    ids=["inf", "-inf", "nan", "huge-int"],
+)
+@pytest.mark.parametrize("kind, field, payload", [
+    ("run", "deadline", '{"workload": "cnt", "deadline": %s}'),
+    ("run", "flush_rate", '{"workload": "cnt", "flush_rate": %s}'),
+    ("wcet", "freq_mhz", '{"workload": "cnt", "freq_mhz": %s}'),
+    ("admit", "period", '{"tasks": [{"workload": "cnt", "period": %s}]}'),
+    ("admit", "deadline",
+     '{"tasks": [{"workload": "cnt", "period": 0.01, "deadline": %s}]}'),
+    ("admit", "alpha",
+     '{"tasks": [{"workload": "cnt", "period": 0.01}], "alpha": %s}'),
+], ids=lambda value: value if value.isidentifier() else "")
+def test_normalize_rejects_non_finite_numbers(kind, field, payload, text):
+    """The service decodes with ``json.loads``, which accepts these."""
+    with pytest.raises(ProtocolError, match=f"{field} must be finite"):
+        job_registry.normalize(kind, json.loads(payload % text))
 
 
 @pytest.mark.parametrize("kind, payload, key", [

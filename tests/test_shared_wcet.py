@@ -2,10 +2,11 @@
 
 Both runtimes of a cell, and every later cell of the same program, get
 their recovery-frequency WCETs from one private analyzer per
-``(spec, program)``: each memory-stall count is analyzed once per
-process.  Sharing must never change a result, and must never flow
-through an analyzer a caller owns (callers mutate loop bounds,
-``run_cls`` and D-cache bounds, e.g. the seeded-defect corpus).
+``(spec, program)``: at most two analysis passes per process (a scalar
+pass and one range pass), however many memory-stall counts are asked.
+Sharing must never change a result, and must never flow through an
+analyzer a caller owns (callers mutate loop bounds, ``run_cls`` and
+D-cache bounds, e.g. the seeded-defect corpus).
 """
 
 from __future__ import annotations
@@ -75,11 +76,11 @@ def test_each_stall_is_solved_once_across_runtimes_and_cells(cold, monkeypatch):
     run_pair(prep, prep.deadline_tight, INSTANCES)
     first = len(requested)
     # Both runtimes search the DVS table; together they need far more
-    # than one stall count, yet each distinct one was analyzed once.
+    # than one stall count, yet all of them cost at most two passes.
     assert first > 2
-    assert analyzer_mod.STATS["passes"] == first
+    assert analyzer_mod.STATS["passes"] <= 2
     run_pair(prep, 1.3 * prep.deadline_tight, INSTANCES)
-    assert analyzer_mod.STATS["passes"] == len(requested)
+    assert analyzer_mod.STATS["passes"] <= 2
     assert len(requested) <= len(DVSTable.xscale())
 
 
@@ -228,6 +229,6 @@ def test_concurrent_callers_share_one_analysis(cold):
     finally:
         sys.setswitchinterval(switch)
     assert mismatches == []
-    # Every (spec, stall) pair was analyzed exactly once among 6 threads.
-    assert analyzer_mod.STATS["passes"] == len(reference)
+    # Among 6 threads, each spec's stalls cost at most two passes.
+    assert analyzer_mod.STATS["passes"] <= 2 * len(specs)
     assert len(spec_mod._SHARED) == len(specs)

@@ -1,5 +1,8 @@
 """Timed-binary tests (paper §1.2: timing-safety binary compatibility)."""
 
+import json
+from collections import OrderedDict
+
 import pytest
 
 from repro.errors import ReproError
@@ -8,8 +11,13 @@ from repro.memory.machine import Machine
 from repro.minicc import compile_source
 from repro.pipelines.inorder import InOrderCore
 from repro.visa.binary import attach_wcet, dumps, loads, visa_fingerprint
+from repro.visa import spec as spec_mod
 from repro.visa.spec import VISASpec
+from repro.wcet import analyzer as analyzer_mod
+from repro.wcet.analyzer import _Run
+from repro.wcet.envelope import RangeFallback, StallRange
 from repro.wcet.dcache_pad import measure_dcache_misses
+from tests.test_wcet_range import CROSSING, SMALL_ICACHES
 
 SOURCE = """
 int data[24];
@@ -52,6 +60,19 @@ class TestParameterizedWCET:
             for sub_p, sub_e in zip(packaged.subtasks, exact.subtasks):
                 assert sub_p.total_cycles >= sub_e.total_cycles
 
+    def test_equals_scalar_analysis_at_every_stall_of_the_range(self, timed):
+        analyzer = VISASpec().analyzer(timed.program)
+        assert timed.stall_range == (10, 100)
+        for stall in range(10, 101):
+            packaged = timed.wcet((stall - 0.5) * 1e7)  # 100 ns stall
+            assert packaged.stall == stall
+            assert [s.cycles for s in packaged.subtasks] == _Run(
+                analyzer, stall
+            ).region_cycles()
+            assert [s.dmiss_bound for s in packaged.subtasks] == [
+                p.dmiss_bound for p in timed.params
+            ]
+
     def test_bound_covers_execution(self, timed):
         machine = Machine(timed.program)
         result = InOrderCore(machine, freq_hz=1e9).run()
@@ -70,6 +91,44 @@ class TestParameterizedWCET:
         task = timed.wcet(500e6)
         assert len(task.subtasks) == 2
         assert task.tail_seconds(0) > task.tail_seconds(1)
+
+
+class TestRangePassFallback:
+    """A program whose range pass falls back still packs, with the
+    lowest safe line over the scalar pass at every stall of the range."""
+
+    def test_crossing_program_packs_a_safe_line(self):
+        spec = VISASpec(icache=SMALL_ICACHES[1])
+        program = compile_source(CROSSING)
+        before = analyzer_mod.STATS["fallbacks"]
+        binary = attach_wcet(program, spec=spec)
+        assert analyzer_mod.STATS["fallbacks"] == before + 1
+        analyzer = spec.analyzer(program)
+        gaps = [[] for _ in binary.params]
+        for stall in range(10, 101):
+            packaged = binary.wcet((stall - 0.5) * 1e7)
+            exact = _Run(analyzer, stall).region_cycles()
+            for k, (sub, cycles) in enumerate(zip(packaged.subtasks, exact)):
+                gaps[k].append(sub.cycles - cycles)
+        assert all(min(gap) == 0 for gap in gaps)
+        assert loads(dumps(binary)).params == binary.params
+
+    def test_forced_fallback_still_packs_every_program(self, monkeypatch):
+        def give_up(self, a, b):
+            raise RangeFallback("forced")
+
+        monkeypatch.setattr(StallRange, "vmax", give_up)
+        monkeypatch.setattr(spec_mod, "_SHARED", OrderedDict())
+        program = compile_source(SOURCE)
+        before = analyzer_mod.STATS["fallbacks"]
+        binary = attach_wcet(program)
+        assert analyzer_mod.STATS["fallbacks"] == before + 1
+        analyzer = VISASpec().analyzer(program)
+        for stall in range(10, 101):
+            packaged = binary.wcet((stall - 0.5) * 1e7)
+            assert [s.cycles for s in packaged.subtasks] == _Run(
+                analyzer, stall
+            ).region_cycles()
 
 
 class TestSerialization:
@@ -95,3 +154,9 @@ class TestSerialization:
     def test_unknown_format_rejected(self):
         with pytest.raises(ReproError):
             loads('{"format": "elf"}')
+
+    def test_fitted_format_rejected_with_a_repack_hint(self, timed):
+        payload = json.loads(dumps(timed))
+        payload["format"] = "rtp32-timed-binary-1"
+        with pytest.raises(ReproError, match="repro pack"):
+            loads(json.dumps(payload))

@@ -9,7 +9,9 @@ oracle side never inherits the defect.
 
 The numbers are golden values: everything here is deterministic (fixed
 workload scale, fixed input seed, shared pipeline recurrence), so an
-unexplained change in a gap is itself a finding.
+unexplained change in a gap is itself a finding.  The planted hooks also
+run in the analyzer's range pass, on lines in the stall: an analyzer
+swept across the DVS table must be caught with the same gaps.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from __future__ import annotations
 import pytest
 
 from repro.minicc import compile_source
+from repro.visa.dvs import DVSTable
+from repro.wcet import analyzer as analyzer_mod
 from repro.wcet.analyzer import WCETAnalyzer, _Run
 from repro.wcet.dcache_pad import measure_dcache_misses
 from repro.wcet.mc.diff import diff_program
@@ -30,6 +34,18 @@ class DroppedDrainRun(_Run):
 
     def _finish(self, state):
         return state.timing.ex_free + 1
+
+
+#: A single-path counted loop, where static == mc exactly.
+EXACT_LOOP = (
+    "void main() {\n"
+    "  int i;\n"
+    "  int acc;\n"
+    "  acc = 0;\n"
+    "  for (i = 0; i < 10; i = i + 1) { acc = acc + i; }\n"
+    "  __out(acc);\n"
+    "}\n"
+)
 
 
 class NoEntryMissRun(_Run):
@@ -86,16 +102,7 @@ def test_dropped_drain_penalty_is_flagged():
     # small drain delta, so this defect is planted where the bound is
     # exact: a single-path counted loop, where static == mc and even a
     # one-cycle under-bound flips the verdict.
-    source = (
-        "void main() {\n"
-        "  int i;\n"
-        "  int acc;\n"
-        "  acc = 0;\n"
-        "  for (i = 0; i < 10; i = i + 1) { acc = acc + i; }\n"
-        "  __out(acc);\n"
-        "}\n"
-    )
-    program = compile_source(source)
+    program = compile_source(EXACT_LOOP)
     bounds = measure_dcache_misses(program)
     engine = ModelCheckEngine(_analyzer(program, bounds))
 
@@ -164,3 +171,36 @@ def test_zeroed_dmiss_padding_is_flagged(cnt):
     # The under-bound is also against *observed* reality, not just mc.
     sub = report.subtasks[0]
     assert any("observed" in v for v in sub.violations)
+
+
+def _swept(program, bounds, run_cls) -> WCETAnalyzer:
+    """A defective analyzer swept up the DVS table from 100 MHz, so its
+    1 GHz bound is an evaluation of its range pass; each swept bound
+    equals a scalar pass of the same defect."""
+    analyzer = _analyzer(program, bounds, run_cls)
+    before = analyzer_mod.STATS["fallbacks"]
+    for setting in DVSTable.xscale():
+        scalar = _analyzer(program, bounds, run_cls).analyze(setting.freq_hz)
+        assert analyzer.analyze(setting.freq_hz) == scalar
+    assert analyzer_mod.STATS["fallbacks"] == before
+    return analyzer
+
+
+def test_dropped_drain_penalty_is_flagged_after_a_sweep():
+    program = compile_source(EXACT_LOOP)
+    bounds = measure_dcache_misses(program)
+    engine = ModelCheckEngine(_analyzer(program, bounds))
+    report = diff_program(
+        program, analyzer=_swept(program, bounds, DroppedDrainRun),
+        engine=engine,
+    )
+    assert _flagged(report) == {0: -1}
+
+
+def test_missing_icache_entry_miss_is_flagged_after_a_sweep(cnt):
+    program, prepare, bounds, engine = cnt
+    report = diff_program(
+        program, prepare=prepare,
+        analyzer=_swept(program, bounds, NoEntryMissRun), engine=engine,
+    )
+    assert _flagged(report) == {0: -599, 1: -400, 2: -400, 3: -400, 4: -600}
