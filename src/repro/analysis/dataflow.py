@@ -115,7 +115,12 @@ def solve(problem: DataflowProblem[L], cfg: FunctionCFG) -> DataflowResult[L]:
     visits: dict[int, int] = {addr: 0 for addr in cfg.blocks}
     budget = MAX_VISITS_PER_BLOCK * max(1, len(cfg.blocks))
 
-    worklist: deque[int] = deque(sorted(cfg.blocks))
+    # Seed in dataflow direction: a backward problem starts from the
+    # highest addresses, where the exits are, so on an acyclic CFG each
+    # block is visited once, after every block it depends on.
+    worklist: deque[int] = deque(
+        sorted(cfg.blocks, reverse=not problem.forward)
+    )
     queued = set(worklist)
     while worklist:
         addr = worklist.popleft()

@@ -92,7 +92,10 @@ if TYPE_CHECKING:
 #: became the only ones, so older (scan-layout) entries must not load.
 #: 4: one shared exit epilogue per block; st carries the watchdog limit
 #: ``wl`` where it carried the ``wd`` flag.
-CODEGEN_VERSION = 4
+#: 5: timing clamps the in-order recurrence proves dead are not emitted,
+#: nor (on either engine) the ``ready[0]`` clamp of a program that never
+#: writes r0.
+CODEGEN_VERSION = 5
 
 #: Modules whose source shapes the emitted code or the dispatchers' ``st``
 #: layout: the emitters here, and the constants and helpers they inline.
@@ -746,6 +749,24 @@ class _Emitter:
 # "w" -> watchdog.  String exits (and faults) leave the authoritative
 # pc/executed in st[18]/st[19].  The timing vector is SSA-named per
 # instruction, so an exit-table row names the locals that hold it there.
+#
+# Dead clamps.  Within a block the recurrence is monotone: instruction i
+# starts executing at x_i >= max(xe_{i-1} + 1, m_{i-1}) (its ex_free and
+# prev_mem_start clamps), and m_i = max(xe_i + 1, u_{i-1} + 1) > x_i,
+# where xe, m and u are ex_end, mem_start and mem_end, and u = m for an
+# instruction with no D-cache access.  So these clamps can never fire
+# and are not emitted:
+#
+# * mem_free at i (``if u{i-1} >= m{i}``) when u_{i-1} = m_{i-1}:
+#   then u_{i-1} = m_{i-1} <= x_i < m_i;
+# * prev_mem_start at i (``if m{i-1} > x{i}``) when i-1 dropped its
+#   mem_free clamp: then m_{i-1} = xe_{i-1} + 1 <= x_i;
+# * ready[r] at i when r's last writer p in the block is a non-load
+#   (ready = xe_p + 1 <= x_i) or a load at least two back (ready =
+#   u_p + 1 <= m_{p+1} <= m_{i-1} <= x_i); only the load-use clamp at
+#   distance 1 stays;
+# * ready[0] when no instruction of the program writes r0
+#   (``_Geometry.r0_written``): it then stays 0, and every x_i >= 3.
 
 _INORDER_ENV = (
     "words, words_get, isets, dsets, mmio, mmio_read, mmio_write, "
@@ -776,6 +797,12 @@ class _InOrderEmitter(_Emitter):
         self.ip_count = 0
         self.ip_ways: dict[tuple[int, int], int] = {}
         self._last_line: dict[int, int] = {}
+        # Did the previous instruction keep its mem_free clamp (so its
+        # mem_start may exceed ex_end + 1)?  True at block entry.
+        self._m_clamped = True
+        # Register key -> first instruction index whose ex_start its
+        # ready time provably never exceeds (see "dead clamps" above).
+        self._ready_met: dict[int, int] = {} if geom.r0_written else {0: 0}
 
     # -- helpers --
 
@@ -943,9 +970,12 @@ class _InOrderEmitter(_Emitter):
         x = f"x{i}"
         self.emit(ind, f"{x} = {f} + {_FRONT_DEPTH}")
         self._max_into(ind, x, n["xf"], plus_one=True)
-        self._max_into(ind, x, n["pm"])
+        if self._m_clamped:
+            self._max_into(ind, x, n["pm"])
         for sk in dict.fromkeys(src_keys):
-            self._max_into(ind, x, f"ready[{sk}]")
+            met = self._ready_met.get(sk)
+            if met is None or i < met:
+                self._max_into(ind, x, f"ready[{sk}]")
         if lat == 1:
             xe = x
         else:
@@ -953,7 +983,9 @@ class _InOrderEmitter(_Emitter):
             self.emit(ind, f"{xe} = {x} + {lat - 1}")
         m = f"m{i}"
         self.emit(ind, f"{m} = {xe} + 1")
-        self._max_into(ind, m, n["mf"], plus_one=True)
+        self._m_clamped = n["mf"] != n["pm"]
+        if self._m_clamped:
+            self._max_into(ind, m, n["mf"], plus_one=True)
         if kind == K_LOAD or kind == K_STORE:
             if mmio_static is True:
                 u = m  # dcache_extra statically 0
@@ -965,6 +997,7 @@ class _InOrderEmitter(_Emitter):
         if dkey >= 0:
             src = f"{u} + 1" if kind == K_LOAD else f"{xe} + 1"
             self.emit(ind, f"ready[{dkey}] = {src}")
+            self._ready_met[dkey] = i + 2 if kind == K_LOAD else i + 1
         rd_old = n["rd"]
         if kind == K_BRANCH:
             r = f"r{i}"
@@ -1290,6 +1323,8 @@ class _OOOEmitter(_Emitter):
         s = f"s{i}"
         self.emit(ind, f"{s} = {d} + 1")
         for sk in dict.fromkeys(src_keys):
+            if sk == 0 and not self.g.r0_written:
+                continue  # ready[0] stays 0 < s
             fwd = self._fwd.get(sk)
             self._max_into(ind, s, f"ready[{sk}]" if fwd is None else fwd)
         if is_mem:
@@ -1465,7 +1500,8 @@ class _OOOEmitter(_Emitter):
 
 
 class _Geometry(NamedTuple):
-    """Everything block code shape depends on besides the program itself."""
+    """Everything block code shape depends on besides the block's own
+    instructions."""
 
     ishift: int
     insets: int
@@ -1475,6 +1511,9 @@ class _Geometry(NamedTuple):
     dassoc: int
     tbase: int
     text_end: int
+    #: Does some instruction of the program have timing destination r0?
+    #: If none does, ``ready[0]`` stays 0 and no read of r0 is clamped.
+    r0_written: bool
 
 
 #: Upper bound on instructions fused into one generated function; longer
@@ -1782,25 +1821,33 @@ def _geometry(machine: Any) -> _Geometry:
         ic.block_shift, ic.num_sets, ic.assoc,
         dc.block_shift, dc.num_sets, dc.assoc,
         program.text_base, program.text_end,
+        # From the decoded instructions: a table loaded from disk never
+        # builds the fast plan.
+        any(inst.dest == ("i", 0) for inst in program.instructions),
     )
 
 
 def block_table(machine: Any, engine: str, params: Any = None) -> BlockTable:
     """The (memoized) compiled block table for ``machine``'s program.
 
-    Memoized on the Program keyed by engine, cache geometry and pipeline
-    parameters, so cores sharing a program (and VISA instances sharing a
-    workload) compile once per process; the compiled code additionally
-    persists under ``.repro_cache/blockjit/``.
+    Memoized on the Program keyed by engine, cache configurations and
+    pipeline parameters, so cores sharing a program (and VISA instances
+    sharing a workload) compile once per process; the compiled code
+    additionally persists under ``.repro_cache/blockjit/``.  The
+    geometry, which scans the program for r0 writes, is derived on a
+    miss only.
     """
     program = machine.program
-    geom = _geometry(machine)
     params_tuple = tuple(astuple(params)) if params is not None else None
-    memo_key = (engine, geom, params_tuple)
+    memo_key = (
+        engine, machine.icache.config, machine.dcache.config, params_tuple
+    )
     tables = program._blockjit_tables  # noqa: SLF001 - cooperative memo
     table = tables.get(memo_key)
     if table is None:
-        table = _build_table(program, engine, geom, params, params_tuple)
+        table = _build_table(
+            program, engine, _geometry(machine), params, params_tuple
+        )
         tables[memo_key] = table
     return table
 

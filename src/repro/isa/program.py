@@ -58,7 +58,7 @@ class Program:
         ]
         self._fast_plan: list | None = None
         # Compiled block tables (repro.isa.blockjit), keyed by
-        # (engine, cache geometry, pipeline params).
+        # (engine, I- and D-cache configs, pipeline params).
         self._blockjit_tables: dict = {}
         # (format version, digest) memo of repro.snapshot.state.program_digest.
         self._digest: tuple[int, str] | None = None

@@ -39,6 +39,7 @@ import time
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Protocol
 
 from repro.errors import ProtocolError, ServiceError
@@ -381,13 +382,13 @@ class JobFront:
         return value
 
     def _trim_history(self) -> None:
-        """Drop the oldest *finished* jobs beyond ``history_limit``."""
+        """Drop the oldest *finished* jobs beyond ``history_limit``
+        (reading records oldest first, only until enough are found)."""
         excess = len(self._jobs) - self.config.history_limit
         if excess <= 0:
             return
-        for job_id in [
-            jid for jid, rec in self._jobs.items() if not rec.live
-        ][:excess]:
+        finished = (jid for jid, rec in self._jobs.items() if not rec.live)
+        for job_id in list(islice(finished, excess)):
             del self._jobs[job_id]
 
     # -- outcomes ---------------------------------------------------------------

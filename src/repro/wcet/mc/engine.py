@@ -45,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import AnalysisError
+from repro.isa.instruction import Instruction
 from repro.memory.machine import mem_stall_cycles
 from repro.pipelines.inorder_engine import TimingState, advance
 from repro.wcet.analyzer import Node, SubtaskWCET, TaskWCET, WCETAnalyzer
@@ -351,8 +352,6 @@ class ModelCheckEngine:
     def _step(
         self, st: MCState, inst: object, stall: int, penalty: bool
     ) -> None:
-        from repro.isa.instruction import Instruction
-
         assert isinstance(inst, Instruction) and inst.addr is not None
         extra = 0 if st.icache.access(inst.addr >> self.shift) else stall
         advance(st.timing, inst, extra, 0, penalty)

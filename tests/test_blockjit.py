@@ -26,6 +26,9 @@ code to ``run_reference``:
 * exit-level: the watchdog fires after every instruction of a block in
   turn, and every fault kind the shared exit epilogue serves is raised
   at several positions in it, each matching ``run_reference`` in full;
+* clamp-level: hand-written cases that need the timing clamps block
+  code keeps (a load used at distance 1, a program that writes r0)
+  match ``run_reference`` whole, bounded and with the watchdog armed;
 * codegen-level: the emitted source of every workload program is pinned
   by a golden digest and held to a size budget, and a cold table build
   stays memory-bounded.
@@ -58,11 +61,11 @@ CHUNK = 25
 
 #: sha256 over the emitted per-block source (with start pc and length) of
 #: all 16 (workload, scale) programs on both engines, re-recorded when
-#: every block's mid-block exits moved into one shared epilogue
-#: (``CODEGEN_VERSION`` 4).  Any codegen change must bump
+#: block code stopped emitting the timing clamps the in-order recurrence
+#: proves dead (``CODEGEN_VERSION`` 5).  Any codegen change must bump
 #: ``CODEGEN_VERSION`` and re-record this digest.
 CODEGEN_SHA256 = (
-    "071fc865a85c45e3587e432d27da13b2eb51b4e47e94400815d98edc761b69b6"
+    "88155d608e0ef0e64cdf257002880e2a9190eba901dc4cecd99fda5ef54e4568"
 )
 
 BOTH_CORES = pytest.mark.parametrize(
@@ -568,6 +571,106 @@ def test_fault_exit_at_indices(core_cls, fault):
         assert timeline[0][0] == "fault", (fault, index)
 
 
+# -- the timing clamps block code keeps ---------------------------------------
+#
+# Block code omits every timing clamp the in-order recurrence proves dead
+# (see "dead clamps" in :mod:`repro.isa.blockjit`).  Each program below
+# needs a clamp that stays: a load's ready time read by the very next
+# instruction, inside a block and across a block boundary, and r0's
+# ready time in a program that writes r0 (no workload does, and the
+# MiniC fuzz never does).  ``bltz t5, next`` is never taken: it only
+# makes ``next`` a block start.
+
+_KEPT_CLAMPS = {
+    "r0-written": """
+    main:
+        lui t6, 0x1000         # data buffer (DATA_BASE)
+        addi t1, zero, 7
+        addi t2, zero, 9
+        addi t5, zero, 3
+    top:
+        mul zero, t1, t2       # a multi-cycle op into r0 ...
+        add t3, zero, t1       # ... read at once
+        div zero, t3, t2
+        sub t3, t3, zero
+        lw zero, 0(t6)         # a missing load into r0, read by the
+    next:                      # first instruction of the next block
+        add t4, zero, t2
+        addi t6, t6, 64
+        addi t5, t5, -1
+        bgtz t5, top
+        blt t5, zero, next
+        halt
+    """,
+    "load-use": """
+    main:
+        lui t6, 0x1000
+        addi t1, zero, 5
+        addi t5, zero, 3
+    top:
+        lw s0, 0(t6)           # a missing load, used ...
+        add s1, s0, t1         # ... at distance 1
+        add s2, s0, t1         # ... and at distance 2
+        lw s3, 4(t6)
+        sub s4, t1, s3
+        xor s5, s3, s1
+        lw s6, 8(t6)
+    next:
+        add s7, s6, t1         # distance 1, across a block boundary
+        addi t6, t6, 64
+        addi t5, t5, -1
+        bgtz t5, top
+        blt t5, zero, next
+        halt
+    """,
+}
+
+
+@BOTH_CORES
+@pytest.mark.parametrize("case", sorted(_KEPT_CLAMPS))
+def test_kept_clamps_match_reference(core_cls, case):
+    """Each case matches ``run_reference`` whole, in
+    ``SEGMENT``-instruction segments, and with the watchdog armed to
+    expire at every other cycle of the run, whole and bounded (it
+    fires after at least 8 distinct instruction counts)."""
+    program = assemble(_KEPT_CLAMPS[case])
+    timeline = _assert_whole_and_bounded(program, core_cls)
+    assert timeline[-2][0] == "halt"
+    end = timeline[-2][2]
+    fired = set()
+    for expiry in range(0, end, 2):
+        setup = _armed(expiry)
+        _assert_matches_reference(
+            program, core_cls, BOUNDED, masked=False, setup=setup
+        )
+        timeline = _assert_matches_reference(
+            program, core_cls, WHOLE * 2, masked=False, setup=setup
+        )
+        if timeline[0][0] == "watchdog":
+            fired.add(timeline[0][3])
+    assert len(fired) >= 8, sorted(fired)
+
+
+def test_r0_clamp_is_kept_only_where_r0_is_written():
+    """A program that writes r0 keeps the ``ready[0]`` clamp on both
+    engines; the workloads never write r0, so their code has none."""
+    for case, program, expect in (
+        ("r0-written", assemble(_KEPT_CLAMPS["r0-written"]), True),
+        ("cnt", get_workload("cnt", "tiny").program, False),
+    ):
+        machine = VISASpec().machine(program)
+        geom = blockjit._geometry(machine)
+        assert geom.r0_written is expect, case
+        for engine in ("inorder", "ooo"):
+            params = ComplexCore(machine).params if engine == "ooo" \
+                else None
+            source = "".join(
+                blockjit._emit_block(engine, geom, params, start, insts)
+                for start, insts in blockjit._walk_blocks(program)
+            )
+            assert ("if ready[0] >" in source) is expect, (case, engine)
+
+
 @pytest.mark.parametrize("chunk", range(4))
 def test_trace_tier_matches_reference_on_random_programs(chunk):
     """Dense cuts: a slice of the differential corpus in 23-instruction
@@ -787,7 +890,7 @@ def _emitted_blocks(scales, engines=("inorder", "ooo")):
 
 def test_golden_codegen():
     """The emitted source of every workload program is unchanged."""
-    assert blockjit.CODEGEN_VERSION == 4
+    assert blockjit.CODEGEN_VERSION == 5
     digest = hashlib.sha256()
     for name, scale, engine, start, insts, source in _emitted_blocks(
         ("tiny", "default")
@@ -810,9 +913,9 @@ def _emitted_chars_per_instruction(engine):
 
 
 #: Emitted source characters per instruction (see
-#: :func:`_emitted_chars_per_instruction`), recorded with the shared exit
-#: epilogue (``CODEGEN_VERSION`` 4).
-CODEGEN_CHARS_PER_INSTRUCTION = {"inorder": 689.3, "ooo": 1401.4}
+#: :func:`_emitted_chars_per_instruction`), recorded without the dead
+#: timing clamps (``CODEGEN_VERSION`` 5).
+CODEGEN_CHARS_PER_INSTRUCTION = {"inorder": 563.5, "ooo": 1382.7}
 
 
 @pytest.mark.parametrize("engine", ["inorder", "ooo"])

@@ -2,8 +2,9 @@
 
 Covers the wire protocol (round-trips, version gating, validation), the
 fair priority queue (ordering, fairness, backpressure), the metrics
-registry (exposition format, histogram buckets), and the job registry
-(normalization determinism, coalesce-key properties).
+registry (exposition format, histogram buckets), the job front's bounded
+history, and the job registry (normalization determinism, coalesce-key
+properties).
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import pytest
 
 from repro.errors import ProtocolError
 from repro.service import jobs as job_registry
-from repro.service.metrics import Registry, ServiceMetrics
+from repro.service.front import FrontConfig, JobFront, JobRecord
+from repro.service.metrics import JobMetrics, Registry, ServiceMetrics
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     JobSpec,
@@ -161,6 +163,54 @@ def test_service_metrics_cache_ratio():
     snapshot = metrics.snapshot()
     assert snapshot["run_cache_hits"] == 3
     assert snapshot["run_cache_stores"] == 1
+
+
+# -- job history -----------------------------------------------------------------
+
+
+class _HoldingExecutor:
+    """Accepts every job and never runs it (the test finishes them)."""
+
+    def submit(self, record: JobRecord) -> None:
+        pass
+
+
+def test_history_trim_keeps_newest_finished_and_every_live_job(monkeypatch):
+    """Past ``history_limit`` records the front drops the oldest finished
+    jobs only, and a submit to a full table reads the records oldest
+    first just until it has found the ones to drop, not the whole
+    table."""
+    limit = 64
+    front = JobFront(
+        FrontConfig(history_limit=limit), _HoldingExecutor(),
+        JobMetrics("test_"), None, id_prefix="t", client_prefix="c",
+    )
+
+    def submit(tag: str) -> JobRecord:
+        spec = JobSpec(kind="noop", payload={"tag": tag})
+        record, coalesced = front._submit(
+            Request(type="submit", id=tag, job=spec), "c1"
+        )
+        assert not coalesced
+        return record
+
+    live = [submit(f"live{i}") for i in range(3)]
+    finished = []
+    for i in range(limit + 10):
+        finished.append(submit(f"done{i}"))
+        front._finish(finished[-1], result={})
+    kept = live + finished[-(limit - len(live)):]
+    assert list(front._jobs) == [record.job_id for record in kept]
+
+    reads = []
+    live_of = JobRecord.live.fget
+    monkeypatch.setattr(
+        JobRecord, "live",
+        property(lambda record: reads.append(record) or live_of(record)),
+    )
+    submit("one-more")
+    # One finished record to drop, found behind the three live ones.
+    assert reads == [*live, finished[-(limit - len(live))]]
 
 
 # -- job registry ----------------------------------------------------------------
