@@ -6,8 +6,10 @@ blocking client and validates each result shape.  Then runs
 ``python -m repro submit wcet fft`` with no payload flags against the
 same daemon: its printed result must equal the client's result for
 ``{"workload": "fft"}``, so the defaults the CLI leaves out are the ones
-the normalizer fills.  Finally sends SIGTERM and requires a clean drain
-(exit code 0) within a deadline.
+the normalizer fills.  Then runs ``python -m repro top --once`` against
+the daemon: it must exit 0 and print a frame titled ``repro service``
+with a ``workers alive`` line.  Finally sends SIGTERM and requires a
+clean drain (exit code 0) within a deadline.
 
 Usage::
 
@@ -107,6 +109,28 @@ def main() -> int:
                 return 1
             print("service_smoke: repro submit wcet fft == client result")
 
+            top = subprocess.run(
+                [
+                    sys.executable, "-m", "repro", "top", "--once",
+                    "--port", str(port),
+                ],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            frame = top.stdout
+            if (
+                top.returncode != 0
+                or not frame.startswith("repro service")
+                or "workers alive" not in frame
+            ):
+                print(
+                    f"service_smoke: FAIL: repro top --once printed "
+                    f"{frame!r} (exit {top.returncode}, stderr "
+                    f"{top.stderr!r})",
+                    file=sys.stderr,
+                )
+                return 1
+            print("service_smoke: repro top --once renders a frame")
+
             proc.send_signal(signal.SIGTERM)
             try:
                 proc.communicate(timeout=DRAIN_DEADLINE)
@@ -126,7 +150,7 @@ def main() -> int:
                 return 1
             print(
                 "service_smoke: OK (all kinds round-trip, CLI submit "
-                "matches, clean drain)"
+                "matches, top renders, clean drain)"
             )
             return 0
         finally:

@@ -28,9 +28,7 @@ Commands:
   entries).
 * ``serve``          — run the toolchain as a long-lived asyncio daemon
   (job queue, process worker pool, request coalescing, live metrics —
-  see docs/service.md).  ``--cluster N`` instead starts a digest-routed
-  front tier over N locally spawned backend daemons sharing one result
-  store (see docs/cluster.md).
+  see docs/service.md).
 * ``submit``         — send one job (run/wcet/lint/experiment/noop/admit)
   to a running service, print its acceptance and progress events on
   stderr as they arrive, and print the result.  Only the payload flags
@@ -41,9 +39,9 @@ Commands:
   the recovery DVS setting and EQ 1 checkpoint plans, run the RM/EDF
   tests, and report admissible/not with per-task slack.  Exit status 1
   when the set is not admissible.
-* ``top``            — live terminal view of a running service or
-  cluster (queue depth, per-kind throughput and p50/p99, backend
-  health; ``--once`` prints a single frame).
+* ``top``            — live terminal view of a running service (queue
+  depth, per-kind throughput and p50/p99, worker health; ``--once``
+  prints a single frame).
 
 MiniC files use extension ``.c`` (anything other than ``.s``/``.asm``);
 assembly files use ``.s``/``.asm``.
@@ -415,24 +413,12 @@ def cmd_cache(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    """``serve``: run the async simulation service until SIGTERM.
-
-    With ``--cluster N`` this process becomes the digest-routed front
-    tier instead: it spawns N backend daemons on free ports, routes jobs
-    to them over a consistent-hash ring, and serves the same protocol on
-    ``--host``/``--port`` (see docs/cluster.md).
-    """
+    """``serve``: run the async simulation service until SIGTERM."""
     import asyncio
 
     from repro.service.server import serve
 
-    config = _serve_config(args)
-    if args.cluster > 0:
-        from repro.service.cluster import run_cluster
-
-        run_cluster(config, args.cluster, args.vnodes)
-    else:
-        asyncio.run(serve(config))
+    asyncio.run(serve(_serve_config(args)))
     return 0
 
 
@@ -459,8 +445,8 @@ _SERVE_FLAGS: dict[str, tuple[str, type, str]] = {
     ),
     "--store-dir": (
         "store_dir", str,
-        "shared result-store directory (default: REPRO_STORE_DIR or "
-        "store/ inside the cache directory; single node: off unless set)",
+        "shared result-store directory: completed results are served "
+        "from it before forking a worker (default: off)",
     ),
     "--age-seconds": (
         "age_seconds", float,
@@ -623,7 +609,7 @@ def cmd_admit(args) -> int:
 
 
 def cmd_top(args) -> int:
-    """``top``: live dashboard against a running service or cluster."""
+    """``top``: live dashboard against a running service."""
     from repro.service.top import run_top
 
     try:
@@ -934,22 +920,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(host=None, port=None)
     for flag, (field, kind, text) in _SERVE_FLAGS.items():
         p.add_argument(flag, type=kind, dest=field, help=text)
-    p.add_argument(
-        "--cluster",
-        type=int,
-        default=0,
-        metavar="N",
-        help=(
-            "run as a front tier over N locally spawned backend daemons "
-            "(0 = single node, the degenerate 1-ring case)"
-        ),
-    )
-    p.add_argument(
-        "--vnodes",
-        type=int,
-        default=64,
-        help="cluster front: virtual nodes per backend on the ring",
-    )
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(
@@ -1044,7 +1014,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_admit)
 
     p = sub.add_parser(
-        "top", help="live terminal view of a running service or cluster"
+        "top", help="live terminal view of a running service"
     )
     _endpoint_flags(p)
     p.add_argument(

@@ -30,9 +30,9 @@ this repository already has:
 
 Determinism is the contract: :func:`decide` is a pure function of the
 normalized payload, so its canonical-JSON digest is byte-identical
-whether computed by the library (``repro admit``), a single daemon, or
-any backend of a ``--cluster`` fleet — which is what makes fleet-wide
-coalescing and the shared result store sound for this job kind.
+whether computed by the library (``repro admit``) or a daemon worker —
+which is what makes coalescing and the shared result store sound for
+this job kind.
 """
 
 from __future__ import annotations

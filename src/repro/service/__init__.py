@@ -23,12 +23,12 @@ Components:
   coalesce-key derivation, worker-side execution).
 * :mod:`~repro.service.metrics` — counters/gauges/histograms served on a
   ``/metrics``-style text endpoint.
-* :mod:`~repro.service.front` — the job front the daemon and the
-  cluster share: listener, admission (quota, single-flight coalescing,
-  result-store lookup), job records, result fan-out, SIGTERM drain.
-* :mod:`~repro.service.server` — the daemon: the front over a local
-  worker pool; :mod:`~repro.service.cluster` — the front over a
-  digest-routed ring of backend daemons (``--cluster N``).
+* :mod:`~repro.service.server` — the daemon: listener, admission
+  (quota, single-flight coalescing, result-store lookup), the queue and
+  its dispatcher over the worker pool, job records, result fan-out and
+  the SIGTERM drain.
+* :mod:`~repro.service.store` — the shared content-addressed result
+  store (``--store-dir``).
 * :mod:`~repro.service.client` — the blocking client library
   (``ServiceClient``) used by the ``repro submit`` / ``repro status``
   CLI subcommands.

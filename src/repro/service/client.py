@@ -4,16 +4,16 @@ One TCP connection, synchronous request/response over the line protocol.
 ``submit(..., wait=True)`` passes the ``accepted`` frame and then every
 progress event (``queued`` / ``started`` / ``requeued``) to an optional
 callback as they arrive, and returns the final result; ``submit_retry``
-additionally honors the server's ``queue_full`` (and the cluster
-front's ``quota``) backpressure by sleeping out a *jittered* multiple of
-the advertised ``retry_after`` and resubmitting, which is the polite
-way to drive the service at saturation without synchronized clients
-thundering-herd-ing a recovering daemon.
+additionally honors the server's ``queue_full`` and ``quota``
+backpressure by sleeping out a *jittered* multiple of the advertised
+``retry_after`` and resubmitting, which is the polite way to drive the
+service at saturation without synchronized clients thundering-herd-ing
+a recovering daemon.
 
 Transport or server-side failures surface as
 :class:`repro.errors.ServiceError` with the machine-readable ``code``
 (``queue_full``, ``quota``, ``draining``, ``timeout``, ``worker_crash``,
-``job_error``, ``bad_request``, ``backend_unavailable``) so callers can
+``job_error``, ``bad_request``, ``unknown_job``) so callers can
 branch without string matching.
 """
 

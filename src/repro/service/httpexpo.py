@@ -6,9 +6,7 @@ and dashboards all speak HTTP.  This module is a deliberately tiny
 HTTP/1.0-style responder on asyncio — just enough to serve:
 
 * ``GET /metrics`` — the text exposition (version 0.0.4 content type),
-  produced by an async callback so the cluster front can fan out to its
-  backends (via :func:`repro.service.metrics.relabel_exposition`) while
-  a scrape is in flight;
+  rendered by the daemon's own callback at each scrape;
 * ``GET /healthz`` — ``ok\\n``, for load-balancer liveness probes.
 
 Every response closes its connection (``Connection: close``), which
@@ -22,7 +20,7 @@ No dependencies, no threads: the handler shares the daemon's event loop.
 from __future__ import annotations
 
 import asyncio
-from typing import Awaitable, Callable
+from typing import Callable
 
 #: Prometheus text exposition content type.
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -30,7 +28,7 @@ CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 #: Most bytes of request head we will buffer before giving up.
 _MAX_REQUEST_BYTES = 8192
 
-RenderFn = Callable[[], Awaitable[str]]
+RenderFn = Callable[[], str]
 
 
 def _response(
@@ -105,7 +103,7 @@ class MetricsHTTPServer:
         if path == "/healthz":
             body = "ok\n"
         elif path == "/metrics":
-            body = await self._render()
+            body = self._render()
         else:
             return _response("404 Not Found", "not found\n")
         if method == "HEAD":

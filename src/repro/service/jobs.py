@@ -156,7 +156,7 @@ def _normalize_noop(payload: JSONDict) -> JSONDict:
     """Synthetic job: optional sleep plus payload echo.
 
     ``tag`` keys the coalesce digest, so two noops coalesce exactly when
-    their tags (and sleeps) match — which is what the cluster tests and
+    their tags (and sleeps) match — which is what the service tests and
     smoke checks rely on.
     """
     check_no_extras(payload, frozenset({"tag", "sleep_ms", "echo"}))

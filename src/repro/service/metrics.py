@@ -180,36 +180,6 @@ def _format(value: float) -> str:
     return repr(value)
 
 
-def relabel_exposition(text: str, **labels: str) -> str:
-    """Inject labels into every sample line of a text exposition.
-
-    The cluster front tier aggregates backend ``/metrics`` expositions by
-    stamping each backend's samples with a ``backend="bN"`` label, so one
-    scrape of the front shows per-backend queue depths, per-kind latency
-    histograms, and cache counters side by side.  ``# HELP``/``# TYPE``
-    comments are dropped (the front documents its own collectors; the
-    relabeled series would otherwise redeclare the same names).
-    """
-    if not labels:
-        return text
-    suffix = ",".join(
-        f'{k}="{v}"' for k, v in sorted(labels.items())
-    )
-    out: list[str] = []
-    for line in text.splitlines():
-        if not line or line.startswith("#"):
-            continue
-        name_part, _, value_part = line.rpartition(" ")
-        if not name_part:
-            continue
-        if name_part.endswith("}"):
-            merged = name_part[:-1] + "," + suffix + "}"
-        else:
-            merged = name_part + "{" + suffix + "}"
-        out.append(f"{merged} {value_part}")
-    return "\n".join(out) + ("\n" if out else "")
-
-
 class Registry:
     """Named collectors plus the text exposition over all of them."""
 
@@ -244,83 +214,48 @@ class Registry:
         return "\n".join(lines) + "\n"
 
 
-class JobMetrics:
-    """The collectors every job front exports, pre-registered.
+class ServiceMetrics:
+    """The daemon's collectors, pre-registered."""
 
-    ``prefix`` names the front's families (``repro_`` on a daemon,
-    ``repro_front_`` on the cluster front tier).  ``repro_job_seconds``
-    keeps one name on both, so per-kind latency histograms exist at every
-    endpoint.
-    """
-
-    def __init__(self, prefix: str) -> None:
+    def __init__(self) -> None:
         self.registry = Registry()
         reg = self.registry
         self.jobs_submitted = reg.counter(
-            f"{prefix}jobs_submitted_total", "Jobs admitted, by kind."
+            "repro_jobs_submitted_total", "Jobs admitted, by kind."
         )
         self.jobs_completed = reg.counter(
-            f"{prefix}jobs_completed_total",
+            "repro_jobs_completed_total",
             "Jobs finished, by kind and outcome "
             "(ok/store/job_error/timeout/worker_crash/draining/...).",
         )
         self.jobs_coalesced = reg.counter(
-            f"{prefix}jobs_coalesced_total",
+            "repro_jobs_coalesced_total",
             "Submissions served by attaching to an identical in-flight job.",
         )
         self.jobs_rejected = reg.counter(
-            f"{prefix}jobs_rejected_total",
+            "repro_jobs_rejected_total",
             "Submissions rejected, by reason "
             "(queue_full/quota/draining/bad_request).",
         )
         self.store_ops = reg.counter(
-            f"{prefix}store_ops_total",
-            "Shared result-store hits/misses/stores for this front.",
+            "repro_store_ops_total",
+            "Shared result-store hits/misses/stores for this daemon.",
         )
         self.store_hit_ratio = reg.gauge(
-            f"{prefix}store_hit_ratio",
+            "repro_store_hit_ratio",
             "Result-store hits / (hits + misses) since start.",
         )
         self.jobs_in_flight = reg.gauge(
-            f"{prefix}jobs_in_flight",
-            "Jobs currently executing on a worker or a backend.",
+            "repro_jobs_in_flight", "Jobs currently executing on a worker."
         )
         self.draining = reg.gauge(
-            f"{prefix}draining", "1 while the front is draining after SIGTERM."
+            "repro_draining", "1 while the daemon is draining after SIGTERM."
         )
         self.job_seconds = reg.histogram(
             "repro_job_seconds",
             "Job latency by kind (seconds), submission to result, "
             "store hits included.",
         )
-
-    def record_store_op(self, op: str) -> None:
-        """Count one result-store operation and refresh the hit ratio."""
-        self.store_ops.inc(op=op)
-        hits = self.store_ops.value(op="hits")
-        misses = self.store_ops.value(op="misses")
-        if hits + misses > 0:
-            self.store_hit_ratio.set(hits / (hits + misses))
-
-    def snapshot(self) -> dict[str, float]:
-        """Scalar summary embedded in ``status`` responses."""
-        return {
-            "submitted": self.jobs_submitted.total(),
-            "completed": self.jobs_completed.total(),
-            "coalesced": self.jobs_coalesced.total(),
-            "rejected": self.jobs_rejected.total(),
-            "jobs_in_flight": self.jobs_in_flight.value(),
-            "store_hits": self.store_ops.value(op="hits"),
-            "store_misses": self.store_ops.value(op="misses"),
-        }
-
-
-class ServiceMetrics(JobMetrics):
-    """The daemon's collectors: the shared ones plus queue and workers."""
-
-    def __init__(self) -> None:
-        super().__init__("repro_")
-        reg = self.registry
         self.worker_restarts = reg.counter(
             "repro_worker_restarts_total",
             "Worker processes restarted after a crash or job timeout.",
@@ -371,6 +306,14 @@ class ServiceMetrics(JobMetrics):
             "Total bytes in the on-disk blockjit codegen cache.",
         )
 
+    def record_store_op(self, op: str) -> None:
+        """Count one result-store operation and refresh the hit ratio."""
+        self.store_ops.inc(op=op)
+        hits = self.store_ops.value(op="hits")
+        misses = self.store_ops.value(op="misses")
+        if hits + misses > 0:
+            self.store_hit_ratio.set(hits / (hits + misses))
+
     def fold_cache_delta(self, delta: dict[str, int]) -> None:
         """Fold one worker's run-cache counter delta into the aggregate."""
         for op in ("hits", "misses", "stores"):
@@ -398,8 +341,15 @@ class ServiceMetrics(JobMetrics):
         return self.registry.render_text()
 
     def snapshot(self) -> dict[str, float]:
+        """Scalar summary embedded in ``status`` responses."""
         return {
-            **super().snapshot(),
+            "submitted": self.jobs_submitted.total(),
+            "completed": self.jobs_completed.total(),
+            "coalesced": self.jobs_coalesced.total(),
+            "rejected": self.jobs_rejected.total(),
+            "jobs_in_flight": self.jobs_in_flight.value(),
+            "store_hits": self.store_ops.value(op="hits"),
+            "store_misses": self.store_ops.value(op="misses"),
             "requeued": self.jobs_requeued.total(),
             "worker_restarts": self.worker_restarts.total(),
             "queue_depth": self.queue_depth.value(),
@@ -413,9 +363,7 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "JobMetrics",
     "LATENCY_BUCKETS",
     "Registry",
     "ServiceMetrics",
-    "relabel_exposition",
 ]

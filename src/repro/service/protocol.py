@@ -19,10 +19,12 @@ Request types:
 
 Error responses carry a machine-readable ``code``:
 
-* ``queue_full`` — backpressure; ``retry_after`` (seconds) suggests when
-  to retry.
+* ``queue_full`` / ``quota`` — backpressure (the queue is full, or this
+  connection's submission quota is spent); ``retry_after`` (seconds)
+  suggests when to retry.
 * ``draining`` — the service received SIGTERM and rejects new work.
 * ``bad_request`` / ``bad_version`` — malformed or unsupported input.
+* ``unknown_job`` — ``status`` named a job id the service does not hold.
 * ``timeout`` / ``worker_crash`` / ``job_error`` — job outcomes.
 """
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -43,9 +46,9 @@ PROTOCOL_VERSION = 1
 REQUEST_TYPES = frozenset({"submit", "status", "metrics", "ping"})
 
 #: Job kinds accepted at launch.  ``noop`` is a synthetic job (optional
-#: sleep + payload echo) used for health probes, failover tests and the
-#: service and cluster smoke checks — it exercises routing, queueing,
-#: and coalescing without simulating anything.
+#: sleep + payload echo) used for health probes, crash and drain tests
+#: and the service smoke check — it exercises queueing and coalescing
+#: without simulating anything.
 JOB_KINDS = frozenset({"run", "wcet", "lint", "experiment", "noop", "admit"})
 
 #: Response/event types the client understands.
@@ -62,7 +65,8 @@ class JobSpec:
 
     ``priority`` orders the queue (higher first, FIFO within a level and
     round-robin across clients).  ``timeout`` bounds worker execution in
-    seconds (``None`` = the service default).
+    seconds: a finite number above 0, or ``None`` for the service
+    default.
     """
 
     kind: str
@@ -93,8 +97,16 @@ class JobSpec:
         if not isinstance(priority, int) or isinstance(priority, bool):
             raise ProtocolError("job priority must be an integer")
         timeout = raw.get("timeout")
-        if timeout is not None and not isinstance(timeout, (int, float)):
-            raise ProtocolError("job timeout must be a number or null")
+        if timeout is not None and (
+            not isinstance(timeout, (int, float))
+            or isinstance(timeout, bool)
+            or not math.isfinite(timeout)
+            or timeout <= 0
+        ):
+            raise ProtocolError(
+                "job timeout must be a finite number of seconds above 0, "
+                "or null"
+            )
         return JobSpec(
             kind=str(kind),
             payload=payload,
@@ -105,22 +117,13 @@ class JobSpec:
 
 @dataclass(frozen=True)
 class Request:
-    """A client request (one line on the wire).
-
-    ``client`` is an optional submit extension used inside the fleet:
-    the cluster front tier multiplexes many downstream connections over
-    one TCP connection per backend, and forwards each submitter's
-    identity so the backend's fair queue keeps round-robining across
-    *real* clients instead of seeing the front as one client.  Ordinary
-    clients never set it.
-    """
+    """A client request (one line on the wire)."""
 
     type: str
     id: str
     job: JobSpec | None = None
     wait: bool = True
     job_id: str | None = None
-    client: str | None = None
 
     def to_wire(self) -> JSONDict:
         msg: JSONDict = {"v": PROTOCOL_VERSION, "type": self.type, "id": self.id}
@@ -130,8 +133,6 @@ class Request:
             msg["wait"] = self.wait
         if self.job_id is not None:
             msg["job_id"] = self.job_id
-        if self.client is not None:
-            msg["client"] = self.client
         return msg
 
 
@@ -158,7 +159,6 @@ class Response:
     coalesced: bool | None = None
     stage: str | None = None
     text: str | None = None
-    backend: str | None = None
 
     def to_wire(self) -> JSONDict:
         msg: JSONDict = {"v": PROTOCOL_VERSION}
@@ -214,12 +214,8 @@ def decode_request(line: bytes | str) -> Request:
     job_id = raw.get("job_id")
     if job_id is not None and not isinstance(job_id, str):
         raise ProtocolError("job_id must be a string")
-    client = raw.get("client")
-    if client is not None and not isinstance(client, str):
-        raise ProtocolError("client must be a string")
     return Request(
-        type=str(rtype), id=rid, job=job, wait=wait, job_id=job_id,
-        client=client,
+        type=str(rtype), id=rid, job=job, wait=wait, job_id=job_id
     )
 
 

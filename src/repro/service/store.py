@@ -1,17 +1,18 @@
-"""Shared content-addressed result store for the service fleet.
+"""Shared content-addressed result store for ``repro serve --store-dir``.
 
 Maps a job's coalesce digest (:func:`repro.service.jobs.coalesce_key` —
 canonical JSON salted with the snapshot ``FORMAT_VERSION``, SHA-256) to
-its completed result, on a directory every node can reach.  Any front
-tier or backend then serves any cached result *before* forking a worker,
-which is what turns N per-process run caches into one fleet-wide cache:
-the heavy simulation is paid once, anywhere, and amortized everywhere.
+its completed result, on a directory every daemon pointed at it can
+reach.  A daemon then serves any cached result *before* forking a
+worker, so the heavy simulation is paid once and amortized over every
+later submission, across restarts and across daemons sharing the
+directory.
 
 The store reuses the :mod:`repro.snapshot.runcache` publication
 machinery (``canonical_json`` + ``atomic_write_json``) so concurrent
-writers — several backends completing the same digest, or a backend
-racing the front tier — can only ever publish byte-identical entries
-atomically.  Corrupt or mismatched entries read as misses.
+writers — several daemons completing the same digest — can only ever
+publish byte-identical entries atomically.  Corrupt or mismatched
+entries read as misses.
 
 Only deterministic job kinds are stored (``CACHEABLE_KINDS``); ``noop``
 jobs and payloads carrying ``no_cache: true`` bypass the store entirely.

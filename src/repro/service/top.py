@@ -1,10 +1,10 @@
-"""``repro top``: a live terminal view of a serving node or cluster.
+"""``repro top``: a live terminal view of a running daemon.
 
 Polls the service's ``status`` and ``metrics`` requests over the normal
 TCP protocol (no HTTP needed — though the numbers are the same ones
 ``GET /metrics`` serves) and renders a refreshing dashboard:
 
-* queue depth, in-flight jobs, worker/backend health, drain state;
+* queue depth, in-flight jobs, worker health, drain state;
 * per-kind throughput (jobs/s over the refresh window) and p50/p99
   latency, estimated from ``repro_job_seconds`` bucket *deltas* — the
   quantiles describe the interval you are watching, not all of history;
@@ -166,29 +166,20 @@ def render_frame(
 ) -> str:
     """One dashboard frame from a status summary + two metric samples."""
     lines: list[str] = []
-    cluster = bool(status.get("cluster"))
     draining = " DRAINING" if status.get("draining") else ""
     uptime = float(status.get("uptime_seconds", 0.0) or 0.0)
-    title = "repro cluster" if cluster else "repro service"
     lines.append(
-        f"{title} · up {uptime:.0f}s · window {window_seconds:.1f}s{draining}"
+        f"repro service · up {uptime:.0f}s · "
+        f"window {window_seconds:.1f}s{draining}"
     )
     metrics = status.get("metrics")
     metrics = metrics if isinstance(metrics, Mapping) else {}
-    if cluster:
-        lines.append(
-            f"in-flight {metrics.get('jobs_in_flight', 0):.0f} · "
-            f"coalesced {metrics.get('coalesced', 0):.0f} · "
-            f"rejected {metrics.get('rejected', 0):.0f} · "
-            f"failovers {metrics.get('failovers', 0):.0f}"
-        )
-    else:
-        lines.append(
-            f"queue {status.get('queue_depth', 0)} · "
-            f"in-flight {metrics.get('jobs_in_flight', 0):.0f} · "
-            f"coalesced {metrics.get('coalesced', 0):.0f} · "
-            f"rejected {metrics.get('rejected', 0):.0f}"
-        )
+    lines.append(
+        f"queue {status.get('queue_depth', 0)} · "
+        f"in-flight {metrics.get('jobs_in_flight', 0):.0f} · "
+        f"coalesced {metrics.get('coalesced', 0):.0f} · "
+        f"rejected {metrics.get('rejected', 0):.0f}"
+    )
     store_hits = float(metrics.get("store_hits", 0) or 0)
     store_misses = float(metrics.get("store_misses", 0) or 0)
     cache_hits = float(metrics.get("run_cache_hits", 0) or 0)
@@ -198,22 +189,18 @@ def render_frame(
         total = hits + misses
         return f"{hits / total:.0%}" if total else "-"
 
-    rejected = (
-        "repro_front_jobs_rejected_total"
-        if cluster
-        else "repro_jobs_rejected_total"
+    quota_rejects = _counter_total(
+        cur, "repro_jobs_rejected_total", reason="quota"
     )
     lines.append(
         f"store hit {ratio(store_hits, store_misses)} · "
         f"run-cache hit {ratio(cache_hits, cache_misses)} · "
-        f"quota rejects "
-        f"{_counter_total(cur, rejected, reason='quota'):.0f}"
+        f"quota rejects {quota_rejects:.0f}"
     )
     lines.append("")
-    # Per-kind table over the sampling window.  The front tier and the
-    # single node both export repro_job_seconds{kind=...}; in cluster
-    # mode the relabeled backend series carry a backend label, which the
-    # label-subset matching below happily aggregates over.
+    # Per-kind table over the sampling window, from the
+    # repro_job_seconds{kind=...} histogram; label-subset matching sums
+    # over any further labels a scraper may have added.
     lines.append(f"{'kind':<12}{'jobs/s':>8}{'p50':>10}{'p99':>10}{'total':>8}")
     window = max(window_seconds, 1e-9)
     for kind in _kinds(cur, "repro_job_seconds_count"):
@@ -229,35 +216,13 @@ def render_frame(
             f"{_fmt_seconds(quantile_from_buckets(buckets, 0.99)):>10}"
             f"{count_now:>8.0f}"
         )
-    backends = status.get("backends")
-    if isinstance(backends, list) and backends:
+    workers = status.get("workers")
+    if isinstance(workers, list):
+        alive = sum(
+            1 for w in workers if isinstance(w, Mapping) and w.get("alive")
+        )
         lines.append("")
-        lines.append(f"{'backend':<10}{'up':>4}{'breaker':>9}{'queue':>7}")
-        for entry in backends:
-            if not isinstance(entry, Mapping):
-                continue
-            summary = entry.get("summary")
-            depth = (
-                summary.get("queue_depth", 0)
-                if isinstance(summary, Mapping)
-                else "-"
-            )
-            lines.append(
-                f"{str(entry.get('name', '?')):<10}"
-                f"{'y' if entry.get('up') else 'n':>4}"
-                f"{'open' if entry.get('breaker_open') else '-':>9}"
-                f"{depth!s:>7}"
-            )
-    else:
-        workers = status.get("workers")
-        if isinstance(workers, list):
-            alive = sum(
-                1
-                for w in workers
-                if isinstance(w, Mapping) and w.get("alive")
-            )
-            lines.append("")
-            lines.append(f"workers alive {alive}/{len(workers)}")
+        lines.append(f"workers alive {alive}/{len(workers)}")
     return "\n".join(lines) + "\n"
 
 

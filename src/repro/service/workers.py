@@ -160,7 +160,7 @@ async def await_within(aw: Awaitable[_T], timeout: float) -> _T:
     Unlike ``asyncio.wait_for`` before Python 3.12, a cancellation that
     lands just as ``aw`` finishes is never swallowed: swallowed, it would
     leave a cancelled health loop or job task running, and the drain that
-    awaits it (``JobFront.shutdown``) would never end.
+    awaits it (``ReproService.shutdown``) would never end.
     """
     inner = asyncio.ensure_future(aw)
     try:

@@ -10,8 +10,8 @@ from contextlib import contextmanager
 
 @contextmanager
 def serve_daemon(tmp_path, *extra_args):
-    """Boot ``repro serve`` (single node or cluster front) on a free port
-    with its cache under ``tmp_path``; yield (process, port).
+    """Boot ``repro serve`` on a free port with its cache under
+    ``tmp_path``; yield (process, port).
 
     On exit the daemon is stopped if it still runs, and its stdout pipe
     is closed whether or not it had already exited.

@@ -2,10 +2,9 @@
 
 The load-bearing property is determinism: the decision digest for a
 normalized task set must be byte-identical whether computed by the
-library (``repro admit``), a single daemon worker, or any cluster
-backend — that is what makes fleet-wide coalescing and the shared
-result store sound for the ``admit`` kind.  The round-trip tests here
-pin exactly that.
+library (``repro admit``) or a daemon worker — that is what makes
+coalescing and the shared result store sound for the ``admit`` kind.
+The round-trip tests here pin exactly that.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import pytest
 from repro.errors import ProtocolError
 from repro.rt import admission
 from repro.service import jobs
-from tests.conftest import serve_daemon
 
 TASKS_OK = {
     "tasks": [
@@ -198,50 +196,38 @@ def test_cached_decide_hits_disk(tmp_path, monkeypatch):
 
 
 def test_admit_roundtrip_single_daemon(tmp_path, monkeypatch):
-    """Library, library-cached, and daemon answers are byte-identical."""
+    """Library, library-cached, daemon and daemon-store answers are
+    byte-identical."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     from repro.service.client import ServiceClient
     from repro.service.server import ReproService, ServiceConfig
 
     lib = admission.cached_decide(admission.normalize_payload(TASKS_OK))
 
-    async def run() -> tuple[dict, dict]:
+    async def run() -> tuple[dict, dict, dict]:
         service = ReproService(
-            ServiceConfig(port=0, workers=1, cache_dir=str(tmp_path))
+            ServiceConfig(
+                port=0, workers=1, cache_dir=str(tmp_path),
+                store_dir=str(tmp_path / "store"),
+            )
         )
         await service.start()
         try:
-            def call() -> tuple[dict, dict]:
+            def call() -> tuple[dict, dict, dict]:
                 with ServiceClient("127.0.0.1", service.port) as client:
                     good = client.submit("admit", TASKS_OK)
                     bad = client.submit("admit", TASKS_BAD)
-                    return good.value, bad.value
+                    stored = client.submit("admit", TASKS_OK)
+                    return good.value, bad.value, stored.value
             return await asyncio.to_thread(call)
         finally:
             await service.shutdown(drain=False)
 
-    good, bad = asyncio.run(run())
+    good, bad, stored = asyncio.run(run())
     assert good == lib
     assert good["digest"] == lib["digest"]
     assert bad["admissible"] is False
-
-
-def test_admit_roundtrip_cluster(tmp_path):
-    """--cluster N serves the same digest-cached decision as the library."""
-    from repro.service.client import ServiceClient
-
-    with serve_daemon(
-        tmp_path, "--cluster", "2", "--jobs", "1", "--drain-grace", "5",
-        "--store-dir", str(tmp_path / "store"),
-    ) as (_proc, port):
-        with ServiceClient("127.0.0.1", port, timeout=120.0) as client:
-            first = client.submit("admit", TASKS_OK).value
-            second = client.submit("admit", TASKS_OK).value
-
-    lib = admission.decide(admission.normalize_payload(TASKS_OK))
-    assert first == lib
-    assert second == lib  # served from the shared store, still identical
-    assert first["digest"] == lib["digest"]
+    assert stored == lib  # served from the shared store, still identical
 
 
 def test_admit_kind_is_cacheable_everywhere():

@@ -39,7 +39,7 @@ async def _with_server(render):
 class TestHandler:
     def test_get_metrics_content_type_and_body(self):
         async def main() -> None:
-            async def render() -> str:
+            def render() -> str:
                 return "repro_test_metric 42\n"
 
             server = await _with_server(render)
@@ -57,7 +57,7 @@ class TestHandler:
 
     def test_healthz_404_and_405(self):
         async def main() -> None:
-            async def render() -> str:
+            def render() -> str:
                 return "x 1\n"
 
             server = await _with_server(render)
@@ -86,7 +86,7 @@ class TestHandler:
 
     def test_head_has_length_but_no_body(self):
         async def main() -> None:
-            async def render() -> str:
+            def render() -> str:
                 return "abc\n"
 
             server = await _with_server(render)
@@ -111,7 +111,7 @@ class TestHandler:
         async def main() -> None:
             calls = {"n": 0}
 
-            async def render() -> str:
+            def render() -> str:
                 calls["n"] += 1
                 if calls["n"] == 1:
                     raise RuntimeError("collector blew up")

@@ -1,10 +1,10 @@
-"""Metrics plumbing tests: collectors, exposition, relabeling.
+"""Metrics plumbing tests: collectors, exposition, family names.
 
 These pin the Prometheus-compatibility details the observability layer
 depends on: ``le`` buckets are *inclusive* upper bounds, rendered counts
 are cumulative with ``+Inf`` equal to the observation count, and the
-cluster front's relabeling puts a ``backend`` label on every sample of
-every backend without redeclaring ``# TYPE`` blocks.
+daemon exports exactly the metric families that ``repro top`` and
+perfbench's ``serve-mixed`` workload read by name.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from repro.service.metrics import (
     Histogram,
     Registry,
     ServiceMetrics,
-    relabel_exposition,
 )
 from repro.service.top import parse_exposition
 
@@ -53,48 +52,33 @@ class TestHistogramBuckets:
         assert hist.count(kind="wcet", phase="queue") == 0
 
 
-class TestRelabeling:
-    def test_injects_label_and_drops_comments(self):
-        text = (
-            "# HELP x help\n"
-            "# TYPE x counter\n"
-            "x 3\n"
-            'y{kind="run"} 7\n'
-        )
-        relabeled = relabel_exposition(text, backend="b0")
-        assert "# HELP" not in relabeled
-        assert 'x{backend="b0"} 3' in relabeled
-        # The injected label lands after the existing ones; parse-level
-        # equality is what consumers rely on (labels are a set).
-        assert 'y{kind="run",backend="b0"} 7' in relabeled
-
-    def test_no_labels_is_identity(self):
-        assert relabel_exposition("x 1\n") == "x 1\n"
-
-    def test_every_backend_appears_in_aggregated_exposition(self):
-        """The front-tier aggregation recipe: each backend's full
-        exposition relabeled with its name, concatenated — one scrape
-        shows every backend's series side by side."""
-        expositions = []
-        for index in range(3):
-            registry = Registry()
-            counter = registry.counter("repro_jobs_submitted_total", "jobs")
-            counter.inc(index + 1, kind="run")
-            expositions.append(registry.render_text())
-        merged = "".join(
-            relabel_exposition(text, backend=f"b{i}")
-            for i, text in enumerate(expositions)
-        )
-        samples = parse_exposition(merged)
-        for index in range(3):
-            key = (
-                "repro_jobs_submitted_total",
-                (("backend", f"b{index}"), ("kind", "run")),
-            )
-            assert samples[key] == index + 1
+#: Every family ``ServiceMetrics`` registers.  ``repro top`` and
+#: ``perfbench/serve_mixed.py`` scrape several of these by name, so a
+#: rename is a breaking change to both, not a refactor.
+FAMILIES = {
+    "repro_blockjit_cache_ops_total", "repro_cache_bytes",
+    "repro_cache_entries", "repro_codegen_bytes", "repro_codegen_entries",
+    "repro_draining", "repro_job_phase_seconds", "repro_job_seconds",
+    "repro_jobs_aged_total", "repro_jobs_coalesced_total",
+    "repro_jobs_completed_total", "repro_jobs_in_flight",
+    "repro_jobs_rejected_total", "repro_jobs_requeued_total",
+    "repro_jobs_submitted_total", "repro_queue_depth",
+    "repro_run_cache_hit_ratio", "repro_run_cache_ops_total",
+    "repro_store_hit_ratio", "repro_store_ops_total",
+    "repro_worker_restarts_total", "repro_workers_alive",
+}
 
 
 class TestServiceMetrics:
+    def test_family_names_are_pinned(self):
+        text = ServiceMetrics().registry.render_text()
+        declared = {
+            line.split()[2]
+            for line in text.splitlines()
+            if line.startswith("# TYPE ")
+        }
+        assert declared == FAMILIES
+
     def test_store_hit_ratio_tracks_ops(self):
         metrics = ServiceMetrics()
         metrics.record_store_op("misses")

@@ -1,22 +1,25 @@
 """Unit tests for the service building blocks (no daemon, no sockets).
 
 Covers the wire protocol (round-trips, version gating, validation), the
-fair priority queue (ordering, fairness, backpressure), the metrics
-registry (exposition format, histogram buckets), the job front's bounded
-history, and the job registry (normalization determinism, coalesce-key
-properties).
+fair priority queue (ordering, fairness, backpressure, priority aging),
+the metrics registry (exposition format, histogram buckets), the
+daemon's bounded job history and per-client token buckets, the client's
+jittered retry sleep, and the job registry (normalization determinism,
+coalesce-key properties).
 """
 
 from __future__ import annotations
 
 import json
+import time
+from random import Random
 
 import pytest
 
 from repro.errors import ProtocolError
 from repro.service import jobs as job_registry
-from repro.service.front import FrontConfig, JobFront, JobRecord
-from repro.service.metrics import JobMetrics, Registry, ServiceMetrics
+from repro.service.client import ServiceClient
+from repro.service.metrics import Registry, ServiceMetrics
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     JobSpec,
@@ -27,6 +30,12 @@ from repro.service.protocol import (
     encode,
 )
 from repro.service.queue import FairPriorityQueue, QueueFullError
+from repro.service.server import (
+    JobRecord,
+    ReproService,
+    ServiceConfig,
+    TokenBucket,
+)
 
 
 # -- protocol --------------------------------------------------------------------
@@ -115,6 +124,38 @@ def test_queue_backpressure_and_force():
     assert queue.clients() == ["a", "b"]
 
 
+def test_priority_aging_promotes_starved_entries():
+    """A steady stream of *fresh* high-priority work cannot park an old
+    low-priority entry forever: it ages up into the stream's level and
+    round robin across clients reaches it there."""
+    clock = [0.0]
+    queue: FairPriorityQueue[str] = FairPriorityQueue(
+        8, age_seconds=10.0, clock=lambda: clock[0]
+    )
+    queue.push("old-low", client="a", priority=0)
+    clock[0] = 11.0  # old-low out-waits age_seconds; the stream is fresh
+    queue.push("hi-0", client="b", priority=1)
+    queue.push("hi-1", client="b", priority=1)
+    assert queue.pop() == "hi-0"
+    assert queue.consume_aged() == 1  # old-low promoted to level 1
+    assert queue.pop() == "old-low"  # round robin at the promoted level
+    assert queue.pop() == "hi-1"
+    assert queue.pop() is None
+
+
+def test_priority_aging_respects_boost_limit():
+    clock = [0.0]
+    queue: FairPriorityQueue[str] = FairPriorityQueue(
+        8, age_seconds=1.0, age_boost_limit=2, clock=lambda: clock[0]
+    )
+    queue.push("stuck", client="a", priority=0)
+    queue.push("top", client="b", priority=10)
+    clock[0] = 100.0  # far past every boost threshold
+    assert queue.pop() == "top"  # 10 > 0+2: the cap holds
+    assert queue.consume_aged() == 2
+    assert queue.pop() == "stuck"
+
+
 # -- metrics ---------------------------------------------------------------------
 
 
@@ -168,27 +209,20 @@ def test_service_metrics_cache_ratio():
 # -- job history -----------------------------------------------------------------
 
 
-class _HoldingExecutor:
-    """Accepts every job and never runs it (the test finishes them)."""
-
-    def submit(self, record: JobRecord) -> None:
-        pass
-
-
 def test_history_trim_keeps_newest_finished_and_every_live_job(monkeypatch):
-    """Past ``history_limit`` records the front drops the oldest finished
-    jobs only, and a submit to a full table reads the records oldest
-    first just until it has found the ones to drop, not the whole
-    table."""
+    """Past ``history_limit`` records the daemon drops the oldest
+    finished jobs only, and a submit to a full table reads the records
+    oldest first just until it has found the ones to drop, not the whole
+    table.  The daemon is never started, so its queue holds every job
+    (the depth bound is above the count) and the test finishes them."""
     limit = 64
-    front = JobFront(
-        FrontConfig(history_limit=limit), _HoldingExecutor(),
-        JobMetrics("test_"), None, id_prefix="t", client_prefix="c",
+    service = ReproService(
+        ServiceConfig(history_limit=limit, queue_depth=2 * limit)
     )
 
     def submit(tag: str) -> JobRecord:
         spec = JobSpec(kind="noop", payload={"tag": tag})
-        record, coalesced = front._submit(
+        record, coalesced = service._submit(
             Request(type="submit", id=tag, job=spec), "c1"
         )
         assert not coalesced
@@ -198,9 +232,9 @@ def test_history_trim_keeps_newest_finished_and_every_live_job(monkeypatch):
     finished = []
     for i in range(limit + 10):
         finished.append(submit(f"done{i}"))
-        front._finish(finished[-1], result={})
+        service._finish(finished[-1], result={})
     kept = live + finished[-(limit - len(live)):]
-    assert list(front._jobs) == [record.job_id for record in kept]
+    assert list(service._jobs) == [record.job_id for record in kept]
 
     reads = []
     live_of = JobRecord.live.fget
@@ -211,6 +245,37 @@ def test_history_trim_keeps_newest_finished_and_every_live_job(monkeypatch):
     submit("one-more")
     # One finished record to drop, found behind the three live ones.
     assert reads == [*live, finished[-(limit - len(live))]]
+
+
+# -- quotas and retries ----------------------------------------------------------
+
+
+def test_retry_sleep_is_jittered_around_the_hint():
+    a = ServiceClient(jitter=Random(1))
+    b = ServiceClient(jitter=Random(2))
+    sleeps_a = [a._retry_sleep_seconds(2.0) for _ in range(50)]
+    sleeps_b = [b._retry_sleep_seconds(2.0) for _ in range(50)]
+    assert all(1.0 <= s < 3.0 for s in sleeps_a + sleeps_b)
+    assert sleeps_a != sleeps_b  # different seeds decorrelate the herd
+    assert len(set(sleeps_a)) > 1
+    assert 0.125 <= a._retry_sleep_seconds(None) < 0.375  # default base
+
+
+def test_token_bucket_allows_burst_then_refills():
+    bucket = TokenBucket(rate=50.0, burst=2)
+    assert bucket.allow("alice")
+    assert bucket.allow("alice")
+    assert not bucket.allow("alice")  # burst exhausted
+    assert bucket.allow("bob")  # buckets are per client
+    assert bucket.retry_after("alice") > 0
+    time.sleep(0.05)  # 50 tokens/s -> refilled well past 1 token
+    assert bucket.allow("alice")
+
+
+def test_token_bucket_zero_rate_is_unlimited():
+    bucket = TokenBucket(rate=0.0, burst=1)
+    assert all(bucket.allow("c") for _ in range(100))
+    assert bucket.retry_after("c") == 0.0
 
 
 # -- job registry ----------------------------------------------------------------
@@ -346,3 +411,20 @@ def test_wcet_workload_job_executes_inline():
     assert result["total_cycles"] > 0
     assert result["subtasks"]
     assert result["total_us"] > 0
+
+
+def test_noop_normalization_and_digest():
+    normalized = job_registry.normalize("noop", {"tag": "x"})
+    assert normalized == {"tag": "x", "sleep_ms": 0, "echo": {}}
+    assert job_registry.coalesce_key(
+        "noop", normalized
+    ) == job_registry.coalesce_key(
+        "noop", job_registry.normalize("noop", {"tag": "x", "sleep_ms": 0})
+    )
+    assert job_registry.execute("noop", normalized) == {
+        "tag": "x",
+        "slept_ms": 0,
+        "echo": {},
+    }
+    with pytest.raises(Exception):
+        job_registry.normalize("noop", {"tag": 7})

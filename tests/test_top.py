@@ -60,8 +60,8 @@ class TestHistogramDeltas:
         assert buckets[0] == (0.1, 1.0)
 
     def test_backend_label_aggregation_ignores_extras(self):
-        # Cluster scrapes carry a backend label; a kind-only selector
-        # must still match (label-subset semantics).
+        # A scrape may carry extra labels; a kind-only selector must
+        # still match (label-subset semantics).
         cur = parse_exposition(
             'h_bucket{backend="b0",kind="run",le="+Inf"} 4\n'
         )
@@ -100,7 +100,6 @@ class TestRenderFrame:
 
     def test_single_node_frame(self):
         status = {
-            "cluster": False,
             "uptime_seconds": 12.0,
             "queue_depth": 1,
             "metrics": {
@@ -123,32 +122,19 @@ class TestRenderFrame:
         assert "admit" in frame
         assert "2.0" in frame
 
-    def test_cluster_frame_lists_backends(self):
-        status = {
-            "cluster": True,
-            "uptime_seconds": 5.0,
-            "draining": True,
-            "metrics": {"jobs_in_flight": 0, "coalesced": 0,
-                        "rejected": 0, "failovers": 1},
-            "backends": [
-                {"name": "b0", "up": True, "breaker_open": False,
-                 "summary": {"queue_depth": 4}},
-                {"name": "b1", "up": False, "breaker_open": True,
-                 "summary": None},
-            ],
-        }
-        frame = render_frame(status, {}, {}, 1.0)
-        assert "repro cluster" in frame
-        assert "DRAINING" in frame
-        assert "b0" in frame and "b1" in frame
-        assert "open" in frame
+    def test_draining_flag_in_title(self):
+        frame = render_frame(
+            {"uptime_seconds": 5.0, "draining": True}, {}, {}, 1.0
+        )
+        assert frame.startswith("repro service · up 5s")
+        assert "DRAINING" in frame.splitlines()[0]
 
     def test_single_node_frame_counts_daemon_quota_rejects(self):
         cur = parse_exposition(
             'repro_jobs_rejected_total{reason="quota"} 3\n'
             'repro_jobs_rejected_total{reason="draining"} 1\n'
         )
-        frame = render_frame({"cluster": False}, {}, cur, 1.0)
+        frame = render_frame({}, {}, cur, 1.0)
         assert "quota rejects 3" in frame
 
     def test_zero_window_does_not_divide_by_zero(self):
