@@ -1,10 +1,19 @@
-"""CI smoke check: the run-level result cache actually hits.
+"""CI smoke check: the on-disk entries actually hit.
 
-Runs one figure4 cell twice through the real experiment path and asserts
-the second invocation is served from the on-disk run cache (both runtimes
-hit; rows identical).  Uses whatever ``REPRO_CACHE_DIR`` points at, so CI
-can persist the directory across jobs via ``actions/cache`` and this
-check also validates restored cache contents.
+Runs one figure4 cell through the real experiment path, then re-invokes
+it twice from cold in-process state (set-up memo and warm-up prefixes
+dropped), reading the shared ``runcache.STATS`` counters:
+
+1. in the cache directory itself, the re-invocation must hit the
+   set-up entry and both runtimes' run entries;
+2. in a scratch directory seeded with only the set-up and warm-up
+   entries, it must hit the set-up entry and both warm-up prefixes
+   (the run entries are absent, so the prefixes are what is read).
+
+Each re-invocation's row must equal the first.  Uses whatever
+``REPRO_CACHE_DIR`` points at, so CI can persist the directory across
+jobs via ``actions/cache`` and this check also validates restored cache
+contents.
 
 Usage::
 
@@ -15,9 +24,37 @@ from __future__ import annotations
 
 import os
 import pathlib
+import shutil
 import sys
+import tempfile
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _reinvoke(cell: tuple) -> tuple[object, dict[str, int]]:
+    """The cell's row from cold in-process state, plus the counters."""
+    from repro.experiments import common
+    from repro.experiments.figure4 import _cell
+    from repro.snapshot import runcache, warmup
+
+    common.setup.cache_clear()
+    warmup.clear_memory_cache()
+    runcache.reset_stats()
+    row = _cell(cell)
+    return row, dict(runcache.STATS)
+
+
+def _check(label: str, stats: dict[str, int], expected: dict[str, int]) -> bool:
+    seen = ", ".join(f"{stats.get(n, 0)} {n}" for n in sorted(expected))
+    print(f"run_cache_smoke: {label} -> {seen}")
+    short = [n for n, least in expected.items() if stats.get(n, 0) < least]
+    for name in short:
+        print(
+            f"run_cache_smoke: FAIL: {label}: expected at least "
+            f"{expected[name]} {name}",
+            file=sys.stderr,
+        )
+    return not short
 
 
 def main() -> int:
@@ -31,28 +68,40 @@ def main() -> int:
 
     cell = ("cnt", 0.2, "tiny", 8)
     first = _cell(cell)
-    runcache.reset_stats()
-    second = _cell(cell)
+    directory = runcache.cache_dir()
+    rows = []
 
-    hits, misses = runcache.STATS["hits"], runcache.STATS["misses"]
-    print(
-        f"run_cache_smoke: second invocation -> {hits} hits, "
-        f"{misses} misses in {runcache.cache_dir()}"
+    row, stats = _reinvoke(cell)
+    rows.append(row)
+    # One VISA + one simple-fixed run per cell.
+    ok = _check(
+        f"re-invocation in {directory}", stats, {"hits": 2, "setup_hits": 1}
     )
-    if hits < 2:  # one VISA + one simple-fixed run per cell
-        print(
-            "run_cache_smoke: FAIL: expected both runtimes to hit the "
-            "run cache on re-invocation",
-            file=sys.stderr,
-        )
-        return 1
-    if second != first:
+
+    with tempfile.TemporaryDirectory() as scratch:
+        for pattern in ("setup-*.json", "warmup-*.json"):
+            for path in directory.glob(pattern):
+                shutil.copy(path, scratch)
+        os.environ["REPRO_CACHE_DIR"] = scratch
+        try:
+            row, stats = _reinvoke(cell)
+        finally:
+            os.environ["REPRO_CACHE_DIR"] = str(directory)
+    rows.append(row)
+    ok &= _check(
+        "re-invocation without run entries", stats,
+        {"setup_hits": 1, "warmup_hits": 2},
+    )
+
+    if any(row != first for row in rows):
         print(
             "run_cache_smoke: FAIL: cached row differs from computed row",
             file=sys.stderr,
         )
         return 1
-    print("run_cache_smoke: OK (cached row identical to computed row)")
+    if not ok:
+        return 1
+    print("run_cache_smoke: OK (cached rows identical to computed row)")
     return 0
 
 

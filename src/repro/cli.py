@@ -350,7 +350,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_cache(args) -> int:
-    """``cache``: inspect or clear the on-disk setup/run/warm-up caches."""
+    """``cache``: inspect or clear the on-disk cache entries."""
     from repro.experiments.common import format_table
     from repro.snapshot import runcache
 
@@ -364,11 +364,6 @@ def cmd_cache(args) -> int:
         rows = [
             ["entries", str(stats["entries"])],
             ["bytes", str(stats["bytes"])],
-            ["hits (fleet)", str(stats["hits"])],
-            ["misses (fleet)", str(stats["misses"])],
-            ["stores (fleet)", str(stats["stores"])],
-            ["hit rate", f"{stats['hit_rate']:.3f}"],
-            ["reporters", ", ".join(stats["reporters"]) or "-"],
         ]
         print(format_table(["shared-store statistic", "value"], rows))
         print(f"# directory: {stats['directory']}")
@@ -399,7 +394,6 @@ def cmd_cache(args) -> int:
         ]
         print(format_table(["cache statistic", "value"], rows))
         print(f"# directory: {stats['directory']}")
-        print(f"# codegen directory: {jit['directory']}")
         return 0
     entries = runcache.cache_entries()
     if not entries:
@@ -455,9 +449,9 @@ _SERVE_FLAGS: dict[str, tuple[str, type, str]] = {
     ),
     "--quota-rate": (
         "quota_rate", float,
-        "per-client submissions per second (token bucket; 0 = unlimited)",
+        "per-host submissions per second (token bucket; 0 = unlimited)",
     ),
-    "--quota-burst": ("quota_burst", int, "per-client token-bucket burst"),
+    "--quota-burst": ("quota_burst", int, "per-host token-bucket burst"),
     "--metrics-port": (
         "metrics_port", int,
         "also serve GET /metrics over plain HTTP on this port "
@@ -897,8 +891,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--store",
         action="store_true",
         help=(
-            "with 'stats': report the fleet's shared result store "
-            "(entries, bytes, summed per-node hit/miss/store sidecars)"
+            "with 'stats': report the shared result store's entries and "
+            "bytes (a daemon's live counters are on its /metrics)"
         ),
     )
     p.add_argument(

@@ -3,16 +3,14 @@
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 from repro.power.model import PowerModel
 from repro.power.report import energy_of_runs, power_savings
 from repro.snapshot import runcache, warmup
-from repro.snapshot.runcache import cache_dir  # re-exported; CLI + tests use it
+from repro.snapshot.state import canonical_json, program_digest
 from repro.visa.dvs import DVSTable
 from repro.visa.runtime import (
     RuntimeConfig,
@@ -38,6 +36,10 @@ TIGHT_FACTOR = 1.15
 #: Loose deadline: based on an intermediate simple-fixed frequency of
 #: ~600 MHz (paper §5.3).
 LOOSE_BASIS_HZ = 600e6
+
+#: ``calibrate_dcache_bounds`` arguments for every set-up; they key the
+#: set-up entry, so changing one re-calibrates.
+CALIBRATION = {"seeds": 5, "margin": 1.25, "slack": 4}
 
 
 def default_scale() -> str:
@@ -66,72 +68,46 @@ class Setup:
     deadline_loose: float
 
 
-def _program_digest(workload: Workload) -> str:
-    """Stable digest of everything the analysis results depend on."""
-    program = workload.program
-    payload = repr((
-        program.words,
-        sorted(program.data.items()),
-        sorted(program.loop_bounds.items()),
-        sorted(program.subtask_marks.items()),
-        # Deadline constants feed the cached values; changing them must
-        # invalidate the cache.
-        OVHD, TIGHT_FACTOR, LOOSE_BASIS_HZ,
-    ))
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-def _cache_path(name: str, scale: str, digest: str) -> Path:
-    return cache_dir() / f"setup-{name}-{scale}-{digest}.json"
-
-
-def _cache_load(path: Path, workload: Workload) -> Setup | None:
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
-    try:
-        return Setup(
-            workload=workload,
-            dcache_bounds=[int(b) for b in payload["dcache_bounds"]],
-            wcet_1ghz_seconds=float(payload["wcet_1ghz_seconds"]),
-            deadline_tight=float(payload["deadline_tight"]),
-            deadline_loose=float(payload["deadline_loose"]),
-        )
-    except (KeyError, TypeError, ValueError):
-        return None
-
-
-def _cache_store(path: Path, prep: Setup) -> None:
+def _setup_key(workload: Workload, scale: str) -> str:
+    """Set-up entry key: the program digest (salted with the format
+    version) and every constant the cached values depend on."""
     payload = {
-        "dcache_bounds": prep.dcache_bounds,
-        "wcet_1ghz_seconds": prep.wcet_1ghz_seconds,
-        "deadline_tight": prep.deadline_tight,
-        "deadline_loose": prep.deadline_loose,
+        "program": program_digest(workload.program),
+        "deadline": [OVHD, TIGHT_FACTOR, LOOSE_BASIS_HZ],
+        "calibration": CALIBRATION,
     }
-    # Atomic publish: concurrent workers may race on the same key.
-    runcache.atomic_write_json(path, payload)
+    digest = hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+    return f"{workload.name}-{scale}-{digest[:16]}"
 
 
 @lru_cache(maxsize=None)
 def setup(name: str, scale: str) -> Setup:
     """Per-benchmark preparation, memoized in-process and on disk.
 
-    The expensive parts (D-cache calibration + two WCET analyses) are
-    cached under :func:`cache_dir` keyed by (benchmark, scale, program
-    digest), so parallel experiment workers and repeated benchmark
-    processes skip the static analyzer.  ``REPRO_NO_CACHE=1`` bypasses
-    the disk layer entirely; the in-process ``lru_cache`` (and with it
-    the ``setup(a, b) is setup(a, b)`` identity) always applies.
+    The expensive parts (D-cache calibration + two WCET analyses) are a
+    ``setup`` entry of :mod:`repro.snapshot.runcache` keyed by
+    :func:`_setup_key`, so parallel experiment workers and repeated
+    benchmark processes skip the static analyzer.
+    ``REPRO_NO_CACHE=1`` bypasses the disk layer entirely; the in-process
+    ``lru_cache`` (and with it the ``setup(a, b) is setup(a, b)``
+    identity) always applies.
     """
     workload = get_workload(name, scale)
-    use_disk = not runcache.cache_disabled()
-    if use_disk:
-        path = _cache_path(name, scale, _program_digest(workload))
-        cached = _cache_load(path, workload)
-        if cached is not None:
-            return cached
-    bounds = calibrate_dcache_bounds(workload)
+    key = _setup_key(workload, scale)
+
+    def decode(value: dict) -> Setup:
+        return Setup(
+            workload=workload,
+            dcache_bounds=[int(b) for b in value["dcache_bounds"]],
+            wcet_1ghz_seconds=float(value["wcet_1ghz_seconds"]),
+            deadline_tight=float(value["deadline_tight"]),
+            deadline_loose=float(value["deadline_loose"]),
+        )
+
+    cached = runcache.load("setup", key, decode)
+    if cached is not None:
+        return cached
+    bounds = calibrate_dcache_bounds(workload, **CALIBRATION)
     # Through the shared analysis, so these two solves warm it for the
     # runtimes that follow.
     spec, program = VISASpec(), workload.program
@@ -144,8 +120,12 @@ def setup(name: str, scale: str) -> Setup:
         deadline_tight=TIGHT_FACTOR * wcet_1g + OVHD,
         deadline_loose=wcet_loose + OVHD,
     )
-    if use_disk:
-        _cache_store(path, prep)
+    runcache.store("setup", key, {
+        "dcache_bounds": bounds,
+        "wcet_1ghz_seconds": wcet_1g,
+        "deadline_tight": prep.deadline_tight,
+        "deadline_loose": prep.deadline_loose,
+    })
     return prep
 
 

@@ -37,8 +37,9 @@ partially-updated batched state.
 
 Each block is compiled on its own, so a build never holds a whole
 table's source or syntax tree at once.  The compiled block table is
-memoized on the :class:`~repro.isa.program.Program` and persisted as
-``.repro_cache/blockjit/<engine>-<key>.marshal``: one ``marshal`` blob of
+memoized on the :class:`~repro.isa.program.Program` and persisted as a
+``blockjit`` entry of :mod:`repro.snapshot.runcache`
+(``.repro_cache/blockjit-<engine>-<key>.marshal``) whose value is the
 per-block ``(start, name, length, code)`` records.  The key hashes the
 program digest, cache geometry, pipeline parameters, ``CODEGEN_VERSION``,
 a digest of the source the emitted code depends on
@@ -59,7 +60,6 @@ from __future__ import annotations
 
 import hashlib
 import importlib
-import marshal
 import sys
 from dataclasses import astuple
 from functools import lru_cache
@@ -83,8 +83,6 @@ from repro.pipelines.inorder_engine import BRANCH_PENALTY, _FRONT_DEPTH
 from repro.wcet.cfg import build_cfg
 
 if TYPE_CHECKING:
-    from pathlib import Path
-
     from repro.isa.program import Program
 
 #: Bump when the emitted code changes shape; stale disk entries miss.
@@ -1754,62 +1752,27 @@ def _disk_key(
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()[:24]
 
 
-def _disk_path(engine: str, key: str) -> "Path":
-    from repro.snapshot import runcache
-
-    return runcache.cache_dir() / "blockjit" / f"{engine}-{key}.marshal"
-
-
-def _load_disk(
-    engine: str, key: str
-) -> tuple[dict[str, Any], dict[int, BlockEntry]] | None:
-    """``(namespace, blocks)`` from the ``(key, records)`` blob, or
-    ``None``: an unreadable or foreign-key entry is a miss, not an error."""
-    from repro.snapshot import runcache
-
-    if runcache.cache_disabled():
-        return None
-    ns = dict(_EXEC_GLOBALS)
-    try:
-        stored_key, records = marshal.loads(
-            _disk_path(engine, key).read_bytes()
-        )
-        if stored_key != key:
-            raise ValueError("blockjit entry written under another key")
-        blocks = _install(records, ns)
-    except (OSError, EOFError, KeyError, TypeError, ValueError):
-        runcache.STATS["blockjit_misses"] += 1
-        return None
-    runcache.STATS["blockjit_hits"] += 1
-    return ns, blocks
-
-
-def _store_disk(engine: str, key: str, records: list[_Record]) -> None:
-    from repro.snapshot import runcache
-
-    if runcache.cache_disabled():
-        return
-    runcache.atomic_write(
-        _disk_path(engine, key), marshal.dumps((key, records))
-    )
-    runcache.STATS["blockjit_stores"] += 1
-
-
 def _build_table(
     program: "Program", engine: str, geom: _Geometry, params: Any,
     params_tuple: tuple | None,
 ) -> BlockTable:
-    key = _disk_key(program, engine, geom, params_tuple)
-    loaded = _load_disk(engine, key)
-    if loaded is not None:
-        return BlockTable(program, engine, geom, params, *loaded)
-    records = [
-        _compile_block(engine, geom, params, start, insts)
-        for start, insts in _walk_blocks(program)
-    ]
+    """Load the table's ``blockjit`` entry (its value: the marshalled
+    block records), or compile every block and publish them."""
+    from repro.snapshot import runcache
+
+    key = f"{engine}-{_disk_key(program, engine, geom, params_tuple)}"
     ns = dict(_EXEC_GLOBALS)
-    blocks = _install(records, ns)
-    _store_disk(engine, key, records)
+    blocks = runcache.load(
+        "blockjit", key, lambda records: _install(records, ns)
+    )
+    if blocks is None:
+        records = [
+            _compile_block(engine, geom, params, start, insts)
+            for start, insts in _walk_blocks(program)
+        ]
+        ns = dict(_EXEC_GLOBALS)  # a rejected entry may have exec'd into it
+        blocks = _install(records, ns)
+        runcache.store("blockjit", key, records)
     return BlockTable(program, engine, geom, params, ns, blocks)
 
 
@@ -2191,68 +2154,20 @@ def run_ooo(
             counters["regwrite"] += st[16]
 
 
-# --- cache-observability helpers (``repro cache stats`` / ``clear``) ----------
-
-
-#: Entry suffixes on disk: current entries, plus legacy JSON entries (the
-#: format before marshal blobs) that only ``clear_disk_cache`` removes.
-_ENTRY_SUFFIXES = (".marshal", ".json")
+# --- cache observability (``repro cache stats``) ------------------------------
 
 
 def disk_cache_stats() -> dict:
-    """On-disk blockjit cache stats plus in-process hit/miss/store counters."""
+    """On-disk blockjit entries plus in-process hit/miss/store counters."""
     from repro.snapshot import runcache
 
-    directory = runcache.cache_dir() / "blockjit"
-    entries = 0
-    total = 0
-    if directory.is_dir():
-        for path in directory.iterdir():
-            if path.is_file() and path.suffix in _ENTRY_SUFFIXES:
-                try:
-                    total += path.stat().st_size
-                except OSError:
-                    continue
-                entries += 1
-    return {
-        "directory": str(directory),
-        "entries": entries,
-        "bytes": total,
-        "hits": int(runcache.STATS["blockjit_hits"]),
-        "misses": int(runcache.STATS["blockjit_misses"]),
-        "stores": int(runcache.STATS["blockjit_stores"]),
-    }
-
-
-def clear_disk_cache() -> tuple[int, int]:
-    """Delete the blockjit codegen cache; ``(files_removed, bytes_freed)``."""
-    from repro.snapshot import runcache
-
-    removed = freed = 0
-    directory = runcache.cache_dir() / "blockjit"
-    if not directory.is_dir():
-        return 0, 0
-    for path in directory.iterdir():
-        if path.is_file() and path.suffix in (*_ENTRY_SUFFIXES, ".tmp"):
-            try:
-                size = path.stat().st_size
-                path.unlink()
-            except OSError:
-                continue
-            removed += 1
-            freed += size
-    try:
-        directory.rmdir()
-    except OSError:
-        pass
-    return removed, freed
+    return runcache.codegen_stats()
 
 
 __all__ = [
     "BlockTable",
     "CODEGEN_VERSION",
     "block_table",
-    "clear_disk_cache",
     "disk_cache_stats",
     "run_inorder",
     "run_ooo",

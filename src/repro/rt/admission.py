@@ -38,7 +38,6 @@ this job kind.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from functools import lru_cache
 from typing import Any
@@ -536,36 +535,20 @@ def _seal(payload: JSONDict, decision: JSONDict) -> JSONDict:
 def cached_decide(payload: JSONDict) -> JSONDict:
     """:func:`decide`, memoized on disk by task-set digest.
 
-    Uses the runcache publication machinery (atomic canonical-JSON
-    writes under :func:`repro.snapshot.runcache.cache_dir`, salted with
-    the snapshot format version) so the CLI, service workers on the same
-    cache volume, and repeated processes all share one entry per
-    digest.  Under ``REPRO_NO_CACHE=1`` or ``repro admit --no-cache``
-    (see :func:`repro.snapshot.runcache.cache_disabled`) it is plain
-    :func:`decide`.
+    One ``admit`` entry of :mod:`repro.snapshot.runcache` per digest, so
+    the CLI, service workers on the same cache volume, and repeated
+    processes all share it.  Under ``REPRO_NO_CACHE=1`` or ``repro admit
+    --no-cache`` (see :func:`repro.snapshot.runcache.cache_disabled`) it
+    is plain :func:`decide`.
     """
     from repro.snapshot import runcache
 
-    if runcache.cache_disabled():
-        return decide(payload)
     digest = task_set_digest(payload)
-    path = runcache.cache_dir() / f"admit-{digest}.json"
-    try:
-        raw = json.loads(path.read_text())
-        if (
-            isinstance(raw, dict)
-            and raw.get("format") == FORMAT_VERSION
-            and isinstance(raw.get("decision"), dict)
-            and raw["decision"].get("task_set_digest") == digest
-        ):
-            cached: JSONDict = raw["decision"]
-            return cached
-    except (OSError, ValueError):
-        pass
+    cached = runcache.load("admit", digest, runcache.json_object)
+    if cached is not None:
+        return cached
     decision = decide(payload)
-    runcache.atomic_write_json(
-        path, {"format": FORMAT_VERSION, "decision": decision}
-    )
+    runcache.store("admit", digest, decision)
     return decision
 
 

@@ -5,7 +5,7 @@ connection and the worker process a job runs in:
 
 * the listener and request dispatch (``ping``/``metrics``/``status``/
   ``submit``) and the optional HTTP ``GET /metrics`` exposition;
-* admission — draining, per-client token-bucket quotas, payload
+* admission — draining, per-host token-bucket quotas, payload
   normalisation, single-flight coalescing and the shared result-store
   lookup;
 * the fair priority queue, its dispatcher and the worker pool;
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import os
 import signal
 import time
 from collections import Counter
@@ -78,7 +77,7 @@ _FLUSH_SECONDS = 1.0
 class ServiceConfig:
     """Daemon knobs (all exposed as ``repro serve`` flags).
 
-    ``quota_rate`` is per-client submissions per second with
+    ``quota_rate`` is per-host submissions per second with
     ``quota_burst`` headroom (0 = no quota).  ``metrics_port``
     additionally serves the exposition over plain HTTP ``GET /metrics``
     (0 = pick a free port; None = TCP-protocol ``metrics`` only).
@@ -104,35 +103,41 @@ class ServiceConfig:
 
 
 class TokenBucket:
-    """Per-client token buckets: ``rate`` tokens/s refill, ``burst`` cap.
+    """Per-host token buckets: ``rate`` tokens/s refill, ``burst`` cap.
 
-    ``rate <= 0`` disables quotas.  Buckets are keyed by the same client
-    identity the fair queue uses (one per connection), so a client that
-    floods the daemon runs its own bucket dry without touching anyone
-    else's admission."""
+    ``rate <= 0`` disables quotas.  Buckets are keyed by the peer host,
+    not the connection, so a client that reconnects keeps its bucket and
+    a host that floods the daemon runs only its own bucket dry.  A bucket
+    that has refilled to ``burst`` decides exactly like a fresh one, so
+    it is dropped: the table holds only hosts that submitted within the
+    last ``burst / rate`` seconds."""
 
     def __init__(self, rate: float, burst: int):
         self.rate = rate
         self.burst = max(1, burst)
         self._buckets: dict[str, tuple[float, float]] = {}
 
-    def allow(self, client: str) -> bool:
+    def _tokens(self, host: str, now: float) -> float:
+        tokens, stamp = self._buckets.get(host, (float(self.burst), now))
+        return min(float(self.burst), tokens + (now - stamp) * self.rate)
+
+    def allow(self, host: str) -> bool:
         if self.rate <= 0:
             return True
         now = time.monotonic()
-        tokens, stamp = self._buckets.get(client, (float(self.burst), now))
-        tokens = min(float(self.burst), tokens + (now - stamp) * self.rate)
-        if tokens >= 1.0:
-            self._buckets[client] = (tokens - 1.0, now)
-            return True
-        self._buckets[client] = (tokens, now)
-        return False
+        full = [h for h in self._buckets if self._tokens(h, now) >= self.burst]
+        for h in full:
+            del self._buckets[h]
+        tokens = self._tokens(host, now)
+        allowed = tokens >= 1.0
+        self._buckets[host] = (tokens - 1.0 if allowed else tokens, now)
+        return allowed
 
-    def retry_after(self, client: str) -> float:
-        """Seconds until the client's bucket holds one token again."""
+    def retry_after(self, host: str) -> float:
+        """Seconds until the host's bucket holds one token again."""
         if self.rate <= 0:
             return 0.0
-        tokens, _ = self._buckets.get(client, (float(self.burst), 0.0))
+        tokens, _ = self._buckets.get(host, (float(self.burst), 0.0))
         return round(max(0.05, (1.0 - tokens) / self.rate), 3)
 
 
@@ -213,9 +218,7 @@ class ReproService:
         self.metrics = ServiceMetrics()
         self.store: ResultStore | None = None
         if config.store_dir is not None:
-            self.store = ResultStore(
-                Path(config.store_dir), owner=f"serve-{os.getpid()}"
-            )
+            self.store = ResultStore(Path(config.store_dir))
         self.quota = TokenBucket(config.quota_rate, config.quota_burst)
         self.queue: FairPriorityQueue[JobRecord] = FairPriorityQueue(
             config.queue_depth, age_seconds=config.age_seconds
@@ -297,9 +300,6 @@ class ReproService:
             await asyncio.sleep(0.01)
         self.pool.close()
         self.metrics.workers_alive.set(0)
-        if self.store is not None:
-            with contextlib.suppress(OSError):
-                self.store.flush_stats()
         if self._server is not None:
             self._server.close()
             with contextlib.suppress(OSError):
@@ -329,21 +329,23 @@ class ReproService:
         )
 
     def _submit(
-        self, request: Request, client: str
+        self, request: Request, client: str, host: str
     ) -> tuple[JobRecord, bool] | Response:
-        """Admit one submission; returns the record or an error response."""
+        """Admit one submission from connection ``client`` on peer
+        ``host``; returns the record or an error response.  The quota is
+        per host, the fair queue per connection."""
         assert request.job is not None
         spec = request.job
         if self._draining:
             return self._reject(
                 request, "draining", "service is draining; submit rejected"
             )
-        if not self.quota.allow(client):
+        if not self.quota.allow(host):
             return self._reject(
                 request,
                 "quota",
-                f"client {client} exceeded its submission quota",
-                self.quota.retry_after(client),
+                f"host {host} exceeded its submission quota",
+                self.quota.retry_after(host),
             )
         try:
             payload = job_registry.normalize(spec.kind, spec.payload)
@@ -533,7 +535,6 @@ class ReproService:
             ):
                 self.store.put(kind, record.key, result)
                 self.metrics.store_ops.inc(op="stores")
-                self.store.flush_stats()
         for request_id, inbox in record.subscribers:
             inbox.put_nowait(record.result_response(request_id))
         record.subscribers.clear()
@@ -604,7 +605,9 @@ class ReproService:
     async def _handle_submit(
         self, request: Request, client: str, writer: asyncio.StreamWriter
     ) -> None:
-        outcome = self._submit(request, client)
+        peer = writer.get_extra_info("peername")
+        host = str(peer[0]) if isinstance(peer, tuple) and peer else client
+        outcome = self._submit(request, client, host)
         if isinstance(outcome, Response):
             writer.write(encode(outcome))
             await writer.drain()

@@ -1,27 +1,35 @@
-"""Run-level result cache: memoized runtime ``run()`` outputs on disk.
+"""The one on-disk memo: every cache entry, and memoized runs.
+
+Every disk entry the package keeps goes through :func:`load` and
+:func:`store`: whole runs (``run``), warm-up prefixes (``warmup``),
+experiment set-up (``setup``), admission decisions (``admit``), the
+service's result store (one entry per job kind, in its own directory)
+and compiled block code (``blockjit``).  This module owns each entry's
+path (``<kind>-<key>`` under :func:`cache_dir`), its
+envelope ``{format, kind, key, value}`` (canonical JSON, or a ``marshal``
+blob for block code), the :func:`cache_disabled` test, the atomic
+publish (:func:`atomic_write`) and the miss rule: anything unreadable,
+foreign-keyed or of another :data:`~repro.snapshot.state.FORMAT_VERSION`
+is a counted miss, so a version bump invalidates every kind at once.
+:func:`cache_entries` is the one directory scan behind ``repro cache``.
 
 A whole-run simulation is deterministic: the same program, runtime
 configuration, DVS table, and flush set always produce the same
-``TaskRun`` list.  This module caches those lists under the existing
-``.repro_cache/`` directory so repeated figure/ablation invocations skip
-the simulation entirely.
-
-Key derivation (:func:`run_key`) covers every input the result depends
-on — program digest, all ``RuntimeConfig`` fields, the DVS table's
-operating points, the flush set, runtime kind plus any extras (D-cache
-bounds, speculation policy) — and is salted with the snapshot
-:data:`~repro.snapshot.state.FORMAT_VERSION`, so a layout change
-invalidates every stored entry at once.
+``TaskRun`` list.  :func:`load_runs`/:func:`store_runs` memoize those
+lists so repeated figure/ablation invocations skip the simulation.  Key
+derivation (:func:`run_key`) covers every input the result depends on —
+program digest, all ``RuntimeConfig`` fields, the DVS table's operating
+points, the flush set, runtime kind plus any extras (D-cache bounds,
+speculation policy) — and is salted with the format version.
 
 ``REPRO_NO_CACHE=1`` bypasses loads *and* stores; ``REPRO_CACHE_DIR``
 relocates the directory.  :func:`cache_disabled` is the one place the
 no-cache decision is resolved: entry points (``--no-cache``, a service
 payload's ``no_cache``) scope it with :func:`no_cache_override`, and
 :func:`repro.experiments.parallel.parallel_map` ships the resolved bool
-to its worker processes.  Entries are
-published atomically so parallel experiment workers may race on a key.
-In-process :data:`STATS` counters make hits observable to tests and CI
-smoke checks.
+to its worker processes.  Entries are published atomically so parallel
+experiment workers may race on a key.  In-process :data:`STATS`
+counters make hits observable to tests and CI smoke checks.
 """
 
 from __future__ import annotations
@@ -30,23 +38,26 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import marshal
 import os
 import tempfile
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from contextvars import ContextVar
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, TypeVar
 
-from repro.snapshot.state import FORMAT_VERSION, canonical_json, program_digest
+from repro.errors import SnapshotError
+from repro.snapshot import state
 from repro.visa.dvs import DVSTable, Setting
 from repro.visa.runtime import Phase, RuntimeConfig, TaskRun
 
 if TYPE_CHECKING:
     from repro.isa.program import Program
 
-#: In-process observability: run-cache hits/misses/stores since import
-#: (or the last :func:`reset_stats`).
+#: In-process observability since import (or the last :func:`reset_stats`):
+#: run entries count as ``hits``/``misses``/``stores``, every other kind
+#: as ``<kind>_hits`` etc. (``setup_hits``, ``blockjit_misses``, ...).
 STATS: Counter[str] = Counter()
 
 
@@ -112,9 +123,107 @@ def atomic_write(path: Path, data: bytes) -> None:
         pass  # caching is best-effort; the computed result is still returned
 
 
-def atomic_write_json(path: Path, payload: Any) -> None:
-    """:func:`atomic_write` of ``payload`` as canonical JSON."""
-    atomic_write(path, canonical_json(payload).encode())
+# -- entries --------------------------------------------------------------------
+
+#: Kinds stored as a ``marshal`` blob (compiled code has no JSON form);
+#: every other kind is canonical JSON.
+_MARSHAL_KINDS = frozenset({"blockjit"})
+
+#: What reading a damaged, stale or foreign entry can raise: all misses.
+_MISS_ERRORS = (
+    OSError, EOFError, AttributeError, IndexError, KeyError, TypeError,
+    ValueError, SnapshotError,
+)
+
+T = TypeVar("T")
+
+
+def _entry_path(kind: str, key: str, directory: Path | None = None) -> Path:
+    """Where the ``(kind, key)`` entry lives (the cache directory unless
+    the caller owns another, as the result store does)."""
+    suffix = ".marshal" if kind in _MARSHAL_KINDS else ".json"
+    return (cache_dir() if directory is None else directory) / (
+        f"{kind}-{key}{suffix}"
+    )
+
+
+def _count(kind: str, event: str, stats: Counter[str] | None) -> None:
+    if stats is None:
+        STATS[f"{kind}_{event}"] += 1
+    else:
+        stats[event] += 1
+
+
+def load(
+    kind: str,
+    key: str,
+    decode: Callable[[Any], T],
+    *,
+    directory: Path | None = None,
+    stats: Counter[str] | None = None,
+) -> T | None:
+    """``decode(value)`` of the ``(kind, key)`` entry, or None.
+
+    An entry is the envelope ``{format, kind, key, value}``.  A missing,
+    unreadable, truncated, foreign-keyed or other-format entry, or one
+    whose value ``decode`` rejects, is a counted miss, never a result.
+    Hits and misses count in ``stats`` when given (as ``hits``/``misses``)
+    and otherwise in :data:`STATS` as ``<kind>_hits``/``<kind>_misses``.
+    Under :func:`cache_disabled` nothing is read or counted.
+    """
+    if cache_disabled():
+        return None
+    try:
+        data = _entry_path(kind, key, directory).read_bytes()
+        envelope = (
+            marshal.loads(data) if kind in _MARSHAL_KINDS else json.loads(data)
+        )
+        if not (
+            isinstance(envelope, dict)
+            and envelope.get("format") == state.FORMAT_VERSION
+            and envelope.get("kind") == kind
+            and envelope.get("key") == key
+        ):
+            raise ValueError(f"stale or foreign {kind} entry")
+        value = decode(envelope["value"])
+    except _MISS_ERRORS:
+        _count(kind, "misses", stats)
+        return None
+    _count(kind, "hits", stats)
+    return value
+
+
+def store(
+    kind: str,
+    key: str,
+    value: Any,
+    *,
+    directory: Path | None = None,
+    stats: Counter[str] | None = None,
+) -> None:
+    """Publish ``value`` as the ``(kind, key)`` entry (atomic, best-effort;
+    a no-op under :func:`cache_disabled`).  Counts a store like
+    :func:`load` counts a hit."""
+    if cache_disabled():
+        return
+    envelope = {
+        "format": state.FORMAT_VERSION, "kind": kind, "key": key,
+        "value": value,
+    }
+    atomic_write(
+        _entry_path(kind, key, directory),
+        marshal.dumps(envelope)
+        if kind in _MARSHAL_KINDS
+        else state.canonical_json(envelope).encode(),
+    )
+    _count(kind, "stores", stats)
+
+
+def json_object(value: Any) -> dict[str, Any]:
+    """``decode`` for a value that must be a JSON object."""
+    if not isinstance(value, dict):
+        raise TypeError("cache entry value is not an object")
+    return value
 
 
 # -- key derivation -------------------------------------------------------------
@@ -141,15 +250,17 @@ def run_key(
     again (``repro cache clear`` reclaims the space).
     """
     payload = {
-        "format": FORMAT_VERSION,
+        "format": state.FORMAT_VERSION,
         "kind": kind,
-        "program": program_digest(program),
+        "program": state.program_digest(program),
         "config": dataclasses.asdict(config),
         "table": table_fields(table),
         "flush": sorted(flush_instances),
         "extra": extra or {},
     }
-    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()[:24]
+    return hashlib.sha256(
+        state.canonical_json(payload).encode()
+    ).hexdigest()[:24]
 
 
 # -- TaskRun (de)serialization ---------------------------------------------------
@@ -224,46 +335,29 @@ def deserialize_runs(payload: list[dict[str, Any]]) -> list[TaskRun]:
 # -- load/store -----------------------------------------------------------------
 
 
-def _run_path(name: str, key: str) -> Path:
-    return cache_dir() / f"run-{name}-{key}.json"
-
-
 def load_runs(name: str, key: str) -> list[TaskRun] | None:
     """Cached run for ``key``, or None on miss/bypass/corruption."""
-    if cache_disabled():
-        return None
-    try:
-        payload = json.loads(_run_path(name, key).read_text())
-        runs = deserialize_runs(payload["runs"])
-    except (OSError, ValueError, KeyError, TypeError):
-        STATS["misses"] += 1
-        return None
-    STATS["hits"] += 1
-    return runs
+    return load("run", f"{name}-{key}", deserialize_runs, stats=STATS)
 
 
 def store_runs(name: str, key: str, runs: list[TaskRun]) -> None:
     """Publish a computed run under ``key`` (no-op when caching is off)."""
-    if cache_disabled():
-        return
-    atomic_write_json(
-        _run_path(name, key),
-        {"format": FORMAT_VERSION, "runs": serialize_runs(runs)},
-    )
-    STATS["stores"] += 1
+    store("run", f"{name}-{key}", serialize_runs(runs), stats=STATS)
 
 
 # -- CLI support ----------------------------------------------------------------
 
 
-def cache_entries() -> list[tuple[str, int]]:
-    """``(filename, bytes)`` for every cache entry, largest first."""
-    directory = cache_dir()
-    if not directory.is_dir():
+def cache_entries(directory: Path | None = None) -> list[tuple[str, int]]:
+    """``(filename, bytes)`` of every entry file, largest first: the one
+    directory scan.  Covers every kind's entries plus the temp files a
+    killed writer may leave; ``directory`` defaults to :func:`cache_dir`."""
+    where = cache_dir() if directory is None else directory
+    if not where.is_dir():
         return []
     entries: list[tuple[str, int]] = []
-    for path in directory.iterdir():
-        if path.is_file() and path.suffix in (".json", ".tmp"):
+    for path in where.iterdir():
+        if path.is_file() and path.suffix in (".json", ".marshal", ".tmp"):
             try:
                 entries.append((path.name, path.stat().st_size))
             except OSError:
@@ -272,46 +366,58 @@ def cache_entries() -> list[tuple[str, int]]:
     return entries
 
 
+def codegen_stats(
+    entries: list[tuple[str, int]] | None = None,
+) -> dict[str, Any]:
+    """The blockjit entries on disk (from ``entries`` if the caller has
+    scanned already) plus their in-process counters."""
+    jit = [
+        size
+        for name, size in (cache_entries() if entries is None else entries)
+        if name.startswith("blockjit-")
+    ]
+    return {
+        "entries": len(jit),
+        "bytes": sum(jit),
+        "hits": int(STATS["blockjit_hits"]),
+        "misses": int(STATS["blockjit_misses"]),
+        "stores": int(STATS["blockjit_stores"]),
+    }
+
+
 def cache_stats() -> dict[str, Any]:
     """One collector for every cache-observability surface.
 
     Combines the on-disk view (entry count, total bytes) with the
-    in-process :data:`STATS` hit/miss/store counters.  ``repro cache
-    stats`` renders this directly and the service's metrics endpoint
-    feeds its gauges from the same function, so the two always agree.
-    The nested ``blockjit`` dict covers the generated-code cache under
-    ``blockjit/`` the same way (see :mod:`repro.isa.blockjit`).
+    in-process :data:`STATS` run-entry hit/miss/store counters.  ``repro
+    cache stats`` renders this directly and the service's metrics
+    endpoint feeds its gauges from the same function, so the two always
+    agree.  The nested ``blockjit`` dict (:func:`codegen_stats`) covers
+    the generated-code entries, which the top-level totals leave out.
     """
-    from repro.isa import blockjit
-
     entries = cache_entries()
+    codegen = codegen_stats(entries)
     return {
         "directory": str(cache_dir()),
-        "entries": len(entries),
-        "bytes": sum(size for _, size in entries),
+        "entries": len(entries) - codegen["entries"],
+        "bytes": sum(size for _, size in entries) - codegen["bytes"],
         "hits": int(STATS["hits"]),
         "misses": int(STATS["misses"]),
         "stores": int(STATS["stores"]),
-        "blockjit": blockjit.disk_cache_stats(),
+        "blockjit": codegen,
     }
 
 
 def clear_cache() -> tuple[int, int]:
-    """Delete every cache entry (run caches *and* the ``blockjit/``
-    codegen cache); returns ``(files_removed, bytes_freed)``."""
-    from repro.isa import blockjit
-
+    """Delete every entry in the cache directory (every kind, block code
+    included); returns ``(files_removed, bytes_freed)``."""
     removed = freed = 0
     directory = cache_dir()
-    if directory.is_dir():
-        for path in directory.iterdir():
-            if path.is_file() and path.suffix in (".json", ".tmp"):
-                try:
-                    size = path.stat().st_size
-                    path.unlink()
-                except OSError:
-                    continue
-                removed += 1
-                freed += size
-    jit_removed, jit_freed = blockjit.clear_disk_cache()
-    return removed + jit_removed, freed + jit_freed
+    for name, size in cache_entries():
+        try:
+            (directory / name).unlink()
+        except OSError:
+            continue
+        removed += 1
+        freed += size
+    return removed, freed

@@ -26,19 +26,22 @@ stay independent.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
+from typing import TYPE_CHECKING, Any
 
-from repro.errors import SnapshotError
 from repro.snapshot import runcache
-from repro.snapshot.state import FORMAT_VERSION
+
+if TYPE_CHECKING:
+    from repro.isa.program import Program
+    from repro.visa.dvs import DVSTable
+    from repro.visa.runtime import RuntimeConfig, TaskRun
 
 #: In-process prefix payloads, keyed like the disk entries.
-_MEMORY: dict[str, dict] = {}
+_MEMORY: dict[str, dict[str, Any]] = {}
 
 #: In-process observability: prefix reuse vs. fresh simulation.
-STATS = Counter()
+STATS: Counter[str] = Counter()
 
 
 def clear_memory_cache() -> None:
@@ -47,7 +50,9 @@ def clear_memory_cache() -> None:
     STATS.clear()
 
 
-def forkable(flush_instances, warm_start: int | None, instances: int) -> bool:
+def forkable(
+    flush_instances: Iterable[int], warm_start: int | None, instances: int
+) -> bool:
     """True when instances ``[0, warm_start)`` are flush-free and non-empty.
 
     A prefix is only shareable if no flush lands inside it — otherwise the
@@ -58,20 +63,16 @@ def forkable(flush_instances, warm_start: int | None, instances: int) -> bool:
     return all(i >= warm_start for i in flush_instances)
 
 
-def _warmup_path(name: str, key: str):
-    return runcache.cache_dir() / f"warmup-{name}-{key}.json"
-
-
 def warm_runtime(
     name: str,
     kind: str,
-    make: Callable,
-    program,
-    config,
-    table,
+    make: Callable[[], Any],
+    program: Program,
+    config: RuntimeConfig,
+    table: DVSTable,
     warm_start: int,
-    extra: dict | None = None,
-) -> tuple[object, list]:
+    extra: dict[str, Any] | None = None,
+) -> tuple[Any, list[TaskRun]]:
     """A runtime advanced past the warm-up prefix, plus the prefix's runs.
 
     ``make`` builds a fresh runtime positioned at instance 0.  On a prefix
@@ -88,35 +89,33 @@ def warm_runtime(
         frozenset(),
         {**(extra or {}), "warm_start": warm_start},
     )
-    payload = _MEMORY.get(key)
-    if payload is None and not runcache.cache_disabled():
-        try:
-            payload = json.loads(_warmup_path(name, key).read_text())
-        except (OSError, ValueError):
-            payload = None
-    if payload is not None:
+
+    def fork(
+        payload: dict[str, Any],
+    ) -> tuple[dict[str, Any], Any, list[TaskRun]]:
         runtime = make()
-        try:
-            if payload.get("format") != FORMAT_VERSION:
-                raise SnapshotError("warm-up prefix format version mismatch")
-            runtime.restore_state(payload["state"])
-            runs = runcache.deserialize_runs(payload["runs"])
-        except (SnapshotError, KeyError, ValueError, TypeError):
-            payload = None  # corrupt/stale: fall through and recompute
-        else:
-            STATS["reused"] += 1
-            _MEMORY[key] = payload
-            return runtime, runs
+        runtime.restore_state(payload["state"])
+        return payload, runtime, runcache.deserialize_runs(payload["runs"])
+
+    memo = _MEMORY.get(key)
+    forked = (
+        fork(memo)
+        if memo is not None
+        else runcache.load("warmup", f"{name}-{key}", fork)
+    )
+    if forked is not None:
+        payload, runtime, runs = forked
+        STATS["reused"] += 1
+        _MEMORY[key] = payload
+        return runtime, runs
 
     runtime = make()
     runs = runtime.run_span(0, warm_start)
     payload = {
-        "format": FORMAT_VERSION,
         "state": runtime.snapshot_state(),
         "runs": runcache.serialize_runs(runs),
     }
     _MEMORY[key] = payload
-    if not runcache.cache_disabled():
-        runcache.atomic_write_json(_warmup_path(name, key), payload)
+    runcache.store("warmup", f"{name}-{key}", payload)
     STATS["simulated"] += 1
     return runtime, runs

@@ -719,7 +719,7 @@ def test_bounded_run_reuses_cut_and_leaves_disk_entry(tmp_path, monkeypatch):
 
         run()
         (table,) = program._blockjit_tables.values()
-        (path,) = (tmp_path / "blockjit").glob(f"{engine}-*.marshal")
+        (path,) = tmp_path.glob(f"blockjit-{engine}-*.marshal")
         entry = path.read_bytes(), path.stat().st_mtime_ns
         ((pc, n), cut), = table.cuts.items()
         assert 0 < n < table.blocks[pc][1], engine
@@ -760,7 +760,7 @@ def test_disk_cache_roundtrip():
     assert (warm.reason, warm.end_cycle) == (cold.reason, cold.end_cycle)
     assert machine2.memory.snapshot() == machine.memory.snapshot()
 
-    removed, freed = blockjit.clear_disk_cache()
+    removed, freed = runcache.clear_cache()
     assert removed >= 1 and freed > 0
     assert blockjit.disk_cache_stats()["entries"] == 0
 
@@ -776,18 +776,6 @@ def test_cache_stats_and_clear_include_blockjit():
     assert runcache.cache_stats()["blockjit"]["entries"] == 0
 
 
-def test_clear_removes_legacy_json_entries(tmp_path):
-    """Entries of the pre-marshal JSON format are counted and cleared."""
-    directory = tmp_path / "blockjit"
-    directory.mkdir()
-    legacy = directory / "inorder-0123456789abcdef01234567.json"
-    legacy.write_text('{"codegen": 3}')
-    stats = blockjit.disk_cache_stats()
-    assert (stats["entries"], stats["bytes"]) == (1, legacy.stat().st_size)
-    removed, _ = runcache.clear_cache()
-    assert removed == 1 and not legacy.exists()
-
-
 def _corrupt(fault, path, foreign_entry):
     """Damage the disk entry at ``path`` in the way ``fault`` names."""
     data = path.read_bytes()
@@ -798,8 +786,9 @@ def _corrupt(fault, path, foreign_entry):
     elif fault == "wrong-version":
         path.write_bytes(foreign_entry())
     else:
-        key, records = marshal.loads(data)
-        path.write_bytes(marshal.dumps((key, [r[:3] for r in records])))
+        envelope = marshal.loads(data)
+        envelope["value"] = [r[:3] for r in envelope["value"]]
+        path.write_bytes(marshal.dumps(envelope))
 
 
 @pytest.mark.parametrize(
@@ -815,7 +804,7 @@ def test_damaged_disk_entry_is_a_miss_and_rebuilds(
         return _timeline(program, InOrderCore, "run")[0]
 
     def entries():
-        return set((tmp_path / "blockjit").glob("inorder-*.marshal"))
+        return set(tmp_path.glob("blockjit-inorder-*.marshal"))
 
     def foreign_entry():
         """The entry the next CODEGEN_VERSION writes (then removed)."""
@@ -865,7 +854,7 @@ def test_disk_entry_of_other_codegen_source_is_a_miss(
     assert runcache.STATS["blockjit_misses"] == 1
     assert runcache.STATS["blockjit_hits"] == 0
     assert runcache.STATS["blockjit_stores"] == 1
-    assert len(list((tmp_path / "blockjit").glob("inorder-*.marshal"))) == 2
+    assert len(list(tmp_path.glob("blockjit-inorder-*.marshal"))) == 2
     runcache.reset_stats()
 
 

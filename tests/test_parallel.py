@@ -163,7 +163,8 @@ class TestDiskCache:
         files = list(cache_env.glob("setup-cnt-tiny-*.json"))
         assert len(files) == 1
         payload = json.loads(files[0].read_text())
-        assert payload["dcache_bounds"] == computed.dcache_bounds
+        assert payload["kind"] == "setup"
+        assert payload["value"]["dcache_bounds"] == computed.dcache_bounds
 
         common.setup.cache_clear()  # force the disk path
         cached = common.setup("cnt", "tiny")
@@ -186,13 +187,13 @@ class TestDiskCache:
         again = common.setup("cnt", "tiny")
         assert again.deadline_tight == computed.deadline_tight
         # The recompute also repairs the cache file.
-        assert json.loads(file.read_text())["dcache_bounds"] == \
+        assert json.loads(file.read_text())["value"]["dcache_bounds"] == \
             computed.dcache_bounds
 
     def test_digest_tracks_program(self):
         from repro.workloads import get_workload
 
-        d1 = common._program_digest(get_workload("cnt", "tiny"))
-        d2 = common._program_digest(get_workload("lms", "tiny"))
+        d1 = common._setup_key(get_workload("cnt", "tiny"), "tiny")
+        d2 = common._setup_key(get_workload("lms", "tiny"), "tiny")
         assert d1 != d2
-        assert d1 == common._program_digest(get_workload("cnt", "tiny"))
+        assert d1 == common._setup_key(get_workload("cnt", "tiny"), "tiny")

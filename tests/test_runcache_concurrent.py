@@ -19,7 +19,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from repro.snapshot.runcache import atomic_write_json
+from repro.snapshot import runcache
 
 WRITES_PER_WORKER = 60
 PAYLOAD_WORDS = 2000
@@ -30,12 +30,14 @@ def _set_cache_dir(directory: str) -> None:
 
 
 def _hammer_writes(path_str: str, worker: int) -> int:
-    """Repeatedly publish self-consistent payloads to one shared path."""
+    """Repeatedly publish self-consistent entries to one shared path."""
     path = Path(path_str)
+    _set_cache_dir(str(path.parent))
     for i in range(WRITES_PER_WORKER):
         marker = worker * WRITES_PER_WORKER + i
-        atomic_write_json(
-            path,
+        runcache.store(
+            "run",
+            "shared-key",
             {
                 "marker": marker,
                 "data": [marker] * PAYLOAD_WORDS,
@@ -59,7 +61,7 @@ def _hammer_reads(path_str: str, stop_str: str) -> tuple[int, int]:
     while True:
         done = stop.exists()
         try:
-            payload = json.loads(path.read_text())
+            payload = json.loads(path.read_text())["value"]
         except FileNotFoundError:
             if done:
                 break  # writers finished without publishing: reads stay 0
@@ -95,7 +97,8 @@ def _simulate(directory: str) -> tuple[float, float, int, int, int]:
 
 
 def test_atomic_write_json_never_torn_under_process_race(tmp_path):
-    """Racing writers + readers on one path: every read is a whole entry."""
+    """Racing :func:`runcache.store` writers + raw readers on one entry:
+    every read is a whole entry."""
     target = tmp_path / "cache" / "run-shared-key.json"
     stop = tmp_path / "writers-done"
     with ProcessPoolExecutor(max_workers=4) as pool:
@@ -116,7 +119,7 @@ def test_atomic_write_json_never_torn_under_process_race(tmp_path):
             total_reads += reads
     assert total_reads > 0, "readers never saw a published entry"
     # Exactly one complete winner remains, and no leaked temp files.
-    final = json.loads(target.read_text())
+    final = json.loads(target.read_text())["value"]
     assert final["sum"] == sum(final["data"])
     assert list(target.parent.glob("*.tmp")) == []
 

@@ -15,8 +15,9 @@ library over real TCP.  Covered here:
 * SIGTERM -> in-flight jobs drain, new submissions rejected, clean exit;
   jobs still unfinished when the drain grace runs out end ``draining``;
 * store hits count in the per-kind latency histogram;
-* per-client token-bucket quotas (``code="quota"`` + ``retry_after``),
-  keyed by connection: a ``client`` field on the wire changes nothing;
+* per-host token-bucket quotas (``code="quota"`` + ``retry_after``):
+  a ``client`` field on the wire changes nothing, and reconnecting
+  does not refill the bucket;
 * jittered ``submit_retry`` backoff: two clients hammering a 1-slot
   queue both finish;
 * ``ping()`` on an unreachable port is False.
@@ -688,6 +689,36 @@ def test_quota_is_keyed_by_connection_not_a_client_field(
 
     codes, buckets = asyncio.run(run())
     assert codes == [None] + ["quota"] * 5
+    assert buckets == 1
+
+
+def test_quota_survives_reconnects(tmp_path: Path) -> None:
+    """The quota is keyed on the peer host: five submits over five fresh
+    connections share one bucket (one accept, four ``quota`` rejects)
+    and the bucket table holds one entry, not one per connection."""
+
+    async def run() -> tuple[list[str | None], int]:
+        service = ReproService(
+            _in_process_config(tmp_path, quota_rate=0.01, quota_burst=1)
+        )
+        await service.start()
+        try:
+            codes = []
+            for i in range(5):
+                conn = await _Conn.open(service.port)
+                job = {"kind": "noop", "payload": {"tag": f"r{i}"}}
+                await conn.send(
+                    _line(type="submit", id=f"r{i}", wait=False, job=job)
+                )
+                (frame,) = await conn.read()
+                codes.append(frame.get("code"))
+                conn.close()
+            return codes, len(service.quota._buckets)
+        finally:
+            await service.shutdown(drain=False)
+
+    codes, buckets = asyncio.run(run())
+    assert codes == [None] + ["quota"] * 4
     assert buckets == 1
 
 

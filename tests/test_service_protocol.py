@@ -223,7 +223,7 @@ def test_history_trim_keeps_newest_finished_and_every_live_job(monkeypatch):
     def submit(tag: str) -> JobRecord:
         spec = JobSpec(kind="noop", payload={"tag": tag})
         record, coalesced = service._submit(
-            Request(type="submit", id=tag, job=spec), "c1"
+            Request(type="submit", id=tag, job=spec), "c1", "h1"
         )
         assert not coalesced
         return record
@@ -270,6 +270,19 @@ def test_token_bucket_allows_burst_then_refills():
     assert bucket.retry_after("alice") > 0
     time.sleep(0.05)  # 50 tokens/s -> refilled well past 1 token
     assert bucket.allow("alice")
+
+
+def test_token_bucket_drops_refilled_buckets():
+    """A bucket back at ``burst`` decides like a fresh one, so it is
+    dropped: the table only holds hosts that are still refilling."""
+    bucket = TokenBucket(rate=50.0, burst=1)
+    assert bucket.allow("alice")
+    assert not bucket.allow("alice")
+    assert set(bucket._buckets) == {"alice"}
+    time.sleep(0.05)  # 50 tokens/s: alice is full again
+    assert bucket.allow("bob")
+    assert set(bucket._buckets) == {"bob"}
+    assert bucket.allow("alice")  # a fresh bucket, burst intact
 
 
 def test_token_bucket_zero_rate_is_unlimited():
