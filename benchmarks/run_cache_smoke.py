@@ -1,8 +1,8 @@
 """CI smoke check: the on-disk entries actually hit.
 
 Runs one figure4 cell through the real experiment path, then re-invokes
-it twice from cold in-process state (set-up memo and warm-up prefixes
-dropped), reading the shared ``runcache.STATS`` counters:
+it twice from cold in-process state (``runcache.clear_memory()``),
+reading the shared ``runcache.STATS`` counters (``<kind>_<op>``):
 
 1. in the cache directory itself, the re-invocation must hit the
    set-up entry and both runtimes' run entries;
@@ -10,7 +10,10 @@ dropped), reading the shared ``runcache.STATS`` counters:
    entries, it must hit the set-up entry and both warm-up prefixes
    (the run entries are absent, so the prefixes are what is read).
 
-Each re-invocation's row must equal the first.  Uses whatever
+Then one admission decision is made and re-made from cold in-process
+state, which must hit its ``admit`` entry.  Each re-invocation's result
+must equal the first.  Block code has its own check
+(``jit_parity_smoke.py --warm``).  Uses whatever
 ``REPRO_CACHE_DIR`` points at, so CI can persist the directory across
 jobs via ``actions/cache`` and this check also validates restored cache
 contents.
@@ -27,21 +30,19 @@ import pathlib
 import shutil
 import sys
 import tempfile
+from collections.abc import Callable
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def _reinvoke(cell: tuple) -> tuple[object, dict[str, int]]:
-    """The cell's row from cold in-process state, plus the counters."""
-    from repro.experiments import common
-    from repro.experiments.figure4 import _cell
-    from repro.snapshot import runcache, warmup
+def _reinvoke(compute: Callable[[], object]) -> tuple[object, dict[str, int]]:
+    """``compute()`` from cold in-process state, plus the counters."""
+    from repro.snapshot import runcache
 
-    common.setup.cache_clear()
-    warmup.clear_memory_cache()
+    runcache.clear_memory()
     runcache.reset_stats()
-    row = _cell(cell)
-    return row, dict(runcache.STATS)
+    result = compute()
+    return result, dict(runcache.STATS)
 
 
 def _check(label: str, stats: dict[str, int], expected: dict[str, int]) -> bool:
@@ -64,10 +65,13 @@ def main() -> int:
         return 1
 
     from repro.experiments.figure4 import _cell
+    from repro.rt import admission
     from repro.snapshot import runcache
 
-    cell = ("cnt", 0.2, "tiny", 8)
-    first = _cell(cell)
+    def cell() -> object:
+        return _cell(("cnt", 0.2, "tiny", 8))
+
+    first = cell()
     directory = runcache.cache_dir()
     rows = []
 
@@ -75,7 +79,8 @@ def main() -> int:
     rows.append(row)
     # One VISA + one simple-fixed run per cell.
     ok = _check(
-        f"re-invocation in {directory}", stats, {"hits": 2, "setup_hits": 1}
+        f"re-invocation in {directory}", stats,
+        {"run_hits": 2, "setup_hits": 1},
     )
 
     with tempfile.TemporaryDirectory() as scratch:
@@ -93,15 +98,26 @@ def main() -> int:
         {"setup_hits": 1, "warmup_hits": 2},
     )
 
-    if any(row != first for row in rows):
+    tasks = admission.normalize_payload(
+        {"tasks": [{"workload": "cnt", "period": 0.01}]}
+    )
+
+    def decide() -> object:
+        return admission.cached_decide(tasks)
+
+    decision = decide()
+    again, stats = _reinvoke(decide)
+    ok &= _check("admission re-decision", stats, {"admit_hits": 1})
+
+    if any(row != first for row in rows) or again != decision:
         print(
-            "run_cache_smoke: FAIL: cached row differs from computed row",
+            "run_cache_smoke: FAIL: cached result differs from computed one",
             file=sys.stderr,
         )
         return 1
     if not ok:
         return 1
-    print("run_cache_smoke: OK (cached rows identical to computed row)")
+    print("run_cache_smoke: OK (cached results identical to computed ones)")
     return 0
 
 

@@ -23,9 +23,9 @@ Commands:
   ``REPRO_JOBS`` is the environment equivalent; ``--no-cache`` bypasses
   the on-disk setup/run caches like ``REPRO_NO_CACHE=1``).
 * ``cache``          — inspect the on-disk cache (``repro cache`` lists
-  entries and sizes; ``repro cache stats`` prints entry/byte totals plus
-  the in-process hit/miss/store counters; ``repro cache clear`` deletes
-  entries).
+  entries and sizes; ``repro cache stats`` prints one row per kind:
+  entries and bytes on disk plus the in-process hit/miss/store and memo
+  counters; ``repro cache clear`` deletes entries).
 * ``serve``          — run the toolchain as a long-lived asyncio daemon
   (job queue, process worker pool, request coalescing, live metrics —
   see docs/service.md).
@@ -369,31 +369,21 @@ def cmd_cache(args) -> int:
         print(f"# directory: {stats['directory']}")
         return 0
     if args.action == "clear":
-        jit = runcache.cache_stats()["blockjit"]
         removed, freed = runcache.clear_cache()
         print(f"removed {removed} entries ({freed} bytes) from {directory}")
-        print(
-            f"# codegen reclaimed: {jit['entries']} block entries "
-            f"({jit['bytes']} bytes)"
-        )
         return 0
     if args.action == "stats":
         stats = runcache.cache_stats()
-        jit = stats["blockjit"]
+        columns = ("entries", "bytes", *runcache.OPS)
         rows = [
-            ["entries", str(stats["entries"])],
-            ["bytes", str(stats["bytes"])],
-            ["hits (this process)", str(stats["hits"])],
-            ["misses (this process)", str(stats["misses"])],
-            ["stores (this process)", str(stats["stores"])],
-            ["codegen entries", str(jit["entries"])],
-            ["codegen bytes", str(jit["bytes"])],
-            ["block hits (this process)", str(jit["hits"])],
-            ["block misses (this process)", str(jit["misses"])],
-            ["block stores (this process)", str(jit["stores"])],
+            [kind, *(str(row[column]) for column in columns)]
+            for kind, row in stats["kinds"].items()
         ]
-        print(format_table(["cache statistic", "value"], rows))
+        print(format_table(
+            ["kind", *(c.replace("_", " ") for c in columns)], rows
+        ))
         print(f"# directory: {stats['directory']}")
+        print("# counts are this process's; entries and bytes are on disk")
         return 0
     entries = runcache.cache_entries()
     if not entries:
@@ -883,7 +873,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="show",
         help=(
             "'show' lists entries and sizes (default); 'stats' prints one "
-            "table of entry count, bytes, and hit/miss/store counters; "
+            "row per cache kind: entries and bytes on disk and the "
+            "process's hit/miss/store and memo counters; "
             "'clear' deletes all entries"
         ),
     )

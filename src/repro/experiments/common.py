@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro.power.model import PowerModel
 from repro.power.report import energy_of_runs, power_savings
@@ -80,7 +79,6 @@ def _setup_key(workload: Workload, scale: str) -> str:
     return f"{workload.name}-{scale}-{digest[:16]}"
 
 
-@lru_cache(maxsize=None)
 def setup(name: str, scale: str) -> Setup:
     """Per-benchmark preparation, memoized in-process and on disk.
 
@@ -89,12 +87,15 @@ def setup(name: str, scale: str) -> Setup:
     :func:`_setup_key`, so parallel experiment workers and repeated
     benchmark processes skip the static analyzer.
     ``REPRO_NO_CACHE=1`` bypasses the disk layer entirely; the in-process
-    ``lru_cache`` (and with it the ``setup(a, b) is setup(a, b)``
-    identity) always applies.
+    ``setup`` memo under the same key (and with it the
+    ``setup(a, b) is setup(a, b)`` identity) always applies.
     """
     workload = get_workload(name, scale)
     key = _setup_key(workload, scale)
+    return runcache.memo("setup", key, lambda: _prepare(workload, key))
 
+
+def _prepare(workload: Workload, key: str) -> Setup:
     def decode(value: dict) -> Setup:
         return Setup(
             workload=workload,

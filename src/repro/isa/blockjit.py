@@ -1796,7 +1796,8 @@ def block_table(machine: Any, engine: str, params: Any = None) -> BlockTable:
     Memoized on the Program keyed by engine, cache configurations and
     pipeline parameters, so cores sharing a program (and VISA instances
     sharing a workload) compile once per process; the compiled code
-    additionally persists under ``.repro_cache/blockjit/``.  The
+    additionally persists as a ``blockjit-<key>.marshal`` entry in the
+    cache directory (:func:`repro.snapshot.runcache.store`).  The
     geometry, which scans the program for r0 writes, is derived on a
     miss only.
     """
@@ -2161,7 +2162,7 @@ def disk_cache_stats() -> dict:
     """On-disk blockjit entries plus in-process hit/miss/store counters."""
     from repro.snapshot import runcache
 
-    return runcache.codegen_stats()
+    return runcache.cache_stats()["blockjit"]
 
 
 __all__ = [

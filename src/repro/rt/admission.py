@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from functools import lru_cache
 from typing import Any
 
 from repro.errors import HyperperiodError, InfeasibleError
@@ -62,7 +61,8 @@ from repro.rt.sched import (
     slack_fraction,
     utilization,
 )
-from repro.snapshot.state import FORMAT_VERSION, canonical_json
+from repro.snapshot import runcache
+from repro.snapshot.state import FORMAT_VERSION, canonical_json, program_digest
 from repro.workloads.suite import SCALES  # re-exported: accepted scales
 
 JSONDict = dict[str, Any]
@@ -178,17 +178,6 @@ def task_set_digest(payload: JSONDict) -> str:
 # -- WCET derivation -------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _prepared(workload: str, scale: str) -> tuple[Any, tuple[int, ...]]:
-    """Program + measured D-cache bounds for one workload (memoized)."""
-    from repro.wcet.dcache_pad import measure_dcache_misses
-    from repro.workloads import get_workload
-
-    program = get_workload(workload, scale).program
-    return program, tuple(measure_dcache_misses(program))
-
-
-@lru_cache(maxsize=1024)
 def _task_wcet(
     workload: str, scale: str, engine: str, freq_hz: float
 ) -> Any:
@@ -196,21 +185,34 @@ def _task_wcet(
 
     Same derivation as the service's ``wcet`` job kind: the static
     timing-tree analyzer with measured D-cache padding, or the bounded
-    model-checking oracle when ``engine="mc"``.  Memoized per process —
-    the DVS search below probes O(log table) frequencies per task, and
-    long-lived service workers amortize repeats across jobs.
+    model-checking oracle when ``engine="mc"``.  Memoized per process
+    (the ``admit-wcet`` and ``admit-program`` kinds of
+    :func:`repro.snapshot.runcache.memo`) — the DVS search below probes
+    O(log table) frequencies per task, and long-lived service workers
+    amortize repeats across jobs.
     """
     from repro.visa.spec import VISASpec
+    from repro.wcet.dcache_pad import measure_dcache_misses
+    from repro.workloads import get_workload
 
-    program, bounds = _prepared(workload, scale)
-    if engine == "mc":
-        from repro.wcet.analyzer import WCETAnalyzer
-        from repro.wcet.mc import ModelCheckEngine
+    program = get_workload(workload, scale).program
+    digest = program_digest(program)
 
-        analyzer = WCETAnalyzer(program)
-        analyzer.dcache_bounds = list(bounds)
-        return ModelCheckEngine(analyzer).analyze(freq_hz)
-    return VISASpec().wcet(program, freq_hz, list(bounds))
+    def build() -> Any:
+        bounds = list(runcache.memo(
+            "admit-program", digest,
+            lambda: tuple(measure_dcache_misses(program)),
+        ))
+        if engine == "mc":
+            from repro.wcet.analyzer import WCETAnalyzer
+            from repro.wcet.mc import ModelCheckEngine
+
+            analyzer = WCETAnalyzer(program)
+            analyzer.dcache_bounds = bounds
+            return ModelCheckEngine(analyzer).analyze(freq_hz)
+        return VISASpec().wcet(program, freq_hz, bounds)
+
+    return runcache.memo("admit-wcet", (digest, engine, freq_hz), build)
 
 
 # -- the decision ----------------------------------------------------------------
@@ -541,8 +543,6 @@ def cached_decide(payload: JSONDict) -> JSONDict:
     --no-cache`` (see :func:`repro.snapshot.runcache.cache_disabled`) it
     is plain :func:`decide`.
     """
-    from repro.snapshot import runcache
-
     digest = task_set_digest(payload)
     cached = runcache.load("admit", digest, runcache.json_object)
     if cached is not None:

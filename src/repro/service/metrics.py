@@ -5,10 +5,10 @@ the ``/metrics`` text exposition format and also available as a JSON
 snapshot (the ``status`` request embeds it).  The registry itself is
 plain in-process state: the service mutates it from its single event
 loop, worker processes report run-cache counter *deltas* with each
-result, and the server folds those into the shared collectors — the same
-collector :func:`repro.snapshot.runcache.cache_stats` feeds, so ``repro
-cache stats`` and the service's ``metrics`` endpoint agree by
-construction.
+result, and the server folds those into one ``repro_cache_ops_total``
+family, split by kind and op exactly as
+:func:`repro.snapshot.runcache.kind_stats` splits them for ``repro cache
+stats``, so the two agree by construction.
 """
 
 from __future__ import annotations
@@ -44,28 +44,21 @@ def _freeze(labels: dict[str, str] | None) -> Labels:
 
 
 @dataclass
-class Counter:
-    """Monotonic counter, optionally split by a label set."""
+class _Scalar:
+    """One value per label set; ``TYPE`` names the exposition type."""
 
     name: str
     help: str
     _values: dict[Labels, float] = field(default_factory=dict)
-
-    def inc(self, amount: float = 1.0, **labels: str) -> None:
-        key = _freeze(labels)
-        self._values[key] = self._values.get(key, 0.0) + amount
+    TYPE = "untyped"
 
     def value(self, **labels: str) -> float:
         return self._values.get(_freeze(labels), 0.0)
 
-    def total(self) -> float:
-        """Sum across every label combination."""
-        return sum(self._values.values())
-
     def render(self) -> list[str]:
         lines = [
             f"# HELP {self.name} {self.help}",
-            f"# TYPE {self.name} counter",
+            f"# TYPE {self.name} {self.TYPE}",
         ]
         for labels in sorted(self._values):
             lines.append(
@@ -78,32 +71,28 @@ class Counter:
 
 
 @dataclass
-class Gauge:
+class Counter(_Scalar):
+    """Monotonic counter, optionally split by a label set."""
+
+    TYPE = "counter"
+
+    def inc(self, amount: float = 1.0, **labels: str) -> None:
+        key = _freeze(labels)
+        self._values[key] = self._values.get(key, 0.0) + amount
+
+    def total(self) -> float:
+        """Sum across every label combination."""
+        return sum(self._values.values())
+
+
+@dataclass
+class Gauge(_Scalar):
     """Point-in-time value, optionally split by a label set."""
 
-    name: str
-    help: str
-    _values: dict[Labels, float] = field(default_factory=dict)
+    TYPE = "gauge"
 
     def set(self, value: float, **labels: str) -> None:
         self._values[_freeze(labels)] = float(value)
-
-    def value(self, **labels: str) -> float:
-        return self._values.get(_freeze(labels), 0.0)
-
-    def render(self) -> list[str]:
-        lines = [
-            f"# HELP {self.name} {self.help}",
-            f"# TYPE {self.name} gauge",
-        ]
-        for labels in sorted(self._values):
-            lines.append(
-                f"{self.name}{_labels_suffix(labels)} "
-                f"{_format(self._values[labels])}"
-            )
-        if not self._values:
-            lines.append(f"{self.name} 0")
-        return lines
 
 
 @dataclass
@@ -279,23 +268,17 @@ class ServiceMetrics:
             "Per-phase job latency by kind (seconds): phase=\"queue\" is "
             "submit-to-dispatch wait, phase=\"execute\" is worker wall time.",
         )
-        self.run_cache_ops = reg.counter(
-            "repro_run_cache_ops_total",
-            "Run-cache hits/misses/stores aggregated across workers.",
-        )
-        self.cache_hit_ratio = reg.gauge(
-            "repro_run_cache_hit_ratio",
-            "hits / (hits + misses) across all workers since service start.",
+        self.cache_ops = reg.counter(
+            "repro_cache_ops_total",
+            "In-process cache counts aggregated across workers, by kind "
+            "(run/setup/warmup/admit/blockjit/analyzer/...) and op "
+            "(hits/misses/stores on disk, memo_hits/memo_misses in memory).",
         )
         self.cache_entries = reg.gauge(
             "repro_cache_entries", "Entries in the on-disk cache directory."
         )
         self.cache_bytes = reg.gauge(
             "repro_cache_bytes", "Total bytes in the on-disk cache directory."
-        )
-        self.blockjit_cache_ops = reg.counter(
-            "repro_blockjit_cache_ops_total",
-            "Blockjit codegen-cache hits/misses/stores across workers.",
         )
         self.codegen_entries = reg.gauge(
             "repro_codegen_entries",
@@ -315,18 +298,11 @@ class ServiceMetrics:
             self.store_hit_ratio.set(hits / (hits + misses))
 
     def fold_cache_delta(self, delta: dict[str, int]) -> None:
-        """Fold one worker's run-cache counter delta into the aggregate."""
-        for op in ("hits", "misses", "stores"):
-            amount = int(delta.get(op, 0))
-            if amount:
-                self.run_cache_ops.inc(amount, op=op)
-            jit_amount = int(delta.get(f"blockjit_{op}", 0))
-            if jit_amount:
-                self.blockjit_cache_ops.inc(jit_amount, op=op)
-        hits = self.run_cache_ops.value(op="hits")
-        misses = self.run_cache_ops.value(op="misses")
-        if hits + misses > 0:
-            self.cache_hit_ratio.set(hits / (hits + misses))
+        """Fold one worker's ``runcache.STATS`` delta into the aggregate."""
+        for kind, ops in runcache.kind_stats(delta).items():
+            for op, amount in ops.items():
+                if amount:
+                    self.cache_ops.inc(amount, kind=kind, op=op)
 
     def refresh_disk_gauges(self) -> None:
         """Update the on-disk cache gauges from the shared collector."""
@@ -353,9 +329,9 @@ class ServiceMetrics:
             "requeued": self.jobs_requeued.total(),
             "worker_restarts": self.worker_restarts.total(),
             "queue_depth": self.queue_depth.value(),
-            "run_cache_hits": self.run_cache_ops.value(op="hits"),
-            "run_cache_misses": self.run_cache_ops.value(op="misses"),
-            "run_cache_stores": self.run_cache_ops.value(op="stores"),
+            "run_cache_hits": self.cache_ops.value(kind="run", op="hits"),
+            "run_cache_misses": self.cache_ops.value(kind="run", op="misses"),
+            "run_cache_stores": self.cache_ops.value(kind="run", op="stores"),
         }
 
 

@@ -4,11 +4,11 @@ Workers are long-lived child processes (the same fork model
 :mod:`repro.experiments.parallel` uses for experiment fan-out) that loop
 on a duplex pipe: receive ``(job_id, kind, payload, env)``, execute via
 the :mod:`repro.service.jobs` registry, reply with the result plus the
-run-cache counter delta the job produced.  Being resident is the point —
-``functools.lru_cache``'d setups, compiled workloads, and the shared
-``.repro_cache/`` directory stay warm across jobs, so a stream of small
-queries amortizes all per-process startup the one-shot CLI pays every
-time.
+job's delta of the whole ``runcache.STATS`` table.  Being resident is the
+point — ``runcache.memo``'s set-ups and analyzers, compiled workloads, and
+the shared ``.repro_cache/`` directory stay warm across jobs, so a
+stream of small queries amortizes all per-process startup the one-shot
+CLI pays every time.
 
 Failure handling:
 
@@ -127,13 +127,7 @@ def _worker_main(
         job_id, kind, payload, env = message
         for key, value in env.items():
             os.environ[key] = value
-        before = {
-            op: int(runcache.STATS[op])
-            for op in (
-                "hits", "misses", "stores",
-                "blockjit_hits", "blockjit_misses", "blockjit_stores",
-            )
-        }
+        before = runcache.STATS.copy()
         ok = True
         result: Any
         try:
@@ -141,9 +135,7 @@ def _worker_main(
         except Exception as exc:
             ok = False
             result = f"{type(exc).__name__}: {exc}"
-        delta = {
-            op: int(runcache.STATS[op]) - before[op] for op in before
-        }
+        delta = dict(runcache.STATS - before)
         try:
             conn.send((job_id, ok, result, delta))
         except (BrokenPipeError, OSError):

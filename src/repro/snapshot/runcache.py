@@ -1,4 +1,4 @@
-"""The one on-disk memo: every cache entry, and memoized runs.
+"""Every cache: the on-disk entries, memoized runs and the in-process memo.
 
 Every disk entry the package keeps goes through :func:`load` and
 :func:`store`: whole runs (``run``), warm-up prefixes (``warmup``),
@@ -28,8 +28,9 @@ no-cache decision is resolved: entry points (``--no-cache``, a service
 payload's ``no_cache``) scope it with :func:`no_cache_override`, and
 :func:`repro.experiments.parallel.parallel_map` ships the resolved bool
 to its worker processes.  Entries are published atomically so parallel
-experiment workers may race on a key.  In-process :data:`STATS`
-counters make hits observable to tests and CI smoke checks.
+experiment workers may race on a key.  :func:`memo` is the one
+in-process memo (on under no-cache too), and every count, disk and memo
+alike, is ``STATS["<kind>_<op>"]``.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ import json
 import marshal
 import os
 import tempfile
-from collections import Counter
+import threading
+from collections import Counter, OrderedDict
 from collections.abc import Callable, Iterable, Iterator
 from contextvars import ContextVar
 from pathlib import Path
@@ -49,21 +51,92 @@ from typing import TYPE_CHECKING, Any, TypeVar
 
 from repro.errors import SnapshotError
 from repro.snapshot import state
-from repro.visa.dvs import DVSTable, Setting
-from repro.visa.runtime import Phase, RuntimeConfig, TaskRun
 
 if TYPE_CHECKING:
     from repro.isa.program import Program
+    from repro.visa.dvs import DVSTable, Setting
+    from repro.visa.runtime import RuntimeConfig, TaskRun
 
-#: In-process observability since import (or the last :func:`reset_stats`):
-#: run entries count as ``hits``/``misses``/``stores``, every other kind
-#: as ``<kind>_hits`` etc. (``setup_hits``, ``blockjit_misses``, ...).
+#: Every cache count since import (or :func:`reset_stats`) as
+#: ``<kind>_<op>``, ``op`` one of :data:`OPS` (``run_hits``,
+#: ``warmup_memo_hits``); kinds hold no ``_``, so the first one splits.
 STATS: Counter[str] = Counter()
+OPS = ("hits", "misses", "stores", "memo_hits", "memo_misses")
 
 
 def reset_stats() -> None:
-    """Zero the hit/miss/store counters (tests and benchmarks)."""
+    """Zero the counters (tests and benchmarks)."""
     STATS.clear()
+
+
+def kind_stats(stats: dict[str, int] | None = None) -> dict[str, dict[str, int]]:
+    """``{kind: {op: count}}`` of :data:`STATS` (or a delta of it), with
+    every kind of :data:`KINDS` present and every op of :data:`OPS`."""
+    table = {kind: dict.fromkeys(OPS, 0) for kind in KINDS}
+    for name, count in (STATS if stats is None else stats).items():
+        kind, _, op = name.partition("_")
+        table.setdefault(kind, dict.fromkeys(OPS, 0))[op] = int(count)
+    return table
+
+
+# -- the in-process memo --------------------------------------------------------
+
+#: Entries each memo kind keeps, least recently used evicted first
+#: (``None``: unbounded); docs/performance.md tabulates the kinds.
+MEMO_BOUNDS: dict[str, int | None] = {
+    "analyzer": 64,
+    "setup": None,
+    "warmup": None,
+    "admit-program": 64,
+    "admit-wcet": 1024,
+}
+
+#: Every kind in :data:`STATS`: the disk kinds, then the memo-only ones.
+KINDS = ("run", "warmup", "setup", "admit", "blockjit", "analyzer",
+         "admit-program", "admit-wcet")
+
+_MEMOS: dict[str, OrderedDict[Any, Any]] = {
+    kind: OrderedDict() for kind in MEMO_BOUNDS
+}
+_MEMO_LOCK = threading.Lock()
+_ABSENT = object()
+
+T = TypeVar("T")
+
+
+def memo(kind: str, key: Any, build: Callable[[], T]) -> T:
+    """The ``kind`` memo's value for ``key`` (content, such as a program
+    digest), from ``build()`` on a miss.  ``build`` runs outside the lock,
+    so it may consult other memos; of two racing builds the later is kept.
+    """
+    table = _MEMOS[kind]
+    with _MEMO_LOCK:
+        value = table.get(key, _ABSENT)
+        if value is not _ABSENT:
+            table.move_to_end(key)
+            STATS[kind + "_memo_hits"] += 1
+            return value
+    value = build()
+    with _MEMO_LOCK:
+        STATS[kind + "_memo_misses"] += 1
+        table[key] = value
+        bound = MEMO_BOUNDS[kind]
+        if bound is not None and len(table) > bound:
+            table.popitem(last=False)
+    return value
+
+
+def memo_keys(kind: str) -> list[Any]:
+    """The ``kind`` memo's keys, least recently used first."""
+    with _MEMO_LOCK:
+        return list(_MEMOS[kind])
+
+
+def clear_memory() -> None:
+    """Empty every memo (tests and benchmarks: a fresh process's state)."""
+    with _MEMO_LOCK:
+        for table in _MEMOS.values():
+            table.clear()
 
 
 def cache_dir() -> Path:
@@ -112,15 +185,20 @@ def no_cache_override(value: bool | None) -> Iterator[None]:
 
 
 def atomic_write(path: Path, data: bytes) -> None:
-    """Best-effort atomic publish (concurrent workers may race on a key)."""
+    """Best-effort atomic publish (concurrent workers may race on a key);
+    a failed write or rename (a full disk, say) removes its temp file."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    except OSError:
+        return  # caching is best-effort; the computed result is still returned
+    try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
     except OSError:
-        pass  # caching is best-effort; the computed result is still returned
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
 
 
 # -- entries --------------------------------------------------------------------
@@ -134,8 +212,6 @@ _MISS_ERRORS = (
     OSError, EOFError, AttributeError, IndexError, KeyError, TypeError,
     ValueError, SnapshotError,
 )
-
-T = TypeVar("T")
 
 
 def _entry_path(kind: str, key: str, directory: Path | None = None) -> Path:
@@ -167,8 +243,9 @@ def load(
     An entry is the envelope ``{format, kind, key, value}``.  A missing,
     unreadable, truncated, foreign-keyed or other-format entry, or one
     whose value ``decode`` rejects, is a counted miss, never a result.
-    Hits and misses count in ``stats`` when given (as ``hits``/``misses``)
-    and otherwise in :data:`STATS` as ``<kind>_hits``/``<kind>_misses``.
+    Hits and misses count in :data:`STATS` as ``<kind>_hits``/
+    ``<kind>_misses``, or as ``hits``/``misses`` in ``stats`` when given
+    (the daemon's result store keeps its own).
     Under :func:`cache_disabled` nothing is read or counted.
     """
     if cache_disabled():
@@ -270,10 +347,6 @@ def _dump_setting(setting: Setting) -> list[float]:
     return [setting.freq_hz, setting.volts]
 
 
-def _load_setting(pair: list[float]) -> Setting:
-    return Setting(freq_hz=float(pair[0]), volts=float(pair[1]))
-
-
 def serialize_runs(runs: list[TaskRun]) -> list[dict[str, Any]]:
     """JSON-able form of a ``TaskRun`` list (exact float round-trip)."""
     return [
@@ -305,6 +378,13 @@ def serialize_runs(runs: list[TaskRun]) -> list[dict[str, Any]]:
 
 def deserialize_runs(payload: list[dict[str, Any]]) -> list[TaskRun]:
     """Inverse of :func:`serialize_runs`; results compare ``==`` to originals."""
+    # Imported here: the runtimes' WCETs come from this module's memo.
+    from repro.visa.dvs import Setting
+    from repro.visa.runtime import Phase, TaskRun
+
+    def setting(pair: list[float]) -> Setting:
+        return Setting(freq_hz=float(pair[0]), volts=float(pair[1]))
+
     return [
         TaskRun(
             index=int(entry["index"]),
@@ -325,8 +405,8 @@ def deserialize_runs(payload: list[dict[str, Any]]) -> list[TaskRun]:
             mispredicted=bool(entry["mispredicted"]),
             completion_seconds=float(entry["completion_seconds"]),
             deadline=float(entry["deadline"]),
-            f_spec=_load_setting(entry["f_spec"]),
-            f_rec=_load_setting(entry["f_rec"]),
+            f_spec=setting(entry["f_spec"]),
+            f_rec=setting(entry["f_rec"]),
         )
         for entry in payload
     ]
@@ -337,12 +417,12 @@ def deserialize_runs(payload: list[dict[str, Any]]) -> list[TaskRun]:
 
 def load_runs(name: str, key: str) -> list[TaskRun] | None:
     """Cached run for ``key``, or None on miss/bypass/corruption."""
-    return load("run", f"{name}-{key}", deserialize_runs, stats=STATS)
+    return load("run", f"{name}-{key}", deserialize_runs)
 
 
 def store_runs(name: str, key: str, runs: list[TaskRun]) -> None:
     """Publish a computed run under ``key`` (no-op when caching is off)."""
-    store("run", f"{name}-{key}", serialize_runs(runs), stats=STATS)
+    store("run", f"{name}-{key}", serialize_runs(runs))
 
 
 # -- CLI support ----------------------------------------------------------------
@@ -366,44 +446,30 @@ def cache_entries(directory: Path | None = None) -> list[tuple[str, int]]:
     return entries
 
 
-def codegen_stats(
-    entries: list[tuple[str, int]] | None = None,
-) -> dict[str, Any]:
-    """The blockjit entries on disk (from ``entries`` if the caller has
-    scanned already) plus their in-process counters."""
-    jit = [
-        size
-        for name, size in (cache_entries() if entries is None else entries)
-        if name.startswith("blockjit-")
-    ]
-    return {
-        "entries": len(jit),
-        "bytes": sum(jit),
-        "hits": int(STATS["blockjit_hits"]),
-        "misses": int(STATS["blockjit_misses"]),
-        "stores": int(STATS["blockjit_stores"]),
-    }
-
-
 def cache_stats() -> dict[str, Any]:
     """One collector for every cache-observability surface.
 
-    Combines the on-disk view (entry count, total bytes) with the
-    in-process :data:`STATS` run-entry hit/miss/store counters.  ``repro
-    cache stats`` renders this directly and the service's metrics
-    endpoint feeds its gauges from the same function, so the two always
-    agree.  The nested ``blockjit`` dict (:func:`codegen_stats`) covers
-    the generated-code entries, which the top-level totals leave out.
+    One ``kinds`` row per kind: its entries and bytes on disk and its
+    :func:`kind_stats` ops.  ``blockjit`` is that kind's row again, left
+    out of the top-level totals.  ``repro cache stats`` renders this and
+    the service's ``/metrics`` feeds its disk gauges from it.
     """
     entries = cache_entries()
-    codegen = codegen_stats(entries)
+    kinds = {
+        kind: {"entries": 0, "bytes": 0, **ops}
+        for kind, ops in kind_stats().items()
+    }
+    for name, size in entries:
+        row = kinds.get(name.partition("-")[0])
+        if row is not None:
+            row["entries"] += 1
+            row["bytes"] += size
+    codegen = kinds["blockjit"]
     return {
         "directory": str(cache_dir()),
         "entries": len(entries) - codegen["entries"],
         "bytes": sum(size for _, size in entries) - codegen["bytes"],
-        "hits": int(STATS["hits"]),
-        "misses": int(STATS["misses"]),
-        "stores": int(STATS["stores"]),
+        "kinds": kinds,
         "blockjit": codegen,
     }
 

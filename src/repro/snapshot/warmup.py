@@ -12,9 +12,9 @@ runs equal cold runs bit for bit.
 
 Prefix payloads are shared two ways:
 
-* in-process (:data:`_MEMORY`), covering serial sweeps where all rates of
-  a benchmark run in one process — this is computation restructuring, not
-  a cache, so it stays on even under ``REPRO_NO_CACHE=1``;
+* in-process (the ``warmup`` memo of :mod:`repro.snapshot.runcache`),
+  covering serial sweeps where all rates of a benchmark run in one process
+  — computation sharing, not a cache, so it stays on under no-cache;
 * on disk under the shared cache directory, covering process-parallel
   sweeps and repeated invocations — bypassed by ``REPRO_NO_CACHE=1`` like
   every other disk cache.
@@ -26,7 +26,6 @@ stay independent.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Callable, Iterable
 from typing import TYPE_CHECKING, Any
 
@@ -36,18 +35,6 @@ if TYPE_CHECKING:
     from repro.isa.program import Program
     from repro.visa.dvs import DVSTable
     from repro.visa.runtime import RuntimeConfig, TaskRun
-
-#: In-process prefix payloads, keyed like the disk entries.
-_MEMORY: dict[str, dict[str, Any]] = {}
-
-#: In-process observability: prefix reuse vs. fresh simulation.
-STATS: Counter[str] = Counter()
-
-
-def clear_memory_cache() -> None:
-    """Drop in-process prefix payloads (tests and benchmarks)."""
-    _MEMORY.clear()
-    STATS.clear()
 
 
 def forkable(
@@ -90,32 +77,28 @@ def warm_runtime(
         {**(extra or {}), "warm_start": warm_start},
     )
 
-    def fork(
-        payload: dict[str, Any],
-    ) -> tuple[dict[str, Any], Any, list[TaskRun]]:
+    ready: list[tuple[Any, list[TaskRun]]] = []  # the runtime handed out
+
+    def fork(payload: dict[str, Any]) -> dict[str, Any]:
         runtime = make()
         runtime.restore_state(payload["state"])
-        return payload, runtime, runcache.deserialize_runs(payload["runs"])
+        ready.append((runtime, runcache.deserialize_runs(payload["runs"])))
+        return payload
 
-    memo = _MEMORY.get(key)
-    forked = (
-        fork(memo)
-        if memo is not None
-        else runcache.load("warmup", f"{name}-{key}", fork)
-    )
-    if forked is not None:
-        payload, runtime, runs = forked
-        STATS["reused"] += 1
-        _MEMORY[key] = payload
-        return runtime, runs
+    def build() -> dict[str, Any]:
+        payload = runcache.load("warmup", f"{name}-{key}", fork)
+        if payload is None:
+            runtime = make()
+            runs = runtime.run_span(0, warm_start)
+            ready.append((runtime, runs))
+            payload = {
+                "state": runtime.snapshot_state(),
+                "runs": runcache.serialize_runs(runs),
+            }
+            runcache.store("warmup", f"{name}-{key}", payload)
+        return payload
 
-    runtime = make()
-    runs = runtime.run_span(0, warm_start)
-    payload = {
-        "state": runtime.snapshot_state(),
-        "runs": runcache.serialize_runs(runs),
-    }
-    _MEMORY[key] = payload
-    runcache.store("warmup", f"{name}-{key}", payload)
-    STATS["simulated"] += 1
-    return runtime, runs
+    payload = runcache.memo("warmup", key, build)
+    if not ready:
+        fork(payload)
+    return ready[0]

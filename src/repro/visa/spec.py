@@ -22,31 +22,20 @@ a pass per stall and runtime.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.isa.program import Program
 from repro.memory.cache import CacheConfig
 from repro.memory.machine import Machine, MachineConfig, mem_stall_cycles
 from repro.pipelines.inorder_engine import BRANCH_PENALTY
+from repro.snapshot import runcache
 from repro.snapshot.state import program_digest
 from repro.wcet.analyzer import TaskWCET, WCETAnalyzer
 from repro.wcet.envelope import Line
 
-#: Private analyzers behind :meth:`VISASpec.wcet`, keyed by
-#: ``(spec, program_digest(program))``, least recently used first.  Each
-#: keeps its own results and is never handed to a caller,
-#: so no caller-side mutation (loop bounds, ``run_cls``, D-cache bounds)
-#: can leak into a shared result.
-_SHARED: "OrderedDict[tuple[VISASpec, str], WCETAnalyzer]" = OrderedDict()
-_SHARED_MAX = 64
-_SHARED_LOCK = threading.Lock()
-
-
-def clear_shared_wcet() -> None:
-    """Drop every shared analyzer (tests use this for a cold start)."""
-    with _SHARED_LOCK:
-        _SHARED.clear()
+#: Held across a shared analyzer's query: its memo tables are not safe to
+#: fill from two threads at once (the GIL serializes the analysis anyway).
+_QUERY_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -108,19 +97,15 @@ class VISASpec:
         return self._shared(program, WCETAnalyzer.stall_lines)
 
     def _shared(self, program: Program, query):
-        """``query(analyzer)`` on the shared analyzer of ``program``."""
-        key = (self, program_digest(program))
-        # Held across the analysis too: an analyzer's memo tables are not
-        # safe to fill from two threads at once (and the GIL serializes
-        # the pure-Python analysis anyway).
-        with _SHARED_LOCK:
-            analyzer = _SHARED.get(key)
-            if analyzer is None:
-                analyzer = _SHARED[key] = self.analyzer(program)
-                if len(_SHARED) > _SHARED_MAX:
-                    _SHARED.popitem(last=False)
-            else:
-                _SHARED.move_to_end(key)
+        """``query(analyzer)`` on the shared analyzer of ``program`` (the
+        ``analyzer`` memo, keyed ``(spec, program digest)``).  It is never
+        handed to a caller, so no caller-side mutation (loop bounds,
+        ``run_cls``, D-cache bounds) can leak into a shared result."""
+        with _QUERY_LOCK:
+            analyzer = runcache.memo(
+                "analyzer", (self, program_digest(program)),
+                lambda: self.analyzer(program),
+            )
             return query(analyzer)
 
     def stall_cycles(self, freq_hz: float) -> int:

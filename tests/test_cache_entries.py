@@ -25,7 +25,7 @@ from repro.pipelines.inorder import InOrderCore
 from repro.rt import admission
 from repro.service import jobs
 from repro.service.store import ResultStore
-from repro.snapshot import runcache, state, warmup
+from repro.snapshot import runcache, state
 
 INSTANCES, WARM = 8, 4
 TASKS = {"tasks": [{"workload": "cnt", "period": 0.01}]}
@@ -54,14 +54,14 @@ def _pair(warm_start: int | None = None) -> tuple[list, list]:
 
 def _forked_pair() -> tuple[list, list]:
     """Runs that miss the run entries, so the warm-up entries are read."""
-    warmup.clear_memory_cache()
+    runcache.clear_memory()
     for path in runcache.cache_dir().glob("run-*"):
         path.unlink()
     return _pair(WARM)
 
 
 def _setup() -> tuple:
-    common.setup.cache_clear()
+    runcache.clear_memory()
     prep = common.setup("cnt", "tiny")
     return (
         prep.dcache_bounds, prep.wcet_1ghz_seconds, prep.deadline_tight,
@@ -98,7 +98,6 @@ def _kind(name: str, cache: Path) -> Kind:
             lambda: _served(store), store.directory, "lint-",
             lambda: store.stats["misses"], 1,
         )
-    counter = {"run": "misses"}.get(name, f"{name}_misses")
     compute, entries = {
         "run": (_pair, 2),
         "warmup": (_forked_pair, 2),
@@ -107,7 +106,7 @@ def _kind(name: str, cache: Path) -> Kind:
         "blockjit": (_block_code, 1),
     }[name]
     return Kind(
-        compute, cache, f"{name}-", lambda: runcache.STATS[counter], entries
+        compute, cache, f"{name}-", lambda: runcache.STATS[f"{name}_misses"], entries
     )
 
 
@@ -127,11 +126,9 @@ def _rewrite(path: Path, field: str, value: Any) -> None:
 def cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-    common.setup.cache_clear()
-    warmup.clear_memory_cache()
+    runcache.clear_memory()
     yield tmp_path
-    common.setup.cache_clear()
-    warmup.clear_memory_cache()
+    runcache.clear_memory()
 
 
 KINDS = ["run", "warmup", "setup", "admit", "result", "blockjit"]

@@ -1,12 +1,11 @@
 """CLI tests (python -m repro)."""
 
 import json
-from collections import OrderedDict
 
 import pytest
 
 from repro.cli import main
-from repro.visa import spec as spec_mod
+from repro.snapshot import runcache
 from repro.wcet.envelope import RangeFallback, StallRange
 
 MINIC = """
@@ -103,13 +102,14 @@ class TestPackCommand:
         assert payload["program"]["words"]
 
     def test_pack_survives_a_range_pass_fallback(
-        self, minic_file, tmp_path, monkeypatch
+        self, minic_file, tmp_path, monkeypatch, request
     ):
         def give_up(self, a, b):
             raise RangeFallback("forced")
 
         monkeypatch.setattr(StallRange, "vmax", give_up)
-        monkeypatch.setattr(spec_mod, "_SHARED", OrderedDict())
+        runcache.clear_memory()  # no warm analyzer, none left behind
+        request.addfinalizer(runcache.clear_memory)
         out_path = tmp_path / "task.bin"
         assert main(["pack", minic_file, str(out_path)]) == 0
         assert len(json.loads(out_path.read_text())["wcet"]) == 1
@@ -200,7 +200,7 @@ class TestCacheCommand:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         (tmp_path / "run-x-abc.json").write_text("{}")
         runcache.reset_stats()
-        runcache.STATS["hits"] += 5
+        runcache.STATS["run_hits"] += 5
         assert main(["cache", "stats"]) == 0
         out = capsys.readouterr().out
         assert str(tmp_path) in out

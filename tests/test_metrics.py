@@ -56,14 +56,13 @@ class TestHistogramBuckets:
 #: ``perfbench/serve_mixed.py`` scrape several of these by name, so a
 #: rename is a breaking change to both, not a refactor.
 FAMILIES = {
-    "repro_blockjit_cache_ops_total", "repro_cache_bytes",
-    "repro_cache_entries", "repro_codegen_bytes", "repro_codegen_entries",
+    "repro_cache_bytes", "repro_cache_entries", "repro_cache_ops_total",
+    "repro_codegen_bytes", "repro_codegen_entries",
     "repro_draining", "repro_job_phase_seconds", "repro_job_seconds",
     "repro_jobs_aged_total", "repro_jobs_coalesced_total",
     "repro_jobs_completed_total", "repro_jobs_in_flight",
     "repro_jobs_rejected_total", "repro_jobs_requeued_total",
     "repro_jobs_submitted_total", "repro_queue_depth",
-    "repro_run_cache_hit_ratio", "repro_run_cache_ops_total",
     "repro_store_hit_ratio", "repro_store_ops_total",
     "repro_worker_restarts_total", "repro_workers_alive",
 }

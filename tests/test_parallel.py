@@ -20,6 +20,7 @@ import pytest
 from repro.errors import ReproError
 from repro.experiments import common, figure2
 from repro.experiments.parallel import default_jobs, parallel_map
+from repro.snapshot import runcache
 
 
 def _square(x: int) -> int:
@@ -154,9 +155,9 @@ class TestDiskCache:
     def cache_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-        common.setup.cache_clear()
+        runcache.clear_memory()
         yield tmp_path
-        common.setup.cache_clear()
+        runcache.clear_memory()
 
     def test_miss_then_hit_round_trips(self, cache_env):
         computed = common.setup("cnt", "tiny")
@@ -166,7 +167,7 @@ class TestDiskCache:
         assert payload["kind"] == "setup"
         assert payload["value"]["dcache_bounds"] == computed.dcache_bounds
 
-        common.setup.cache_clear()  # force the disk path
+        runcache.clear_memory()  # force the disk path
         cached = common.setup("cnt", "tiny")
         assert cached is not computed
         assert cached.dcache_bounds == computed.dcache_bounds
@@ -183,7 +184,7 @@ class TestDiskCache:
         computed = common.setup("cnt", "tiny")
         (file,) = cache_env.glob("setup-cnt-tiny-*.json")
         file.write_text("{not json")
-        common.setup.cache_clear()
+        runcache.clear_memory()
         again = common.setup("cnt", "tiny")
         assert again.deadline_tight == computed.deadline_tight
         # The recompute also repairs the cache file.

@@ -90,9 +90,9 @@ def _simulate(directory: str) -> tuple[float, float, int, int, int]:
     return (
         pair.savings(standby=False),
         pair.savings(standby=True),
-        int(runcache.STATS["hits"]),
-        int(runcache.STATS["misses"]),
-        int(runcache.STATS["stores"]),
+        int(runcache.STATS["run_hits"]),
+        int(runcache.STATS["run_misses"]),
+        int(runcache.STATS["run_stores"]),
     )
 
 

@@ -130,11 +130,59 @@ def test_mixed_concurrent_submissions_with_coalescing(tmp_path):
             # runcache.STATS deltas flowed back from the workers: every
             # executed run simulated cold (2 stores each: visa + simple).
             stores = client.metric_value(
-                'repro_run_cache_ops_total{op="stores"}'
+                'repro_cache_ops_total{kind="run",op="stores"}'
             )
             assert stores == 8
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=60) == 0
+
+
+#: Jobs that read set-up, warm-up and admit entries: figure4's 6
+#: workloads x 4 rates share one set-up and two warm-up prefixes each.
+CACHE_JOBS = [
+    ("experiment", {"name": "figure4", "instances": 8}),
+    ("admit", {"tasks": [{"workload": "cnt", "period": 0.01}]}),
+]
+
+
+def _cache_ops(tmp_path: Path) -> dict[tuple[str, str], float]:
+    """Run :data:`CACHE_JOBS` on a fresh daemon; its cache ops by
+    (kind, op).  Then drop the run entries, so the next daemon's jobs
+    read the set-up, warm-up and admit entries back."""
+    with serve_daemon(tmp_path) as (proc, port):
+        with _client(port) as client:
+            for kind, payload in CACHE_JOBS:
+                assert client.submit(kind, payload).ok
+            ops = {
+                (kind, op): client.metric_value(
+                    f'repro_cache_ops_total{{kind="{kind}",op="{op}"}}'
+                )
+                for kind in ("setup", "warmup", "admit")
+                for op in ("hits", "misses", "stores", "memo_hits")
+            }
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) == 0
+    for path in (tmp_path / "cache").glob("run-*"):
+        path.unlink()
+    return ops
+
+
+def test_worker_cache_counts_reach_metrics(tmp_path):
+    """A worker ships its whole ``runcache.STATS`` delta, so the set-up,
+    warm-up and admit entries its jobs write and read, and their
+    in-memory reuse, show in ``repro_cache_ops_total{kind=...}``."""
+    cold = _cache_ops(tmp_path)
+    assert cold["setup", "stores"] == cold["setup", "misses"] == 6
+    assert cold["warmup", "stores"] == cold["warmup", "misses"] == 12
+    assert cold["admit", "stores"] == cold["admit", "misses"] == 1
+    # Rates after the first reuse their set-up in memory, and so do the
+    # rates whose (non-empty) flush set differs from the first's warm-up.
+    assert cold["setup", "memo_hits"] == 6 * 3
+    assert cold["warmup", "memo_hits"] > 0
+    warm = _cache_ops(tmp_path)
+    assert warm["setup", "hits"] == 6 and warm["setup", "stores"] == 0
+    assert warm["warmup", "hits"] == 12 and warm["warmup", "stores"] == 0
+    assert warm["admit", "hits"] == 1 and warm["admit", "stores"] == 0
 
 
 def test_worker_crash_restart_and_requeue_once(tmp_path):

@@ -199,8 +199,10 @@ def test_duplicate_collector_name_rejected():
 
 def test_service_metrics_cache_ratio():
     metrics = ServiceMetrics()
-    metrics.fold_cache_delta({"hits": 3, "misses": 1, "stores": 1})
-    assert metrics.cache_hit_ratio.value() == pytest.approx(0.75)
+    metrics.fold_cache_delta({"run_hits": 3, "run_misses": 1, "run_stores": 1})
+    hits = metrics.cache_ops.value(kind="run", op="hits")
+    misses = metrics.cache_ops.value(kind="run", op="misses")
+    assert hits / (hits + misses) == pytest.approx(0.75)
     snapshot = metrics.snapshot()
     assert snapshot["run_cache_hits"] == 3
     assert snapshot["run_cache_stores"] == 1

@@ -20,12 +20,11 @@ import pytest
 from repro.experiments import common
 from repro.experiments.common import run_pair
 from repro.isa.assembler import assemble
-from repro.snapshot import runcache, warmup
+from repro.snapshot import runcache
 from repro.snapshot.state import program_digest
-from repro.visa import spec as spec_mod
 from repro.visa.dvs import DVSTable
 from repro.visa.runtime import RuntimeConfig, SimpleFixedRuntime
-from repro.visa.spec import VISASpec, clear_shared_wcet
+from repro.visa.spec import VISASpec
 from repro.wcet import analyzer as analyzer_mod
 from repro.wcet.analyzer import _Run
 from repro.workloads import get_workload
@@ -45,15 +44,11 @@ def cold(tmp_path, monkeypatch):
     """Isolated caches, no run cache, and an empty shared analysis."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
-    common.setup.cache_clear()
-    warmup.clear_memory_cache()
+    runcache.clear_memory()
     runcache.reset_stats()
-    clear_shared_wcet()
     analyzer_mod.STATS.clear()
     yield
-    common.setup.cache_clear()
-    warmup.clear_memory_cache()
-    clear_shared_wcet()
+    runcache.clear_memory()
 
 
 def _cnt():
@@ -63,7 +58,7 @@ def _cnt():
 
 def test_each_stall_is_solved_once_across_runtimes_and_cells(cold, monkeypatch):
     prep = common.setup("cnt", "tiny")
-    clear_shared_wcet()
+    runcache.clear_memory()
     analyzer_mod.STATS.clear()
     requested: set[int] = set()
     real_wcet = VISASpec.wcet
@@ -87,7 +82,7 @@ def test_each_stall_is_solved_once_across_runtimes_and_cells(cold, monkeypatch):
 def test_runs_are_bit_identical_cold_and_warm(cold):
     prep = common.setup("cnt", "tiny")
     deadline = 1.2 * prep.deadline_tight
-    clear_shared_wcet()
+    runcache.clear_memory()
     cold_pair = run_pair(prep, deadline, INSTANCES, {7})
     warm_pair = run_pair(prep, deadline, INSTANCES, {7})
     assert warm_pair.visa_runs == cold_pair.visa_runs
@@ -157,23 +152,23 @@ def test_each_spec_gets_its_own_results(cold):
     assert fast.stall == 40 and default.stall == 100
     assert fast.total_cycles < default.total_cycles
     assert VISASpec().wcet(program, 1e9, bounds) == default
-    assert len(spec_mod._SHARED) == 2
+    assert len(runcache.memo_keys("analyzer")) == 2
 
 
 def test_lru_stays_at_its_bound(cold):
     program = assemble(".text\nmain: nop\nhalt\n")
-    limit = spec_mod._SHARED_MAX
+    limit = runcache.MEMO_BOUNDS["analyzer"]
     specs = [VISASpec(mem_stall_ns=float(n)) for n in range(1, limit + 6)]
     for spec in specs:
         spec.wcet(program, 1e9)
-    assert len(spec_mod._SHARED) == limit
-    keys = [key[0] for key in spec_mod._SHARED]
+    assert len(runcache.memo_keys("analyzer")) == limit
+    keys = [key[0] for key in runcache.memo_keys("analyzer")]
     assert keys == specs[-limit:]  # least recently used evicted first
     # A hit refreshes recency: the oldest survivor outlives the next miss.
     specs[-limit].wcet(program, 1e9)
     VISASpec(mem_stall_ns=1000.0).wcet(program, 1e9)
-    assert specs[-limit] in [key[0] for key in spec_mod._SHARED]
-    assert specs[-limit + 1] not in [key[0] for key in spec_mod._SHARED]
+    assert specs[-limit] in [key[0] for key in runcache.memo_keys("analyzer")]
+    assert specs[-limit + 1] not in [key[0] for key in runcache.memo_keys("analyzer")]
 
 
 def test_entry_point_is_part_of_program_identity(cold):
@@ -190,7 +185,7 @@ def test_entry_point_is_part_of_program_identity(cold):
     spec = VISASpec()
     spec.wcet(program, 1e9)
     spec.wcet(other, 1e9)
-    assert {key[1] for key in spec_mod._SHARED} == {
+    assert {key[1] for key in runcache.memo_keys("analyzer")} == {
         program_digest(program), program_digest(other)
     }
 
@@ -205,7 +200,7 @@ def test_concurrent_callers_share_one_analysis(cold):
         mine.dcache_bounds = bounds
         for f in freqs:
             reference[spec, f] = mine.analyze(f)
-    clear_shared_wcet()  # set-up's own analyses warmed it
+    runcache.clear_memory()  # set-up's own analyses warmed it
     analyzer_mod.STATS.clear()
     mismatches: list[tuple] = []
 
@@ -231,4 +226,4 @@ def test_concurrent_callers_share_one_analysis(cold):
     assert mismatches == []
     # Among 6 threads, each spec's stalls cost at most two passes.
     assert analyzer_mod.STATS["passes"] <= 2 * len(specs)
-    assert len(spec_mod._SHARED) == len(specs)
+    assert len(runcache.memo_keys("analyzer")) == len(specs)

@@ -44,12 +44,10 @@ def cache_env(tmp_path, monkeypatch):
     """Isolated cache directory + clean in-process state."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-    common.setup.cache_clear()
-    warmup.clear_memory_cache()
+    runcache.clear_memory()
     runcache.reset_stats()
     yield tmp_path
-    common.setup.cache_clear()
-    warmup.clear_memory_cache()
+    runcache.clear_memory()
     runcache.reset_stats()
 
 
@@ -123,7 +121,7 @@ class TestWarmupFork:
     def test_forked_cell_equals_cold_cell(self, no_cache, rate):
         prep = _prep()
         flush = flush_set(INSTANCES, rate)
-        warmup.clear_memory_cache()
+        runcache.clear_memory()
         cold = run_pair(prep, prep.deadline_tight, INSTANCES,
                         flush_instances=flush)
         forked = run_pair(prep, prep.deadline_tight, INSTANCES,
@@ -141,7 +139,7 @@ class TestWarmupFork:
 
         def sweep(warm_start):
             rtmod.SIM_COUNTS.clear()
-            warmup.clear_memory_cache()
+            runcache.clear_memory()
             rows = [
                 run_pair(prep, prep.deadline_tight, INSTANCES,
                          flush_instances=flush_set(INSTANCES, rate),
@@ -174,11 +172,13 @@ class TestWarmupFork:
         run_pair(prep, prep.deadline_tight, INSTANCES, warm_start=WARM)
         assert list(cache_env.glob("warmup-cnt-*.json"))
         # A fresh process (simulated by dropping in-memory state) reuses it.
-        warmup.clear_memory_cache()
+        runcache.clear_memory()
+        runcache.reset_stats()
         rtmod.SIM_COUNTS.clear()
         run_pair(prep, prep.deadline_tight, INSTANCES,
                  flush_instances=flush_set(INSTANCES, 0.3), warm_start=WARM)
-        assert warmup.STATS["reused"] == 2  # visa + simple
+        assert runcache.STATS["warmup_hits"] == 2  # visa + simple
+        assert runcache.STATS["warmup_memo_hits"] == 0
         assert rtmod.SIM_COUNTS["visa"] == INSTANCES - WARM
 
 
@@ -190,7 +190,7 @@ class TestRunCache:
         rtmod.SIM_COUNTS.clear()
         runcache.reset_stats()
         second = run_pair(prep, prep.deadline_tight, INSTANCES)
-        assert runcache.STATS["hits"] == 2
+        assert runcache.STATS["run_hits"] == 2
         assert dict(rtmod.SIM_COUNTS) == {}  # nothing simulated
         assert second.visa_rt is None and second.simple_rt is None
         assert second.visa_runs == first.visa_runs

@@ -1,7 +1,6 @@
 """Timed-binary tests (paper §1.2: timing-safety binary compatibility)."""
 
 import json
-from collections import OrderedDict
 
 import pytest
 
@@ -10,8 +9,8 @@ from repro.memory.cache import CacheConfig
 from repro.memory.machine import Machine
 from repro.minicc import compile_source
 from repro.pipelines.inorder import InOrderCore
+from repro.snapshot import runcache
 from repro.visa.binary import attach_wcet, dumps, loads, visa_fingerprint
-from repro.visa import spec as spec_mod
 from repro.visa.spec import VISASpec
 from repro.wcet import analyzer as analyzer_mod
 from repro.wcet.analyzer import _Run
@@ -113,12 +112,15 @@ class TestRangePassFallback:
         assert all(min(gap) == 0 for gap in gaps)
         assert loads(dumps(binary)).params == binary.params
 
-    def test_forced_fallback_still_packs_every_program(self, monkeypatch):
+    def test_forced_fallback_still_packs_every_program(
+        self, monkeypatch, request
+    ):
         def give_up(self, a, b):
             raise RangeFallback("forced")
 
         monkeypatch.setattr(StallRange, "vmax", give_up)
-        monkeypatch.setattr(spec_mod, "_SHARED", OrderedDict())
+        runcache.clear_memory()  # no warm analyzer, none left behind
+        request.addfinalizer(runcache.clear_memory)
         program = compile_source(SOURCE)
         before = analyzer_mod.STATS["fallbacks"]
         binary = attach_wcet(program)
