@@ -1,18 +1,21 @@
 """CI smoke: block code must match the reference bit for bit.
 
-Runs every workload (all 8, tiny scale) on both pipelines through
-generated block code, whole (``block``, one unbudgeted ``run()``), in
-fixed 97-instruction segments (``bounded``, where most segments end
-inside a block and run a truncated copy of it), and whole with the
-watchdog armed to expire halfway through the run (``armed``, so every
-run ends in a watchdog exit from inside a block), and digests the
+Runs every workload (all 8, tiny scale) through generated block code on
+both pipelines, and once more on the complex core as the real-time thread
+sees it beside 16 SMT background threads (``ooo-smt16``: ROB 7, IQ 4 and
+LSQ 4, so its blocks hold at most 4 instructions): whole (``block``,
+one unbudgeted ``run()``), in fixed 97-instruction segments
+(``bounded``, where most segments end inside a block and run a
+truncated copy of it), and whole with the watchdog armed to expire
+halfway through the run (``armed``, so every run ends in a watchdog
+exit from inside a block), and digests the
 complete observable outcome: every segment's run result, final
 registers, memory image, console output (with cycle stamps), event
 counters, and cache statistics.  The baseline is each core's
 ``run_reference`` (the original ``semantics.execute``-based loop, an
 independent formulation of the same timing model) driven the same way,
 so the complex core's event-driven engine is checked end to end against
-it on every path.
+it on every path.  The speed gate covers the two default-geometry cores.
 Any digest mismatch is a miscompilation and exits nonzero, and so does
 block code whose whole runs (the ``block`` path, block tables built
 before the clock starts) take longer in total than ``run_reference``'s
@@ -34,6 +37,7 @@ import pathlib
 import sys
 import time
 from collections import Counter
+from functools import partial
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -117,20 +121,30 @@ def main(argv: list[str] | None = None) -> int:
     from repro.isa import blockjit
     from repro.memory.machine import Machine
     from repro.pipelines.inorder import InOrderCore
-    from repro.pipelines.ooo.core import ComplexCore
+    from repro.pipelines.ooo.core import ComplexCore, OOOParams
+    from repro.visa.smt import SMTConfig, partitioned_params
     from repro.workloads.suite import (
         EXTRA_WORKLOAD_NAMES,
         WORKLOAD_NAMES,
         get_workload,
     )
 
+    # label -> (block-table engine, core factory)
+    cores = {
+        "inorder": ("inorder", InOrderCore),
+        "ooo": ("ooo", ComplexCore),
+        "ooo-smt16": ("ooo", partial(
+            ComplexCore,
+            params=partitioned_params(OOOParams(), SMTConfig(16)),
+        )),
+    }
     failures = 0
     # Per (core, method): seconds spent in the ``block`` path's runs.
     seconds: Counter[tuple[str, str]] = Counter()
     for name in WORKLOAD_NAMES + EXTRA_WORKLOAD_NAMES:
         workload = get_workload(name, "tiny")
         seeds = list(range(RUNS)) if workload.inputs else [None]
-        for label, core_cls in (("inorder", InOrderCore), ("ooo", ComplexCore)):
+        for label, (engine, core_cls) in cores.items():
             shown = []
             ok = True
             # Per seed: the block path's reference cycle count.
@@ -150,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
                         if method == "run":
                             # Codegen (or its disk load) stays off the clock.
                             blockjit.block_table(
-                                machine, label, getattr(core, "params", None)
+                                machine, engine, getattr(core, "params", None)
                             )
                         start = time.perf_counter()
                         segments = _run(core, method, budget)
@@ -172,7 +186,7 @@ def main(argv: list[str] | None = None) -> int:
                     f"{digests['run_reference'][-1]}"
                 )
             status = "ok" if ok else "MISMATCH"
-            print(f"{name:6s} {label:7s}  {'  '.join(shown)}  {status}")
+            print(f"{name:6s} {label:9s}  {'  '.join(shown)}  {status}")
             failures += 0 if ok else 1
     codegen = blockjit.disk_cache_stats()
     print(

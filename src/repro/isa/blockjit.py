@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib
+import re
 import sys
 from dataclasses import astuple
 from functools import lru_cache
@@ -77,7 +78,7 @@ from repro.isa.fastexec import (
     K_LOAD,
     K_STORE,
 )
-from repro.isa.opcodes import Op
+from repro.isa.opcodes import LATENCY, Op
 from repro.isa.semantics import _fdiv, _fsqrt, _trunc_div, _trunc_rem
 from repro.pipelines.inorder_engine import BRANCH_PENALTY, _FRONT_DEPTH
 from repro.wcet.cfg import build_cfg
@@ -93,7 +94,11 @@ if TYPE_CHECKING:
 #: 5: timing clamps the in-order recurrence proves dead are not emitted,
 #: nor (on either engine) the ``ready[0]`` clamp of a program that never
 #: writes r0.
-CODEGEN_VERSION = 5
+#: 6: OOO width maps are lists indexed by relative cycle, the occupancy
+#: rings are read at constant offsets and written at block exit (their
+#: st cursors are gone), OOO blocks are capped at the smallest ring, and
+#: OOO ALU results wrap to 32 bits only when out of range.
+CODEGEN_VERSION = 6
 
 #: Modules whose source shapes the emitted code or the dispatchers' ``st``
 #: layout: the emitters here, and the constants and helpers they inline.
@@ -110,12 +115,6 @@ _S = 0x80000000
 _MMIO = layout.MMIO_BASE
 _REDIRECT_OFFSET = BRANCH_PENALTY - _FRONT_DEPTH + 1
 _RUNAWAY = 200_000_000
-
-# OOO width-map hygiene: every _PRUNE_STRIDE committed
-# instructions, cycle-keyed dispatch/issue/port maps larger than
-# _PRUNE_MIN entries are rebuilt with dead (pre-frontier) keys dropped.
-_PRUNE_STRIDE = 8192
-_PRUNE_MIN = 512
 
 _CONTROL_KINDS = (K_BRANCH, K_JUMP, K_INDIRECT, K_HALT)
 
@@ -334,6 +333,10 @@ def _alu_expr(inst: Any, regs: _Regs, ind: str) -> tuple[str, bool]:
     raise AssertionError(f"unhandled ALU op {op}")
 
 
+#: ``to_s32(E)`` as :func:`_alu_expr` writes it (group 1: ``E``).
+_TO_S32 = re.compile(r"\(\((.+) \+ _S\) & _M\) - _S")
+
+
 def _alu_fold(inst: Any, regs: _Regs) -> int | None:
     """Constant-fold a pure int ALU op when every register source is known.
 
@@ -474,8 +477,9 @@ def _ooo_exit(st: list[Any], k: int, L: dict[str, Any], table: tuple) -> None:
 
     ``table`` is ``(start pc, rows, spills)``; a row lists instructions
     executed, register reads, register writes, memory operations,
-    predictions, then the local holding the committed frontier: ``lcp``
-    for a load or store that faults past the commit stage, else ``lc``.
+    predictions, then the local holding the committed frontier (for a
+    load or store that faults past the commit stage, the one from before
+    it).
     """
     start, rows, spills = table
     row = rows[k].split()
@@ -575,9 +579,13 @@ class _Emitter:
         if may_raise:
             self._fault_site(ind, row)
         if wbank != 0:
-            self.emit(ind, f"{regs.write_name(dkey)} = {expr}")
+            self._assign(ind, regs.write_name(dkey), expr)
         elif may_raise:
             self.emit(ind, f"v{i} = {expr}")
+
+    def _assign(self, ind: str, name: str, expr: str) -> None:
+        """An ALU result's register write."""
+        self.emit(ind, f"{name} = {expr}")
 
     def _address(self, ind: str, i: int, kind: int,
                  inst: Any) -> tuple[str, int | None, str]:
@@ -1059,40 +1067,87 @@ class _InOrderEmitter(_Emitter):
 #
 # Generated signature: def _o{pc:x}(ir, fr, ready, st, env)
 #
-# st (list, 29 slots): 0 bus_free, 1 fetch_cycle, 2 group_done,
+# st (list, 26 slots): 0 bus_free, 1 fetch_cycle, 2 group_done,
 #   3 group_count, 4 group_block, 5 redirect, 6 last_commit (the
 #   *committed* value: a load or store that faults has passed the
 #   commit stage, and this slot then holds the frontier from before it,
-#   the ``lcp`` snapshot, exactly like ``committed_now`` in the
-#   reference), 7 itick, 8 dtick, 9 ihits, 10 imiss, 11 dhits, 12 dmiss,
-#   13 c_group, 14 c_bpred, 15 c_regread, 16 c_regwrite, 17 c_dcache,
-#   18 n_mem, 19 pc, 20 executed, 21 wl (watchdog limit: a watchdog exit
-#   follows the first instruction whose commit reaches it),
-#   22 wd_expiry, 23 ri (ROB ring cursor),
-#   24 qi (IQ ring cursor), 25 li (LSQ ring cursor), 26 ccn (commits at
-#   the lc frontier cycle), 27 gh (gshare global history), 28 ih
-#   (indirect-predictor history).  The dispatcher's finally-flush
+#   exactly like ``committed_now`` in the reference), 7 itick, 8 dtick,
+#   9 ihits, 10 imiss, 11 dhits, 12 dmiss, 13 c_group, 14 c_bpred,
+#   15 c_regread, 16 c_regwrite, 17 c_dcache, 18 n_mem, 19 pc,
+#   20 executed, 21 wl (watchdog limit: a watchdog exit follows the
+#   first instruction whose commit reaches it), 22 wd_expiry, 23 ccn
+#   (commits at the lc frontier cycle), 24 gh (gshare global history),
+#   25 ih (indirect-predictor history).  The dispatcher's finally-flush
 #   indexes into it.
-# env (tuple, 26): words, words.get, icache sets, dcache sets, mmio,
+# env (tuple, 23): words, words.get, icache sets, dcache sets, mmio,
 #   mmio.read, mmio.write, machine.data_read, machine.data_write,
 #   stall penalty, timing base, honor_watchdog, the raw gshare table,
 #   the indirect table and its .get (the generated code inlines
 #   predictor reads/updates), then the per-segment scheduling
-#   structures: dis_used/dis_get, iss_used/iss_get, port_used/port_get,
-#   the preallocated ROB/IQ/LSQ occupancy rings, and
-#   inflight_stores/inflight_stores.get.
+#   structures: the dispatch, issue and cache-port width maps ``dis``,
+#   ``iss`` and ``port`` (lists of per-cycle slot counts indexed by
+#   cycle relative to the timing base), the ROB/IQ/LSQ occupancy rings
+#   ``robq``, ``iqq`` and ``lsqq``, and inflight_stores/its .get.
+#
+# Occupancy rings.  Each ring holds its structure's last N entries
+# (commit cycles for the ROB and LSQ, issue cycles for the IQ), oldest
+# first, -1 ("not yet full") until N were written.  Instruction i of a
+# block waits out ring[i] (the LSQ: its i-th memory operation), the
+# oldest live entry; with blocks capped at min(_MAX_BLOCK, ROB, IQ,
+# LSQ) instructions (:func:`_block_cap`) that entry was written before
+# the block.  Each ring is written once, at the block's last exit: its
+# first n entries dropped, the block's n appended.  A mid-block exit
+# ends the segment and writes none.
+#
+# Relative time and the rebase.  Every cycle block code computes is
+# relative to the timing base ``base`` (env), and the width maps are
+# lists indexed by it.  A list index below 0 wraps silently, so these
+# facts, kept by :func:`run_ooo`, are the whole safety case:
+#
+# * An instruction touches width-map keys below its own commit cycle
+#   only (dispatch d < issue s <= completion c < commit), so every key
+#   a block touches is at or below the commit frontier lc at its exit.
+# * No later probe goes below the floor max(gd, oldest ROB commit) + 1:
+#   dispatch starts past gd (which never decreases) and, once the ROB
+#   is full, past the oldest ROB commit (ring entries never decrease);
+#   issue and port probes start later still.
+# * A rebase by that floor shifts every relative cycle by the same
+#   amount: bf, fc, gd, rd and lc; wl unless it is _NEVER; ready, the
+#   three rings and the inflight_stores values; and base, up.  Every
+#   comparison is unchanged and every later key is >= 0.  The width-map
+#   keys below the floor, and stores that committed by it (which
+#   forward to no later load, whose ex_start is past it), are dropped.
+# * Capacity is checked before each block.  At a block's entry every
+#   carried cycle is at most max(lc, bf), and one instruction raises
+#   that maximum T by at most 6 + issue_to_ex + pen + max(pen, longest
+#   latency): its group forms by T + 1 and an I-cache miss fills it by
+#   t1 = T + 1 + pen; its probes stop by t1 + 2 (no slot past lc <= T
+#   is taken); it completes by t1 + 4 + issue_to_ex + max(pen, latency)
+#   (a load miss queues behind bf), commits a cycle later, and a store
+#   miss holds the bus pen past a commit <= t1 + 4 + issue_to_ex.  So
+#   a block of n instructions touches keys below max(lc, bf) + n times
+#   that.  Block length alone is not enough: a store takes the bus at
+#   commit without stalling commit, so bf can run arbitrarily far ahead
+#   of lc, and a later load miss completes past bf.
 
 _OOO_ENV = (
     "words, words_get, isets, dsets, mmio, mmio_read, mmio_write, "
     "data_read, data_write, pen, base, honor, gt, it, it_get, "
-    "dis_used, dis_get, iss_used, iss_get, port_used, port_get, "
-    "robq, iqq, lsqq, inflight_stores, get_inflight"
+    "dis, iss, port, robq, iqq, lsqq, inflight_stores, get_inflight"
 )
 _OOO_SLOTS = (
     "bf", "fc", "gd", "gc", "gb", "rd", "lc", "itick", "dtick", "ihits",
     "imiss", "dhits", "dmiss", "cg", "cbp", "crr", "crw", "cdc", "nmem",
-    "_pc", "nex", "wl", "wdx", "ri", "qi", "li", "ccn", "gh", "ih",
+    "_pc", "nex", "wl", "wdx", "ccn", "gh", "ih",
 )
+
+
+def _block_cap(engine: str, params: Any) -> int:
+    """Most instructions one block of ``engine`` holds."""
+    if engine == "inorder":
+        return _MAX_BLOCK
+    return min(_MAX_BLOCK, params.rob_entries, params.iq_entries,
+               params.lsq_entries)
 
 
 def _fwd_consumers(insts: list[tuple[int, Any]]) -> set[int]:
@@ -1140,26 +1195,49 @@ class _OOOEmitter(_Emitter):
         # The fetch-group count, once a group formed at a known point
         # (None while it still depends on the block's entry state).
         self._gc: int | None = None
+        # The local holding the commit frontier (SSA per instruction).
+        self.lc = "lc"
+        # The commit locals of the block's memory operations so far.
+        self._mem_commits: list[str] = []
 
     def _row(self, lc: str) -> tuple:
         return (self.nex, self.crr, self.crw, self.nmem, self.cbp, lc)
 
     def _exit(self, ind: str, pc_expr: str, ret: str) -> None:
-        """The exit after the block's last instruction (the commit
-        frontier ``lc`` then equals its commit cycle)."""
+        """The exit after the block's last instruction: write the rings
+        (unless it halts, which ends the segment), spill, write st."""
+        if ret != '"h"':
+            n = range(self.nex)
+            for ring, entries in (("robq", [f"l{k}" for k in n]),
+                                  ("iqq", [f"s{k}" for k in n]),
+                                  ("lsqq", self._mem_commits)):
+                if entries:
+                    self.emit(ind, f"del {ring}[:{len(entries)}]")
+                    self.emit(ind, f"{ring} += ({', '.join(entries)},)")
         self.lines.extend(self.regs.spill_lines(ind))
         self.emit(ind, "st[:] = (" + ", ".join((
-            "bf", "fc", "gd", "gc", "gb", "rd", "lc",
+            "bf", "fc", "gd", "gc", "gb", "rd", self.lc,
             "itick", "dtick", "ihits", "imiss", "dhits", "dmiss", "cg",
             _ctr("cbp", self.cbp), _ctr("crr", self.crr),
             _ctr("crw", self.crw), "cdc", _ctr("nmem", self.nmem),
-            pc_expr, _ctr("nex", self.nex), "wl", "wdx",
-            "ri", "qi", "li", "ccn", "gh", "ih",
+            pc_expr, _ctr("nex", self.nex), "wl", "wdx", "ccn", "gh", "ih",
         )) + ")")
         self.emit(ind, f"return {ret}")
 
     def _exit_table(self) -> tuple:
         return (self.start, *self._rows_and_spills())
+
+    def _assign(self, ind: str, name: str, expr: str) -> None:
+        """A ``to_s32(E)`` result as ``E``, wrapped only when it left the
+        32-bit range (a float E raises TypeError at the range test, as
+        the reference's wrap does)."""
+        wrapped = _TO_S32.fullmatch(expr)
+        if wrapped is None:
+            super()._assign(ind, name, expr)
+            return
+        self.emit(ind, f"{name} = {wrapped[1]}")
+        self.emit(ind, f"if ({name} >> 31) + 1 >> 1:")
+        self.emit(ind + "    ", f"{name} = (({name} + _S) & _M) - _S")
 
     def emit_block(self, pc: int, insts: list[tuple[int, Any]]) -> str:
         fname = f"_o{pc:x}"
@@ -1249,6 +1327,8 @@ class _OOOEmitter(_Emitter):
         p = self.p
         ind = "    "
         self._fault_k = None
+        # The commit frontier as of the previous instruction.
+        lc = self.lc
 
         self._fetch_group(i, pc)
 
@@ -1258,7 +1338,7 @@ class _OOOEmitter(_Emitter):
         mmio_static: bool | None = None
         vt = ""
         if kind == K_ALU:
-            self._alu(ind, i, inst, dkey, wbank, self._row("lc"))
+            self._alu(ind, i, inst, dkey, wbank, self._row(lc))
         elif kind == K_LOAD or kind == K_STORE:
             a, const_addr, vt = self._address(ind, i, kind, inst)
             if const_addr is not None:
@@ -1294,28 +1374,20 @@ class _OOOEmitter(_Emitter):
 
         # -- dispatch (rename, allocate ROB/IQ/LSQ) --
         is_mem = kind == K_LOAD or kind == K_STORE
-        # A load or store with a fault site faults past the commit stage.
-        faults = is_mem and (
-            const_addr is None or const_addr >= _MMIO
-            or _static_data_fault(self.g, const_addr)
-        )
         d = f"d{i}"
         self.emit(ind, f"{d} = gd + 1")
-        # Ring occupancy clamps: the cursor slot holds the oldest
-        # live entry exactly when the structure is full, else the -1
-        # sentinel (never >= d, which is >= 1), reproducing the
-        # deque len==N guard without a length check.
-        rings = [("robq", "ri"), ("iqq", "qi")]
+        # Occupancy clamps: the entry that gates this instruction, or
+        # the -1 sentinel (never >= d) while its structure is not full.
+        rings = [f"robq[{i}]", f"iqq[{i}]"]
         if is_mem:
+            rings.append(f"lsqq[{self.nmem}]")
             self.nmem += 1
-            rings.append(("lsqq", "li"))
-        for ring, cur in rings:
-            self.emit(ind, f"t = {ring}[{cur}]")
-            self.emit(ind, f"if t >= {d}:")
-            self.emit(ind + "    ", f"{d} = t + 1")
-        self.emit(ind, f"while (vd := dis_get({d}, 0)) >= {p.dispatch_width}:")
+        for gate in rings:
+            self.emit(ind, f"if {gate} >= {d}:")
+            self.emit(ind + "    ", f"{d} = {gate} + 1")
+        self.emit(ind, f"while (vd := dis[{d}]) >= {p.dispatch_width}:")
         self.emit(ind + "    ", f"{d} += 1")
-        self.emit(ind, f"dis_used[{d}] = vd + 1")
+        self.emit(ind, f"dis[{d}] = vd + 1")
 
         # -- issue (wakeup/select) --
         s = f"s{i}"
@@ -1328,20 +1400,20 @@ class _OOOEmitter(_Emitter):
         if is_mem:
             self.emit(ind, "while True:")
             self.emit(ind + "    ",
-                      f"while (vi := iss_get({s}, 0)) >= {p.issue_width}:")
+                      f"while (vi := iss[{s}]) >= {p.issue_width}:")
             self.emit(ind + "        ", f"{s} += 1")
             self.emit(ind + "    ", f"t = {s}")
             self.emit(ind + "    ",
-                      f"while (vp := port_get(t, 0)) >= {p.cache_ports}:")
+                      f"while (vp := port[t]) >= {p.cache_ports}:")
             self.emit(ind + "        ", "t += 1")
             self.emit(ind + "    ", f"if t == {s}:")
             self.emit(ind + "        ", "break")
             self.emit(ind + "    ", f"{s} = t")
-            self.emit(ind, f"port_used[{s}] = vp + 1")
+            self.emit(ind, f"port[{s}] = vp + 1")
         else:
-            self.emit(ind, f"while (vi := iss_get({s}, 0)) >= {p.issue_width}:")
+            self.emit(ind, f"while (vi := iss[{s}]) >= {p.issue_width}:")
             self.emit(ind + "    ", f"{s} += 1")
-        self.emit(ind, f"iss_used[{s}] = vi + 1")
+        self.emit(ind, f"iss[{s}] = vi + 1")
         self.crr += nsrc
 
         x = f"x{i}"
@@ -1387,45 +1459,34 @@ class _OOOEmitter(_Emitter):
         # -- commit (in order, 4-wide) --
         # Batched retirement via the commit frontier (lc, ccn): every
         # candidate max(c+1, lc) is >= lc and the width map has no
-        # entries past lc, so one pair replaces the dict scan.  The
-        # frontier then *is* this instruction's commit cycle (``y``),
-        # but a fault in the side effects must report the frontier from
-        # before it (committed_now semantics), hence the lcp snapshot.
-        y = "lc"
-        if faults:
-            self.emit(ind, "lcp = lc")
-        self.emit(ind, f"if {c} >= lc:")
-        self.emit(ind + "    ", f"lc = {c} + 1")
+        # entries past lc, so one pair replaces the dict scan.  The new
+        # frontier ``y`` *is* this instruction's commit cycle; a fault
+        # in its side effects reports the one before it (committed_now
+        # semantics).
+        y = f"l{i}"
+        self.emit(ind, f"if {c} >= {lc}:")
+        self.emit(ind + "    ", f"{y} = {c} + 1")
         self.emit(ind + "    ", "ccn = 1")
         self.emit(ind, f"elif ccn < {p.commit_width}:")
+        self.emit(ind + "    ", f"{y} = {lc}")
         self.emit(ind + "    ", "ccn += 1")
         self.emit(ind, "else:")
-        self.emit(ind + "    ", "lc += 1")
+        self.emit(ind + "    ", f"{y} = {lc} + 1")
         self.emit(ind + "    ", "ccn = 1")
-        self.emit(ind, f"robq[ri] = {y}")
-        self.emit(ind, "ri += 1")
-        self.emit(ind, f"if ri == {p.rob_entries}:")
-        self.emit(ind + "    ", "ri = 0")
+        self.lc = y
         if is_mem:
-            self.emit(ind, f"lsqq[li] = {y}")
-            self.emit(ind, "li += 1")
-            self.emit(ind, f"if li == {p.lsq_entries}:")
-            self.emit(ind + "    ", "li = 0")
-        self.emit(ind, f"iqq[qi] = {s}")
-        self.emit(ind, "qi += 1")
-        self.emit(ind, f"if qi == {p.iq_entries}:")
-        self.emit(ind + "    ", "qi = 0")
+            self._mem_commits.append(y)
 
         # -- architectural side effects --
         pc_next = str(npc)
         if kind == K_LOAD:
             self._load(
                 ind, i, a, const_addr, mmio_static, dkey, wbank,
-                self._row("lcp"), f"base + {x} + 1", f"base + {y}",
+                self._row(lc), f"base + {x} + 1", f"base + {y}",
             )
         elif kind == K_STORE:
             self._store(
-                ind, a, vt, const_addr, mmio_static, self._row("lcp"),
+                ind, a, vt, const_addr, mmio_static, self._row(lc),
                 f"base + {y}", f"base + {y}", "base",
                 lambda b: self._store_commit(b, i, a, vt, c, y),
             )
@@ -1461,7 +1522,7 @@ class _OOOEmitter(_Emitter):
         elif is_last:
             self._exit(ind, pc_next, f'"w" if {y} >= wl else {pc_next}')
         else:
-            self._watchdog_check(y, self._row("lc"))
+            self._watchdog_check(y, self._row(y))
 
     def _load_mem_timing(self, ind: str, i: int, a: str, x: str,
                          c: str) -> None:
@@ -1563,10 +1624,12 @@ def _leaders(program: "Program") -> set[int]:
 
 
 def _collect_block(
-    program: "Program", start: int, stops: frozenset[int]
+    program: "Program", start: int, stops: frozenset[int],
+    cap: int = _MAX_BLOCK,
 ) -> list[tuple[int, Any]]:
     """Instructions of the block at ``start``: append until a control
-    instruction, a stop address, the text end, or the fuse cap."""
+    instruction, a stop address, the text end, or ``cap`` instructions
+    (the engine's :func:`_block_cap`)."""
     fast = program.fast_plan()
     tbase = program.text_base
     text_end = program.text_end
@@ -1575,7 +1638,7 @@ def _collect_block(
     while True:
         fi = fast[(pc - tbase) >> 2]
         insts.append((pc, fi))
-        if fi[0] in _CONTROL_KINDS or len(insts) >= _MAX_BLOCK:
+        if fi[0] in _CONTROL_KINDS or len(insts) >= cap:
             break
         pc += 4
         if pc in stops or pc >= text_end:
@@ -1584,17 +1647,18 @@ def _collect_block(
 
 
 def _walk_blocks(
-    program: "Program",
+    program: "Program", cap: int = _MAX_BLOCK,
 ) -> Iterator[tuple[int, list[tuple[int, Any]]]]:
-    """Every static block as ``(start, insts)``: the leaders in address
-    order, then the follow-on blocks of runs split at the fuse cap."""
+    """Every static block of at most ``cap`` instructions as ``(start,
+    insts)``: the leaders in address order, then the follow-on blocks of
+    runs split at the cap."""
     leaders = _leaders(program)
     stops = frozenset(leaders)
     pending = sorted(leaders)
     seen = set(pending)
     while pending:
         start = pending.pop(0)
-        insts = _collect_block(program, start, stops)
+        insts = _collect_block(program, start, stops, cap)
         yield start, insts
         last_pc, last_fi = insts[-1]
         cont = last_pc + 4
@@ -1671,6 +1735,7 @@ class BlockTable:
         self.params = params
         self.blocks = blocks
         self._ns = namespace
+        self.cap = _block_cap(engine, params)
         self.safe_breaks: frozenset[int] = (
             frozenset(program.subtask_marks) | {program.entry}
         )
@@ -1689,7 +1754,7 @@ class BlockTable:
             return entry
         if not self.program.contains(pc):
             raise ReproError(f"no instruction at {pc:#x}")
-        insts = _collect_block(self.program, pc, self.safe_breaks)
+        insts = _collect_block(self.program, pc, self.safe_breaks, self.cap)
         record = _compile_block(
             self.engine, self.geom, self.params, pc, insts
         )
@@ -1708,7 +1773,9 @@ class BlockTable:
         """
         entry = self.cuts.get((pc, n))
         if entry is None:
-            insts = _collect_block(self.program, pc, self.safe_breaks)[:n]
+            insts = _collect_block(
+                self.program, pc, self.safe_breaks, self.cap
+            )[:n]
             record = _compile_block(
                 self.engine, self.geom, self.params, pc, insts
             )
@@ -1768,7 +1835,9 @@ def _build_table(
     if blocks is None:
         records = [
             _compile_block(engine, geom, params, start, insts)
-            for start, insts in _walk_blocks(program)
+            for start, insts in _walk_blocks(
+                program, _block_cap(engine, params)
+            )
         ]
         ns = dict(_EXEC_GLOBALS)  # a rejected entry may have exec'd into it
         blocks = _install(records, ns)
@@ -1983,6 +2052,53 @@ def run_inorder(
                 counters[k_dc] += st[17]
 
 
+#: Headroom, in cycles, the complex core's width maps keep past the
+#: furthest cycle the next block can reach: a segment starts with lists
+#: this long, and when a block would reach past their end the
+#: dispatcher rebases the timing origin (lengthening the lists only
+#: when the live window itself outgrew them), so a rebase comes about
+#: every ``_SPAN`` cycles.
+_SPAN = 4096
+
+
+def _ooo_rebase(
+    st: list[Any], ready: list[int], env: tuple, need: int
+) -> tuple[tuple, int]:
+    """Move a complex-mode segment's timing origin up to its floor
+    max(gd, oldest ROB commit) + 1 (see "Relative time and the rebase"
+    above), then lengthen the width maps if they end within ``_SPAN``
+    of ``need``, the bound the next block's keys stay below.  Returns
+    the new env and the width maps' length."""
+    dis, iss, port, robq, iqq, lsqq, inflight = env[15:22]
+    floor = max(st[2], robq[0]) + 1
+    if floor > 0:
+        # No slot past lc is taken: move keys floor..lc down and clear
+        # the ones they leave, in O(lc) however far bf runs ahead.
+        top = st[6] + 1
+        for used in (dis, iss, port):
+            used[:top - floor] = used[floor:top]
+            used[top - floor:top] = [0] * floor
+        for slot in (0, 1, 2, 5, 6):  # bf, fc, gd, rd, lc
+            st[slot] -= floor
+        if st[21] != _NEVER:
+            st[21] -= floor
+        ready[:] = [t - floor for t in ready]
+        for ring in (robq, iqq, lsqq):
+            ring[:] = [t - floor for t in ring]
+        live = {
+            addr: (comp - floor, commit - floor)
+            for addr, (comp, commit) in inflight.items() if commit > floor
+        }
+        inflight.clear()
+        inflight.update(live)
+        env = (*env[:10], env[10] + floor, *env[11:])
+        need -= floor
+    size = max(len(dis), need + _SPAN)
+    for used in (dis, iss, port):
+        used += [0] * (size - len(used))
+    return env, size
+
+
 def run_ooo(
     core: Any,
     table: BlockTable,
@@ -1993,7 +2109,9 @@ def run_ooo(
 
     A segment with an instruction budget swaps in a truncated block
     (:meth:`BlockTable.cut`) for the block the budget ends inside, as
-    :func:`run_inorder` does.
+    :func:`run_inorder` does.  Before each block the width maps must
+    reach past every key it can touch; when they would not, the timing
+    origin is rebased (:func:`_ooo_rebase`).
     """
     from repro.pipelines.inorder import RunResult
 
@@ -2014,9 +2132,6 @@ def run_ooo(
     base = state.now
     gshare = core.gshare
     indirect = core.indirect
-    dis_used: dict[int, int] = {}
-    iss_used: dict[int, int] = {}
-    port_used: dict[int, int] = {}
     inflight_stores: dict[int, tuple[int, int]] = {}
     ready = [0] * 64
     st: list[Any] = [
@@ -2027,18 +2142,17 @@ def run_ooo(
         state.pc, 0,  # pc, executed
         _watchdog_limit(mmio, honor_watchdog, base),
         mmio._wd_expiry,  # noqa: SLF001
-        0, 0, 0, 0,  # ri, qi, li, ccn
+        0,  # ccn
         gshare.history, indirect.history,  # gh, ih
     ]
     words = machine.memory._words  # noqa: SLF001
-    # Preallocated rings (-1 sentinel = not yet full at that cursor)
-    # stand in for the reference's occupancy deques; its commit width
-    # map is the in-code frontier pair st[6]/st[26]; predictor tables
-    # are passed raw (reads/updates are inlined in the generated code,
-    # histories live in st[27]/st[28]).
-    robq = [-1] * params.rob_entries
-    iqq = [-1] * params.iq_entries
-    lsqq = [-1] * params.lsq_entries
+    # Per-cycle width maps (relative cycle -> slots taken) stand in for
+    # the reference's dispatch/issue/port _WidthMaps, and rings of the
+    # last N entries (-1: not yet full) for its occupancy deques; its
+    # commit width map is the in-code frontier pair st[6]/st[23];
+    # predictor tables are passed raw (reads/updates are inlined in the
+    # generated code, histories live in st[24]/st[25]).
+    size = _SPAN
     env: tuple[Any, ...] = (
         words, words.get,
         ic._sets, dc._sets,  # noqa: SLF001
@@ -2046,17 +2160,20 @@ def run_ooo(
         machine.data_read, machine.data_write,
         core.stall_cycles, base, honor_watchdog,
         gshare.table, indirect.table, indirect.table.get,
-        dis_used, dis_used.get, iss_used, iss_used.get,
-        port_used, port_used.get,
-        robq, iqq, lsqq,
+        [0] * size, [0] * size, [0] * size,  # dis, iss, port
+        [-1] * params.rob_entries, [-1] * params.iq_entries,
+        [-1] * params.lsq_entries,
         inflight_stores, inflight_stores.get,
     )
+    # Most cycles one instruction moves max(lc, bf) (see "Relative time
+    # and the rebase").
+    pen = core.stall_cycles
+    grow = 6 + params.issue_to_ex + pen + max(pen, max(LATENCY.values()))
     ir = state.int_regs
     fr = state.fp_regs
     blocks = table.blocks
     block_at = table.block_at
     pc = state.pc
-    pruned_at = 0
     # Instructions counted by the pipeline events but not retired: a load
     # or store that faults does so at its memory access, after the
     # timing model renamed, issued and committed it (run_reference
@@ -2069,6 +2186,11 @@ def run_ooo(
                 entry = block_at(pc)
             if bounded and limit - st[20] < entry[1]:
                 entry = table.cut(pc, limit - st[20])
+            need = st[6] if st[6] > st[0] else st[0]
+            need += entry[1] * grow
+            if need >= size:
+                env, size = _ooo_rebase(st, ready, env, need)
+                base = env[10]
             r = entry[0](ir, fr, ready, st, env)
             if r.__class__ is int:
                 pc = r
@@ -2081,31 +2203,6 @@ def run_ooo(
                     return RunResult(
                         "limit", start_cycle, base + st[6], st[20]
                     )
-                if st[20] - pruned_at >= _PRUNE_STRIDE:
-                    # Keep the width maps cache-resident: every future
-                    # dispatch probe starts at >= max(group_done, oldest
-                    # live ROB commit) + 1 (both monotone; the ROB clamp
-                    # applies forever once 128 committed), issue/port
-                    # probes one cycle later still, so keys below those
-                    # floors are dead and safe to drop between blocks.
-                    pruned_at = st[20]
-                    t = robq[st[23]]
-                    floor = st[2] if st[2] > t else t
-                    floor += 1
-                    if len(dis_used) > _PRUNE_MIN:
-                        keep = {
-                            k: v for k, v in dis_used.items() if k >= floor
-                        }
-                        dis_used.clear()
-                        dis_used.update(keep)
-                    floor += 1
-                    for used in (iss_used, port_used):
-                        if len(used) > _PRUNE_MIN:
-                            keep = {
-                                k: v for k, v in used.items() if k >= floor
-                            }
-                            used.clear()
-                            used.update(keep)
                 continue
             now = base + st[6]
             if r == "h":
@@ -2120,8 +2217,8 @@ def run_ooo(
             faulted = 1
         raise
     finally:
-        gshare.history = st[27]
-        indirect.history = st[28]
+        gshare.history = st[24]
+        indirect.history = st[25]
         state.pc = st[19]
         state.now = base + st[6]
         state.instret += st[20]

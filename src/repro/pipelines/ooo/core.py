@@ -41,7 +41,8 @@ and ``simple-fixed``.
 Two paths implement complex mode.  :meth:`ComplexCore.run` is the
 event-driven engine in generated block code (:mod:`repro.isa.blockjit`):
 occupancy rings for the ROB/IQ/LSQ deques, a commit frontier pair for
-the commit width map, and inlined predictors.  Bounded segments run the
+the commit width map, per-cycle lists for the other width maps, and
+inlined predictors.  Bounded segments run the
 same code with the last block truncated.
 :meth:`ComplexCore.run_reference` is the original
 :func:`repro.isa.semantics.execute`-based loop, kept verbatim as the

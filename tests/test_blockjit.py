@@ -61,11 +61,11 @@ CHUNK = 25
 
 #: sha256 over the emitted per-block source (with start pc and length) of
 #: all 16 (workload, scale) programs on both engines, re-recorded when
-#: block code stopped emitting the timing clamps the in-order recurrence
-#: proves dead (``CODEGEN_VERSION`` 5).  Any codegen change must bump
-#: ``CODEGEN_VERSION`` and re-record this digest.
+#: OOO block code moved to list width maps, batched occupancy rings and
+#: range-tested ALU wraps (``CODEGEN_VERSION`` 6).  Any codegen change
+#: must bump ``CODEGEN_VERSION`` and re-record this digest.
 CODEGEN_SHA256 = (
-    "88155d608e0ef0e64cdf257002880e2a9190eba901dc4cecd99fda5ef54e4568"
+    "e4bf92ec96d0d44d67d641bb1d8b0e208677185be5cd83e267a2710bf0b46944"
 )
 
 BOTH_CORES = pytest.mark.parametrize(
@@ -879,7 +879,7 @@ def _emitted_blocks(scales, engines=("inorder", "ooo")):
 
 def test_golden_codegen():
     """The emitted source of every workload program is unchanged."""
-    assert blockjit.CODEGEN_VERSION == 5
+    assert blockjit.CODEGEN_VERSION == 6
     digest = hashlib.sha256()
     for name, scale, engine, start, insts, source in _emitted_blocks(
         ("tiny", "default")
@@ -902,9 +902,11 @@ def _emitted_chars_per_instruction(engine):
 
 
 #: Emitted source characters per instruction (see
-#: :func:`_emitted_chars_per_instruction`), recorded without the dead
-#: timing clamps (``CODEGEN_VERSION`` 5).
-CODEGEN_CHARS_PER_INSTRUCTION = {"inorder": 563.5, "ooo": 1382.7}
+#: :func:`_emitted_chars_per_instruction`): in-order recorded without the
+#: dead timing clamps (``CODEGEN_VERSION`` 5), OOO with list width maps,
+#: batched occupancy rings and range-tested ALU wraps
+#: (``CODEGEN_VERSION`` 6).
+CODEGEN_CHARS_PER_INSTRUCTION = {"inorder": 563.5, "ooo": 1222.8}
 
 
 @pytest.mark.parametrize("engine", ["inorder", "ooo"])
