@@ -19,7 +19,8 @@ Commands:
   ``--disable ID,ID`` skips checks).  Exit status 1 when any diagnostic
   is reported.
 * ``experiment NAME``— run table3 / figure2 / figure3 / figure4 /
-  ablations (``--jobs N`` fans independent cells across processes;
+  ablations and check the paper's claims on the result (exit status 1
+  when one breaks; ``--jobs N`` fans independent cells across processes;
   ``REPRO_JOBS`` is the environment equivalent; ``--no-cache`` bypasses
   the on-disk setup/run caches like ``REPRO_NO_CACHE=1``).
 * ``cache``          — inspect the on-disk cache (``repro cache`` lists
@@ -60,7 +61,7 @@ import json
 import pathlib
 import sys
 
-from repro.errors import ProtocolError, ReproError
+from repro.errors import ClaimError, ProtocolError, ReproError
 from repro.experiments import EXPERIMENT_NAMES
 from repro.isa.assembler import assemble
 from repro.isa.disassembler import disassemble
@@ -336,16 +337,34 @@ def cmd_trace(args) -> int:
 def cmd_experiment(args) -> int:
     """``experiment``: run one of the paper's experiments.
 
-    ``--jobs`` is an explicit parameter and ``--no-cache`` a scoped
+    Prints the experiment's output, then one ``# claims:`` line on
+    stderr; a broken claim raises :class:`~repro.errors.ClaimError`
+    (exit status 1).  ``--jobs`` is an explicit parameter and
+    ``--no-cache`` a scoped
     :func:`~repro.snapshot.runcache.no_cache_override` (environment
     variables remain the defaults only), so concurrent in-process
     callers never race on mutated global state.
     """
     from repro.experiments import experiment_module
+    from repro.experiments.common import default_scale
     from repro.snapshot import runcache
 
     with runcache.no_cache_override(args.no_cache or None):
-        experiment_module(args.name).main(jobs=args.jobs)
+        broken = experiment_module(args.name).main(jobs=args.jobs)
+    if broken is None:
+        print(
+            f"# claims: not checked at scale {default_scale()} "
+            "(the paper's shapes need REPRO_SCALE=default)",
+            file=sys.stderr,
+        )
+    elif not broken:
+        print(f"# claims: {args.name}: all hold", file=sys.stderr)
+    else:
+        print(
+            f"# claims: {args.name}: {len(broken)} broken",
+            file=sys.stderr,
+        )
+        raise ClaimError(f"{args.name}: " + "; ".join(broken))
     return 0
 
 

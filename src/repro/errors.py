@@ -102,6 +102,11 @@ class ServiceError(ReproError):
         super().__init__(message)
 
 
+class ClaimError(ReproError):
+    """Raised when a regenerated experiment breaks one of the paper's
+    claims it is checked against (``repro experiment``)."""
+
+
 class DeadlineMissError(ReproError):
     """Raised if a hard deadline is ever missed during simulation.
 

@@ -12,14 +12,18 @@ One module per table/figure:
 * :mod:`repro.experiments.figure4` — savings under induced misprediction
   rates of 10/20/30 % (caches + predictor flushed at task start).
 
-Each module exposes ``run(...) -> rows`` and ``main()`` for the command
-line; ``benchmarks/bench_table3.py``, ``bench_figure2/3/4.py`` and
-``bench_ablations.py`` wrap the same entry points and assert the
-paper's claims, and ``perfbench``'s ``sim-cells`` workload times their
-cells.  Scale and instance counts default to quick settings and are
-overridable via ``REPRO_SCALE`` / ``REPRO_INSTANCES`` (see DESIGN.md §6).
-:data:`EXPERIMENT_NAMES` is the one list of drivers: ``repro
-experiment`` and the service's ``experiment`` job kind both take it.
+Each module exposes ``run(...) -> rows``, ``render(rows)``,
+``claims(rows) -> list[str]`` (the paper's claims the rows must meet,
+one message per broken claim) and ``main(jobs)``, which prints the
+result and returns the broken claims.  ``repro experiment NAME`` is the
+one way to regenerate a result: it calls ``main`` and exits 1 when a
+claim breaks, and ``benchmarks/results/NAME.txt`` is its exact stdout at
+``REPRO_SCALE=default``.  ``perfbench``'s ``sim-cells`` workload times
+the figure cells.  Scale and instance counts default to quick settings
+and are overridable via ``REPRO_SCALE`` / ``REPRO_INSTANCES`` (see
+DESIGN.md §6).  :data:`EXPERIMENT_NAMES` is the one list of drivers:
+``repro experiment`` and the service's ``experiment`` job kind both
+take it.
 """
 
 from __future__ import annotations

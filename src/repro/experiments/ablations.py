@@ -17,14 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.common import OVHD, format_table
+from repro.experiments.common import OVHD, format_table, setup
 from repro.experiments.parallel import parallel_map
 from repro.power.model import PowerModel
 from repro.power.report import energy_of_runs
 from repro.visa.runtime import RuntimeConfig, VISARuntime
 from repro.visa.spec import VISASpec
 from repro.wcet.dcache_pad import calibrate_dcache_bounds
-from repro.workloads import get_workload
 from repro.workloads.clab import srt
 
 
@@ -53,6 +52,7 @@ def _steady_state(runtime: VISARuntime, instances: int) -> AblationRow:
 
 def _granularity_cell(args: tuple[str, int, int, float]) -> AblationRow:
     scale, instances, count, deadline = args
+    # Not a registry workload, so not a set-up entry: calibrate here.
     workload = srt.make(scale, subtasks=count)
     bounds = calibrate_dcache_bounds(workload)
     config = RuntimeConfig(deadline=deadline, instances=instances, ovhd=OVHD)
@@ -71,22 +71,20 @@ def run_subtask_granularity(
     """srt with varying checkpoint granularity; one shared deadline."""
     # Deadline from the canonical 10-sub-task version so variants compete
     # on equal terms.
-    base = get_workload("srt", scale)
-    base_bounds = calibrate_dcache_bounds(base)
-    wcet = VISASpec().wcet(base.program, 1e9, base_bounds).total_seconds
-    deadline = 1.2 * wcet + OVHD
+    deadline = 1.2 * setup("srt", scale).wcet_1ghz_seconds + OVHD
     cells = [(scale, instances, count, deadline) for count in counts]
     return parallel_map(_granularity_cell, cells, jobs)
 
 
 def _pet_cell(args: tuple[str, int, str, float, str, dict]) -> AblationRow:
     scale, instances, benchmark, deadline, label, overrides = args
-    workload = get_workload(benchmark, scale)
-    bounds = calibrate_dcache_bounds(workload)
+    prep = setup(benchmark, scale)
     config = RuntimeConfig(
         deadline=deadline, instances=instances, ovhd=OVHD, **overrides
     )
-    runtime = VISARuntime(workload, config, dcache_bounds=bounds)
+    runtime = VISARuntime(
+        prep.workload, config, dcache_bounds=prep.dcache_bounds
+    )
     row = _steady_state(runtime, instances)
     row.label = label
     return row
@@ -99,10 +97,7 @@ def run_pet_policies(
     jobs: int | None = None,
 ) -> list[AblationRow]:
     """last-N vs histogram PET selection (§4.3)."""
-    workload = get_workload(benchmark, scale)
-    bounds = calibrate_dcache_bounds(workload)
-    wcet = VISASpec().wcet(workload.program, 1e9, bounds).total_seconds
-    deadline = 1.2 * wcet + OVHD
+    deadline = 1.2 * setup(benchmark, scale).wcet_1ghz_seconds + OVHD
     policies = [
         ("last-10", {"pet_policy": "lastn", "pet_window": 10}),
         ("histogram 0%", {"pet_policy": "histogram", "histogram_rate": 0.0}),
@@ -115,13 +110,14 @@ def run_pet_policies(
     return parallel_map(_pet_cell, cells, jobs)
 
 
-def _overhead_cell(args: tuple[str, int, str, float, float]) -> AblationRow:
-    scale, instances, benchmark, wcet, ovhd = args
-    workload = get_workload(benchmark, scale)
-    bounds = calibrate_dcache_bounds(workload)
-    deadline = 1.2 * wcet + max(OVHD, ovhd)
+def _overhead_cell(args: tuple[str, int, str, float]) -> AblationRow:
+    scale, instances, benchmark, ovhd = args
+    prep = setup(benchmark, scale)
+    deadline = 1.2 * prep.wcet_1ghz_seconds + max(OVHD, ovhd)
     config = RuntimeConfig(deadline=deadline, instances=instances, ovhd=ovhd)
-    runtime = VISARuntime(workload, config, dcache_bounds=bounds)
+    runtime = VISARuntime(
+        prep.workload, config, dcache_bounds=prep.dcache_bounds
+    )
     row = _steady_state(runtime, instances)
     row.label = f"ovhd {ovhd * 1e6:.1f}us"
     return row
@@ -135,12 +131,7 @@ def run_switch_overhead(
     jobs: int | None = None,
 ) -> list[AblationRow]:
     """Sensitivity to the mode/frequency switch overhead (EQ 1's ovhd)."""
-    workload = get_workload(benchmark, scale)
-    bounds = calibrate_dcache_bounds(workload)
-    wcet = VISASpec().wcet(workload.program, 1e9, bounds).total_seconds
-    cells = [
-        (scale, instances, benchmark, wcet, ovhd) for ovhd in overheads
-    ]
+    cells = [(scale, instances, benchmark, ovhd) for ovhd in overheads]
     return parallel_map(_overhead_cell, cells, jobs)
 
 
@@ -159,32 +150,26 @@ def _dcache_cell(args: tuple[str, str]) -> DCacheModelRow:
     from repro.wcet.dcache_static import static_dcache_bounds
 
     name, scale = args
-    table = DVSTable.xscale()
-    workload = get_workload(name, scale)
-    results = {}
-    for label, bounds in (
-        ("trace", calibrate_dcache_bounds(workload)),
-        ("static", static_dcache_bounds(workload)),
-    ):
-        wcet = VISASpec().wcet(workload.program, 1e9, bounds).total_seconds
-        deadline = 1.4 * wcet  # a common deadline basis per benchmark
-        results[label] = (wcet, deadline)
-    deadline = max(d for _, d in results.values())
-    safe = {}
-    for label, bounds in (
-        ("trace", calibrate_dcache_bounds(workload)),
-        ("static", static_dcache_bounds(workload)),
-    ):
-        safe[label] = lowest_safe_frequency(
-            lambda f: VISASpec().wcet(workload.program, f, bounds),
-            deadline, table,
-        ).freq_hz
+    prep = setup(name, scale)
+    spec, program = VISASpec(), prep.workload.program
+    static_bounds = static_dcache_bounds(prep.workload)
+    trace_wcet = prep.wcet_1ghz_seconds
+    static_wcet = spec.wcet(program, 1e9, static_bounds).total_seconds
+    # A common deadline basis per benchmark.
+    deadline = 1.4 * max(trace_wcet, static_wcet)
+
+    def safe_mhz(bounds: list[int]) -> float:
+        return lowest_safe_frequency(
+            lambda f: spec.wcet(program, f, bounds),
+            deadline, DVSTable.xscale(),
+        ).freq_hz / 1e6
+
     return DCacheModelRow(
         bench=name,
-        trace_wcet_us=results["trace"][0] * 1e6,
-        static_wcet_us=results["static"][0] * 1e6,
-        trace_safe_mhz=safe["trace"] / 1e6,
-        static_safe_mhz=safe["static"] / 1e6,
+        trace_wcet_us=trace_wcet * 1e6,
+        static_wcet_us=static_wcet * 1e6,
+        trace_safe_mhz=safe_mhz(prep.dcache_bounds),
+        static_safe_mhz=safe_mhz(static_bounds),
     )
 
 
@@ -244,7 +229,7 @@ def run_power_sensitivity(
     """
     import dataclasses as dc
 
-    from repro.experiments.common import TIGHT_FACTOR, OVHD as _OVHD, run_pair, setup
+    from repro.experiments.common import run_pair
     from repro.power.model import PowerParams
     from repro.power.report import power_savings
 
@@ -304,23 +289,80 @@ def render(rows: list[AblationRow]) -> str:
     return format_table(headers, body)
 
 
-def main(jobs: int | None = None) -> None:
-    """Command-line entry point: run and print every ablation study."""
+def claims(
+    subtasks: list[AblationRow],
+    pet: list[AblationRow],
+    overhead: list[AblationRow],
+    dcache: list[DCacheModelRow],
+    sensitivity: list[SensitivityRow],
+) -> list[str]:
+    """The five studies' design claims; one message per broken claim.
+    The studies run a fixed configuration, so every scale checks them."""
+    f_spec = {r.label: r.f_spec_mhz for r in subtasks + pet + overhead}
+    savings = {r.label: r.savings for r in sensitivity}
+    checks = [
+        (len(subtasks) == 3, f"{len(subtasks)} granularity rows, not 3"),
+        # Finer checkpoints tighten the recovery bound per sub-task,
+        # letting the complex core speculate at the same or a lower
+        # frequency.
+        (f_spec["10 sub-tasks"] <= f_spec["2 sub-tasks"],
+         "f_spec at 10 sub-tasks above at 2"),
+        # A histogram targeting 10% mispredictions never picks a higher
+        # frequency than the zero-misprediction histogram.  (Every policy
+        # is deadline-safe by construction: the runtime raises otherwise.)
+        (f_spec["histogram 10%"] <= f_spec["histogram 0%"],
+         "f_spec of histogram 10% above histogram 0%"),
+        (len(overhead) == 3, f"{len(overhead)} overhead rows, not 3"),
+        # Larger switch overheads push checkpoints earlier; the
+        # speculative frequency can only stay or rise.
+        (overhead[0].f_spec_mhz <= overhead[-1].f_spec_mhz + 26,
+         "f_spec falls over 26 MHz as ovhd grows"),
+        (len(dcache) == 6, f"{len(dcache)} D-cache rows, not 6"),
+        # Pricier OOO structures hurt the complex core; a pricier clock
+        # hurts the (higher-frequency) simple core more.
+        (savings["OOO structures x2"] < savings["baseline"],
+         "OOO structures x2 does not lower the savings"),
+        (savings["clock x2"] > savings["baseline"],
+         "clock x2 does not raise the savings"),
+    ]
+    for r in dcache:
+        # Static bounds are input-independent but never tighter than the
+        # trace-calibrated ones, so the safe frequency can only rise.
+        checks += [
+            (r.static_wcet_us >= r.trace_wcet_us * 0.95,
+             f"{r.bench}: static WCET under 95% of trace"),
+            (r.static_safe_mhz >= r.trace_safe_mhz - 26,
+             f"{r.bench}: static safe MHz over 26 below trace"),
+        ]
+    # The headline savings are driven by the V^2 gap the framework
+    # opens, not by any single energy constant: every perturbation keeps
+    # them positive.
+    checks += [
+        (r.savings > 0.05, f"{r.label}: savings <= 5%") for r in sensitivity
+    ]
+    return [message for ok, message in checks if not ok]
+
+
+def main(jobs: int | None = None) -> list[str]:
+    """Command-line entry point: run and print every ablation study;
+    returns the broken claims."""
+    subtasks = run_subtask_granularity(jobs=jobs)
+    pet = run_pet_policies(jobs=jobs)
+    overhead = run_switch_overhead(jobs=jobs)
+    dcache = run_dcache_models(jobs=jobs)
+    sensitivity = run_power_sensitivity()
     print("== Sub-task granularity (srt) ==")
-    print(render(run_subtask_granularity(jobs=jobs)))
+    print(render(subtasks))
     print()
     print("== PET policy (lms) ==")
-    print(render(run_pet_policies(jobs=jobs)))
+    print(render(pet))
     print()
     print("== Switch overhead (cnt) ==")
-    print(render(run_switch_overhead(jobs=jobs)))
+    print(render(overhead))
     print()
     print("== D-cache bound models ==")
-    print(render_dcache(run_dcache_models(jobs=jobs)))
+    print(render_dcache(dcache))
     print()
     print("== Power-model sensitivity (lms) ==")
-    print(render_sensitivity(run_power_sensitivity()))
-
-
-if __name__ == "__main__":
-    main()
+    print(render_sensitivity(sensitivity))
+    return claims(subtasks, pet, overhead, dcache, sensitivity)

@@ -46,6 +46,17 @@ def default_scale() -> str:
     return os.environ.get("REPRO_SCALE", "tiny")
 
 
+def shapes_checked() -> bool:
+    """Whether the table3-figure4 claims are checked at
+    :func:`default_scale`.
+
+    They are the paper's shapes, and ``tiny`` inputs are too small for
+    them (warm-up and cold-cache charges dominate), so they are checked
+    at every larger scale only.
+    """
+    return default_scale() != "tiny"
+
+
 def default_instances() -> int:
     """Task instances per configuration (paper: 200).
 

@@ -17,6 +17,7 @@ from repro.experiments.common import (
     format_table,
     run_pair,
     setup,
+    shapes_checked,
 )
 from repro.experiments.parallel import parallel_map
 from repro.workloads import WORKLOAD_NAMES
@@ -90,8 +91,29 @@ def chart(rows: list[Figure3Row]) -> str:
         title="Savings with simple-fixed at 1.5x frequency",
     )
 
-def main(jobs: int | None = None) -> None:
-    """Command-line entry point: run and print the experiment."""
+
+def claims(rows: list[Figure3Row]) -> list[str]:
+    """Figure 3's shapes; one message per broken claim."""
+    checks = [(len(rows) == 6, f"{len(rows)} rows, not 6")]
+    for r in rows:
+        # Savings stay positive (paper: 10-38%) but the frequency
+        # advantage compresses them well below the Figure 2
+        # tight-deadline band's top end.
+        checks += [
+            (r.savings > 0.0, f"{r.name}: savings <= 0"),
+            (r.savings < 0.65, f"{r.name}: savings >= 65%"),
+        ]
+    average = sum(r.savings for r in rows) / max(len(rows), 1)
+    checks.append((
+        0.05 < average < 0.55,
+        f"average savings {100 * average:.1f}% outside (5%, 55%)",
+    ))
+    return [message for ok, message in checks if not ok]
+
+
+def main(jobs: int | None = None) -> list[str] | None:
+    """Command-line entry point: run and print the experiment; returns
+    the broken claims (``None`` where ``shapes_checked()`` is false)."""
     print(
         "Figure 3 reproduction: simple-fixed at %.1fx frequency "
         "(scale=%s, instances=%d)"
@@ -101,7 +123,4 @@ def main(jobs: int | None = None) -> None:
     print(render(rows))
     print()
     print(chart(rows))
-
-
-if __name__ == "__main__":
-    main()
+    return claims(rows) if shapes_checked() else None

@@ -20,6 +20,7 @@ from repro.experiments.common import (
     format_table,
     run_pair,
     setup,
+    shapes_checked,
 )
 from repro.experiments.parallel import parallel_map
 from repro.workloads import WORKLOAD_NAMES
@@ -111,8 +112,41 @@ def chart(rows: list[Figure4Row]) -> str:
         groups, title="Savings under induced mispredictions"
     )
 
-def main(jobs: int | None = None) -> None:
-    """Command-line entry point: run and print the experiment."""
+
+def claims(rows: list[Figure4Row]) -> list[str]:
+    """Figure 4's shapes; one message per broken claim.  Deadline safety
+    for every instance is asserted inside :func:`run` itself."""
+    by_bench: dict[str, dict[float, Figure4Row]] = {}
+    for row in rows:
+        by_bench.setdefault(row.name, {})[row.rate] = row
+    checks = [(len(by_bench) == 6, f"{len(by_bench)} benchmarks, not 6")]
+    declines = fired_anywhere = 0
+    for name, series in by_bench.items():
+        if set(series) != set(RATES):
+            checks.append((False, f"{name}: rates {sorted(series)}"))
+            continue
+        first, last = series[0.0].savings, series[0.3].savings
+        # Savings decline (or stay flat) as the misprediction rate rises.
+        # srt can stay flat: its input-dependent AET variance gives the
+        # last-10 PET enough headroom to absorb a flush without firing.
+        checks.append((
+            last < first + 0.07, f"{name}: savings rise over 7 points at 30%",
+        ))
+        declines += last < first - 0.05
+        fired_anywhere += series[0.3].missed_checkpoints
+    # The paper's Figure 4 shape: the decline is real across the suite
+    # (proportional for most benchmarks; adpcm over-declines at our task
+    # scale — see EXPERIMENTS.md), and flushes genuinely fire checkpoints.
+    checks += [
+        (declines >= 4, f"{declines} benchmarks decline over 5 points"),
+        (fired_anywhere > 0, "no checkpoint missed at 30% flushed"),
+    ]
+    return [message for ok, message in checks if not ok]
+
+
+def main(jobs: int | None = None) -> list[str] | None:
+    """Command-line entry point: run and print the experiment; returns
+    the broken claims (``None`` where ``shapes_checked()`` is false)."""
     print(
         "Figure 4 reproduction: induced mispredictions "
         "(scale=%s, instances=%d)" % (default_scale(), default_instances())
@@ -121,7 +155,4 @@ def main(jobs: int | None = None) -> None:
     print(render(rows))
     print()
     print(chart(rows))
-
-
-if __name__ == "__main__":
-    main()
+    return claims(rows) if shapes_checked() else None

@@ -17,6 +17,7 @@ from repro.experiments.common import (
     default_scale,
     format_table,
     setup,
+    shapes_checked,
 )
 from repro.experiments.parallel import parallel_map
 from repro.pipelines.inorder import InOrderCore
@@ -129,11 +130,44 @@ def render(rows: list[Table3Row]) -> str:
     return format_table(headers, body)
 
 
-def main(jobs: int | None = None) -> None:
-    """Command-line entry point: run and print the experiment."""
+#: Table 3's sub-task count per benchmark.
+SUBTASKS = {"adpcm": 8, "cnt": 5, "fft": 10, "lms": 10, "mm": 10, "srt": 10}
+
+
+def claims(rows: list[Table3Row]) -> list[str]:
+    """Table 3's shapes; one message per broken claim."""
+    checks = [({r.name for r in rows} == set(SUBTASKS), "not Table 3's six")]
+    for r in rows:
+        checks += [
+            # Safety: the WCET bound covers the actual execution.
+            (r.wcet_over_simple >= 1.0, f"{r.name}: WCET/simple < 1"),
+            # The complex pipeline is substantially faster (paper: 3-6x;
+            # our adpcm sits lower because its predictor-state chain plus
+            # data-dependent quantizer branches serialize the event-driven
+            # OOO model harder than SimpleScalar — see EXPERIMENTS.md).
+            (r.simple_over_complex > 1.7, f"{r.name}: simple/complex <= 1.7"),
+            # Deadlines bracket the WCET.
+            (r.deadline_tight_us > r.wcet_us, f"{r.name}: tight <= WCET"),
+            (r.deadline_loose_us > r.deadline_tight_us,
+             f"{r.name}: loose <= tight deadline"),
+            (r.subtasks == SUBTASKS.get(r.name),
+             f"{r.name}: not Table 3's sub-task count"),
+        ]
+    # srt is the paper's outlier: triangular inner loop + early exit make
+    # its bound ~2x; the other kernels are analyzed much more tightly.
+    ratios = {r.name: r.wcet_over_simple for r in rows}
+    srt = ratios.pop("srt", 0.0)
+    checks.append((
+        srt > max(ratios.values(), default=0.0),
+        "srt's WCET/simple is not the largest",
+    ))
+    return [message for ok, message in checks if not ok]
+
+
+def main(jobs: int | None = None) -> list[str] | None:
+    """Command-line entry point: run and print the experiment; returns
+    the broken claims (``None`` where ``shapes_checked()`` is false)."""
     print("Table 3 reproduction (scale=%s)" % default_scale())
-    print(render(run(jobs=jobs)))
-
-
-if __name__ == "__main__":
-    main()
+    rows = run(jobs=jobs)
+    print(render(rows))
+    return claims(rows) if shapes_checked() else None

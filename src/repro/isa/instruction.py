@@ -81,13 +81,6 @@ class Instruction:
         ) = _STATIC[op]
         self.sources, self.dest = shape(rd, rs, rt)
 
-    def with_addr(self, addr: int) -> "Instruction":
-        """Return a copy of this instruction placed at ``addr``."""
-        return Instruction(
-            self.op, self.rd, self.rs, self.rt,
-            self.shamt, self.imm, self.target, addr,
-        )
-
     def branch_target(self) -> int:
         """Absolute target address of a conditional branch.
 

@@ -85,10 +85,6 @@ class MMIODevices:
             self._wd_remaining_when_disabled = max(0, self._wd_expiry - now)
         self._wd_enabled = enable
 
-    @property
-    def watchdog_enabled(self) -> bool:
-        return self._wd_enabled
-
     # -- cycle counter ----------------------------------------------------------
 
     def cycle_count(self, now: int) -> int:

@@ -76,10 +76,6 @@ class DVSTable:
             f"(max {self.highest.freq_hz / 1e6:.0f} MHz)"
         )
 
-    def voltage_for(self, freq_hz: float) -> float:
-        """Voltage of the setting used to run at ``freq_hz``."""
-        return self.at_least(freq_hz).volts
-
     def __iter__(self):
         return iter(self.settings)
 

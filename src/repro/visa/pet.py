@@ -22,7 +22,6 @@ speculation safer.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 
 
 class LastNPET:
@@ -126,18 +125,3 @@ class HistogramPET:
             deque((int(v) for v in history), maxlen=capacity)
             for history in payload["history"]
         ]
-
-
-@dataclass
-class AETScaler:
-    """Adjust AETs of mispredicted sub-tasks (paper §4.3).
-
-    The unfinished portion ran in simple mode; dividing those cycles by
-    the assumed complex/simple speed ratio approximates what the complex
-    pipeline would have needed.
-    """
-
-    speed_ratio: float = 4.0
-
-    def adjust(self, complex_cycles: int, simple_cycles: int) -> int:
-        return int(complex_cycles + simple_cycles / self.speed_ratio)

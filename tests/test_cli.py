@@ -176,6 +176,15 @@ class TestExperimentCommand:
         assert "REPRO_JOBS" not in os.environ
         assert "REPRO_NO_CACHE" not in os.environ
 
+    def test_broken_claim_is_an_error(self, monkeypatch, capsys):
+        import repro.experiments.figure3 as figure3
+
+        monkeypatch.setattr(figure3, "main", lambda jobs=None: ["mm: 70%"])
+        assert main(["experiment", "figure3"]) == 1
+        err = capsys.readouterr().err
+        assert "# claims: figure3: 1 broken" in err
+        assert "repro: error: figure3: mm: 70%" in err
+
 
 class TestAdmitCommand:
     def test_no_cache_bypasses_the_decision_cache(

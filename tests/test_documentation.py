@@ -8,6 +8,7 @@ import pkgutil
 import re
 
 import repro
+from repro.workloads import WORKLOAD_NAMES
 
 
 def _public_items():
@@ -72,3 +73,33 @@ def test_docs_exist_and_are_substantial():
         path = ROOT / doc
         assert path.exists(), doc
         assert len(path.read_text()) > 2000, f"{doc} looks like a stub"
+
+
+def test_experiment_tables_match_recorded_results():
+    """Every number in an EXPERIMENTS.md results-table row appears on
+    that benchmark's lines of the matching ``benchmarks/results`` file
+    (the ``## Table 3`` / ``## Figure N`` section names the file)."""
+    number = re.compile(r"-?\d+(?:\.\d+)?")
+    text = (ROOT / "EXPERIMENTS.md").read_text()
+    checked = 0
+    for section in re.split(r"^## ", text, flags=re.M)[1:]:
+        match = re.match(r"(Table|Figure) (\d)", section)
+        if match is None:
+            continue
+        results = ROOT / "benchmarks/results" / (
+            f"{match[1].lower()}{match[2]}.txt"
+        )
+        lines = results.read_text().splitlines()
+        for bench, cells in re.findall(
+            r"^\| (\w+) \|(.*)\|$", section, flags=re.M
+        ):
+            if bench not in WORKLOAD_NAMES:
+                continue  # the header row
+            recorded = {
+                value for line in lines if line.split()[:1] == [bench]
+                for value in number.findall(line)
+            }
+            missing = set(number.findall(cells)) - recorded
+            assert not missing, f"{results.name} {bench}: {sorted(missing)}"
+            checked += 1
+    assert checked == 24, f"{checked} results-table rows found, not 4 x 6"

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import InfeasibleError
 from repro.visa.checkpoints import build_plan, checkpoint_times, watchdog_increments
 from repro.visa.dvs import DVSTable, Setting
-from repro.visa.pet import AETScaler, HistogramPET, LastNPET
+from repro.visa.pet import HistogramPET, LastNPET
 from repro.visa.speculation import (
     lowest_safe_frequency,
     solve_eq2,
@@ -248,10 +248,6 @@ class TestPETPolicies:
     def test_histogram_invalid_rate(self):
         with pytest.raises(ValueError):
             HistogramPET(1, target_rate=1.0)
-
-    def test_aet_scaler(self):
-        scaler = AETScaler(speed_ratio=4.0)
-        assert scaler.adjust(complex_cycles=100, simple_cycles=400) == 200
 
 
 class TestEQ4Monotonicity:
