@@ -4,17 +4,21 @@ This module is the **single timing model** behind every consumer of the
 simple pipeline's timing:
 
 1. the dynamic ``simple-fixed`` core (:mod:`repro.pipelines.inorder`) and
-   the complex core's simple mode (same engine, complex core's caches),
-   which call :func:`advance` once per executed instruction;
+   the complex core's simple mode (same engine, complex core's caches):
+   their reference runs and ``repro trace`` call :func:`advance` once per
+   executed instruction, and their block code inlines it;
 2. the model-checking WCET oracle (:mod:`repro.wcet.mc.engine`), which
-   calls :func:`advance` with its exact I-cache outcomes; and
+   runs :func:`advance_block` -- the same recurrence unrolled over one
+   basic block -- once per explored block, its exact I-cache deciding
+   each miss; and
 3. the static WCET analyzer (:mod:`repro.wcet.analyzer`), which runs
-   :func:`advance_block` -- the same recurrence unrolled over one basic
-   block -- with worst-case inputs, or :func:`advance_block_env`, its
-   form over timing values that are lines in the memory stall.
+   :func:`advance_block` with worst-case inputs (a miss at every
+   transition into a block no enclosing scope has charged), or
+   :func:`advance_block_env`, its form over timing values that are
+   lines in the memory stall.
    ``tests/test_inorder_engine.py`` pins the block form to
-   :func:`advance` instruction by instruction, and the line form to the
-   block form at every stall of a range.
+   :func:`advance` instruction by instruction, under both miss rules,
+   and the line form to the block form at every stall of a range.
 
 Sharing the recurrence removes any possibility of drift between the
 simulator and the analyzer; the safety invariant WCET >= actual then rests
@@ -184,26 +188,39 @@ def advance_block(
     timing: TimingState,
     insts: tuple[BlockInst, ...],
     cache_block: int | None,
-    covered: set[int] | frozenset[int],
+    hit: Callable[[int], bool],
     stall: int,
     penalty: bool,
 ) -> int | None:
     """Advance ``timing`` over a straight-line run of instructions.
 
-    The block form of :func:`advance` for the static analyzer's
-    worst-case inputs: every data access hits (misses are padded on top),
-    and fetch pays ``stall`` cycles at each cache-block transition into a
-    block not in ``covered``.  ``penalty`` is the control penalty of the
-    *last* instruction (the block's exit edge); earlier ones have none.
-    The state lives in locals and is written back once.
+    The block form of :func:`advance`: every data access hits (misses
+    are padded on top), and fetch pays ``stall`` cycles at each
+    cache-block transition where ``hit(block)`` says the fetch misses.
+    ``penalty`` is the control penalty of the *last* instruction (the
+    block's exit edge); earlier ones have none.  The state lives in
+    locals and is written back once.
+
+    ``hit`` is asked once per transition, never for a re-fetch of the
+    block just fetched.  The static analyzer passes
+    ``covered.__contains__`` (a block is free when an enclosing scope has
+    charged its miss), so every other transition misses.  The
+    model-checking oracle passes its exact LRU cache's ``access``, which
+    also updates the cache.  That is exact, not only safe: the block just
+    fetched is the most recently used line of its set, and re-fetching
+    the MRU line is a hit that leaves the LRU state unchanged, so one
+    ``access`` at the first instruction (``cache_block`` None) and one at
+    each later transition give the same hits, misses and final contents
+    as one ``access`` per instruction.  Timing never reads values and
+    values never read timing, so the oracle may step a whole block's
+    timing before its values.
 
     Args:
         timing: Mutated in place.
         insts: Operands as built by :func:`block_insts`.
         cache_block: Cache block of the previously fetched instruction
             (None = unknown).
-        covered: Cache blocks whose miss is already charged (persistent
-            in an enclosing scope).
+        hit: Whether fetching a newly entered cache block hits.
         stall: Memory stall time in cycles.
         penalty: Control penalty flag of the last instruction (``insts``
             must then be non-empty).
@@ -227,7 +244,7 @@ def advance_block(
             fetch = front0
         if block != cache_block:
             cache_block = block
-            if block not in covered:
+            if not hit(block):
                 fetch += stall
 
         ex_start = fetch + _FRONT_DEPTH
@@ -267,7 +284,7 @@ def advance_block_env(
     timing: TimingState,
     insts: tuple[BlockInst, ...],
     cache_block: int | None,
-    covered: set[int] | frozenset[int],
+    hit: Callable[[int], bool],
     stall: Any,
     penalty: bool,
     vmax: Callable[[Any, Any], Any],
@@ -294,7 +311,7 @@ def advance_block_env(
         fetch = vmax(vmax(last_fetch + 1, redirect), front0)
         if block != cache_block:
             cache_block = block
-            if block not in covered:
+            if not hit(block):
                 fetch = fetch + stall
 
         ex_start = vmax(

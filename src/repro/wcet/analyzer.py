@@ -633,9 +633,10 @@ class _Run:
         plan = self.a.block_plan(fcfg.entry, block)
         stall = self.stall
         advance_block = self._advance
+        hit = covered.__contains__
         if block.call_target is not None:
             state.cache_block = advance_block(
-                state.timing, plan.insts, state.cache_block, covered, stall,
+                state.timing, plan.insts, state.cache_block, hit, stall,
                 False,
             )
             state = self._function(block.call_target, state, covered)
@@ -643,19 +644,19 @@ class _Run:
         if len(plan.edges) == 1:
             target, penalty = plan.edges[0]
             state.cache_block = advance_block(
-                state.timing, plan.insts, state.cache_block, covered, stall,
+                state.timing, plan.insts, state.cache_block, hit, stall,
                 penalty,
             )
             return [(target, state)]
         state.cache_block = advance_block(
-            state.timing, plan.body, state.cache_block, covered, stall, False
+            state.timing, plan.body, state.cache_block, hit, stall, False
         )
         results = []
         for i, (target, penalty) in enumerate(plan.edges):
             # The last edge takes the walked state itself, the others a copy.
             out = state if i == len(plan.edges) - 1 else state.clone()
             out.cache_block = advance_block(
-                out.timing, plan.last, out.cache_block, covered, stall,
+                out.timing, plan.last, out.cache_block, hit, stall,
                 penalty,
             )
             results.append((target, out))

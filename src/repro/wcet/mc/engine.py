@@ -5,11 +5,15 @@ state space — the technique of Becker et al. (arXiv 1802.09239) and
 Béchennec/Cassez (arXiv 1105.1633), specialized to the VISA pipeline:
 
 * **per-path timing**: every explored path threads the *same* in-order
-  recurrence as the dynamic simulator and the static analyzer
-  (:func:`repro.pipelines.inorder_engine.advance`), so the three can
-  only differ in their inputs, never their pipeline model;
+  recurrence as the dynamic simulator and the static analyzer, one basic
+  block per call (:func:`repro.pipelines.inorder_engine.advance_block`
+  over the analyzer's cached block plans), so the three can only differ
+  in their inputs, never their pipeline model;
 * **exact I-cache**: true LRU contents per path
   (:mod:`repro.wcet.mc.icache`) instead of persistence classification;
+  the cache's ``access`` decides each miss the block recurrence asks
+  about, which gives the same outcomes and contents as one access per
+  instruction (the argument is at ``advance_block``);
 * **exact loop unrolling**: loops run iteration by iteration up to their
   declared ``.loopbound`` (the same trusted annotation the static
   analyzer replicates against);
@@ -18,6 +22,9 @@ Béchennec/Cassez (arXiv 1105.1633), specialized to the VISA pipeline:
   exactly, so infeasible paths are never enumerated, and the
   visalint-powered branch-relevance slice (:mod:`repro.wcet.mc.slicing`)
   keys state subsumption so paths differing only in dead values merge.
+  The key is cheap to build at every edge: the cache keeps its
+  order-free part as one frozenset grown at misses, and each block's
+  slice is split once, at construction, into sorted register numbers.
 
 Soundness of the produced bound (``mc >= observed`` on the simple
 pipeline) rests on four arguments, each exercised by the test suite:
@@ -45,16 +52,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import AnalysisError
-from repro.isa.instruction import Instruction
 from repro.memory.machine import mem_stall_cycles
-from repro.pipelines.inorder_engine import TimingState, advance
+from repro.pipelines.inorder_engine import (
+    BlockInst,
+    TimingState,
+    advance_block,
+)
 from repro.wcet.analyzer import Node, SubtaskWCET, TaskWCET, WCETAnalyzer
 from repro.wcet.cfg import BasicBlock, FunctionCFG
 from repro.wcet.loops import Loop
 from repro.wcet.mc.icache import ExactICache, ICacheDigest, orderfree_sets
-from repro.wcet.mc.slicing import RelevanceMap, program_relevance
-from repro.wcet.mc.values import ValueDigest, ValueStore
-from repro.wcet.pipeline_model import edge_penalty, merge_timing
+from repro.wcet.mc.slicing import program_relevance
+from repro.wcet.mc.values import (
+    RegisterSlice,
+    ValueDigest,
+    ValueStore,
+    register_slice,
+)
+from repro.wcet.pipeline_model import merge_timing
 
 #: Subsumption key: branch-relevant values + canonical cache contents.
 DigestKey = tuple[ValueDigest, ICacheDigest]
@@ -117,9 +132,11 @@ class ModelCheckEngine:
     def __init__(self, analyzer: WCETAnalyzer, state_cap: int = 64) -> None:
         self.a = analyzer
         self.config = analyzer.cache_config
-        self.shift = self.config.block_shift
         self.state_cap = state_cap
-        self.relevance: RelevanceMap = program_relevance(analyzer.cfg)
+        self.relevance: dict[tuple[int, int], RegisterSlice] = {
+            key: register_slice(relevant)
+            for key, relevant in program_relevance(analyzer.cfg).items()
+        }
         self.orderfree = orderfree_sets(
             (inst.addr for inst in analyzer.program.instructions
              if inst.addr is not None),
@@ -155,7 +172,7 @@ class ModelCheckEngine:
         # which dominates any carried-over recurrence state.
         carried = [
             MCState(TimingState(), ValueStore.initial(),
-                    ExactICache(self.config))
+                    ExactICache(self.config, self.orderfree))
         ]
         cycles: list[int] = []
         for region in self.a.regions:
@@ -246,40 +263,47 @@ class ModelCheckEngine:
             else:
                 block = fcfg.blocks[addr]
                 for st in bucket_or_none.values():
-                    for target, out in self._block(block, st, stall):
+                    for target, out in self._block(fentry, block, st, stall):
                         deliver(target, out)
         return list(back_bucket.values()), externals
 
     def _block(
-        self, block: BasicBlock, st: MCState, stall: int
+        self, fentry: int, block: BasicBlock, st: MCState, stall: int
     ) -> list[tuple[int | None, MCState]]:
-        """Walk one basic block with one state; returns (target, state)."""
+        """Walk one basic block with one state; returns (target, state).
+
+        Timing and values are independent (see ``advance_block``), so a
+        block's timing runs in one recurrence call and its values after.
+        """
+        plan = self.a.block_plan(fentry, block)
         insts = block.instructions
-        for inst in insts[:-1]:
-            self._step(st, inst, stall, False)
-            st.values.apply(inst)
+        values = st.values
         last = insts[-1]
-        if block.call_target is not None:
-            self._step(st, last, stall, False)
-            st.values.apply(last)
-            results = self._function(block.call_target, [st], stall)
-            return [(block.successors[0][1], s) for s in results]
-        if last.is_branch and len(block.successors) > 1:
-            taken = st.values.eval_branch(last)
+        if last.is_branch and len(plan.edges) > 1:
+            cache_block = self._advance(st, plan.body, None, stall, False)
+            for inst in insts[:-1]:
+                values.apply(inst)
+            taken = values.eval_branch(last)
             live = [
-                edge for edge in block.successors
-                if taken is None or (edge[0] == "taken") == taken
+                edge
+                for (kind, _), edge in zip(block.successors, plan.edges)
+                if taken is None or (kind == "taken") == taken
             ]
             outs: list[tuple[int | None, MCState]] = []
-            for i, (kind, target) in enumerate(live):
+            for i, (target, penalty) in enumerate(live):
                 out = st if i == len(live) - 1 else st.clone()
-                self._step(out, last, stall, edge_penalty(last, kind))
+                self._advance(out, plan.last, cache_block, stall, penalty)
                 outs.append((target, out))
             return outs
-        kind, target = block.successors[0]
-        self._step(st, last, stall, edge_penalty(last, kind))
-        st.values.apply(last)
-        return [(target, st)]
+        # One out-edge; a call block's (after its ``jal``) has no penalty.
+        target, penalty = plan.edges[0]
+        self._advance(st, plan.insts, None, stall, penalty)
+        for inst in insts:
+            values.apply(inst)
+        if block.call_target is None:
+            return [(target, st)]
+        results = self._function(block.call_target, [st], stall)
+        return [(target, s) for s in results]
 
     def _function(
         self, entry: int, states: list[MCState], stall: int
@@ -349,13 +373,19 @@ class ModelCheckEngine:
 
     # -- state bookkeeping --------------------------------------------------------
 
-    def _step(
-        self, st: MCState, inst: object, stall: int, penalty: bool
-    ) -> None:
-        assert isinstance(inst, Instruction) and inst.addr is not None
-        extra = 0 if st.icache.access(inst.addr >> self.shift) else stall
-        advance(st.timing, inst, extra, 0, penalty)
-        self.stats.steps += 1
+    def _advance(
+        self,
+        st: MCState,
+        insts: tuple[BlockInst, ...],
+        cache_block: int | None,
+        stall: int,
+        penalty: bool,
+    ) -> int | None:
+        """Time ``insts`` on ``st``, its exact cache deciding each miss."""
+        self.stats.steps += len(insts)
+        return advance_block(
+            st.timing, insts, cache_block, st.icache.access, stall, penalty
+        )
 
     def _digest(
         self, fentry: int, addr: int | None, st: MCState
@@ -363,7 +393,7 @@ class ModelCheckEngine:
         relevant = (
             None if addr is None else self.relevance.get((fentry, addr))
         )
-        return (st.values.digest(relevant), st.icache.digest(self.orderfree))
+        return (st.values.digest(relevant), st.icache.digest())
 
     def _add(self, bucket: Bucket, key: DigestKey, st: MCState) -> None:
         """Insert ``st`` into a state set, merging or widening as needed."""
@@ -397,7 +427,7 @@ class ModelCheckEngine:
         """
         groups: dict[ICacheDigest, MCState] = {}
         for st in bucket.values():
-            key = st.icache.digest(self.orderfree)
+            key = st.icache.digest()
             current = groups.get(key)
             if current is None:
                 groups[key] = st

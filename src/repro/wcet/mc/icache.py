@@ -8,15 +8,24 @@ behaviour to the dynamic :class:`repro.memory.cache.Cache` (per-set MRU
 recency order; the dynamic model's global stamp counter induces exactly
 the per-set order kept here).
 
-Digest canonicalization: for any cache set whose *program footprint*
-(distinct text blocks mapping to it) fits within the associativity, no
-program fetch can ever evict a line, so the LRU order within the set is
-behaviourally irrelevant — the digest uses an order-free ``frozenset``
-there, letting states that fetched the same blocks in different orders
-merge.  This is an exactness-preserving canonicalization, not an
-approximation; overflowing sets (footprint > associativity) keep their
-exact MRU order in the digest.  With Table 1 geometry (256 sets, 4-way)
-and the C-lab code footprints, essentially every set is order-free.
+Order-free sets: for any cache set whose *program footprint* (distinct
+text blocks mapping to it) fits within the associativity, no program
+fetch can ever evict a line, so the LRU order within the set is
+behaviourally irrelevant.  The cache therefore keeps the resident lines
+of all order-free sets as one ``frozenset``, grown only on a miss, and
+exact MRU-first tuples only for the sets that can overflow.  With Table 1
+geometry (256 sets, 4-way) and the C-lab code footprints, essentially
+every set is order-free, so the common state is one shared ``frozenset``
+and an empty dict.
+
+The digest is that pair: the frozenset and the sorted MRU tuples of the
+overflowing sets.  Two caches have equal digests exactly when every set
+holds the same lines (in the same order where the set can overflow):
+a line's number fixes its set, so equal unions mean equal contents in
+every order-free set.  That is the relation the per-set canonical form
+``(index, frozenset or MRU tuple)`` defined, so states that fetched the
+same blocks in different orders still merge, and no others do.  This is
+an exactness-preserving canonicalization, not an approximation.
 
 ``join`` (used only when the engine widens an over-full state set) keeps
 the per-set *intersection* of contents with worst-case recency, which can
@@ -29,9 +38,9 @@ from typing import Iterable
 
 from repro.memory.cache import CacheConfig
 
-#: Digest of one cache: per-set contents, order-free where provably
-#: eviction-free, exact MRU-first order elsewhere.
-ICacheDigest = tuple[tuple[int, frozenset[int] | tuple[int, ...]], ...]
+#: Digest of one cache: the resident lines of the order-free sets, then
+#: (index, MRU-first lines) of each overflowing set, by index.
+ICacheDigest = tuple[frozenset[int], tuple[tuple[int, tuple[int, ...]], ...]]
 
 
 def orderfree_sets(
@@ -59,26 +68,32 @@ def orderfree_sets(
 class ExactICache:
     """Exact LRU tag store for one explored path.
 
-    Sets are kept sparsely as MRU-first tuples (most programs touch a
-    handful of the 256 sets).  Tuples make :meth:`clone` an O(sets)
-    shallow dict copy.
+    Args:
+        config: Cache geometry.
+        orderfree: Set indices that can never evict
+            (:func:`orderfree_sets` of every block the path can fetch).
+
+    Attributes:
+        lines: Resident lines of the order-free sets.
+        sets: MRU-first lines of each touched overflowing set.  Tuples
+            and the frozen ``lines`` make :meth:`clone` a shallow copy.
     """
 
-    __slots__ = ("sets", "num_sets", "assoc")
+    __slots__ = ("lines", "sets", "orderfree", "num_sets", "assoc")
 
-    def __init__(
-        self,
-        config: CacheConfig,
-        sets: dict[int, tuple[int, ...]] | None = None,
-    ) -> None:
+    def __init__(self, config: CacheConfig, orderfree: frozenset[int]) -> None:
         self.num_sets = config.num_sets
         self.assoc = config.assoc
-        self.sets: dict[int, tuple[int, ...]] = {} if sets is None else sets
+        self.orderfree = orderfree
+        self.lines: frozenset[int] = frozenset()
+        self.sets: dict[int, tuple[int, ...]] = {}
 
     def clone(self) -> "ExactICache":
         other = ExactICache.__new__(ExactICache)
         other.num_sets = self.num_sets
         other.assoc = self.assoc
+        other.orderfree = self.orderfree
+        other.lines = self.lines
         other.sets = dict(self.sets)
         return other
 
@@ -89,6 +104,11 @@ class ExactICache:
             True on a hit, False on a miss.
         """
         index = block % self.num_sets
+        if index in self.orderfree:
+            if block in self.lines:
+                return True
+            self.lines = self.lines | {block}
+            return False
         way = self.sets.get(index, ())
         if way and way[0] == block:
             return True  # already MRU (the common straight-line case)
@@ -98,12 +118,9 @@ class ExactICache:
         self.sets[index] = ((block,) + way)[: self.assoc]
         return False
 
-    def digest(self, orderfree: frozenset[int]) -> ICacheDigest:
+    def digest(self) -> ICacheDigest:
         """Canonical fingerprint (see module docstring)."""
-        return tuple(
-            (index, frozenset(way) if index in orderfree else way)
-            for index, way in sorted(self.sets.items())
-        )
+        return (self.lines, tuple(sorted(self.sets.items())))
 
     def join(self, other: "ExactICache") -> None:
         """Widen with ``other``: per-set intersection, worst recency.
@@ -111,8 +128,9 @@ class ExactICache:
         Surviving blocks take the *older* (closer-to-eviction) of their
         two positions, so the joined cache never promises more future
         hits than either input — any extra misses only increase the
-        bound.
+        bound.  Order-free sets keep the common lines.
         """
+        self.lines = self.lines & other.lines
         for index in list(self.sets):
             mine = self.sets[index]
             theirs = other.sets.get(index, ())

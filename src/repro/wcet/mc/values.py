@@ -48,6 +48,10 @@ ValueDigest = tuple[
 ]
 
 
+#: Relevant register numbers, int bank then fp bank, each sorted.
+RegisterSlice = tuple[tuple[int, ...], tuple[int, ...]]
+
+
 class _Unknown(Exception):
     """Raised by register-read callbacks when the value is not tracked."""
 
@@ -203,29 +207,37 @@ class ValueStore:
             for key in [k for k, v in mine.items() if theirs.get(k) != v]:
                 del mine[key]  # type: ignore[arg-type]
 
-    def digest(self, relevant: frozenset[RegRef] | None = None) -> ValueDigest:
+    def digest(self, relevant: RegisterSlice | None = None) -> ValueDigest:
         """Hashable fingerprint of the tracked facts.
 
         Args:
-            relevant: When given (from the branch-relevance slice,
-                :mod:`repro.wcet.mc.slicing`), only registers that can
-                still influence control flow enter the digest, so states
-                that differ in dead values merge.  Memory is always
-                digested in full (aliasing makes a sound memory slice
-                coarse, and tracked memory is sparse).
+            relevant: When given (the branch-relevance slice,
+                :mod:`repro.wcet.mc.slicing`, split by
+                :func:`register_slice`), only registers that can still
+                influence control flow enter the digest, so states that
+                differ in dead values merge.  Memory is always digested
+                in full (aliasing makes a sound memory slice coarse, and
+                tracked memory is sparse).
         """
+        int_regs, fp_regs = self.int_regs, self.fp_regs
         if relevant is None:
-            ints = tuple(sorted(self.int_regs.items()))
-            fps = tuple(sorted(self.fp_regs.items()))
+            ints = tuple(sorted(int_regs.items()))
+            fps = tuple(sorted(fp_regs.items()))
         else:
-            ints = tuple(
-                (n, v)
-                for n, v in sorted(self.int_regs.items())
-                if ("i", n) in relevant
-            )
-            fps = tuple(
-                (n, v)
-                for n, v in sorted(self.fp_regs.items())
-                if ("f", n) in relevant
-            )
+            int_nums, fp_nums = relevant
+            ints = tuple((n, int_regs[n]) for n in int_nums if n in int_regs)
+            fps = tuple((n, fp_regs[n]) for n in fp_nums if n in fp_regs)
         return (ints, fps, tuple(sorted(self.memory.items())))
+
+
+def register_slice(relevant: frozenset[RegRef]) -> RegisterSlice:
+    """Split a relevance set into sorted int and fp register numbers.
+
+    :meth:`ValueStore.digest` reads registers through the split, which
+    gives the same digest as filtering every register through
+    ``relevant`` (other references, such as the memory token, drop out).
+    """
+    return (
+        tuple(sorted(n for bank, n in relevant if bank == "i")),
+        tuple(sorted(n for bank, n in relevant if bank == "f")),
+    )

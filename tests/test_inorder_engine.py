@@ -4,9 +4,10 @@ The WCET analyzer's soundness rests on two properties of ``advance``:
 monotonicity in the pipeline state (so join-merging by component-wise max
 over-approximates), and monotonicity in the worst-case inputs (so assuming
 a miss/penalty never underestimates).  Both are property-tested here, as
-is the parity of the analyzer's block forms: ``advance_block`` with the
-per-instruction rule, and ``advance_block_env`` on lines with
-``advance_block`` at every stall of a range.
+is the parity of the block forms: ``advance_block`` with the
+per-instruction rule, under the analyzer's covered-block misses and under
+the model-checking oracle's exact cache, and ``advance_block_env`` on
+lines with ``advance_block`` at every stall of a range.
 """
 
 import dataclasses
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
+from repro.memory.cache import CacheConfig
 from repro.pipelines.inorder_engine import (
     BRANCH_PENALTY,
     TimingState,
@@ -25,6 +27,7 @@ from repro.pipelines.inorder_engine import (
     block_insts,
 )
 from repro.wcet.envelope import STALL, RangeFallback, StallRange
+from repro.wcet.mc.icache import ExactICache, orderfree_sets
 from repro.wcet.pipeline_model import PathState, merge, merge_timing
 
 
@@ -255,11 +258,67 @@ def test_advance_block_matches_per_instruction_rule(seed):
         expected, run, entry_block, covered, shift, stall, penalty
     )
     actual_block = advance_block(
-        actual, block_insts(run, shift), entry_block, covered, stall,
-        penalty,
+        actual, block_insts(run, shift), entry_block, covered.__contains__,
+        stall, penalty,
     )
     assert actual_block == expected_block
     assert dataclasses.asdict(actual) == dataclasses.asdict(expected)
+
+
+def _exact_rule(state, run, cache, shift, stall, penalty):
+    """The per-instruction rule on an exact cache: one ``access`` per
+    instruction, ``stall`` on each miss."""
+    for i, inst in enumerate(run):
+        extra = 0 if cache.access(inst.addr >> shift) else stall
+        advance(state, inst, extra, 0, penalty and i == len(run) - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 1_000_000))
+def test_advance_block_matches_per_instruction_rule_on_exact_cache(seed):
+    """The block form the model-checking oracle runs, its exact LRU cache
+    asked only at cache-block transitions, gives the same timing, the
+    same hits and misses and the same cache contents as one ``access``
+    per instruction -- from a cold or warm cache, a fresh block or a
+    re-fetch of the most recently fetched one, with every set kept in
+    MRU order or the order-free ones kept as one line set."""
+    rng = random.Random(seed)
+    shift = rng.choice([4, 5, 6])
+    penalty = rng.random() < 0.5
+    base = 0x400000 + 4 * rng.randrange(0, 64)
+    run = _random_run(rng, rng.randrange(1 if penalty else 0, 40), base)
+    # One to four sets, so runs revisit sets and small ones overflow.
+    config = CacheConfig(
+        size_bytes=rng.choice([1, 2, 4]) * 2 * (1 << shift), assoc=2,
+        block_bytes=1 << shift,
+    )
+    warm = [(base >> shift) + rng.randrange(-8, 8)
+            for _ in range(rng.randrange(0, 12))]
+    footprint = {inst.addr >> shift for inst in run} | set(warm)
+    orderfree = rng.choice([
+        frozenset(),
+        orderfree_sets((block << shift for block in footprint), config),
+    ])
+    stall = rng.choice([0, 1, 10, 100])
+
+    expected_cache = ExactICache(config, orderfree)
+    for block in warm:
+        expected_cache.access(block)
+    actual_cache = expected_cache.clone()
+    entry_block = rng.choice([None, warm[-1]]) if warm else None
+
+    expected = _random_state(rng)
+    actual = expected.clone()
+    _exact_rule(expected, run, expected_cache, shift, stall, penalty)
+    actual_block = advance_block(
+        actual, block_insts(run, shift), entry_block, actual_cache.access,
+        stall, penalty,
+    )
+    expected_block = run[-1].addr >> shift if run else entry_block
+    assert actual_block == expected_block
+    assert dataclasses.asdict(actual) == dataclasses.asdict(expected)
+    assert actual_cache.lines == expected_cache.lines
+    assert actual_cache.sets == expected_cache.sets
 
 
 def _state_at(timing, stalls, stall):
@@ -302,12 +361,12 @@ def _block_form_parity(seed) -> bool:
         states = []
         for prefix, prefix_penalty in prefixes:
             state = start.clone()
-            advance(state, block_insts(prefix, shift), None, covered, stall,
-                    prefix_penalty, **vmax)
+            advance(state, block_insts(prefix, shift), None,
+                    covered.__contains__, stall, prefix_penalty, **vmax)
             states.append(state)
         joined = merge_timing(*states, **vmax)
-        block = advance(joined, block_insts(run, shift), None, covered,
-                        stall, penalty, **vmax)
+        block = advance(joined, block_insts(run, shift), None,
+                        covered.__contains__, stall, penalty, **vmax)
         return joined, block
 
     try:

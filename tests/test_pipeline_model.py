@@ -10,8 +10,8 @@ from repro.wcet.pipeline_model import PathState, edge_penalty, merge
 def walk(state, insts, covered, stall):
     """Run ``insts`` through ``advance_block`` with 64-byte cache blocks."""
     state.cache_block = advance_block(
-        state.timing, block_insts(insts, 6), state.cache_block, covered,
-        stall, False,
+        state.timing, block_insts(insts, 6), state.cache_block,
+        covered.__contains__, stall, False,
     )
 
 
